@@ -11,12 +11,11 @@ every transformed or lifted solution.
 
 from .coords import (
     FamilySpec,
+    Frame,
     GalileanData,
     Point,
     act,
-    act_inverse_quadratic,
-    act_linear,
-    act_quadratic,
+    frame,
     galilean_params,
     reality_domain_check,
     comoving_identity_check,
@@ -40,7 +39,6 @@ from .errors import (
     ZeroOmega,
 )
 from .group import (
-    CocycleValue,
     DiskParams,
     GroupElement,
     Mat2,
@@ -50,33 +48,22 @@ from .group import (
     disk_parametrize,
     inverse,
     is_semigroup_admissible,
-    make_element,
 )
 from .multiplier import (
     IntertwinerParams,
     K0_intertwiner,
-    K_inverse_quadratic,
-    K_linear,
-    K_ndim,
-    K_quadratic,
-    MultiplierParts,
-    linear_parts,
     multiplier,
     ode_oracle_coefficients,
-    quadratic_parts,
 )
 from .opalg import (
     DiffOp,
     GeneratorSet,
     LaurentPoly2,
-    apply,
     casimir_I2,
     casimir_I3,
     generators_linear,
     generators_quadratic,
     intertwine_check,
-    op_commutator,
-    op_compose,
 )
 from .residual import (
     GridSpec,

@@ -16,10 +16,9 @@ import sys
 
 import numpy as np
 
-from .coords import FamilySpec, Point
+from .coords import FamilySpec
 from .errors import ConfigError, SchroedSymError
 from .group import GroupElement, Mat2
-from .multiplier import multiplier as k_multiplier
 from .residual import GridSpec, residual_arrays, transformed
 from .sampling import element_for_family
 from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
@@ -41,7 +40,6 @@ def _build_parser():
     common.add_argument("--alpha", type=float)
     common.add_argument("--beta", type=float)
     common.add_argument("--omega", type=float)
-    common.add_argument("--n", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--trials", type=int)
     common.add_argument("--tol", type=float)
@@ -86,7 +84,7 @@ def _load_config_file(path):
 
 
 _CONFIG_TYPES = {
-    "seed": int, "trials": int, "n": int,
+    "seed": int, "trials": int,
     "k": float, "alpha": float, "beta": float, "omega": float, "tol": float,
     "family": str, "format": str, "out": str,
 }
@@ -112,7 +110,7 @@ def _merge_config(args):
 
 def _run_config(merged):
     kwargs = {k: v for k, v in merged.items() if k in
-              ("seed", "trials", "tol", "family", "k", "alpha", "beta", "omega", "n")}
+              ("seed", "trials", "tol", "family", "k", "alpha", "beta", "omega")}
     return RunConfig(**kwargs)
 
 

@@ -1,8 +1,12 @@
 """Coordinate actions of the symmetry groups on (t, x).
 
-Every map here is written generically over its scalar type: plain complex
-numbers, numpy arrays, or jets all work, so the same code path feeds both
-the numeric checks and the chain-rule machinery of the residual verifier.
+Each family's frame (t', the scale xi and shift f of x' = xi x + f, and
+the multiplier's exponent coefficients A, B, C) comes from one ``frame``
+evaluation, a ``Frame``; the action ``act``, the multiplier and the
+structure-equation oracle all read it.  Every map here is written
+generically over its scalar type: plain complex numbers, numpy arrays, or
+jets all work, so the same code path feeds both the numeric checks and the
+chain-rule machinery of the residual verifier.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from . import jets
 from .errors import (
     BranchError,
     DomainError,
+    RangeError,
     ShapeError,
     SingularTime,
     ZeroK,
@@ -219,37 +224,96 @@ def _quadratic_time(up, t, kw, spec):
     return tp + shift
 
 
-# -- public actions ----------------------------------------------------------
+# -- the frame ----------------------------------------------------------------
 
 
-def act_inverse_quadratic(m: Mat2, z: Point) -> Point:
-    """t' = (c t + d)/(a t + b), x' = x/(a t + b)."""
-    tp, r = mobius_time(m, z.t)
-    return Point(tp, tuple(xj / r for xj in z.x))
+EXP_GUARD = 700.0
 
 
-def act_linear(l: GroupElement, z: Point, spec: FamilySpec) -> Point:
-    """Affine space map of the linear family, applied componentwise."""
-    if spec.family not in (LINEAR, NDIM_LINEAR, FREE, NLS2D):
-        raise DomainError(f"act_linear does not apply to family {spec.family!r}")
-    tp, xi, f, _ = linear_xi_f(l, spec, z.t)
-    return Point(tp, tuple(xi * xj + f for xj in z.x))
+def _guarded_exp(e):
+    v = np.asarray(jets.value_of(e))
+    if np.max(np.real(v)) > EXP_GUARD:
+        raise RangeError("multiplier exponent exceeds the double range")
+    return jets.exp(e)
 
 
-def act_quadratic(l: GroupElement, z: Point, spec: FamilySpec) -> Point:
-    if spec.family != QUADRATIC:
-        raise DomainError("act_quadratic needs the quadratic family")
-    tp, xi, f, *_ = quadratic_frame(l, spec, z.t)
-    return Point(tp, tuple(xi * xj + f for xj in z.x))
+@dataclass(frozen=True)
+class Frame:
+    """One evaluation of a family's frame at a time t (scalar-generic).
+
+    The action maps t to tp and each space coordinate x_j to xi x_j + f; the
+    multiplier over n space coordinates is
+    exp(n A + B sum_j x_j + C sum_j x_j^2).
+    """
+
+    tp: object
+    xi: object
+    f: object
+    A: object
+    B: object
+    C: object
+
+    def space(self, x):
+        """Mapped space coordinates xi x_j + f."""
+        return tuple(self.xi * xj + self.f for xj in x)
+
+    def multiplier(self, x):
+        """exp(n A + B sum_j x_j + C sum_j x_j^2) over the coordinates x."""
+        s1 = sum(x)
+        s2 = sum(xj * xj for xj in x)
+        return _guarded_exp(len(x) * self.A + self.B * s1 + self.C * s2)
+
+
+def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
+    """The frame of ``l`` at time t; the one place where the frame depends
+    on the family.
+
+    Inverse-quadratic: x' = x/(a t + b), A = -log(a t + b)/2, B = 0,
+    C = -a/(4 k (a t + b)).  Linear (also the free, n-coordinate linear and
+    2-d NLS families): A carries the (a t + b)^{-1/2} prefactor as
+    -log(a t + b)/2, so that (A, B, C) satisfy the first-order structure
+    equations directly, and the constant -mu nu/4k normalizes the cocycle
+    to its symplectic form.  Quadratic: the same in the exponential time
+    variable u = exp(4 k omega t).
+    """
+    k, alpha = spec.k, spec.alpha
+    mu, nu = l.mu, l.nu
+    if spec.family == INVERSE_QUADRATIC:
+        tp, r = mobius_time(l.m, t)
+        xi = 1.0 / r
+        return Frame(tp, xi, 0.0, -0.5 * jets.log(r), 0.0, (-0.25 * l.a / k) * xi)
+    if spec.family == QUADRATIC:
+        tp, xi, f, u, den, num = quadratic_frame(l, spec, t)
+        omega = spec.omega
+        up = num / den
+        A = (
+            0.5 * jets.log(xi)
+            + alpha * k * (tp - t)
+            + (omega / 2.0) * (nu * nu * up - mu * mu / up)
+        )
+        B = omega * jets.exp(2.0 * k * omega * t) * (nu / den + mu / num)
+        C = (omega / 2.0) * (-1.0 + l.b / den + l.d / num)
+        return Frame(tp, xi, f, A, B, C)
+    tp, xi, f, r = linear_xi_f(l, spec, t)
+    beta, b = spec.beta, l.b
+    C = -0.25 / k * (l.a / r)
+    B = -nu / (2.0 * k) / r + (k * beta / 2.0) * (2.0 * tp / r - t - b * t / r)
+    A = (
+        -0.5 * jets.log(r)
+        - mu * nu / (4.0 * k)
+        + alpha * k * (tp - t)
+        + nu * nu / (4.0 * k) * tp
+        + k * beta * (mu * tp - nu * (tp * tp - t * t / (2.0 * r)))
+        + k ** 3 * beta ** 2
+        * ((2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (b / 4.0) * t ** 3 / r - t * t * tp / r)
+    )
+    return Frame(tp, xi, f, A, B, C)
 
 
 def act(l: GroupElement, z: Point, spec: FamilySpec) -> Point:
-    """Family dispatch for the group action."""
-    if spec.family == INVERSE_QUADRATIC:
-        return act_inverse_quadratic(l.m, z)
-    if spec.family == QUADRATIC:
-        return act_quadratic(l, z, spec)
-    return act_linear(l, z, spec)
+    """The group action (t, x_j) -> (t', xi x_j + f) of the family's frame."""
+    fr = frame(l, spec, z.t)
+    return Point(fr.tp, fr.space(z.x))
 
 
 def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:
@@ -267,7 +331,7 @@ def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:
 def comoving_identity_check(l: GroupElement, z: Point, spec: FamilySpec):
     """|LHS - RHS| of the translation-free comoving-coordinate identity
     x' - k^2 beta t'^2 = (x - k^2 beta t^2)/(a t + b)."""
-    zp = act_linear(l, z, spec)
+    zp = act(l, z, spec)
     k2b = spec.k ** 2 * spec.beta
     r = l.a * z.t + l.b
     lhs = zp.x1 - k2b * zp.t ** 2

@@ -95,13 +95,6 @@ class GroupElement:
         return self.m.d
 
 
-def make_element(m: Mat2, mu=0.0, nu=0.0) -> GroupElement:
-    """Validated constructor; (identity, 0, 0) is the group unit."""
-    if abs(m.det - 1.0) > DET_TOL:
-        raise DeterminantError(f"determinant {m.det} differs from 1 by more than {DET_TOL}")
-    return GroupElement(m, mu, nu)
-
-
 def compose(l1: GroupElement, l2: GroupElement) -> GroupElement:
     """Semidirect product: {M M', (mu, nu) + M (mu', nu')}."""
     dmu, dnu = l1.m.apply_vec(l2.mu, l2.nu)
@@ -115,14 +108,7 @@ def inverse(l: GroupElement) -> GroupElement:
     return GroupElement(minv, -mu, -nu)
 
 
-@dataclass(frozen=True)
-class CocycleValue:
-    """Scalar cocycle appearing in the multiplier composition law."""
-
-    value: complex
-
-
-def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> CocycleValue:
+def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> complex:
     """Cocycle of the linear-potential family.
 
     Equals (1/4k) * (mu, nu)^T J M (mu', nu') where M, (mu, nu) come from
@@ -132,10 +118,10 @@ def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> CocycleValue:
         raise ZeroK("k must be nonzero")
     m, mu, nu = l1.m, l1.mu, l1.nu
     val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.d) * l2.nu
-    return CocycleValue(val / (4.0 * k))
+    return val / (4.0 * k)
 
 
-def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolved") -> CocycleValue:
+def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolved") -> complex:
     """Cocycle of the quadratic-potential family.
 
     Two conventions for the second bracket appear in the literature.
@@ -153,7 +139,7 @@ def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolv
         val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.a) * l2.nu
     else:
         raise ValueError(f"unknown cocycle variant {variant!r}")
-    return CocycleValue(omega * val)
+    return omega * val
 
 
 @dataclass(frozen=True)

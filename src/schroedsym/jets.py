@@ -146,18 +146,6 @@ class Jet:
         h = {k: v for k, v in self.coef.items() if k != z}
         return c, self._like(h)
 
-    def _series(self, terms):
-        """sum_i terms[i] * h^i where h is the nilpotent part of self/c."""
-        c, h = self._split()
-        out = Jet.const(terms[0], self.nvars, self.order)
-        hp = None
-        for i in range(1, len(terms)):
-            hp = h if hp is None else hp * h
-            if not hp.coef:
-                break
-            out = out + hp * terms[i]
-        return out, c
-
     def exp(self):
         c, h = self._split()
         out = Jet.const(1.0 + 0.0j, self.nvars, self.order)

@@ -1,54 +1,23 @@
 """Multiplier functions K(t, x | element) for every potential family.
 
-The exponent coefficients follow the closed forms of the solution family;
-an independent Runge-Kutta oracle re-derives them from their first-order
-structure equations so that any transcription slip in the closed forms is
-caught numerically.
+``multiplier`` reads the exponent coefficients A, B, C of one ``Frame``
+evaluation (``coords.frame``), which holds the closed forms of the
+solution family; an independent Runge-Kutta oracle re-derives A, B, C from
+their first-order structure equations, reading only xi and f of the frame,
+so that any transcription slip in the closed forms is caught numerically.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .coords import (
-    FamilySpec,
-    INVERSE_QUADRATIC,
-    LINEAR,
-    NDIM_LINEAR,
-    NLS2D,
-    FREE,
-    QUADRATIC,
-    Point,
-    linear_xi_f,
-    mobius_time,
-    quadratic_frame,
-)
-from .errors import DomainError, IntegrationError, RangeError, SingularTime
-from .group import GroupElement, Mat2
-
-EXP_GUARD = 700.0
-
-
-def _guarded_exp(e):
-    v = np.asarray(jets.value_of(e))
-    if np.max(np.real(v)) > EXP_GUARD:
-        raise RangeError("multiplier exponent exceeds the double range")
-    return jets.exp(e)
-
-
-@dataclass(frozen=True)
-class MultiplierParts:
-    """Exponent coefficients A, B, C with the frame data xi, f, phidot."""
-
-    A: object
-    B: object
-    C: object
-    xi: object
-    f: object
-    phidot: object
+from .coords import INVERSE_QUADRATIC, QUADRATIC, FamilySpec, Point, _guarded_exp, frame
+from .errors import DomainError, IntegrationError, SingularTime
+from .group import GroupElement
 
 
 @dataclass(frozen=True)
@@ -64,93 +33,9 @@ class IntertwinerParams:
             raise DomainError("sigma must be nonzero")
 
 
-# -- closed forms -------------------------------------------------------------
-
-
-def linear_parts(l: GroupElement, spec: FamilySpec, t) -> MultiplierParts:
-    """Exponent coefficients of the linear-family multiplier (scalar-generic).
-
-    A carries the full exponent normalization, with the (a t + b)^{-1/2}
-    prefactor folded in as -log(a t + b)/2, so that (A, B, C) satisfy the
-    first-order structure equations directly.  The constant -mu nu/4k
-    normalizes the cocycle to its symplectic form.
-    """
-    tp, xi, f, r = linear_xi_f(l, spec, t)
-    k, alpha, beta = spec.k, spec.alpha, spec.beta
-    mu, nu = l.mu, l.nu
-    a, b = l.a, l.b
-    C = -0.25 / k * (a / r)
-    B = -nu / (2.0 * k) / r + (k * beta / 2.0) * (2.0 * tp / r - t - b * t / r)
-    A = (
-        -0.5 * jets.log(r)
-        - mu * nu / (4.0 * k)
-        + alpha * k * (tp - t)
-        + nu * nu / (4.0 * k) * tp
-        + k * beta * (mu * tp - nu * (tp * tp - t * t / (2.0 * r)))
-        + k ** 3 * beta ** 2
-        * ((2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (b / 4.0) * t ** 3 / r - t * t * tp / r)
-    )
-    return MultiplierParts(A, B, C, xi, f, xi * xi)
-
-
-def quadratic_parts(l: GroupElement, spec: FamilySpec, t) -> MultiplierParts:
-    """Exponent coefficients of the quadratic-family multiplier (scalar-generic)."""
-    tp, xi, f, u, den, num = quadratic_frame(l, spec, t)
-    k, alpha, omega = spec.k, spec.alpha, spec.omega
-    mu, nu = l.mu, l.nu
-    up = num / den
-    A = (
-        0.5 * jets.log(xi)
-        + alpha * k * (tp - t)
-        + (omega / 2.0) * (nu * nu * up - mu * mu / up)
-    )
-    B = omega * jets.exp(2.0 * k * omega * t) * (nu / den + mu / num)
-    C = (omega / 2.0) * (-1.0 + l.b / den + l.d / num)
-    return MultiplierParts(A, B, C, xi, f, xi * xi)
-
-
-def K_inverse_quadratic(m: Mat2, z: Point, k, n=None):
-    """(a t + b)^{-n/2} exp(-a x^2 / (4 k (a t + b)))."""
-    if n is None:
-        n = z.n
-    _, r = mobius_time(m, z.t)
-    x2 = sum(xj * xj for xj in z.x)
-    expo = -m.a * x2 / (4.0 * k * r)
-    return jets.cpow(r, -0.5 * n) * _guarded_exp(expo)
-
-
-def K_linear(l: GroupElement, z: Point, spec: FamilySpec):
-    parts = linear_parts(l, spec, z.t)
-    x = z.x1
-    return _guarded_exp(parts.A + parts.B * x + parts.C * x * x)
-
-
-def K_quadratic(l: GroupElement, z: Point, spec: FamilySpec):
-    parts = quadratic_parts(l, spec, z.t)
-    x = z.x1
-    return _guarded_exp(parts.A + parts.B * x + parts.C * x * x)
-
-
-def K_ndim(l: GroupElement, z: Point, spec: FamilySpec):
-    """Product of one-coordinate linear multipliers over all coordinates."""
-    if spec.family not in (NDIM_LINEAR, NLS2D, LINEAR, FREE):
-        raise DomainError(f"K_ndim does not apply to family {spec.family!r}")
-    out = None
-    for xj in z.x:
-        kj = K_linear(l, Point(z.t, (xj,)), spec)
-        out = kj if out is None else out * kj
-    return out
-
-
 def multiplier(l: GroupElement, z: Point, spec: FamilySpec):
-    """Family dispatch for the multiplier."""
-    if spec.family == INVERSE_QUADRATIC:
-        return K_inverse_quadratic(l.m, z, spec.k, z.n)
-    if spec.family == QUADRATIC:
-        return K_quadratic(l, z, spec)
-    if spec.family in (NDIM_LINEAR, NLS2D):
-        return K_ndim(l, z, spec)
-    return K_linear(l, z, spec)
+    """K(t, x | element) = exp(n A + B sum_j x_j + C sum_j x_j^2) of the frame."""
+    return frame(l, spec, z.t).multiplier(z.x)
 
 
 def k0_map(p: IntertwinerParams, spec: FamilySpec, t, x):
@@ -182,74 +67,61 @@ def K0_intertwiner(p: IntertwinerParams, z: Point, spec: FamilySpec):
 # -- structure-equation oracle -------------------------------------------------
 
 
-def _frame_funcs(l: GroupElement, spec: FamilySpec):
-    if spec.family in (LINEAR, NDIM_LINEAR, FREE, NLS2D):
-        def frame(t):
-            _, xi, f, _ = linear_xi_f(l, spec, t)
-            return xi, f
-    elif spec.family == QUADRATIC:
-        def frame(t):
-            _, xi, f, *_ = quadratic_frame(l, spec, t)
-            return xi, f
-    else:
-        raise DomainError(f"no structure equations for family {spec.family!r}")
-    return frame
-
-
-def _rhs(spec: FamilySpec, frame, t, y):
-    A, B, C = y
+def _forcing(spec: FamilySpec, xi, f):
+    """Source terms k (xi^2 V(xi x + f) - V(x)) of the structure equations,
+    as the coefficients of 1, x and x^2."""
     k = spec.k
-    xi, f = frame(t)
-    dC = 4.0 * k * C * C
-    dB = 4.0 * k * B * C
-    dA = k * (B * B + 2.0 * C) + spec.alpha * k * (xi * xi - 1.0)
+    x2 = xi * xi
+    g0 = spec.alpha * k * (x2 - 1.0)
     if spec.family == QUADRATIC:
-        w2 = spec.omega ** 2
-        dC += k * w2 * (xi ** 4 - 1.0)
-        dB += 2.0 * k * w2 * xi ** 3 * f
-        dA += k * w2 * xi * xi * f * f
-    else:
-        dC += 0.0
-        dB += k * spec.beta * (xi ** 3 - 1.0)
-        dA += k * spec.beta * xi * xi * f
-    return np.array([dA, dB, dC])
+        w2 = k * spec.omega ** 2
+        return g0 + w2 * x2 * f * f, 2.0 * w2 * x2 * xi * f, w2 * (x2 * x2 - 1.0)
+    kb = k * spec.beta
+    return g0 + kb * x2 * f, kb * (x2 * xi - 1.0), 0.0
 
 
-def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid, step=1e-4) -> MultiplierParts:
+def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid, step=1e-4):
     """Re-derive A, B, C by integrating their structure equations.
 
     Starts from the closed-form values at the earliest grid point and
-    integrates with fixed-step RK4, sampling at every grid time.  Returned
-    xi, f, phidot are the closed forms, for cross-validation.
+    integrates with fixed-step RK4, sampling at every grid time.  Each grid
+    interval evaluates the frame once, on its RK4 stage times, and takes
+    only xi and f from it, so the closed forms enter only as the start
+    value.  Returns the arrays (A, B, C) at the grid times.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be strictly increasing with >= 2 points")
-    parts_fn = quadratic_parts if spec.family == QUADRATIC else linear_parts
-    frame = _frame_funcs(l, spec)
-    p0 = parts_fn(l, spec, t_grid[0])
-    y = np.array([p0.A, p0.B, p0.C], dtype=complex)
-    samples = [y.copy()]
-    t = t_grid[0]
+    if spec.family == INVERSE_QUADRATIC:
+        raise DomainError(f"no structure equations for family {spec.family!r}")
+    k = spec.k
+    k4 = 4.0 * k
+    samples = []
     # overflow to inf is the divergence signal, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_next in t_grid[1:]:
-            span = t_next - t
-            nsub = max(1, int(np.ceil(span / step)))
-            h = span / nsub
-            for _ in range(nsub):
-                k1 = _rhs(spec, frame, t, y)
-                k2 = _rhs(spec, frame, t + h / 2.0, y + h / 2.0 * k1)
-                k3 = _rhs(spec, frame, t + h / 2.0, y + h / 2.0 * k2)
-                k4 = _rhs(spec, frame, t + h, y + h * k3)
-                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t + h
-                if not np.all(np.isfinite(y.view(float))):
-                    raise IntegrationError(f"integrator diverged near t = {t}")
-            t = t_next
-            samples.append(y.copy())
-    samples = np.array(samples)
-    frames = [frame(tv) for tv in t_grid]
-    xi = np.array([fr[0] for fr in frames])
-    f = np.array([fr[1] for fr in frames])
-    return MultiplierParts(samples[:, 0], samples[:, 1], samples[:, 2], xi, f, xi * xi)
+        for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+            nsub = max(1, int(np.ceil((t1 - t0) / step)))
+            h = (t1 - t0) / nsub
+            # stage times t, t + h/2, t + h of every step
+            ts = np.linspace(t0, t1, 2 * nsub + 1)
+            fr = frame(l, spec, ts)
+            if not samples:
+                samples.append((complex(fr.A[0]), complex(fr.B[0]), complex(fr.C[0])))
+            A, B, C = samples[-1]
+            gA, gB, gC = (np.broadcast_to(g, ts.shape).tolist() for g in _forcing(spec, fr.xi, fr.f))
+
+            def rhs(j, B, C):
+                return k * (B * B + 2.0 * C) + gA[j], k4 * B * C + gB[j], k4 * C * C + gC[j]
+
+            for j in range(0, 2 * nsub, 2):
+                a1, b1, c1 = rhs(j, B, C)
+                a2, b2, c2 = rhs(j + 1, B + h / 2.0 * b1, C + h / 2.0 * c1)
+                a3, b3, c3 = rhs(j + 1, B + h / 2.0 * b2, C + h / 2.0 * c2)
+                a4, b4, c4 = rhs(j + 2, B + h * b3, C + h * c3)
+                A = A + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                B = B + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                C = C + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                if not (cmath.isfinite(A) and cmath.isfinite(B) and cmath.isfinite(C)):
+                    raise IntegrationError(f"integrator diverged near t = {ts[j + 2]}")
+            samples.append((A, B, C))
+    return tuple(np.array(v) for v in zip(*samples))

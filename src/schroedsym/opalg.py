@@ -383,14 +383,6 @@ def generators_quadratic(k, alpha, omega) -> GeneratorSet:
     )
 
 
-def op_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.compose(b)
-
-
-def op_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.commutator(b)
-
-
 def casimir_I2(g: GeneratorSet) -> DiffOp:
     """Quadratic invariant of the fractional-linear subalgebra."""
     return g.Lplus.compose(g.Lminus) - g.L3.compose(g.L3) + g.L3
@@ -411,7 +403,3 @@ def intertwine_check(g: GeneratorSet, kop: DiffOp, tol=EQ_TOL) -> bool:
     return all(
         gt.compose(kop).equals(kop.compose(gen), tol) for gt, gen in g.pairs()
     )
-
-
-def apply(op: DiffOp, fn, z):
-    return op.apply(fn, z)

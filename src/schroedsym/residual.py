@@ -22,13 +22,11 @@ from .coords import (
     QUADRATIC,
     FamilySpec,
     Point,
-    act,
-    linear_xi_f,
-    quadratic_frame,
+    frame,
 )
 from .errors import DomainError
 from .group import GroupElement
-from .multiplier import IntertwinerParams, k0_map, multiplier
+from .multiplier import IntertwinerParams, k0_map
 from .solutions import SmoothFn
 
 REL_FLOOR = 1e-300
@@ -103,19 +101,23 @@ def potential(spec: FamilySpec, xs):
     raise DomainError(f"no potential for family {spec.family!r}")
 
 
+def _residual(spec: FamilySpec, psi_t, laplacian, psi, xs):
+    """psi_t - k (Delta psi - V psi); the NLS family has the cubic term
+    in place of the potential."""
+    if spec.family == NLS2D:
+        return psi_t - spec.k * (laplacian + spec.coupling * np.abs(psi) ** 2 * psi)
+    return psi_t - spec.k * (laplacian - potential(spec, xs) * psi)
+
+
 def _residual_from_jet(j, spec: FamilySpec, xs):
     ndim = j.nvars - 1
-    psi = j.value
     pt = j.partial((1,) + (0,) * ndim)
     lap = 0.0
     for i in range(ndim):
         alpha = [0] * (ndim + 1)
         alpha[1 + i] = 2
         lap = lap + j.partial(tuple(alpha))
-    if spec.family == NLS2D:
-        cubic = spec.coupling * np.abs(psi) ** 2 * psi
-        return pt - spec.k * (lap + cubic)
-    return pt - spec.k * (lap - potential(spec, xs) * psi)
+    return _residual(spec, pt, lap, j.value, xs)
 
 
 def residual_at(fn: SmoothFn, spec: FamilySpec, z: Point):
@@ -145,11 +147,7 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
         up = [x + (h if j == i else 0.0) for j, x in enumerate(xs)]
         dn = [x - (h if j == i else 0.0) for j, x in enumerate(xs)]
         lap = lap + (val(t, up) - 2.0 * psi + val(t, dn)) / h ** 2
-    if spec.family == NLS2D:
-        r = pt - spec.k * (lap + spec.coupling * np.abs(psi) ** 2 * psi)
-    else:
-        r = pt - spec.k * (lap - potential(spec, xs) * psi)
-    return r, psi
+    return _residual(spec, pt, lap, psi, xs), psi
 
 
 def _report(resid, psi, t, xs, order=None, nerr=0):
@@ -241,13 +239,11 @@ class PullbackFn(SmoothFn):
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z)."""
 
-    def frame(tj, xjs):
-        zj = Point(tj, tuple(xjs))
-        zp = act(l, zj, spec)
-        kj = multiplier(l, zj, spec)
-        return zp.t, list(zp.x), kj
+    def pullback(tj, xjs):
+        fr = frame(l, spec, tj)
+        return fr.tp, list(fr.space(xjs)), fr.multiplier(xjs)
 
-    return PullbackFn(fn, frame, ndim=spec.n)
+    return PullbackFn(fn, pullback, ndim=spec.n)
 
 
 def lift_frame(map_kind: str, spec: FamilySpec, params: IntertwinerParams = None):
@@ -312,20 +308,15 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     """Pointwise check of the operator identity behind the symmetry.
 
     Compares (d/dt - k Delta + k V)[K fn(mapped)] against
-    phidot * K * [(d/dt' - k Delta' + k V') fn](mapped); fn need not solve
-    the equation, so this tests the identity itself rather than solution
-    preservation.
+    xi^2 * K * [(d/dt' - k Delta' + k V') fn](mapped), with xi^2 = dt'/dt;
+    fn need not solve the equation, so this tests the identity itself rather
+    than solution preservation.
     """
     t, xs = grid.points(spec.n)
     lhs, psi_prime = residual_arrays(transformed(fn, l, spec), spec, t, xs)
-    zp = act(l, Point(t, tuple(xs)), spec)
-    if spec.family == QUADRATIC:
-        _, xi, *_ = quadratic_frame(l, spec, t)
-    else:
-        _, xi, _, _ = linear_xi_f(l, spec, t)
-    kval = multiplier(l, Point(t, tuple(xs)), spec)
-    base_res, _ = residual_arrays(fn, spec, zp.t, list(zp.x))
-    rhs = xi * xi * kval * base_res
+    fr = frame(l, spec, t)
+    base_res, _ = residual_arrays(fn, spec, fr.tp, list(fr.space(xs)))
+    rhs = fr.xi * fr.xi * fr.multiplier(xs) * base_res
     diff = lhs - rhs
     scale = np.abs(rhs) + np.abs(psi_prime) + REL_FLOOR
     rel = np.abs(diff) / scale

@@ -22,17 +22,13 @@ from .coords import (
     GalileanData,
     Point,
     act,
-    act_inverse_quadratic,
-    act_linear,
-    act_quadratic,
+    frame,
     galilean_params,
-    linear_xi_f,
     reality_domain_check,
     comoving_identity_check,
 )
 from .errors import ConfigError, DeterminantError, SchroedSymError
 from .group import (
-    CocycleValue,
     DiskParams,
     GroupElement,
     Mat2,
@@ -43,19 +39,12 @@ from .group import (
     inverse,
     is_disk_shaped,
     is_semigroup_admissible,
-    make_element,
 )
 from .multiplier import (
     IntertwinerParams,
-    K_inverse_quadratic,
-    K_linear,
-    K_ndim,
-    K_quadratic,
     k0_map,
-    linear_parts,
     multiplier,
     ode_oracle_coefficients,
-    quadratic_parts,
 )
 from .opalg import (
     DiffOp,
@@ -120,7 +109,6 @@ class RunConfig:
     alpha: float = 0.3
     beta: float = 0.9
     omega: float = 0.6
-    n: int = 2
     t_range: tuple = (-0.4, 0.6)
     x_range: tuple = (-1.2, 1.2)
     nt: int = 14
@@ -133,8 +121,6 @@ class RunConfig:
             raise ConfigError("trial count must be >= 1")
         if self.k == 0:
             raise ConfigError("k must be nonzero")
-        if self.n < 1:
-            raise ConfigError("dimension must be >= 1")
 
     def grid(self):
         return GridSpec(self.t_range, self.x_range, self.nt, self.nx)
@@ -310,8 +296,8 @@ def _group_cycle_linear(cfg, rng, trials):
     worst = 0.0
     for _ in range(trials):
         l1, l2, l3 = (random_element(rng) for _ in range(3))
-        lhs = cocycle_linear(l1, l2, k).value + cocycle_linear(compose(l1, l2), l3, k).value
-        rhs = cocycle_linear(l2, l3, k).value + cocycle_linear(l1, compose(l2, l3), k).value
+        lhs = cocycle_linear(l1, l2, k) + cocycle_linear(compose(l1, l2), l3, k)
+        rhs = cocycle_linear(l2, l3, k) + cocycle_linear(l1, compose(l2, l3), k)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -322,8 +308,8 @@ def _group_antisym(cfg, rng, trials):
     worst = 0.0
     for _ in range(trials):
         l1, l2 = random_element(rng), random_element(rng)
-        lhs = cocycle_linear(inverse(l2), inverse(l1), k).value
-        worst = max(worst, abs(lhs + cocycle_linear(l1, l2, k).value))
+        lhs = cocycle_linear(inverse(l2), inverse(l1), k)
+        worst = max(worst, abs(lhs + cocycle_linear(l1, l2, k)))
     return worst
 
 
@@ -333,8 +319,8 @@ def _group_cycle_quadratic(cfg, rng, trials):
     worst = 0.0
     for _ in range(trials):
         l1, l2, l3 = (random_element(rng, complex_entries=True) for _ in range(3))
-        lhs = cocycle_quadratic(l1, l2, w).value + cocycle_quadratic(compose(l1, l2), l3, w).value
-        rhs = cocycle_quadratic(l2, l3, w).value + cocycle_quadratic(l1, compose(l2, l3), w).value
+        lhs = cocycle_quadratic(l1, l2, w) + cocycle_quadratic(compose(l1, l2), l3, w)
+        rhs = cocycle_quadratic(l2, l3, w) + cocycle_quadratic(l1, compose(l2, l3), w)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -374,7 +360,7 @@ def _group_det_guard(cfg, rng, trials):
     except DeterminantError:
         pass
     try:
-        make_element(Mat2.identity())
+        GroupElement(Mat2.identity())
     except DeterminantError:
         return 1.0
     return 0.0
@@ -405,7 +391,7 @@ def _coords_identity(cfg, rng, trials):
             z = Point(t, x)
             zp = act(ident, z, sp[name])
             worst = max(worst, abs(zp.t - t), abs(zp.x1 - x))
-        zp = act_inverse_quadratic(Mat2.identity(), Point(t, abs(x) + 0.2))
+        zp = act(ident, Point(t, abs(x) + 0.2), sp["inverse_quadratic"])
         worst = max(worst, abs(zp.t - t), abs(zp.x1 - abs(x) - 0.2))
     return worst
 
@@ -435,14 +421,8 @@ def _coords_hom_linear(cfg, rng, trials):
 
 @_register("coords", "homomorphism_inverse_quadratic", "two-step action equals composed action, scale-invariant family", 1e-11, 300, families=("inverse_quadratic",))
 def _coords_hom_invq(cfg, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m1, m2 = random_sl2r(rng), random_sl2r(rng)
-        z = Point(rng.uniform(-0.4, 0.4), rng.uniform(0.3, 1.5))
-        seq = act_inverse_quadratic(m1, act_inverse_quadratic(m2, z))
-        joint = act_inverse_quadratic(m1.mul(m2), z)
-        worst = max(worst, abs(seq.t - joint.t), abs(seq.x1 - joint.x1))
-    return worst
+    spec = cfg.specs()["inverse_quadratic"]
+    return _homomorphism_defect(rng, trials, spec, lambda: GroupElement(random_sl2r(rng)))
 
 
 @_register("coords", "homomorphism_quadratic", "two-step action equals composed action, oscillator semigroup", 1e-11, 300, families=("quadratic",))
@@ -459,22 +439,23 @@ def _coords_hom_disk(cfg, rng, trials):
 
 @_register("coords", "time_translation", "upper shear translates time", 1e-13, families=("linear", "free", "inverse_quadratic"))
 def _coords_time_translation(cfg, rng, trials):
-    spec = cfg.specs()["linear"]
+    spec = cfg.specs()["inverse_quadratic"]
     lam = 0.8
     l = GroupElement(Mat2(1.0, lam, 0.0, 1.0))
     worst = 0.0
     for t, x in ((0.2, 0.5), (-0.3, 1.0)):
-        zp = act_inverse_quadratic(l.m, Point(t, x))
+        zp = act(l, Point(t, x), spec)
         worst = max(worst, abs(zp.t - (t + lam)), abs(zp.x1 - x))
     return worst
 
 
 @_register("coords", "dilatation", "diagonal matrix rescales time twice as fast as space", 1e-13, families=("inverse_quadratic", "free"))
 def _coords_dilatation(cfg, rng, trials):
-    m = Mat2(2.0, 0.0, 0.0, 0.5)
+    spec = cfg.specs()["inverse_quadratic"]
+    l = GroupElement(Mat2(2.0, 0.0, 0.0, 0.5))
     worst = 0.0
     for t, x in ((0.2, 0.5), (-0.3, 1.0)):
-        zp = act_inverse_quadratic(m, Point(t, x))
+        zp = act(l, Point(t, x), spec)
         worst = max(worst, abs(zp.t - 4.0 * t), abs(zp.x1 - 2.0 * x))
     return worst
 
@@ -488,7 +469,7 @@ def _coords_galilean(cfg, rng, trials):
         l = GroupElement(Mat2(1.0, lam, 0.0, 1.0), mu, nu)
         gd = galilean_params(l, spec)
         t, x = rng.uniform(-0.6, 0.6), rng.uniform(-1.5, 1.5)
-        zp = act_linear(l, Point(t, x), spec)
+        zp = act(l, Point(t, x), spec)
         worst = max(worst, abs(zp.t - (t + lam)), abs(zp.x1 - (x + gd.sigma + gd.v * t)))
     k2b = spec.k ** 2 * spec.beta
     l0 = GroupElement(Mat2(1.0, 0.5, 0.0, 1.0), 0.3, 0.0)
@@ -520,7 +501,7 @@ def _coords_pairs(cfg, rng, trials):
         l = random_element(rng)
         t = rng.uniform(-0.4, 0.4)
         x1, x2 = rng.uniform(-1.5, 1.5, 2)
-        zp = act_linear(l, Point(t, (x1, x2)), spec)
+        zp = act(l, Point(t, (x1, x2)), spec)
         r = l.a * t + l.b
         worst = max(worst, abs((zp.x[0] - zp.x[1]) - (x1 - x2) / r))
     return worst
@@ -556,7 +537,7 @@ def _coords_branch(cfg, rng, trials):
                     return GroupElement(el.m, eps * mu, -np.conj(eps * mu))
 
             def deviation(eps):
-                zp = act_quadratic(element(eps), Point(t, x), spec)
+                zp = act(element(eps), Point(t, x), spec)
                 return zp.t - t, zp.x1 - x
 
             eps = 1e-5
@@ -592,52 +573,48 @@ def _mult_identity(cfg, rng, trials):
     worst = 0.0
     for _ in range(trials):
         t, x = rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)
-        worst = max(worst, abs(K_linear(ident, Point(t, x), sp["linear"]) - 1.0))
-        worst = max(worst, abs(K_quadratic(ident, Point(t, x), sp["quadratic"]) - 1.0))
-        worst = max(worst, abs(K_quadratic(ident, Point(t, x), sp["disk"]) - 1.0))
-        worst = max(worst, abs(K_inverse_quadratic(Mat2.identity(), Point(t, x), sp["free"].k) - 1.0))
-        worst = max(worst, abs(K_ndim(ident, Point(t, (x, x + 0.3)), sp["ndim_linear"]) - 1.0))
+        for name in ("linear", "quadratic", "disk", "inverse_quadratic"):
+            worst = max(worst, abs(multiplier(ident, Point(t, x), sp[name]) - 1.0))
+        worst = max(worst, abs(multiplier(ident, Point(t, (x, x + 0.3)), sp["ndim_linear"]) - 1.0))
     return worst
 
 
 @_register("multiplier", "cocycle_inverse_quadratic", "exact multiplier product law, scale-invariant family", 1e-10, 500, families=("inverse_quadratic",))
 def _mult_cocycle_invq(cfg, rng, trials):
-    k = cfg.k
+    spec = cfg.specs()["inverse_quadratic"]
     worst = 0.0
     for i in range(trials):
-        m1, m2 = random_sl2r(rng), random_sl2r(rng)
-        n = 1 + (i % 2)
-        xs = (0.7,) if n == 1 else (0.7, -0.4)
+        l1, l2 = GroupElement(random_sl2r(rng)), GroupElement(random_sl2r(rng))
+        xs = (0.7,) if i % 2 == 0 else (0.7, -0.4)
         z = Point(rng.uniform(-0.4, 0.4), xs)
-        lhs = K_inverse_quadratic(m2, z, k) * K_inverse_quadratic(m1, act_inverse_quadratic(m2, z), k)
-        rhs = K_inverse_quadratic(m1.mul(m2), z, k)
+        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
+        rhs = multiplier(compose(l1, l2), z, spec)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
+
+
+def _cocycle_defect(rng, trials, spec, sampler, cocycle):
+    """Relative defect of K(l2, z) K(l1, l2 z) = exp(cocycle(l1, l2)) K(l1 l2, z)."""
+    worst = 0.0
+    for _ in range(trials):
+        l1, l2 = sampler(), sampler()
+        z = Point(rng.uniform(-0.4, 0.4), rng.uniform(-1.2, 1.2))
+        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
+        rhs = np.exp(cocycle(l1, l2)) * multiplier(compose(l1, l2), z, spec)
+        worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst
 
 
 @_register("multiplier", "cocycle_linear", "projective multiplier product law, linear family", 1e-10, 500, families=("linear",))
 def _mult_cocycle_linear(cfg, rng, trials):
     spec = cfg.specs()["linear"]
-    worst = 0.0
-    for _ in range(trials):
-        l1, l2 = random_element(rng), random_element(rng)
-        z = Point(rng.uniform(-0.4, 0.4), rng.uniform(-1.2, 1.2))
-        lhs = K_linear(l2, z, spec) * K_linear(l1, act_linear(l2, z, spec), spec)
-        rhs = np.exp(cocycle_linear(l1, l2, spec.k).value) * K_linear(compose(l1, l2), z, spec)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+    return _cocycle_defect(rng, trials, spec, lambda: random_element(rng),
+                           lambda l1, l2: cocycle_linear(l1, l2, spec.k))
 
 
 def _quadratic_cocycle_defect(rng, trials, spec, sampler, variant):
-    worst = 0.0
-    for _ in range(trials):
-        l1, l2 = sampler(), sampler()
-        z = Point(rng.uniform(-0.4, 0.4), rng.uniform(-1.2, 1.2))
-        lhs = K_quadratic(l2, z, spec) * K_quadratic(l1, act_quadratic(l2, z, spec), spec)
-        w = cocycle_quadratic(l1, l2, spec.omega, variant).value
-        rhs = np.exp(w) * K_quadratic(compose(l1, l2), z, spec)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst
+    return _cocycle_defect(rng, trials, spec, sampler,
+                           lambda l1, l2: cocycle_quadratic(l1, l2, spec.omega, variant))
 
 
 @_register("multiplier", "cocycle_quadratic", "projective multiplier product law, oscillator family", 1e-10, 500, families=("quadratic",))
@@ -660,14 +637,10 @@ def _mult_variant(cfg, rng, trials):
     return 0.0 if good < 1e-10 and bad > 1e-6 else 1.0
 
 
-def _oracle_defect(l, spec, t_grid, parts_fn):
+def _oracle_defect(l, spec, t_grid):
+    closed = frame(l, spec, t_grid)
     oracle = ode_oracle_coefficients(l, spec, t_grid)
-    closed = [parts_fn(l, spec, tv) for tv in t_grid]
-    return max(
-        max(abs(oracle.A[i] - closed[i].A) for i in range(len(t_grid))),
-        max(abs(oracle.B[i] - closed[i].B) for i in range(len(t_grid))),
-        max(abs(oracle.C[i] - closed[i].C) for i in range(len(t_grid))),
-    )
+    return max(np.abs(o - c).max() for o, c in zip(oracle, (closed.A, closed.B, closed.C)))
 
 
 @_register("multiplier", "ode_oracle_linear", "closed exponent coefficients solve their structure equations, linear family", 1e-7, 5, families=("linear",), structural=True)
@@ -675,7 +648,7 @@ def _mult_oracle_linear(cfg, rng, trials):
     spec = cfg.specs()["linear"]
     tg = np.linspace(-0.3, 0.5, 9)
     return max(
-        _oracle_defect(random_element(rng), spec, tg, linear_parts) for _ in range(trials)
+        _oracle_defect(random_element(rng), spec, tg) for _ in range(trials)
     )
 
 
@@ -684,7 +657,7 @@ def _mult_oracle_quadratic(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
     tg = np.linspace(-0.3, 0.5, 9)
     return max(
-        _oracle_defect(random_admissible_element(rng), spec, tg, quadratic_parts)
+        _oracle_defect(random_admissible_element(rng), spec, tg)
         for _ in range(trials)
     )
 
@@ -694,7 +667,7 @@ def _mult_oracle_disk(cfg, rng, trials):
     spec = cfg.specs()["disk"]
     tg = np.linspace(-0.3, 0.5, 9)
     return max(
-        _oracle_defect(random_disk_element(rng), spec, tg, quadratic_parts)
+        _oracle_defect(random_disk_element(rng), spec, tg)
         for _ in range(trials)
     )
 
@@ -704,22 +677,19 @@ def _mult_structure(cfg, rng, trials):
     """Central differences of the frame: B = f'/(2 k xi), C = xi'/(4 k xi)."""
     h = 1e-5
     worst = 0.0
-    for name, sampler, parts_fn in (
-        ("linear", lambda: random_element(rng), linear_parts),
-        ("quadratic", lambda: random_admissible_element(rng), quadratic_parts),
+    for name, sampler in (
+        ("linear", lambda: random_element(rng)),
+        ("quadratic", lambda: random_admissible_element(rng)),
     ):
         spec = cfg.specs()[name]
         for _ in range(trials):
             l = sampler()
             t = rng.uniform(-0.3, 0.3)
-            p0 = parts_fn(l, spec, t)
-            pp = parts_fn(l, spec, t + h)
-            pm = parts_fn(l, spec, t - h)
-            fdot = (pp.f - pm.f) / (2.0 * h)
-            xidot = (pp.xi - pm.xi) / (2.0 * h)
-            worst = max(worst, abs(p0.B - fdot / (2.0 * spec.k * p0.xi)))
-            worst = max(worst, abs(p0.C - xidot / (4.0 * spec.k * p0.xi)))
-            worst = max(worst, abs(p0.phidot - p0.xi ** 2))
+            fr = frame(l, spec, t + np.array([-h, 0.0, h]))
+            fdot = (fr.f[2] - fr.f[0]) / (2.0 * h)
+            xidot = (fr.xi[2] - fr.xi[0]) / (2.0 * h)
+            worst = max(worst, abs(fr.B[1] - fdot / (2.0 * spec.k * fr.xi[1])))
+            worst = max(worst, abs(fr.C[1] - xidot / (4.0 * spec.k * fr.xi[1])))
     return worst
 
 
@@ -732,7 +702,7 @@ def _mult_nls(cfg, rng, trials):
         t = rng.uniform(-0.4, 0.4)
         z = Point(t, (rng.uniform(-1, 1), rng.uniform(-1, 1)))
         r = l.a * t + l.b
-        worst = max(worst, abs(abs(K_ndim(l, z, spec)) ** 2 - 1.0 / r ** 2))
+        worst = max(worst, abs(abs(multiplier(l, z, spec)) ** 2 - 1.0 / r ** 2))
     return worst
 
 

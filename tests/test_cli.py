@@ -64,9 +64,10 @@ def test_cli_config_file_flags_win(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense 1\n")
     assert main(["verify", "group", "--config", str(bad)]) == 2
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("who = 1\n")
-    assert main(["verify", "group", "--config", str(unknown)]) == 2
+    for line in ("who = 1\n", "n = 3\n"):
+        unknown = tmp_path / "unknown.cfg"
+        unknown.write_text(line)
+        assert main(["verify", "group", "--config", str(unknown)]) == 2
 
 
 def test_json_report_shape_and_determinism(tmp_path):

@@ -5,10 +5,9 @@ from schroedsym.coords import (
     FamilySpec,
     Point,
     act,
-    act_inverse_quadratic,
-    act_linear,
-    act_quadratic,
     galilean_params,
+    linear_xi_f,
+    quadratic_frame,
     reality_domain_check,
     comoving_identity_check,
 )
@@ -21,6 +20,7 @@ RNG = np.random.default_rng(11)
 LIN = FamilySpec.linear(k=0.7, alpha=0.3, beta=0.9)
 QUAD = FamilySpec.quadratic(k=0.8, alpha=0.4, omega=0.6)
 DISK = FamilySpec.quadratic(k=0.8j, alpha=0.4, omega=0.6)
+INVQ = FamilySpec.inverse_quadratic(k=0.7, alpha=2.0)
 
 
 def test_family_spec_validation():
@@ -40,24 +40,24 @@ def test_family_spec_validation():
 
 def test_inverse_quadratic_action_specials():
     z = Point(0.2, 0.5)
-    ident = act_inverse_quadratic(Mat2.identity(), z)
+    ident = act(GroupElement.identity(), z, INVQ)
     assert ident.t == z.t and ident.x1 == z.x1
-    shift = act_inverse_quadratic(Mat2(1.0, 0.8, 0.0, 1.0), z)
+    shift = act(GroupElement(Mat2(1.0, 0.8, 0.0, 1.0)), z, INVQ)
     assert abs(shift.t - 1.0) < 1e-15 and shift.x1 == 0.5
-    dil = act_inverse_quadratic(Mat2(2.0, 0.0, 0.0, 0.5), z)
+    dil = act(GroupElement(Mat2(2.0, 0.0, 0.0, 0.5)), z, INVQ)
     assert abs(dil.t - 0.8) < 1e-15 and abs(dil.x1 - 1.0) < 1e-15
 
 
 def test_singular_time_raises():
     with pytest.raises(SingularTime):
-        act_inverse_quadratic(Mat2(0.0, -1.0, 1.0, 0.0), Point(0.0, 1.0))
+        act(GroupElement(Mat2(0.0, -1.0, 1.0, 0.0)), Point(0.0, 1.0), INVQ)
 
 
 def test_act_linear_translation_only():
     # beta = 0 with a unit matrix: x' = x + mu - nu t
     spec = FamilySpec.linear(k=0.7, alpha=0.0, beta=0.0)
     l = GroupElement(Mat2.identity(), 0.4, -0.3)
-    z = act_linear(l, Point(0.6, 1.1), spec)
+    z = act(l, Point(0.6, 1.1), spec)
     assert abs(z.t - 0.6) < 1e-15
     assert abs(z.x1 - (1.1 + 0.4 + 0.3 * 0.6)) < 1e-15
 
@@ -67,10 +67,10 @@ def test_linear_homomorphism_and_identity():
     for _ in range(100):
         l1, l2 = random_element(RNG), random_element(RNG)
         z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
-        zi = act_linear(ident, z, LIN)
+        zi = act(ident, z, LIN)
         assert abs(zi.t - z.t) < 1e-14 and abs(zi.x1 - z.x1) < 1e-14
-        seq = act_linear(l1, act_linear(l2, z, LIN), LIN)
-        joint = act_linear(compose(l1, l2), z, LIN)
+        seq = act(l1, act(l2, z, LIN), LIN)
+        joint = act(compose(l1, l2), z, LIN)
         assert abs(seq.t - joint.t) < 1e-11
         assert abs(seq.x1 - joint.x1) < 1e-11
 
@@ -81,7 +81,7 @@ def test_ndim_pairwise_difference_scaling():
         l = random_element(RNG)
         t = RNG.uniform(-0.4, 0.4)
         xs = RNG.uniform(-1.5, 1.5, 3)
-        zp = act_linear(l, Point(t, tuple(xs)), spec)
+        zp = act(l, Point(t, tuple(xs)), spec)
         r = l.a * t + l.b
         for i in range(3):
             for j in range(3):
@@ -91,23 +91,21 @@ def test_ndim_pairwise_difference_scaling():
 def test_quadratic_action_identity_and_reality():
     ident = GroupElement.identity()
     for t in (-1.2, 0.0, 0.7, 2.5):
-        z = act_quadratic(ident, Point(t, 0.8), QUAD)
+        z = act(ident, Point(t, 0.8), QUAD)
         assert abs(z.t - t) < 1e-13 and abs(z.x1 - 0.8) < 1e-13
-        zd = act_quadratic(ident, Point(t, 0.8), DISK)
+        zd = act(ident, Point(t, 0.8), DISK)
         assert abs(zd.t - t) < 1e-13 and abs(zd.x1 - 0.8) < 1e-13
     for _ in range(100):
         l = random_admissible_element(RNG)
-        z = act_quadratic(l, Point(RNG.uniform(-0.5, 0.5), RNG.uniform(-1, 1)), QUAD)
+        z = act(l, Point(RNG.uniform(-0.5, 0.5), RNG.uniform(-1, 1)), QUAD)
         assert abs(np.imag(z.t)) < 1e-12 and abs(np.imag(z.x1)) < 1e-12
     for _ in range(100):
         l = random_disk_element(RNG)
-        z = act_quadratic(l, Point(RNG.uniform(-0.5, 0.5), RNG.uniform(-1, 1)), DISK)
+        z = act(l, Point(RNG.uniform(-0.5, 0.5), RNG.uniform(-1, 1)), DISK)
         assert abs(np.imag(z.x1)) < 1e-10  # reality of the space coordinate
 
 
 def test_disk_scale_is_reciprocal_modulus():
-    from schroedsym.coords import quadratic_frame
-
     for _ in range(50):
         l = random_disk_element(RNG)
         t = RNG.uniform(-0.5, 0.5)
@@ -120,7 +118,7 @@ def test_quadratic_branch_error():
     # a < 0 pushes (a u + b)(c u + d) negative for large u
     l = GroupElement(Mat2(1.0, 0.0, -0.5, 1.0))
     with pytest.raises(BranchError):
-        act_quadratic(l, Point(2.5, 0.3), QUAD)
+        act(l, Point(2.5, 0.3), QUAD)
 
 
 def test_galilean_params_and_affine_formula():
@@ -132,7 +130,7 @@ def test_galilean_params_and_affine_formula():
         assert abs(gd.sigma - (mu - nu * lam + k2b * lam ** 2)) < 1e-14
         assert abs(gd.v - (2 * k2b * lam - nu)) < 1e-14
         t, x = RNG.uniform(-0.5, 0.5), RNG.uniform(-1.5, 1.5)
-        zp = act_linear(l, Point(t, x), LIN)
+        zp = act(l, Point(t, x), LIN)
         assert abs(zp.x1 - (x + gd.sigma + gd.v * t)) < 1e-12
     assert galilean_params(GroupElement.identity(), LIN) == galilean_params(
         GroupElement(Mat2.identity(), 0.0, 0.0), LIN)
@@ -197,10 +195,14 @@ def test_mobius_composition_fraction_identities():
 
 
 def test_act_dispatch_matches_family_actions():
+    # each family acts through its own frame map
     z = Point(0.25, 0.9)
     l = random_element(RNG)
-    za = act(l, z, LIN)
-    zb = act_linear(l, z, LIN)
-    assert za.t == zb.t and za.x == zb.x
+    r = l.a * z.t + l.b
+    zi = act(l, z, INVQ)
+    assert zi.t == (l.c * z.t + l.d) / r and abs(zi.x1 - z.x1 / r) < 1e-15
+    tp, xi, f, _ = linear_xi_f(l, LIN, z.t)
+    assert act(l, z, LIN) == Point(tp, xi * z.x1 + f)
     la = random_admissible_element(RNG)
-    assert act(la, z, QUAD).x == act_quadratic(la, z, QUAD).x
+    tp, xi, f, *_ = quadratic_frame(la, QUAD, z.t)
+    assert act(la, z, QUAD) == Point(tp, xi * z.x1 + f)

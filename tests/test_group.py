@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from schroedsym.errors import DeterminantError, DomainError, ZeroK, ZeroOmega
 from schroedsym.group import (
-    CocycleValue,
     DiskParams,
     GroupElement,
     Mat2,
@@ -16,20 +15,19 @@ from schroedsym.group import (
     inverse,
     is_disk_shaped,
     is_semigroup_admissible,
-    make_element,
 )
 from schroedsym.sampling import random_admissible_element, random_disk_element, random_element
 
 RNG = np.random.default_rng(20240817)
 
 
-def test_make_element_identity_and_specials():
-    ident = make_element(Mat2.identity())
+def test_unit_element_and_unimodular_specials():
+    ident = GroupElement(Mat2.identity())
     assert ident.a == 0 and ident.b == 1 and ident.c == 1 and ident.d == 0
     assert ident.mu == 0 and ident.nu == 0
     # time translation and dilatation shapes are unimodular
-    make_element(Mat2(1.0, 0.8, 0.0, 1.0))
-    make_element(Mat2(2.0, 0.0, 0.0, 0.5))
+    GroupElement(Mat2(1.0, 0.8, 0.0, 1.0))
+    GroupElement(Mat2(2.0, 0.0, 0.0, 0.5))
 
 
 def test_determinant_error():
@@ -88,11 +86,11 @@ def test_cocycle_linear_values():
     # translation-free second factor gives zero
     l1 = random_element(RNG)
     l2 = GroupElement(l1.m, 0.0, 0.0)
-    assert cocycle_linear(l1, l2, 1.0).value == 0.0
+    assert cocycle_linear(l1, l2, 1.0) == 0.0
     # hand substitution: both translations on the unit matrix
     a = GroupElement(Mat2.identity(), 1.0, 0.0)
     b = GroupElement(Mat2.identity(), 0.0, 1.0)
-    assert abs(cocycle_linear(a, b, 1.0).value - 0.25) < 1e-15
+    assert abs(cocycle_linear(a, b, 1.0) - 0.25) < 1e-15
     with pytest.raises(ZeroK):
         cocycle_linear(a, b, 0.0)
 
@@ -101,17 +99,17 @@ def test_cocycle_cycle_and_antisymmetry():
     k = 0.7
     for _ in range(200):
         l1, l2, l3 = (random_element(RNG) for _ in range(3))
-        lhs = cocycle_linear(l1, l2, k).value + cocycle_linear(compose(l1, l2), l3, k).value
-        rhs = cocycle_linear(l2, l3, k).value + cocycle_linear(l1, compose(l2, l3), k).value
+        lhs = cocycle_linear(l1, l2, k) + cocycle_linear(compose(l1, l2), l3, k)
+        rhs = cocycle_linear(l2, l3, k) + cocycle_linear(l1, compose(l2, l3), k)
         assert abs(lhs - rhs) < 1e-12
-        anti = cocycle_linear(inverse(l2), inverse(l1), k).value
-        assert abs(anti + cocycle_linear(l1, l2, k).value) < 1e-12
+        anti = cocycle_linear(inverse(l2), inverse(l1), k)
+        assert abs(anti + cocycle_linear(l1, l2, k)) < 1e-12
 
 
 def test_cocycle_quadratic_variants_and_cycle():
     a = GroupElement(Mat2.identity(), 1.0, 0.0)
     b = GroupElement(Mat2.identity(), 0.0, 1.0)
-    assert abs(cocycle_quadratic(a, b, 1.0).value - 1.0) < 1e-15
+    assert abs(cocycle_quadratic(a, b, 1.0) - 1.0) < 1e-15
     with pytest.raises(ZeroOmega):
         cocycle_quadratic(a, b, 0.0)
     with pytest.raises(ValueError):
@@ -119,8 +117,8 @@ def test_cocycle_quadratic_variants_and_cycle():
     w = 0.6
     for _ in range(200):
         l1, l2, l3 = (random_element(RNG, complex_entries=True) for _ in range(3))
-        lhs = cocycle_quadratic(l1, l2, w).value + cocycle_quadratic(compose(l1, l2), l3, w).value
-        rhs = cocycle_quadratic(l2, l3, w).value + cocycle_quadratic(l1, compose(l2, l3), w).value
+        lhs = cocycle_quadratic(l1, l2, w) + cocycle_quadratic(compose(l1, l2), l3, w)
+        rhs = cocycle_quadratic(l2, l3, w) + cocycle_quadratic(l1, compose(l2, l3), w)
         assert abs(lhs - rhs) < 1e-12
 
 

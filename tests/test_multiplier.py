@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from schroedsym.coords import FamilySpec, Point, act_inverse_quadratic, act_linear, act_quadratic
+import dataclasses
+import importlib
+
+from schroedsym.coords import FamilySpec, Point, act, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
 from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
 from schroedsym.multiplier import (
     IntertwinerParams,
     K0_intertwiner,
-    K_inverse_quadratic,
-    K_linear,
-    K_ndim,
-    K_quadratic,
-    linear_parts,
+    multiplier,
     ode_oracle_coefficients,
-    quadratic_parts,
 )
+from schroedsym.suites import RunConfig, run_named_check
 from schroedsym.sampling import random_admissible_element, random_disk_element, random_element, random_sl2r
 
 RNG = np.random.default_rng(5150)
@@ -22,36 +21,34 @@ RNG = np.random.default_rng(5150)
 LIN = FamilySpec.linear(k=0.7, alpha=0.3, beta=0.9)
 QUAD = FamilySpec.quadratic(k=0.8, alpha=0.4, omega=0.6)
 DISK = FamilySpec.quadratic(k=0.8j, alpha=0.4, omega=0.6)
+INVQ = FamilySpec.inverse_quadratic(k=0.7, alpha=2.0)
 
 
 def test_identity_multipliers_are_one():
     ident = GroupElement.identity()
     for t in (-2.0, 0.0, 0.3, 4.0):
         z = Point(t, 0.8)
-        assert abs(K_linear(ident, z, LIN) - 1.0) < 1e-14
-        assert abs(K_quadratic(ident, z, QUAD) - 1.0) < 1e-14
-        assert abs(K_quadratic(ident, z, DISK) - 1.0) < 1e-14
-        assert abs(K_inverse_quadratic(Mat2.identity(), z, 0.7) - 1.0) < 1e-14
+        for spec in (LIN, QUAD, DISK, INVQ):
+            assert abs(multiplier(ident, z, spec) - 1.0) < 1e-14
     # time translation likewise (a=0, b=1)
     shear = GroupElement(Mat2(1.0, 0.6, 0.0, 1.0))
-    assert abs(K_inverse_quadratic(shear.m, Point(0.2, 0.5), 0.7) - 1.0) < 1e-14
+    assert abs(multiplier(shear, Point(0.2, 0.5), INVQ) - 1.0) < 1e-14
 
 
 def test_pure_translation_with_zero_nu_is_trivial():
     spec = FamilySpec.linear(k=0.7, alpha=0.0, beta=0.0)
     l = GroupElement(Mat2.identity(), 0.9, 0.0)
-    assert abs(K_linear(l, Point(0.4, 1.2), spec) - 1.0) < 1e-14
+    assert abs(multiplier(l, Point(0.4, 1.2), spec) - 1.0) < 1e-14
 
 
 def test_inverse_quadratic_cocycle_is_exact():
     for n in (1, 2, 3):
         for _ in range(150):
-            m1, m2 = random_sl2r(RNG), random_sl2r(RNG)
+            l1, l2 = GroupElement(random_sl2r(RNG)), GroupElement(random_sl2r(RNG))
             xs = tuple(RNG.uniform(0.3, 1.5, n))
             z = Point(RNG.uniform(-0.4, 0.4), xs)
-            lhs = K_inverse_quadratic(m2, z, 0.7) * K_inverse_quadratic(
-                m1, act_inverse_quadratic(m2, z), 0.7)
-            rhs = K_inverse_quadratic(m1.mul(m2), z, 0.7)
+            lhs = multiplier(l2, z, INVQ) * multiplier(l1, act(l2, z, INVQ), INVQ)
+            rhs = multiplier(compose(l1, l2), z, INVQ)
             assert abs(lhs - rhs) / abs(rhs) < 1e-11
 
 
@@ -59,8 +56,8 @@ def test_linear_cocycle_carries_exponential_factor():
     for _ in range(300):
         l1, l2 = random_element(RNG), random_element(RNG)
         z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
-        lhs = K_linear(l2, z, LIN) * K_linear(l1, act_linear(l2, z, LIN), LIN)
-        rhs = np.exp(cocycle_linear(l1, l2, LIN.k).value) * K_linear(compose(l1, l2), z, LIN)
+        lhs = multiplier(l2, z, LIN) * multiplier(l1, act(l2, z, LIN), LIN)
+        rhs = np.exp(cocycle_linear(l1, l2, LIN.k)) * multiplier(compose(l1, l2), z, LIN)
         assert abs(lhs - rhs) / abs(rhs) < 1e-11
 
 
@@ -72,9 +69,9 @@ def test_quadratic_cocycle_resolved_variant(spec, sampler):
     for _ in range(200):
         l1, l2 = sampler(), sampler()
         z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
-        lhs = K_quadratic(l2, z, spec) * K_quadratic(l1, act_quadratic(l2, z, spec), spec)
-        w = cocycle_quadratic(l1, l2, spec.omega, "resolved").value
-        rhs = np.exp(w) * K_quadratic(compose(l1, l2), z, spec)
+        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
+        w = cocycle_quadratic(l1, l2, spec.omega, "resolved")
+        rhs = np.exp(w) * multiplier(compose(l1, l2), z, spec)
         assert abs(lhs - rhs) / abs(lhs) < 1e-11
 
 
@@ -84,9 +81,9 @@ def test_printed_cocycle_variant_fails_the_product_oracle():
         l1 = random_admissible_element(RNG)
         l2 = random_admissible_element(RNG)
         z = Point(RNG.uniform(-0.3, 0.3), RNG.uniform(-1.0, 1.0))
-        lhs = K_quadratic(l2, z, QUAD) * K_quadratic(l1, act_quadratic(l2, z, QUAD), QUAD)
-        w = cocycle_quadratic(l1, l2, QUAD.omega, "printed").value
-        rhs = np.exp(w) * K_quadratic(compose(l1, l2), z, QUAD)
+        lhs = multiplier(l2, z, QUAD) * multiplier(l1, act(l2, z, QUAD), QUAD)
+        w = cocycle_quadratic(l1, l2, QUAD.omega, "printed")
+        rhs = np.exp(w) * multiplier(compose(l1, l2), z, QUAD)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst > 1e-6
 
@@ -105,7 +102,7 @@ def test_ndim_product_multiplier_closed_form():
                 - l.nu / (2 * k) * (x1 + x2) / r
                 - l.a / (4 * k) * (x1 ** 2 + x2 ** 2) / r)
         want = np.exp(expo) / r
-        got = K_ndim(l, Point(t, (x1, x2)), spec)
+        got = multiplier(l, Point(t, (x1, x2)), spec)
         assert abs(got - want) / abs(want) < 1e-12
 
 
@@ -116,7 +113,7 @@ def test_nls_modulus_identity():
         t = RNG.uniform(-0.4, 0.4)
         z = Point(t, (RNG.uniform(-1, 1), RNG.uniform(-1, 1)))
         r = l.a * t + l.b
-        assert abs(abs(K_ndim(l, z, spec)) ** 2 - 1.0 / r ** 2) < 1e-12
+        assert abs(abs(multiplier(l, z, spec)) ** 2 - 1.0 / r ** 2) < 1e-12
 
 
 def test_k0_intertwiner_values():
@@ -148,27 +145,49 @@ def test_k0_singular_time():
 def test_range_error_on_overflowing_exponent():
     l = GroupElement(Mat2.identity(), 0.0, 1.0)
     with pytest.raises(RangeError):
-        K_linear(l, Point(0.0, -3000.0), FamilySpec.linear(0.7, 0.0, 0.0))
+        multiplier(l, Point(0.0, -3000.0), FamilySpec.linear(0.7, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("spec,sampler,parts,tol", [
-    (LIN, lambda: random_element(RNG), linear_parts, 1e-7),
-    (QUAD, lambda: random_admissible_element(RNG), quadratic_parts, 1e-6),
-    (DISK, lambda: random_disk_element(RNG), quadratic_parts, 1e-6),
+@pytest.mark.parametrize("spec,sampler,tol", [
+    (LIN, lambda: random_element(RNG), 1e-7),
+    (QUAD, lambda: random_admissible_element(RNG), 1e-6),
+    (DISK, lambda: random_disk_element(RNG), 1e-6),
 ])
-def test_ode_oracle_matches_closed_forms(spec, sampler, parts, tol):
+def test_ode_oracle_matches_closed_forms(spec, sampler, tol):
     tg = np.linspace(-0.3, 0.5, 9)
     for _ in range(3):
         l = sampler()
-        oracle = ode_oracle_coefficients(l, spec, tg)
-        closed = [parts(l, spec, tv) for tv in tg]
-        for i in range(len(tg)):
-            assert abs(oracle.A[i] - closed[i].A) < tol
-            assert abs(oracle.B[i] - closed[i].B) < tol
-            assert abs(oracle.C[i] - closed[i].C) < tol
+        closed = frame(l, spec, tg)
+        A, B, C = ode_oracle_coefficients(l, spec, tg)
+        assert np.abs(A - closed.A).max() < tol
+        assert np.abs(B - closed.B).max() < tol
+        assert np.abs(C - closed.C).max() < tol
     # the unit element keeps all coefficients at zero
     oracle = ode_oracle_coefficients(GroupElement.identity(), LIN, tg)
-    assert max(abs(oracle.A).max(), abs(oracle.B).max(), abs(oracle.C).max()) < 1e-12
+    assert max(np.abs(v).max() for v in oracle) < 1e-12
+
+
+def test_oracle_check_rejects_a_slipped_closed_form(monkeypatch):
+    # a 1e-4 relative slip in the k^3 beta^2 term of the linear-family A
+    # must fail the registered oracle check at its own trials and tolerance;
+    # an oracle that took A from the frame at every step, not only at
+    # t_grid[0], would integrate the slip away and pass
+    original = frame
+
+    def slipped(l, spec, t):
+        fr = original(l, spec, t)
+        if spec.family != "linear":
+            return fr
+        k, beta, r = spec.k, spec.beta, l.a * t + l.b
+        tp = fr.tp
+        term = (2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (l.b / 4.0) * t ** 3 / r - t * t * tp / r
+        return dataclasses.replace(fr, A=fr.A + 1e-4 * k ** 3 * beta ** 2 * term)
+
+    assert run_named_check("multiplier.ode_oracle_linear", RunConfig(seed=7)).passed
+    for name in ("coords", "multiplier", "suites"):
+        module = importlib.import_module(f"schroedsym.{name}")
+        monkeypatch.setattr(module, "frame", slipped)
+    assert not run_named_check("multiplier.ode_oracle_linear", RunConfig(seed=7)).passed
 
 
 def test_ode_oracle_integration_error_across_pole():
@@ -183,20 +202,17 @@ def test_ode_oracle_integration_error_across_pole():
 
 
 def test_frame_consistency_relations():
-    # B = f'/(2 k xi), C = xi'/(4 k xi), phidot = xi^2
+    # B = f'/(2 k xi), C = xi'/(4 k xi)
     h = 1e-5
-    for spec, sampler, parts in (
-        (LIN, lambda: random_element(RNG), linear_parts),
-        (QUAD, lambda: random_admissible_element(RNG), quadratic_parts),
+    for spec, sampler in (
+        (LIN, lambda: random_element(RNG)),
+        (QUAD, lambda: random_admissible_element(RNG)),
     ):
         for _ in range(20):
             l = sampler()
             t = RNG.uniform(-0.3, 0.3)
-            p0 = parts(l, spec, t)
-            pp = parts(l, spec, t + h)
-            pm = parts(l, spec, t - h)
+            p0, pp, pm = (frame(l, spec, tv) for tv in (t, t + h, t - h))
             fdot = (pp.f - pm.f) / (2 * h)
             xidot = (pp.xi - pm.xi) / (2 * h)
             assert abs(p0.B - fdot / (2 * spec.k * p0.xi)) < 1e-7
             assert abs(p0.C - xidot / (4 * spec.k * p0.xi)) < 1e-7
-            assert abs(p0.phidot - p0.xi ** 2) < 1e-14

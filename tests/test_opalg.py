@@ -13,8 +13,6 @@ from schroedsym.opalg import (
     generators_linear,
     generators_quadratic,
     intertwine_check,
-    op_commutator,
-    op_compose,
 )
 from schroedsym.solutions import f_pair, g_functions
 
@@ -44,11 +42,11 @@ def test_leibniz_composition():
     # d2 . (x . ) = x d2 + 1
     dx = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 0, 0, 1)
     x = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1, 0, 0)
-    got = op_compose(dx, x)
+    got = dx.compose(x)
     want = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1, 0, 1) + DiffOp.monomial(LINEAR_VARS, 1.0)
     assert got.max_abs_diff(want) == 0.0
     # T1^2 = d2^2 + 2 k beta t d2 + k^2 beta^2 t^2
-    t1sq = op_compose(GL.T1, GL.T1)
+    t1sq = GL.T1.compose(GL.T1)
     kb = K * BETA
     want = (DiffOp.monomial(LINEAR_VARS, 1.0, 0, 0, 0, 2)
             + DiffOp.monomial(LINEAR_VARS, 2.0 * kb, 1, 0, 0, 1)
@@ -60,14 +58,14 @@ def test_compose_associativity_random():
     basis = [GL.L3, GL.Lplus, GL.Lminus, GL.T1, GL.T2]
     for _ in range(20):
         a, b, c = (basis[RNG.integers(0, 5)] for _ in range(3))
-        left = op_compose(op_compose(a, b), c)
-        right = op_compose(a, op_compose(b, c))
+        left = a.compose(b).compose(c)
+        right = a.compose(b.compose(c))
         assert left.max_abs_diff(right) < 1e-13
 
 
 def test_family_mismatch_raises():
     with pytest.raises(FamilyMismatch):
-        op_compose(GL.T1, GQ.T1)
+        GL.T1.compose(GQ.T1)
     with pytest.raises(ZeroK):
         generators_linear(0.0, 0.0, 1.0)
     with pytest.raises(ZeroOmega):
@@ -79,10 +77,10 @@ def test_commutator_tables():
     assert GQ.commutator_table_defect() < 1e-13
     # the central brackets explicitly
     want_lin = DiffOp.from_poly(LINEAR_VARS, LaurentPoly2.const(1.0 / (2.0 * K)))
-    assert op_commutator(GL.T1, GL.T2).max_abs_diff(want_lin) < 1e-15
+    assert GL.T1.commutator(GL.T2).max_abs_diff(want_lin) < 1e-15
     want_quad = DiffOp.from_poly(QUADRATIC_VARS, LaurentPoly2.const(2.0 * OMEGA))
-    assert op_commutator(GQ.T1, GQ.T2).max_abs_diff(want_quad) < 1e-15
-    assert op_commutator(GL.T1, GL.T1).is_zero()
+    assert GQ.T1.commutator(GQ.T2).max_abs_diff(want_quad) < 1e-15
+    assert GL.T1.commutator(GL.T1).is_zero()
 
 
 def test_tilde_generators_satisfy_same_table():
@@ -95,12 +93,12 @@ def test_tilde_generators_satisfy_same_table():
 
 
 def test_evolution_operator_identities():
-    k1 = GL.Lplus - K * op_compose(GL.T1, GL.T1)
+    k1 = GL.Lplus - K * GL.T1.compose(GL.T1)
     assert k1.max_abs_diff(GL.Kop) < 1e-14
     d = GL.Lplus - (2.0 * K * K * BETA) * GL.T2 - (K * ALPHA) * GL.unit
     assert d.max_abs_diff(GL.D) < 1e-14
     k2 = (-4.0 * K * OMEGA) * GQ.L3 - (0.5 * K) * (
-        op_compose(GQ.T1, GQ.T2) + op_compose(GQ.T2, GQ.T1))
+        GQ.T1.compose(GQ.T2) + GQ.T2.compose(GQ.T1))
     assert k2.max_abs_diff(GQ.Kop) < 1e-14
     dq = (-4.0 * K * OMEGA) * GQ.L3 - (K * ALPHA) * GQ.unit
     assert dq.max_abs_diff(GQ.D) < 1e-14
@@ -116,36 +114,36 @@ def test_intertwining_and_falsification():
     with pytest.raises(FamilyMismatch):
         intertwine_check(GL, GQ.Kop)
     # implied brackets with the evolution operator
-    assert op_commutator(GL.Lplus, GL.Kop).is_zero()
-    assert op_commutator(GL.T1, GL.Kop).is_zero()
-    assert op_commutator(GL.T2, GL.Kop).is_zero()
-    assert (op_commutator(GL.L3, GL.Kop) - GL.Kop).is_zero()
-    assert op_commutator(GQ.L3, GQ.Kop).is_zero()
-    assert op_commutator(GQ.T1, GQ.Kop).is_zero()
-    assert op_commutator(GQ.T2, GQ.Kop).is_zero()
+    assert GL.Lplus.commutator(GL.Kop).is_zero()
+    assert GL.T1.commutator(GL.Kop).is_zero()
+    assert GL.T2.commutator(GL.Kop).is_zero()
+    assert (GL.L3.commutator(GL.Kop) - GL.Kop).is_zero()
+    assert GQ.L3.commutator(GQ.Kop).is_zero()
+    assert GQ.T1.commutator(GQ.Kop).is_zero()
+    assert GQ.T2.commutator(GQ.Kop).is_zero()
 
 
 def test_casimirs_are_constants_and_factor():
     assert (casimir_I3(GL) - (3.0 / 16.0) * GL.unit).is_zero()
     assert (casimir_I3(GQ) - (3.0 / 16.0) * GQ.unit).is_zero()
     poly = LaurentPoly2.term(1.0, 0, 1) - LaurentPoly2.term(K * K * BETA, 2, 0)
-    rhs = (3.0 / 16.0) * GL.unit + op_compose(
-        DiffOp.from_poly(LINEAR_VARS, poly * poly * (0.25 / K)), GL.Kop)
+    rhs = (3.0 / 16.0) * GL.unit + DiffOp.from_poly(
+        LINEAR_VARS, poly * poly * (0.25 / K)).compose(GL.Kop)
     assert casimir_I2(GL).max_abs_diff(rhs) < 1e-14
-    rhs_q = (3.0 / 16.0) * GQ.unit + op_compose(
-        DiffOp.from_poly(QUADRATIC_VARS, LaurentPoly2.term(0.25 / K, 0, 2)), GQ.Kop)
+    rhs_q = (3.0 / 16.0) * GQ.unit + DiffOp.from_poly(
+        QUADRATIC_VARS, LaurentPoly2.term(0.25 / K, 0, 2)).compose(GQ.Kop)
     assert casimir_I2(GQ).max_abs_diff(rhs_q) < 1e-14
-    assert op_commutator(casimir_I2(GL), GL.L3).is_zero()
-    assert op_commutator(casimir_I3(GL), GL.T1).is_zero()
+    assert casimir_I2(GL).commutator(GL.L3).is_zero()
+    assert casimir_I3(GL).commutator(GL.T1).is_zero()
 
 
 def test_jacobi_identity():
     basis = [GL.L3, GL.Lplus, GL.Lminus, GL.T1, GL.T2]
     for _ in range(15):
         a, b, c = (basis[RNG.integers(0, 5)] for _ in range(3))
-        j = (op_commutator(a, op_commutator(b, c))
-             + op_commutator(b, op_commutator(c, a))
-             + op_commutator(c, op_commutator(a, b)))
+        j = (a.commutator(b.commutator(c))
+             + b.commutator(c.commutator(a))
+             + c.commutator(a.commutator(b)))
         assert j.is_zero(1e-12)
 
 
@@ -196,7 +194,7 @@ def test_apply_is_linear_and_needs_exponential_jets():
 
 def test_time_derivative_powers_stay_solutions():
     f1, _ = f_pair(LIN)
-    op = op_compose(GL.Kop, op_compose(GL.D, GL.D))
+    op = GL.Kop.compose(GL.D.compose(GL.D))
     for _ in range(10):
         z = Point(RNG.uniform(0.2, 1.0), RNG.uniform(-1.2, 1.2))
         assert abs(op.apply(f1, z)) / abs(f1.value(z.t, z.x1)) < 1e-10

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from schroedsym import jets
-from schroedsym.coords import FamilySpec, Point, act
+from schroedsym import coords, jets
+from schroedsym.coords import FamilySpec, Point
 from schroedsym.errors import DomainError
 from schroedsym.group import GroupElement, Mat2
-from schroedsym.multiplier import IntertwinerParams
+from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
 from schroedsym.residual import (
     GridSpec,
     PullbackFn,
@@ -25,6 +25,7 @@ from schroedsym.sampling import (
 )
 from schroedsym.solutions import (
     FormulaFn,
+    ProductFn,
     constant_one,
     f_pair,
     g_functions,
@@ -128,6 +129,54 @@ def test_transformed_nls():
     for _ in range(10):
         rep = verify_transformed_solution(pw, random_element(RNG), spec, GRID)
         assert rep.max_rel < 1e-9
+
+
+def test_transformed_free_product_in_two_coordinates():
+    # the multiplier's exponent sums over every coordinate, not just the first
+    spec = FamilySpec.free(0.7, n=2)
+    fn = ProductFn([gaussian_free(0.7, t0=2.0)] * 2)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=8, nx=8)
+    rng = np.random.default_rng(7)
+    for l in (GroupElement(Mat2.identity(), 0.3, -0.5), random_element(rng)):
+        assert verify_transformed_solution(fn, l, spec, grid).max_rel < 1e-9
+
+
+def test_frame_evaluations_per_verification_and_oracle_call(monkeypatch):
+    # a transformed verification evaluates its frame once for the domain
+    # check and once for the jet; the oracle once per grid interval
+    calls = {"outer": 0, "depth": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            if calls["depth"] == 0:
+                calls["outer"] += 1
+            calls["depth"] += 1
+            try:
+                return fn(*args)
+            finally:
+                calls["depth"] -= 1
+        return wrapper
+
+    for name in ("mobius_time", "linear_xi_f", "quadratic_frame"):
+        monkeypatch.setattr(coords, name, counted(getattr(coords, name)))
+    rng = np.random.default_rng(0)
+    nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=4, nx=4)
+    cases = [
+        (f_pair(LIN)[0], random_element(rng, scale=0.3, translation=0.6), LIN, grid),
+        (power_static(2.0, 2.0), GroupElement(random_sl2r(rng, 0.3)),
+         FamilySpec.inverse_quadratic(0.7, 2.0), GridSpec((-0.4, 0.6), (0.4, 1.8), nt=4, nx=4)),
+        (g_functions(QUAD, 0.5)[1], random_admissible_element(rng), QUAD, grid),
+        (g_functions(DISK, 0.4)[2], random_disk_element(rng), DISK, grid),
+        (plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng), nls, grid),
+    ]
+    for fn, l, spec, g in cases:
+        calls["outer"] = 0
+        verify_transformed_solution(fn, l, spec, g)
+        assert calls["outer"] == 2, spec.family
+    calls["outer"] = 0
+    ode_oracle_coefficients(random_element(rng), LIN, np.linspace(-0.3, 0.5, 9))
+    assert calls["outer"] <= 10
 
 
 def test_intertwining_on_solutions_and_nonsolutions():
