@@ -5,11 +5,13 @@ evaluation (``coords.frame``), which holds the closed forms of the
 solution family; an independent Runge-Kutta oracle re-derives A, B, C from
 their first-order structure equations, reading only xi and f of the frame,
 so that any transcription slip in the closed forms is caught numerically.
+The oracle is RK4 with step doubling and reports its own error estimate;
+an oracle check's value is the defect against the closed forms plus that
+estimate, so integration error cannot pass for agreement.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,11 @@ def K0_intertwiner(p: IntertwinerParams, z: Point, spec: FamilySpec):
 
 # -- structure-equation oracle -------------------------------------------------
 
+# first and smallest RK4 step, and the error estimate that ends the doubling
+ORACLE_START_STEP = 1e-2
+ORACLE_MIN_STEP = 1e-4
+ORACLE_EST_TOL = 1e-12
+
 
 def _forcing(spec: FamilySpec, xi, f):
     """Source terms k (xi^2 V(xi x + f) - V(x)) of the structure equations,
@@ -80,48 +87,75 @@ def _forcing(spec: FamilySpec, xi, f):
     return g0 + kb * x2 * f, kb * (x2 * xi - 1.0), 0.0
 
 
-def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid, step=1e-4):
+def _rk4_sweep(k, start, forcing, widths, stride):
+    """Fixed-step RK4 for A, B, C across every grid interval.
+
+    ``forcing`` holds, per interval, the source terms on that interval's
+    shared stage grid; a step spans 2*stride grid spacings and reads its
+    midpoint stage at +stride.  Returns the (A, B, C) rows at the grid
+    times; overflow shows as inf or nan, never as an exception.
+    """
+    k4 = 4.0 * k
+    A, B, C = start
+    rows = [start]
+    for (gA, gB, gC), width in zip(forcing, widths):
+        nstep = (len(gA) - 1) // (2 * stride)
+        h = width / nstep
+
+        def rhs(j, B, C):
+            return k * (B * B + 2.0 * C) + gA[j], k4 * B * C + gB[j], k4 * C * C + gC[j]
+
+        for j in range(0, len(gA) - 1, 2 * stride):
+            a1, b1, c1 = rhs(j, B, C)
+            a2, b2, c2 = rhs(j + stride, B + h / 2.0 * b1, C + h / 2.0 * c1)
+            a3, b3, c3 = rhs(j + stride, B + h / 2.0 * b2, C + h / 2.0 * c2)
+            a4, b4, c4 = rhs(j + 2 * stride, B + h * b3, C + h * c3)
+            A = A + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            B = B + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            C = C + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        rows.append((A, B, C))
+    return np.array(rows).T
+
+
+def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid):
     """Re-derive A, B, C by integrating their structure equations.
 
     Starts from the closed-form values at the earliest grid point and
-    integrates with fixed-step RK4, sampling at every grid time.  Each grid
-    interval evaluates the frame once, on its RK4 stage times, and takes
-    only xi and f from it, so the closed forms enter only as the start
-    value.  Returns the arrays (A, B, C) at the grid times.
+    integrates RK4 with step doubling (Richardson extrapolation): the grid
+    is swept at n and at 2n steps per interval, and |fine - coarse|/15
+    estimates the error of the fine sweep.  n starts at ORACLE_START_STEP
+    and doubles until the estimate is at most ORACLE_EST_TOL, stopping at
+    ORACLE_MIN_STEP, where a non-finite value raises IntegrationError.  Both
+    sweeps read one frame evaluation on the shared stage grid and take only
+    xi and f from it, so the closed forms enter only as the start value.
+    Returns ((A, B, C), estimate): the fine-sweep arrays at the grid times
+    and the error estimate.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be strictly increasing with >= 2 points")
     if spec.family == INVERSE_QUADRATIC:
         raise DomainError(f"no structure equations for family {spec.family!r}")
-    k = spec.k
-    k4 = 4.0 * k
-    samples = []
+    widths = np.diff(t_grid).tolist()
+    n = int(np.ceil(max(widths) / ORACLE_START_STEP))
+    n_last = int(np.ceil(max(widths) / ORACLE_MIN_STEP))
     # overflow to inf is the divergence signal, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-            nsub = max(1, int(np.ceil((t1 - t0) / step)))
-            h = (t1 - t0) / nsub
-            # stage times t, t + h/2, t + h of every step
-            ts = np.linspace(t0, t1, 2 * nsub + 1)
+        while True:
+            n = min(n, n_last)
+            # stage times of both sweeps: 4n + 1 per interval
+            ts = np.linspace(t_grid[:-1], t_grid[1:], 4 * n + 1, axis=1)
             fr = frame(l, spec, ts)
-            if not samples:
-                samples.append((complex(fr.A[0]), complex(fr.B[0]), complex(fr.C[0])))
-            A, B, C = samples[-1]
-            gA, gB, gC = (np.broadcast_to(g, ts.shape).tolist() for g in _forcing(spec, fr.xi, fr.f))
-
-            def rhs(j, B, C):
-                return k * (B * B + 2.0 * C) + gA[j], k4 * B * C + gB[j], k4 * C * C + gC[j]
-
-            for j in range(0, 2 * nsub, 2):
-                a1, b1, c1 = rhs(j, B, C)
-                a2, b2, c2 = rhs(j + 1, B + h / 2.0 * b1, C + h / 2.0 * c1)
-                a3, b3, c3 = rhs(j + 1, B + h / 2.0 * b2, C + h / 2.0 * c2)
-                a4, b4, c4 = rhs(j + 2, B + h * b3, C + h * c3)
-                A = A + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                B = B + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                C = C + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                if not (cmath.isfinite(A) and cmath.isfinite(B) and cmath.isfinite(C)):
-                    raise IntegrationError(f"integrator diverged near t = {ts[j + 2]}")
-            samples.append((A, B, C))
-    return tuple(np.array(v) for v in zip(*samples))
+            start = (complex(fr.A[0, 0]), complex(fr.B[0, 0]), complex(fr.C[0, 0]))
+            forcing = list(zip(*(np.broadcast_to(g, ts.shape).tolist()
+                                 for g in _forcing(spec, fr.xi, fr.f))))
+            coarse = _rk4_sweep(spec.k, start, forcing, widths, 2)
+            fine = _rk4_sweep(spec.k, start, forcing, widths, 1)
+            estimate = float(np.abs(fine - coarse).max()) / 15.0
+            finite = np.isfinite(estimate)
+            if n == n_last and not finite:
+                raise IntegrationError(
+                    f"integrator diverged on [{t_grid[0]}, {t_grid[-1]}] at the smallest step")
+            if n == n_last or (finite and estimate <= ORACLE_EST_TOL):
+                return tuple(fine), estimate
+            n *= 2

@@ -115,6 +115,10 @@ class RunConfig:
     nx: int = 14
 
     def __post_init__(self):
+        for name in ("tol", "k", "alpha", "beta", "omega"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tolerance must be positive")
         if self.trials is not None and self.trials < 1:
@@ -638,9 +642,12 @@ def _mult_variant(cfg, rng, trials):
 
 
 def _oracle_defect(l, spec, t_grid):
+    """Worst |oracle - closed form| over A, B, C plus the oracle's own
+    error estimate, so that integration error cannot hide a defect."""
     closed = frame(l, spec, t_grid)
-    oracle = ode_oracle_coefficients(l, spec, t_grid)
-    return max(np.abs(o - c).max() for o, c in zip(oracle, (closed.A, closed.B, closed.C)))
+    oracle, estimate = ode_oracle_coefficients(l, spec, t_grid)
+    defect = max(np.abs(o - c).max() for o, c in zip(oracle, (closed.A, closed.B, closed.C)))
+    return defect + estimate
 
 
 @_register("multiplier", "ode_oracle_linear", "closed exponent coefficients solve their structure equations, linear family", 1e-7, 5, families=("linear",), structural=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ def test_runconfig_validation():
         RunConfig(trials=0)
     with pytest.raises(ConfigError):
         RunConfig(k=0.0)
+    for name in ("tol", "k", "alpha", "beta", "omega"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError):
+                RunConfig(**{name: value})
 
 
 def test_empty_report_is_empty_and_passes():
@@ -54,6 +62,20 @@ def test_cli_verify_group_passes(capsys):
 
 def test_cli_exit_code_2_on_bad_config(capsys):
     assert main(["verify", "group", "--tol", "-3"]) == 2
+    # non-finite parameters, which would otherwise turn defects into NaN
+    for target, flag in (("solutions", "--k=nan"), ("coords", "--k=nan"),
+                         ("residual", "--k=nan"), ("group", "--tol=nan"),
+                         ("group", "--alpha=inf"), ("group", "--beta=-inf"),
+                         ("group", "--omega=nan")):
+        assert main(["verify", target, flag]) == 2, (target, flag)
+
+
+def test_python_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "schroedsym", "verify", "group", "--seed", "7"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout
 
 
 def test_cli_config_file_flags_win(tmp_path, capsys):

@@ -154,40 +154,58 @@ def test_range_error_on_overflowing_exponent():
     (DISK, lambda: random_disk_element(RNG), 1e-6),
 ])
 def test_ode_oracle_matches_closed_forms(spec, sampler, tol):
+    # the error estimate must bound the fine sweep's defect and track it, so
+    # an estimate of 0 or of the fine sweep against itself fails here
     tg = np.linspace(-0.3, 0.5, 9)
-    for _ in range(3):
+    tracked = 0
+    for _ in range(6):
         l = sampler()
         closed = frame(l, spec, tg)
-        A, B, C = ode_oracle_coefficients(l, spec, tg)
-        assert np.abs(A - closed.A).max() < tol
-        assert np.abs(B - closed.B).max() < tol
-        assert np.abs(C - closed.C).max() < tol
+        oracle, estimate = ode_oracle_coefficients(l, spec, tg)
+        defect = max(np.abs(o - c).max() for o, c in zip(oracle, (closed.A, closed.B, closed.C)))
+        assert defect < tol
+        assert estimate <= 1e-11
+        if defect > 1e-13:
+            assert 0.5 * defect <= estimate <= 2.0 * defect
+            tracked += 1
+    assert tracked > 0
     # the unit element keeps all coefficients at zero
-    oracle = ode_oracle_coefficients(GroupElement.identity(), LIN, tg)
+    oracle, _ = ode_oracle_coefficients(GroupElement.identity(), LIN, tg)
     assert max(np.abs(v).max() for v in oracle) < 1e-12
 
 
-def test_oracle_check_rejects_a_slipped_closed_form(monkeypatch):
-    # a 1e-4 relative slip in the k^3 beta^2 term of the linear-family A
-    # must fail the registered oracle check at its own trials and tolerance;
-    # an oracle that took A from the frame at every step, not only at
-    # t_grid[0], would integrate the slip away and pass
+@pytest.mark.parametrize("family,coefficient", [
+    ("linear", "A"), ("quadratic", "A"), ("quadratic", "B"), ("quadratic", "C"),
+], ids=["linear-A", "quadratic-A", "quadratic-B", "quadratic-C"])
+def test_oracle_check_rejects_a_slipped_closed_form(monkeypatch, family, coefficient):
+    # a 1e-4 slip in one closed-form coefficient must fail the registered
+    # oracle checks of its family at their own trials and tolerance; an
+    # oracle that took the coefficient from the frame at every step, not
+    # only at t_grid[0], would integrate the slip away and pass.  The linear
+    # slip is in the k^3 beta^2 term of A; the oscillator slips are relative
+    # and reach both the real (quadratic) and the circle (disk) checks.
     original = frame
 
     def slipped(l, spec, t):
         fr = original(l, spec, t)
-        if spec.family != "linear":
+        if spec.family != family:
             return fr
+        if family == "quadratic":
+            return dataclasses.replace(fr, **{coefficient: (1.0 + 1e-4) * getattr(fr, coefficient)})
         k, beta, r = spec.k, spec.beta, l.a * t + l.b
         tp = fr.tp
         term = (2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (l.b / 4.0) * t ** 3 / r - t * t * tp / r
         return dataclasses.replace(fr, A=fr.A + 1e-4 * k ** 3 * beta ** 2 * term)
 
-    assert run_named_check("multiplier.ode_oracle_linear", RunConfig(seed=7)).passed
+    checks = [f"multiplier.ode_oracle_{name}"
+              for name in (("linear",) if family == "linear" else ("quadratic", "disk"))]
+    for name in checks:
+        assert run_named_check(name, RunConfig(seed=7)).passed
     for name in ("coords", "multiplier", "suites"):
         module = importlib.import_module(f"schroedsym.{name}")
         monkeypatch.setattr(module, "frame", slipped)
-    assert not run_named_check("multiplier.ode_oracle_linear", RunConfig(seed=7)).passed
+    for name in checks:
+        assert not run_named_check(name, RunConfig(seed=7)).passed, name
 
 
 def test_ode_oracle_integration_error_across_pole():

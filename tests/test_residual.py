@@ -143,7 +143,7 @@ def test_transformed_free_product_in_two_coordinates():
 
 def test_frame_evaluations_per_verification_and_oracle_call(monkeypatch):
     # a transformed verification evaluates its frame once for the domain
-    # check and once for the jet; the oracle once per grid interval
+    # check and once for the jet; the oracle once per step-doubling level
     calls = {"outer": 0, "depth": 0}
 
     def counted(fn):
