@@ -174,6 +174,8 @@ def _demo_solution(name, cfg):
 def _cmd_demo(args):
     merged = _merge_config(args)
     cfg = _run_config(merged)
+    if args.nt < 1 or args.nx < 1:
+        raise ConfigError(f"--nt and --nx must be >= 1, got {args.nt} and {args.nx}")
     fn, spec = _demo_solution(args.solution, cfg)
     if args.identity:
         element = GroupElement.identity()

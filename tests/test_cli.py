@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import pytest
 
 from schroedsym.cli import main
 from schroedsym.errors import ConfigError
-from schroedsym.suites import RunConfig, run_suite, suite_names
+from schroedsym import suites
+from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names
 
 
 def test_suite_names_cover_all_modules():
@@ -29,6 +32,8 @@ def test_runconfig_validation():
         RunConfig(trials=0)
     with pytest.raises(ConfigError):
         RunConfig(k=0.0)
+    with pytest.raises(ConfigError):
+        RunConfig(omega=0.0)
     for name in ("tol", "k", "alpha", "beta", "omega"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigError):
@@ -36,12 +41,52 @@ def test_runconfig_validation():
 
 
 def test_empty_report_is_empty_and_passes():
-    from schroedsym.suites import SuiteReport
-
     rep = SuiteReport([])
     assert rep.all_passed
     assert rep.to_text() == ""
     assert json.loads(rep.to_json()) == []
+
+
+@pytest.mark.parametrize("defects", [
+    (math.nan, 0.1, 0.2), (0.1, math.nan, 0.2), (0.1, 0.2, math.nan),
+], ids=["first", "middle", "last"])
+def test_nan_defect_fails_its_check(defects):
+    def fn(cfg, rng, trials):
+        yield from defects
+
+    result = Check("probe.nan", "a NaN defect fails", 1.0, 1, fn).run(RunConfig())
+    assert not result.passed
+    assert math.isnan(result.value)
+    report = SuiteReport([result])
+    assert "value=nan" in report.to_text()
+    assert '"value": NaN' in report.to_json()
+
+
+def test_check_value_is_its_largest_defect():
+    def fn(cfg, rng, trials):
+        yield from (0.1, 0.3, 0.2)
+
+    result = Check("probe.max", "largest defect", 0.25, 1, fn).run(RunConfig())
+    assert result.value == 0.3 and not result.passed
+
+
+def test_every_registered_check_yields_its_defects():
+    checks = [c for group in suites._REGISTRY.values() for c in group]
+    assert len(checks) == 68
+    assert [c.name for c in checks if not inspect.isgeneratorfunction(c.fn)] == []
+
+
+def test_nan_defects_fail_at_extreme_k(tmp_path):
+    # at k = 1e-300 the lifts overflow to NaN; the checks must not read 0
+    out = tmp_path / "tiny_k.json"
+    with np.errstate(all="ignore"):
+        rc = main(["verify", "solutions", "--k", "1e-300", "--format", "json",
+                   "--out", str(out)])
+    assert rc == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())}
+    for name in ("free_gaussian", "inverse_pair", "linear_pair", "mixed_symmetry",
+                 "partials_fd"):
+        assert not rows[f"solutions.{name}"]["pass"], name
 
 
 def test_family_filter_restricts_checks():
@@ -66,7 +111,7 @@ def test_cli_exit_code_2_on_bad_config(capsys):
     for target, flag in (("solutions", "--k=nan"), ("coords", "--k=nan"),
                          ("residual", "--k=nan"), ("group", "--tol=nan"),
                          ("group", "--alpha=inf"), ("group", "--beta=-inf"),
-                         ("group", "--omega=nan")):
+                         ("group", "--omega=nan"), ("multiplier", "--omega=0")):
         assert main(["verify", target, flag]) == 2, (target, flag)
 
 
@@ -136,6 +181,11 @@ def test_demo_transform_identity_reproduces_solution(tmp_path):
     for t, x, re, im, res in rows[1:5]:
         want = f1.value(float(t), float(x))
         assert abs(complex(float(re), float(im)) - want) < 1e-12
+
+
+def test_demo_transform_rejects_empty_grid(tmp_path):
+    for flag in ("--nt=0", "--nx=0", "--nt=-1", "--nx=-2"):
+        assert main(["demo-transform", flag, "--out", str(tmp_path / "d.tsv")]) == 2, flag
 
 
 def test_demo_transform_residual_column_small(tmp_path):
