@@ -190,8 +190,9 @@ def _cmd_demo(args):
     if args.solution == "theta":
         ts = 1j * np.linspace(1.0, 1.6, args.nt)
         xs = np.linspace(-0.4, 0.4, args.nx)
-    T, X = (m.ravel() for m in np.meshgrid(ts, xs, indexing="ij"))
-    resid, psi = residual_arrays(moved, spec, T, [X])
+    t, x = np.meshgrid(ts, xs, indexing="ij", sparse=True)
+    resid, psi = residual_arrays(moved, spec, t, [x])
+    T, X, psi, resid = (a.ravel() for a in np.broadcast_arrays(t, x, psi, resid))
     lines = ["t\tx\tre_psi\tim_psi\tresidual_abs"]
     for i in range(T.size):
         lines.append("\t".join((

@@ -4,6 +4,12 @@ Evaluates r = psi_t - k (Delta psi - V psi) on jet-backed functions, builds
 transformed functions K * psi(mapped coordinates) with chain-rule partials,
 and checks the operator intertwining identity pointwise, including on
 functions that do not solve the equation.
+
+Grids are sampled on broadcastable axes (``GridSpec.points``): the time
+axis varies along the first array dimension and each space axis along its
+own, so the frame and the time-only jets hold one value per time, and only
+what mixes ``t`` with ``x`` is computed on the whole grid.  Reports
+broadcast their arrays before locating the worst point.
 """
 
 from __future__ import annotations
@@ -49,14 +55,11 @@ class GridSpec:
             raise DomainError("grid ranges must be nondegenerate")
 
     def points(self, ndim=1):
+        """Axes ``(t, [x_1, ..., x_ndim])``, each varying along its own dimension."""
         ts = np.linspace(self.t_range[0], self.t_range[1], self.nt)
         xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
-        if ndim == 1:
-            T, X = np.meshgrid(ts, xs, indexing="ij")
-            return T.ravel(), [X.ravel()]
-        axes = [ts] + [xs + 0.37 * i for i in range(ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return mesh[0].ravel(), [m.ravel() for m in mesh[1:]]
+        mesh = np.meshgrid(ts, *(xs + 0.37 * i for i in range(ndim)), indexing="ij", sparse=True)
+        return mesh[0], list(mesh[1:])
 
 
 @dataclass(frozen=True)
@@ -150,20 +153,16 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
     return _residual(spec, pt, lap, psi, xs), psi
 
 
-def _report(resid, psi, t, xs, order=None, nerr=0):
-    resid = np.atleast_1d(np.asarray(resid))
-    psi = np.atleast_1d(np.asarray(psi))
+def _report(resid, scale, t, xs, order=None, nerr=0):
+    """Summary of ``|resid|`` relative to ``scale`` over the broadcast grid."""
+    resid, scale, t, *xs = np.broadcast_arrays(resid, scale, t, *xs)
     absr = np.abs(resid)
-    rel = absr / (np.abs(psi) + REL_FLOOR)
+    rel = absr / (scale + REL_FLOOR)
     i = int(np.argmax(absr))
-    t = np.atleast_1d(np.asarray(t))
-    arg = (complex(np.atleast_1d(t)[i if t.size > 1 else 0]),) + tuple(
-        complex(np.atleast_1d(np.asarray(x))[i if np.asarray(x).size > 1 else 0]) for x in xs
-    )
     return ResidualReport(
         max_abs=float(absr.max()),
         max_rel=float(rel.max()),
-        argmax=arg,
+        argmax=tuple(complex(a.flat[i]) for a in [t] + xs),
         n_points=int(resid.size),
         convergence_order=order,
         n_domain_errors=nerr,
@@ -182,10 +181,9 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec, mode="analytic
         in_domain = None
     except DomainError:
         # keep the points the function accepts, count the rest
-        keep = []
-        for i in range(t.size):
-            keep.append(fn.in_domain(t[i], xs[0][i] if fn.ndim == 1 else tuple(x[i] for x in xs)))
-        in_domain = np.asarray(keep)
+        t, *xs = (a.ravel() for a in np.broadcast_arrays(t, *xs))
+        in_domain = np.array([fn.in_domain(ti, xi[0] if fn.ndim == 1 else tuple(xi))
+                              for ti, *xi in zip(t, *xs)])
         if not in_domain.any():
             raise DomainError("no grid point lies in the function's domain")
         t = t[in_domain]
@@ -194,7 +192,7 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec, mode="analytic
 
     if mode == "analytic":
         resid, psi = residual_arrays(fn, spec, t, xs)
-        return _report(resid, psi, t, xs, nerr=nerr)
+        return _report(resid, np.abs(psi), t, xs, nerr=nerr)
     if mode != "finite_difference":
         raise DomainError(f"unknown mode {mode!r}")
     exact, psi = residual_arrays(fn, spec, t, xs)
@@ -203,7 +201,7 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec, mode="analytic
     e1 = np.max(np.abs(r1 - exact))
     e2 = np.max(np.abs(r2 - exact))
     order = float(np.log2(e1 / e2)) if e2 > 0 else None
-    return _report(r2, psi, t, xs, order=order, nerr=nerr)
+    return _report(r2, np.abs(psi), t, xs, order=order, nerr=nerr)
 
 
 class PullbackFn(SmoothFn):
@@ -317,13 +315,4 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     fr = frame(l, spec, t)
     base_res, _ = residual_arrays(fn, spec, fr.tp, list(fr.space(xs)))
     rhs = fr.xi * fr.xi * fr.multiplier(xs) * base_res
-    diff = lhs - rhs
-    scale = np.abs(rhs) + np.abs(psi_prime) + REL_FLOOR
-    rel = np.abs(diff) / scale
-    i = int(np.argmax(np.abs(diff)))
-    return ResidualReport(
-        max_abs=float(np.abs(diff).max()),
-        max_rel=float(rel.max()),
-        argmax=(complex(t[i]),) + tuple(complex(x[i]) for x in xs),
-        n_points=int(np.size(diff)),
-    )
+    return _report(lhs - rhs, np.abs(rhs) + np.abs(psi_prime), t, xs)

@@ -1011,7 +1011,7 @@ def _res_roundtrip(cfg, rng, trials):
     back = PullbackFn(lifted, lift_frame("phi1", sp["linear"]))
     t, xs = cfg.grid().points(1)
     ratio = back.jet(t, xs[0], 0).value / psi0.jet(t, xs[0], 0).value
-    yield float(np.abs(ratio - ratio[0]).max() + abs(ratio[0] - 1.0))
+    yield float(np.abs(ratio - ratio.flat[0]).max() + abs(ratio.flat[0] - 1.0))
 
 
 # ----------------------------------------------------------------- liealg ----

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schroedsym import coords, jets
+from schroedsym import coords, jets, residual
 from schroedsym.coords import FamilySpec, Point
 from schroedsym.errors import DomainError
 from schroedsym.group import GroupElement, Mat2
@@ -10,6 +10,7 @@ from schroedsym.residual import (
     GridSpec,
     PullbackFn,
     grid_residual,
+    residual_arrays,
     residual_at,
     lift_frame,
     transformed,
@@ -79,7 +80,91 @@ def test_grid_residual_skips_out_of_domain_points():
     spec = FamilySpec.inverse_quadratic(0.7, 2.0)
     rep = grid_residual(ps, spec, GridSpec((-0.3, 0.3), (-0.5, 1.5)))
     assert rep.n_domain_errors > 0
+    assert rep.n_points + rep.n_domain_errors == 14 * 14
     assert rep.max_rel < 1e-11
+
+
+@pytest.mark.parametrize("fn, spec", [
+    (constant_one(), FREE),
+    (power_static(2.0, 2.0), FamilySpec.inverse_quadratic(0.7, 2.0)),
+    (FormulaFn(lambda tj, xj: 0.0 * tj), FREE),
+], ids=["constant", "no_t", "no_x"])
+def test_grid_residual_counts_every_point_of_a_lower_rank_residual(fn, spec):
+    # a residual that lacks an axis still covers the whole grid
+    rep = grid_residual(fn, spec, GridSpec((-0.4, 0.6), (0.3, 1.8)))
+    assert rep.n_points == 14 * 14
+    assert rep.n_domain_errors == 0
+    assert rep.max_rel < 1e-11
+
+
+def _flat_mesh(grid, ndim):
+    ts = np.linspace(*grid.t_range, grid.nt)
+    xs = np.linspace(*grid.x_range, grid.nx)
+    mesh = np.meshgrid(ts, *(xs + 0.37 * i for i in range(ndim)), indexing="ij")
+    return mesh[0].ravel(), [m.ravel() for m in mesh[1:]]
+
+
+def test_grid_points_are_broadcastable_axes():
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    t, xs = grid.points(1)
+    assert t.shape == (9, 1) and [x.shape for x in xs] == [(1, 11)]
+    t, xs = grid.points(2)
+    assert t.shape == (9, 1, 1)
+    assert [x.shape for x in xs] == [(1, 11, 1), (1, 1, 11)]
+    for ndim in (1, 2):
+        t, xs = grid.points(ndim)
+        flat_t, flat_xs = _flat_mesh(grid, ndim)
+        full = [a.ravel() for a in np.broadcast_arrays(t, *xs)]
+        assert all(np.array_equal(a, b) for a, b in zip(full, [flat_t] + flat_xs))
+
+
+def test_time_only_frame_work_is_done_once_per_time_value(monkeypatch):
+    sizes = []
+    frame = residual.frame
+
+    def recorded(l, spec, t):
+        sizes.append(np.size(jets.value_of(t)))
+        return frame(l, spec, t)
+
+    monkeypatch.setattr(residual, "frame", recorded)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
+    rng = np.random.default_rng(3)
+    verify_transformed_solution(f_pair(LIN)[0], random_element(rng), LIN, grid)
+    verify_transformed_solution(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng), nls, grid)
+    verify_intertwining(FormulaFn(lambda tj, xj: jets.exp(tj + xj)), random_element(rng), LIN, grid)
+    # two frame evaluations per verification, each on the 9 time values
+    assert sizes == [9] * 6
+
+
+def _transformed_cases(rng):
+    nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
+    grid_x_pos = GridSpec((-0.4, 0.6), (0.4, 1.8), nt=9, nx=11)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    invq = FamilySpec.inverse_quadratic(0.7, 2.0)
+    return [
+        (transformed(f_pair(LIN)[0], random_element(rng), LIN), LIN, grid),
+        (transformed(power_static(2.0, 2.0), GroupElement(random_sl2r(rng, 0.3)), invq),
+         invq, grid_x_pos),
+        (transformed(g_functions(QUAD, 0.5)[1], random_admissible_element(rng), QUAD), QUAD, grid),
+        (transformed(g_functions(DISK, 0.4)[2], random_disk_element(rng), DISK), DISK, grid),
+        (transformed(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng), nls), nls, grid),
+        (PullbackFn(gaussian_free(QUAD.k, t0=2.0),
+                    lift_frame("K0", QUAD, IntertwinerParams(0.8, 0.3, 0.2))), QUAD, grid),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "linear", "inverse_quadratic", "quadratic", "disk", "nls", "K0"])
+def test_residual_on_axes_equals_residual_on_flat_mesh(case):
+    fn, spec, grid = _transformed_cases(np.random.default_rng(11))[case]
+    t, xs = grid.points(spec.n)
+    flat_t, flat_xs = _flat_mesh(grid, spec.n)
+    shape = np.broadcast_shapes(t.shape, *(x.shape for x in xs))
+    assert shape == (9,) + (11,) * spec.n
+    for on_axes, on_mesh in zip(residual_arrays(fn, spec, t, xs),
+                                residual_arrays(fn, spec, flat_t, flat_xs)):
+        assert np.array_equal(np.broadcast_to(on_axes, shape).ravel(), on_mesh)
 
 
 def test_transform_with_identity_is_identity():
