@@ -25,6 +25,12 @@ from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
 from .suites import RunConfig, SuiteReport, run_suite, suite_names
 
 
+# the demo's sampling window; f2 and power leave their domains (t > 0,
+# x > 0) on it, so they get their own unless a range flag is set
+_DEMO_RANGE = {"t_min": -0.4, "t_max": 0.6, "x_min": -1.2, "x_max": 1.2}
+_DEMO_WINDOWS = {"f2": {"t_min": 0.4, "t_max": 1.0}, "power": {"x_min": 0.4, "x_max": 1.8}}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="schroedsym",
                                      description="verification suites for the "
@@ -59,11 +65,18 @@ def _build_parser():
     pd.add_argument("--identity", action="store_true", help="use the unit element")
     pd.add_argument("--nt", type=int, default=12)
     pd.add_argument("--nx", type=int, default=12)
-    pd.add_argument("--t-min", type=float, default=-0.4)
-    pd.add_argument("--t-max", type=float, default=0.6)
-    pd.add_argument("--x-min", type=float, default=-1.2)
-    pd.add_argument("--x-max", type=float, default=1.2)
+    for flag in _DEMO_RANGE:
+        pd.add_argument("--" + flag.replace("_", "-"), type=float)
     return parser
+
+
+def _demo_range(args):
+    flags = {key: getattr(args, key) for key in _DEMO_RANGE}
+    window = dict(_DEMO_RANGE)
+    if all(v is None for v in flags.values()):
+        window.update(_DEMO_WINDOWS.get(args.solution, {}))
+    window.update({key: v for key, v in flags.items() if v is not None})
+    return window
 
 
 def _load_config_file(path):
@@ -185,8 +198,9 @@ def _cmd_demo(args):
         rng = np.random.default_rng(cfg.seed)
         element = element_for_family(rng, spec)
     moved = transformed(fn, element, spec)
-    ts = np.linspace(args.t_min, args.t_max, args.nt)
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
+    window = _demo_range(args)
+    ts = np.linspace(window["t_min"], window["t_max"], args.nt)
+    xs = np.linspace(window["x_min"], window["x_max"], args.nx)
     if args.solution == "theta":
         ts = 1j * np.linspace(1.0, 1.6, args.nt)
         xs = np.linspace(-0.4, 0.4, args.nx)

@@ -1,11 +1,21 @@
 """Truncated multivariate Taylor (jet) arithmetic.
 
 A ``Jet`` stores the Taylor coefficients of a scalar function at a point,
-up to a fixed total order, keyed by exponent tuples.  Coefficients may be
-plain complex scalars or numpy arrays, so one jet evaluation can cover an
-entire sampling grid at once.  All branchy functions (``exp``, ``log``,
-``sqrt``, complex powers) use principal branches on the constant term and
-nilpotent series for the rest, which is exactly the chain rule.
+keyed by exponent tuples.  Coefficients may be plain complex scalars or
+numpy arrays, so one jet evaluation can cover an entire sampling grid at
+once.  All branchy functions (``exp``, ``log``, ``sqrt``, complex powers)
+use principal branches on the constant term and nilpotent series for the
+rest, which is exactly the chain rule.
+
+Truncation is by parabolic weight: variable 0 is time and counts twice,
+so the exponent ``k`` weighs ``2 k[0] + k[1] + ...`` and a jet of order N
+keeps the exponents of weight <= N.  At order 2 that is psi, psi_t, the
+first space partials and the second space partials: exactly what the
+operator d/dt - k Delta + k V reads.  The kept exponents form a lower set
+and every product adds weights, so a dropped term never feeds a kept
+one.  ``compose`` stays exact as long as the new time depends on time
+only, which every frame of the symmetry group satisfies (t' is a
+fractional-linear function of t); it raises ``OrderError`` otherwise.
 """
 
 from __future__ import annotations
@@ -15,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import OrderError
+
 
 @lru_cache(maxsize=None)
 def _zero_key(nvars):
@@ -22,7 +34,13 @@ def _zero_key(nvars):
 
 
 @lru_cache(maxsize=None)
-def _factorial_weight(alpha):
+def weight(alpha):
+    """Parabolic weight of an exponent tuple: time counts twice."""
+    return alpha[0] + sum(alpha)
+
+
+@lru_cache(maxsize=None)
+def _factorial_product(alpha):
     w = 1
     for a in alpha:
         w *= math.factorial(a)
@@ -53,8 +71,8 @@ class Jet:
     @classmethod
     def variable(cls, value, index, nvars, order):
         coef = {_zero_key(nvars): value}
-        if order >= 1:
-            seed = tuple(1 if i == index else 0 for i in range(nvars))
+        seed = tuple(1 if i == index else 0 for i in range(nvars))
+        if weight(seed) <= order:
             coef[seed] = 1.0
         return cls(nvars, order, coef)
 
@@ -64,12 +82,15 @@ class Jet:
 
     def coefficient(self, alpha):
         """Taylor coefficient for the exponent tuple ``alpha``."""
-        return self.coef.get(tuple(alpha), 0.0)
+        alpha = tuple(alpha)
+        if weight(alpha) > self.order:
+            raise OrderError(f"exponent {alpha} has weight {weight(alpha)} > jet order {self.order}")
+        return self.coef.get(alpha, 0.0)
 
     def partial(self, alpha):
         """Partial derivative of multi-order ``alpha`` (Taylor coef times factorials)."""
         alpha = tuple(alpha)
-        return self.coef.get(alpha, 0.0) * _factorial_weight(alpha)
+        return self.coefficient(alpha) * _factorial_product(alpha)
 
     # -- ring operations ---------------------------------------------------
 
@@ -101,12 +122,12 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self._like({k: v * other for k, v in self.coef.items()})
-        order = self.order
+        rhs = [(k2, weight(k2), v2) for k2, v2 in other.coef.items()]
         coef = {}
         for k1, v1 in self.coef.items():
-            s1 = sum(k1)
-            for k2, v2 in other.coef.items():
-                if s1 + sum(k2) > order:
+            room = self.order - weight(k1)
+            for k2, w2, v2 in rhs:
+                if w2 > room:
                     continue
                 k = tuple(i + j for i, j in zip(k1, k2))
                 prod = v1 * v2
@@ -230,7 +251,9 @@ def compose(base, args):
 
     ``base`` holds the Taylor coefficients of g at the point
     (value_of(args[0]), ...); the result is the jet of
-    g(args[0](y), args[1](y), ...).
+    g(args[0](y), args[1](y), ...).  No argument's increment may hold a
+    term lighter than its own variable (a time that depends on space):
+    the truncated ``base`` would miss what such a term feeds.
     """
     if len(args) != base.nvars:
         raise ValueError("arity mismatch in jet composition")
@@ -238,8 +261,11 @@ def compose(base, args):
     order = args[0].order
     deltas = [a - a.value for a in args]
     powers = []
-    for d in deltas:
-        maxdeg = max((k[len(powers)] for k in base.coef), default=0)
+    for i, d in enumerate(deltas):
+        lightest = weight(tuple(int(j == i) for j in range(base.nvars)))
+        if any(0 < weight(k) < lightest for k in d.coef):
+            raise OrderError(f"argument {i} of a composition depends on a lighter variable")
+        maxdeg = max((k[i] for k in base.coef), default=0)
         p = [Jet.const(1.0, nvars, order)]
         for _ in range(maxdeg):
             p.append(p[-1] * d)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
 
 PRUNE_TOL = 1e-15
@@ -139,7 +140,8 @@ class DiffOp:
 
     @property
     def order(self):
-        return max((m + n for m, n in self.terms), default=0)
+        """Parabolic order: the largest 2m + n, d1 counting twice."""
+        return max((jets.weight(k) for k in self.terms), default=0)
 
     def _check(self, other):
         if self.family != other.family:
@@ -218,7 +220,9 @@ class DiffOp:
 
         Linear-family operators differentiate in (t, x).  Oscillator-family
         operators differentiate in (s, x) with s = e^{2 k omega t}; the
-        function must be represented in that variable.
+        function must be represented in that variable.  The jet is taken
+        at the parabolic ``order`` (the largest 2m + n), because jets
+        weigh the first variable twice.
         """
         order = self.order
         t = z.t if hasattr(z, "t") else z[0]

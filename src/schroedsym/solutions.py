@@ -39,6 +39,9 @@ class SmoothFn:
     ndim = 1
 
     def jet(self, t, x, order) -> Jet:
+        """Jet at (t, x) holding every partial whose parabolic weight
+        (twice the t order plus the x orders) is at most ``order``: order 2
+        gives psi, psi_t, the x partials and the second x partials."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -46,7 +49,7 @@ class SmoothFn:
 
     def partial(self, t, x, orders):
         """Partial derivative; ``orders`` = (t order, x order, ...)."""
-        return self.jet(t, x, sum(orders)).partial(orders)
+        return self.jet(t, x, jets.weight(tuple(orders))).partial(orders)
 
     def in_domain(self, t, x) -> bool:
         try:

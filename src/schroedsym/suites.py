@@ -871,13 +871,13 @@ def _sol_mixed(cfg, rng, trials):
         def asym(h):
             dt_of_fx = (f2.jet(t + h, x, 1).partial((0, 1))
                         - f2.jet(t - h, x, 1).partial((0, 1))) / (2 * h)
-            dx_of_ft = (f2.jet(t, x + h, 1).partial((1, 0))
-                        - f2.jet(t, x - h, 1).partial((1, 0))) / (2 * h)
+            dx_of_ft = (f2.jet(t, x + h, 2).partial((1, 0))
+                        - f2.jet(t, x - h, 2).partial((1, 0))) / (2 * h)
             return dt_of_fx - dx_of_ft
 
         h = 2e-3
         richardson = (4.0 * asym(h / 2.0) - asym(h)) / 3.0
-        scale = max(abs(f2.jet(t, x, 2).partial((1, 1))), 1.0)
+        scale = max(abs(f2.jet(t, x, 3).partial((1, 1))), 1.0)
         yield abs(richardson) / scale
 
 

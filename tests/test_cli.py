@@ -188,6 +188,20 @@ def test_demo_transform_rejects_empty_grid(tmp_path):
         assert main(["demo-transform", flag, "--out", str(tmp_path / "d.tsv")]) == 2, flag
 
 
+@pytest.mark.parametrize("solution", ["f2", "power"])
+def test_demo_transform_default_window_lies_in_the_domain(tmp_path, solution):
+    out = tmp_path / "d.tsv"
+    assert main(["demo-transform", "--solution", solution, "--seed", "3", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 144 and max(float(r[4]) for r in rows) < 1e-9
+
+
+def test_demo_transform_range_flag_replaces_the_default_window(tmp_path):
+    # a range flag turns the solution's own window off; x <= 0 leaves the domain
+    assert main(["demo-transform", "--solution", "power", "--x-min", "-1.2",
+                 "--out", str(tmp_path / "d.tsv")]) == 1
+
+
 def test_demo_transform_residual_column_small(tmp_path):
     out = tmp_path / "demo2.tsv"
     assert main(["demo-transform", "--solution", "f1", "--seed", "4",

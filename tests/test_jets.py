@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from schroedsym.errors import OrderError
 from schroedsym.jets import Jet, compose, cpow, exp, log, sqrt
 
 
@@ -18,7 +19,8 @@ def test_polynomial_partials_match_closed_form():
 
 
 def test_division_and_reciprocal():
-    t = Jet.variable(2.0, 0, 1, 4)
+    # time weighs 2, so order 8 holds the t-derivatives 0..4
+    t = Jet.variable(2.0, 0, 1, 8)
     g = 1.0 / t
     # d^n/dt^n (1/t) = (-1)^n n!/t^(n+1)
     for n in range(5):
@@ -50,7 +52,10 @@ def test_integer_power_keeps_branch_for_negative_base():
 def test_composition_matches_direct_expansion():
     t = Jet.variable(0.2, 0, 2, 3)
     x = Jet.variable(0.9, 1, 2, 3)
-    u, v = t + x, t - 2.0 * x
+    # the time argument is graded: t + (x - 0.9)^2 has no term lighter than t.
+    # dx is held without a constant key, so dx * dx has no (0, 1) key either.
+    dx = Jet(2, 3, {(0, 1): 1.0})
+    u, v = t + dx * dx, t - 2.0 * x
     bu = Jet.variable(u.value, 0, 2, 3)
     bv = Jet.variable(v.value, 1, 2, 3)
     base = (bu * bv).exp() + bu
@@ -73,6 +78,30 @@ def test_array_coefficients_vectorize_over_grids():
 
 
 def test_truncation_order_is_respected():
+    # exponents of parabolic weight 2 * k[0] + k[1] <= order are kept, the rest dropped
+    t = Jet.variable(0.3, 0, 2, 5)
+    x = Jet.variable(0.6, 1, 2, 5)
+    f = (t + x) ** 6
+    assert set(f.coef) == {(i, j) for i in range(3) for j in range(6) if 2 * i + j <= 5}
+    assert set((t ** 5).coef) == {(0, 0), (1, 0), (2, 0)}
+    assert set((x ** 7).coef) == {(0, j) for j in range(6)}
+
+
+def test_partial_beyond_the_order_raises():
     t = Jet.variable(0.3, 0, 1, 2)
-    f = t ** 5
-    assert all(sum(k) <= 2 for k in f.coef)
+    with pytest.raises(OrderError):
+        (t ** 3).partial((3,))
+    with pytest.raises(OrderError):
+        (t ** 3).coefficient((2,))
+    assert (t ** 3).partial((1,)) == pytest.approx(3 * 0.3 ** 2)
+    x = Jet.variable(0.3, 1, 2, 2)
+    with pytest.raises(OrderError):
+        (t * x).partial((1, 1))
+
+
+def test_composition_rejects_a_time_that_depends_on_space():
+    t = Jet.variable(0.2, 0, 2, 2)
+    x = Jet.variable(0.9, 1, 2, 2)
+    base = Jet.variable(0.2, 0, 2, 2) * Jet.variable(0.9, 1, 2, 2)
+    with pytest.raises(OrderError):
+        compose(base, [t + 0.0 * x, x])

@@ -3,7 +3,7 @@ import pytest
 
 from schroedsym import coords, jets, residual
 from schroedsym.coords import FamilySpec, Point
-from schroedsym.errors import DomainError
+from schroedsym.errors import DomainError, OrderError
 from schroedsym.group import GroupElement, Mat2
 from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
 from schroedsym.residual import (
@@ -165,6 +165,60 @@ def test_residual_on_axes_equals_residual_on_flat_mesh(case):
     for on_axes, on_mesh in zip(residual_arrays(fn, spec, t, xs),
                                 residual_arrays(fn, spec, flat_t, flat_xs)):
         assert np.array_equal(np.broadcast_to(on_axes, shape).ravel(), on_mesh)
+
+
+def _graded_cases(rng):
+    expfn = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
+    late = GridSpec((0.15, 1.0), (-1.2, 1.2), nt=9, nx=11)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    return _transformed_cases(rng) + [
+        (PullbackFn(gaussian_free(0.7, t0=2.0), lift_frame("f1", LIN)), LIN, grid),
+        (PullbackFn(gaussian_free(0.7, t0=8.0), lift_frame("f2", LIN)), LIN, late),
+        (transformed(expfn, random_element(rng), LIN), LIN, grid),
+    ]
+
+
+GRADED_IDS = ["linear", "inverse_quadratic", "quadratic", "disk", "nls", "K0",
+              "f1", "f2", "intertwining_linear"]
+
+
+@pytest.mark.parametrize("case", range(9), ids=GRADED_IDS)
+def test_order_2_jets_hold_only_what_the_residual_reads(case):
+    fn, spec, grid = _graded_cases(np.random.default_rng(5))[case]
+    t, xs = grid.points(spec.n)
+    keys = set(fn.jet(t, xs[0] if spec.n == 1 else tuple(xs), 2).coef)
+    if spec.n == 1:
+        read = {(1, 0), (0, 2)}
+        allowed = {(0, 0), (1, 0), (0, 1), (0, 2)}
+    else:
+        read = {(1, 0, 0), (0, 2, 0), (0, 0, 2)}
+        allowed = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)}
+    assert read <= keys <= allowed
+
+
+@pytest.mark.parametrize("case", range(9), ids=GRADED_IDS)
+def test_order_2_residual_matches_partials_of_order_4_jets(case):
+    fn, spec, grid = _graded_cases(np.random.default_rng(5))[case]
+    t, xs = grid.points(spec.n)
+    resid, psi = residual_arrays(fn, spec, t, xs)
+    j4 = fn.jet(t, xs[0] if spec.n == 1 else tuple(xs), 4)
+    psi_t = j4.partial((1,) + (0,) * spec.n)
+    lap = sum(j4.partial(tuple(2 * (j == i) for j in range(spec.n + 1))) for i in range(1, spec.n + 1))
+    ref = residual._residual(spec, psi_t, lap, j4.value, xs)
+    scale = np.abs(psi_t).max() + abs(spec.k) * np.abs(lap).max()
+    assert np.abs(psi - j4.value).max() <= 1e-13 * np.abs(j4.value).max()
+    assert np.abs(resid - ref).max() <= 1e-13 * scale
+
+
+def test_pullback_whose_time_depends_on_space_raises():
+    def sheared(tj, xjs):
+        return tj + 0.1 * xjs[0], [xjs[0]], 1.0
+
+    fn = PullbackFn(gaussian_free(0.7, t0=2.0), sheared)
+    with pytest.raises(OrderError):
+        fn.jet(0.3, 0.2, 2)
+    with pytest.raises(OrderError):
+        grid_residual(fn, FREE, GRID)
 
 
 def test_transform_with_identity_is_identity():

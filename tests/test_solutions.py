@@ -241,3 +241,13 @@ def test_exponential_variable_jets():
     assert abs(j.partial((1, 0)) - rho / s * j.value) < 1e-12
     with pytest.raises(DomainError):
         f_pair(LIN)[0].jet_s(1.0, 0.0, 1)
+
+
+def test_mixed_partial_matches_central_difference_of_the_x_partial():
+    # partial((1, 1)) needs a jet of parabolic order 3 (t weighs 2)
+    _, f2 = f_pair(LIN)
+    h = 1e-5
+    for t, x in ((0.7, 0.3), (1.2, -0.8)):
+        fd = (f2.partial(t + h, x, (0, 1)) - f2.partial(t - h, x, (0, 1))) / (2 * h)
+        exact = f2.partial(t, x, (1, 1))
+        assert abs(exact - fd) <= 1e-7 * max(abs(exact), 1.0)
