@@ -29,10 +29,12 @@ def test_division_and_reciprocal():
 
 
 def test_log_exp_roundtrip_and_sqrt():
-    t = Jet.variable(1.3, 0, 2, 3)
-    x = Jet.variable(-0.4, 1, 2, 3)
+    # time weighs 2, so order 6 holds every exponent of total degree <= 3
+    t = Jet.variable(1.3, 0, 2, 6)
+    x = Jet.variable(-0.4, 1, 2, 6)
     z = t + x * x + 0.5
     back = exp(log(z))
+    assert len(z.coef) <= 16 and len(back.coef) == 16
     diff = z - back
     assert max(abs(v) for v in diff.coef.values()) < 1e-13
     s = sqrt(z)
@@ -50,18 +52,20 @@ def test_integer_power_keeps_branch_for_negative_base():
 
 
 def test_composition_matches_direct_expansion():
-    t = Jet.variable(0.2, 0, 2, 3)
-    x = Jet.variable(0.9, 1, 2, 3)
+    # order 6 gives the base a (3, 0) key, so compose expands du up to du^3
+    t = Jet.variable(0.2, 0, 2, 6)
+    x = Jet.variable(0.9, 1, 2, 6)
     # the time argument is graded: t + (x - 0.9)^2 has no term lighter than t.
     # dx is held without a constant key, so dx * dx has no (0, 1) key either.
-    dx = Jet(2, 3, {(0, 1): 1.0})
+    dx = Jet(2, 6, {(0, 1): 1.0})
     u, v = t + dx * dx, t - 2.0 * x
-    bu = Jet.variable(u.value, 0, 2, 3)
-    bv = Jet.variable(v.value, 1, 2, 3)
+    bu = Jet.variable(u.value, 0, 2, 6)
+    bv = Jet.variable(v.value, 1, 2, 6)
     base = (bu * bv).exp() + bu
     direct = (u * v).exp() + u
     comp = compose(base, [u, v])
     keys = set(comp.coef) | set(direct.coef)
+    assert (3, 0) in base.coef and len(keys) == 16
     assert max(abs(comp.coef.get(k, 0) - direct.coef.get(k, 0)) for k in keys) < 1e-13
 
 
