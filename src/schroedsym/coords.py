@@ -25,7 +25,7 @@ from .errors import (
     ZeroK,
     ZeroOmega,
 )
-from .group import GroupElement, Mat2
+from .group import GroupElement, Mat2, is_disk_shaped
 
 SINGULAR_TOL = 1e-14
 
@@ -119,14 +119,20 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class Point:
-    """Coordinate pair {t, x}; x is a tuple of space coordinates."""
+    """Coordinate pair {t, x}; x is a tuple of space coordinates.
+
+    A scalar or an ndarray ``x`` is one coordinate; several coordinates
+    come as a tuple or list.  ``t`` and each coordinate may be arrays of
+    one batch shape, a batch of points that a batched element acts on
+    entry by entry.
+    """
 
     t: complex
     x: tuple
 
     def __init__(self, t, x):
         object.__setattr__(self, "t", t)
-        if np.ndim(x) == 0:
+        if np.ndim(x) == 0 or isinstance(x, np.ndarray):
             x = (x,)
         object.__setattr__(self, "x", tuple(x))
 
@@ -319,7 +325,7 @@ def act(l: GroupElement, z: Point, spec: FamilySpec) -> Point:
 def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:
     """Affine data sigma, v for upper-unitriangular elements."""
     m = l.m
-    if max(abs(m.c - 1.0), abs(m.a), abs(m.b - 1.0)) > 1e-12:
+    if any(np.any(np.abs(v) > 1e-12) for v in (m.c - 1.0, m.a, m.b - 1.0)):
         raise ShapeError("element is not of the time-translation shape")
     lam = m.d
     k2b = spec.k ** 2 * spec.beta
@@ -339,8 +345,8 @@ def comoving_identity_check(l: GroupElement, z: Point, spec: FamilySpec):
     return abs(lhs - rhs)
 
 
-def reality_domain_check(l: GroupElement, t, spec: FamilySpec) -> bool:
-    """Whether the quadratic action stays real at time t.
+def reality_domain_check(l: GroupElement, t, spec: FamilySpec):
+    """Per entry, whether the quadratic action stays real at time t.
 
     Real k*omega: a u + b and c u + d real with positive product.  Purely
     imaginary k*omega: the matrix is of the circle-preserving shape and the
@@ -353,10 +359,6 @@ def reality_domain_check(l: GroupElement, t, spec: FamilySpec) -> bool:
         u = np.exp(4.0 * np.real(kw) * np.real(t))
         den = l.a * u + l.b
         num = l.c * u + l.d
-        for v in (den, num):
-            if abs(np.imag(v)) > 1e-10 * max(1.0, abs(v)):
-                return False
-        return np.real(den) * np.real(num) > 0
-    from .group import is_disk_shaped
-
-    return is_disk_shaped(l.m) and abs(np.conj(l.mu) + l.nu) <= 1e-10
+        real = [np.abs(np.imag(v)) <= 1e-10 * np.maximum(1.0, np.abs(v)) for v in (den, num)]
+        return real[0] & real[1] & (np.real(den) * np.real(num) > 0)
+    return is_disk_shaped(l.m) & (np.abs(np.conj(l.mu) + l.nu) <= 1e-10)

@@ -4,6 +4,11 @@ The matrix layout is M = [[c, d], [a, b]] with unit determinant
 c*b - a*d = 1, so the time variable transforms as t -> (c t + d)/(a t + b).
 Group elements pair such a matrix with a translation vector (mu, nu) and
 compose semidirectly.
+
+Every entry may be a scalar or a numpy array: an element whose entries
+are arrays of one shape is a batch of elements, and composition,
+inversion, the cocycles, the determinant guard and the shape predicates
+all act per entry.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ class Mat2:
     b: complex
 
     def __post_init__(self):
-        if abs(self.det - 1.0) > DET_TOL:
-            raise DeterminantError(f"determinant {self.det} differs from 1 by more than {DET_TOL}")
+        det = np.asarray(self.det)
+        bad = det[~(np.abs(det - 1.0) <= DET_TOL)]  # per entry; NaN is bad too
+        if bad.size:
+            raise DeterminantError(f"determinant {bad[0]} differs from 1 by more than {DET_TOL}")
 
     @property
     def det(self):
@@ -53,17 +60,21 @@ class Mat2:
         """Matrix action on a translation pair."""
         return self.c * mu + self.d * nu, self.a * mu + self.b * nu
 
-    def is_real(self, tol=1e-12) -> bool:
-        return max(abs(np.imag(v)) for v in (self.a, self.b, self.c, self.d)) <= tol
+    def is_real(self, tol=1e-12):
+        """Per entry: every matrix entry has |imaginary part| <= tol."""
+        return ((np.abs(np.imag(self.a)) <= tol) & (np.abs(np.imag(self.b)) <= tol)
+                & (np.abs(np.imag(self.c)) <= tol) & (np.abs(np.imag(self.d)) <= tol))
 
     def as_array(self):
-        return np.array([[self.c, self.d], [self.a, self.b]])
+        """The matrix, with any batch axes leading: shape batch + (2, 2)."""
+        c, d, a, b = np.broadcast_arrays(self.c, self.d, self.a, self.b)
+        return np.stack([np.stack([c, d], -1), np.stack([a, b], -1)], -2)
 
-    def symplectic_defect(self) -> float:
-        """max |M^T J M - J| entry; zero for every unimodular matrix."""
+    def symplectic_defect(self):
+        """Per entry, max |M^T J M - J| entry; zero for every unimodular matrix."""
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         m = self.as_array()
-        return float(np.abs(m.T @ J @ m - J).max())
+        return np.abs(np.swapaxes(m, -1, -2) @ J @ m - J).max(axis=(-2, -1))[()]
 
 
 @dataclass(frozen=True)
@@ -150,8 +161,9 @@ class DiskParams:
     lam: complex
 
     def __post_init__(self):
-        if abs(self.lam) >= 1.0:
-            raise DomainError(f"|lam| = {abs(self.lam)} must be < 1")
+        r = np.abs(self.lam)
+        if not np.all(r < 1.0):
+            raise DomainError(f"|lam| = {np.max(r)} must be < 1")
 
 
 def disk_parametrize(p: DiskParams) -> GroupElement:
@@ -164,14 +176,13 @@ def disk_parametrize(p: DiskParams) -> GroupElement:
     return GroupElement(Mat2(np.conj(b), np.conj(a), a, b), 0.0, 0.0)
 
 
-def is_disk_shaped(m: Mat2, tol=1e-10) -> bool:
-    """c = b*, d = a* within tolerance."""
-    return abs(m.c - np.conj(m.b)) <= tol and abs(m.d - np.conj(m.a)) <= tol
+def is_disk_shaped(m: Mat2, tol=1e-10):
+    """Per entry: c = b*, d = a* within tolerance."""
+    return (np.abs(m.c - np.conj(m.b)) <= tol) & (np.abs(m.d - np.conj(m.a)) <= tol)
 
 
-def is_semigroup_admissible(l: GroupElement, tol=1e-12) -> bool:
-    """All four real matrix entries nonnegative, so the transformed time
-    stays real for every positive Mobius variable."""
-    if not l.m.is_real(tol):
-        return False
-    return all(np.real(v) >= -tol for v in (l.a, l.b, l.c, l.d))
+def is_semigroup_admissible(l: GroupElement, tol=1e-12):
+    """Per entry: all four matrix entries real and nonnegative, so the
+    transformed time stays real for every positive Mobius variable."""
+    return (l.m.is_real(tol) & (np.real(l.a) >= -tol) & (np.real(l.b) >= -tol)
+            & (np.real(l.c) >= -tol) & (np.real(l.d) >= -tol))

@@ -259,7 +259,7 @@ def compose(base, args):
         raise ValueError("arity mismatch in jet composition")
     nvars = args[0].nvars
     order = args[0].order
-    deltas = [a - a.value for a in args]
+    deltas = [a._split()[1] for a in args]  # increments, with no constant key
     powers = []
     for i, d in enumerate(deltas):
         lightest = weight(tuple(int(j == i) for j in range(base.nvars)))

@@ -5,6 +5,11 @@ are unimodular by construction and stay near the unit element.  Nearness
 matters: the quadratic family is only a local group (principal branches
 wrap under large rotations), and the admissible semigroup needs
 nonnegative entries, so every sampler bounds its throw.
+
+Every sampler takes numpy's ``size``: ``None`` draws one element with
+scalar entries, a size draws a batch of elements whose entries are arrays
+of that shape.  The generator calls are the same whatever the size, so a
+batch depends only on the generator state and the size.
 """
 
 from __future__ import annotations
@@ -14,83 +19,87 @@ import numpy as np
 from .group import DiskParams, GroupElement, Mat2, disk_parametrize
 
 
+def _stacked(n, size):
+    """Shape of n stacked draws, each of numpy's ``size``."""
+    return (n,) if size is None else (n, *np.atleast_1d(size))
+
+
 def _expm_traceless(p, q, r):
-    """exp([[p, q], [r, -p]]) in closed form; always unimodular."""
-    d2 = p * p + q * r
-    d = np.sqrt(complex(d2))
-    if abs(d) < 1e-30:
-        e = np.eye(2) + np.array([[p, q], [r, -p]])
-    else:
-        e = np.cosh(d) * np.eye(2) + np.sinh(d) / d * np.array([[p, q], [r, -p]])
-    return e
+    """Entries (c, d, a, b) of exp([[p, q], [r, -p]]) in closed form, per
+    entry of the broadcast inputs; always unimodular."""
+    d = np.sqrt(np.asarray(p * p + q * r, dtype=complex))
+    small = np.abs(d) < 1e-30
+    ch = np.where(small, 1.0, np.cosh(d))[()]
+    s = np.where(small, 1.0, np.sinh(d) / np.where(small, 1.0, d))[()]
+    return ch + s * p, s * q, s * r, ch + s * -p
 
 
-def random_sl2r(rng, scale=0.35) -> Mat2:
-    p, q, r = rng.uniform(-scale, scale, 3)
-    e = np.real(_expm_traceless(p, q, r))
-    return Mat2(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+def random_sl2r(rng, scale=0.35, size=None) -> Mat2:
+    p, q, r = rng.uniform(-scale, scale, _stacked(3, size))
+    return Mat2(*np.real(_expm_traceless(p, q, r)))
 
 
-def random_sl2c(rng, scale=0.3) -> Mat2:
-    p, q, r = rng.uniform(-scale, scale, 3) + 1j * rng.uniform(-scale, scale, 3)
-    e = _expm_traceless(p, q, r)
-    return Mat2(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+def random_sl2c(rng, scale=0.3, size=None) -> Mat2:
+    p, q, r = (rng.uniform(-scale, scale, _stacked(3, size))
+               + 1j * rng.uniform(-scale, scale, _stacked(3, size)))
+    return Mat2(*_expm_traceless(p, q, r))
 
 
-def random_element(rng, scale=0.35, translation=0.8, complex_entries=False) -> GroupElement:
-    m = random_sl2c(rng, scale) if complex_entries else random_sl2r(rng, scale)
+def random_element(rng, scale=0.35, translation=0.8, complex_entries=False,
+                   size=None) -> GroupElement:
     if complex_entries:
-        mu = rng.uniform(-translation, translation) + 1j * rng.uniform(-translation, translation)
-        nu = rng.uniform(-translation, translation) + 1j * rng.uniform(-translation, translation)
+        m = random_sl2c(rng, scale, size)
+        mu, nu = (rng.uniform(-translation, translation, size)
+                  + 1j * rng.uniform(-translation, translation, size) for _ in range(2))
     else:
-        mu, nu = rng.uniform(-translation, translation, 2)
+        m = random_sl2r(rng, scale, size)
+        mu, nu = rng.uniform(-translation, translation, _stacked(2, size))
     return GroupElement(m, mu, nu)
 
 
-def random_admissible_element(rng, scale=0.3, translation=0.5) -> GroupElement:
+def random_admissible_element(rng, scale=0.3, translation=0.5, size=None) -> GroupElement:
     """Nonnegative-entry matrix (semigroup of the real oscillator family)."""
-    p = rng.uniform(-scale, scale)
-    q, r = rng.uniform(0.0, scale, 2)
-    e = np.real(_expm_traceless(p, q, r))
-    m = Mat2(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
-    mu, nu = rng.uniform(-translation, translation, 2)
+    p = rng.uniform(-scale, scale, size)
+    q, r = rng.uniform(0.0, scale, _stacked(2, size))
+    m = Mat2(*np.real(_expm_traceless(p, q, r)))
+    mu, nu = rng.uniform(-translation, translation, _stacked(2, size))
     return GroupElement(m, mu, nu)
 
 
-def random_disk_element(rng, theta_max=0.3, lam_max=0.3, translation=0.5) -> GroupElement:
+def random_disk_element(rng, theta_max=0.3, lam_max=0.3, translation=0.5,
+                        size=None) -> GroupElement:
     """Circle-preserving element with the reality pairing mu* = -nu.
 
     Rotation and disk displacement are bounded so that composed pairs stay
     inside the principal branch window of the periodic time variable.
     """
-    theta = rng.uniform(-theta_max, theta_max)
-    lam = rng.uniform(0.0, lam_max) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    theta = rng.uniform(-theta_max, theta_max, size)
+    lam = rng.uniform(0.0, lam_max, size) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
     el = disk_parametrize(DiskParams(theta, lam))
-    mu = rng.uniform(-translation, translation) + 1j * rng.uniform(-translation, translation)
+    mu = rng.uniform(-translation, translation, size) + 1j * rng.uniform(-translation, translation, size)
     return GroupElement(el.m, mu, -np.conj(mu))
 
 
-def random_modular_matrix(rng, nfactors=4) -> Mat2:
+_SHEARS = np.array([[[1, 0], [1, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]])
+
+
+def random_modular_matrix(rng, nfactors=4, size=None) -> Mat2:
     """Integer unimodular matrix from short products of shear generators."""
     std = np.eye(2, dtype=int)
-    lower = np.array([[1, 0], [1, 1]], dtype=int)
-    upper = np.array([[1, 1], [0, 1]], dtype=int)
-    flip = np.array([[0, -1], [1, 0]], dtype=int)
     for _ in range(int(nfactors)):
-        pick = rng.integers(0, 3)
-        std = std @ (lower, upper, flip)[pick]
+        std = std @ _SHEARS[rng.integers(0, 3, size)]
     # standard [[p, q], [r, s]] maps to the (c, d, a, b) layout as-is
-    return Mat2(int(std[0, 0]), int(std[0, 1]), int(std[1, 0]), int(std[1, 1]))
+    return Mat2(*(std[..., i, j][()] for i in (0, 1) for j in (0, 1)))
 
 
-def element_for_family(rng, spec, scale=0.3, translation=0.5) -> GroupElement:
+def element_for_family(rng, spec, scale=0.3, translation=0.5, size=None) -> GroupElement:
     """An in-domain random element for the given family."""
     fam = spec.family
     if fam == "quadratic":
         if spec.komega_is_real:
-            return random_admissible_element(rng, scale, translation)
+            return random_admissible_element(rng, scale, translation, size)
         return random_disk_element(rng, theta_max=scale, lam_max=scale,
-                                   translation=translation)
+                                   translation=translation, size=size)
     if fam == "inverse_quadratic":
-        return GroupElement(random_sl2r(rng, scale), 0.0, 0.0)
-    return random_element(rng, scale, translation)
+        return GroupElement(random_sl2r(rng, scale, size), 0.0, 0.0)
+    return random_element(rng, scale, translation, size=size)

@@ -1,12 +1,14 @@
 """Named verification suites over every module.
 
 Each check pins one identity, runs it over seeded random draws, and
-yields its defects one at a time; ``Check.run`` folds them through
-``worst_defect`` into the check's value, the largest defect, which is NaN
-(and fails) as soon as one defect is NaN.  The CLI wraps these; the
-acceptance tests drive the same functions at their own trial counts.
-Per-check generators are seeded from (run seed, check name), so reports
-are reproducible regardless of which subset runs.
+yields its defects, each a float or an array with one entry per trial;
+``Check.run`` folds them through ``worst_defect`` into the check's value,
+the largest defect, which is NaN (and fails) as soon as one is NaN.  The
+``group``, ``coords`` and ``multiplier`` checks draw their trials as one
+batch (the samplers' ``size``) and evaluate it in one array pass.  The
+CLI wraps these; the acceptance tests drive the same functions at their
+own trial counts.  Per-check generators are seeded from (run seed, check
+name), so reports are reproducible regardless of which subset runs.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
 from .coords import (
     FamilySpec,
-    GalileanData,
     Point,
     act,
     frame,
@@ -30,7 +31,7 @@ from .coords import (
     reality_domain_check,
     comoving_identity_check,
 )
-from .errors import ConfigError, DeterminantError, SchroedSymError
+from .errors import ConfigError, DeterminantError
 from .group import (
     DiskParams,
     GroupElement,
@@ -72,12 +73,11 @@ from .residual import (
     verify_lifted_solution,
 )
 from .sampling import (
-    element_for_family,
+    _expm_traceless,
     random_admissible_element,
     random_disk_element,
     random_element,
     random_modular_matrix,
-    random_sl2c,
     random_sl2r,
 )
 from .solutions import (
@@ -198,9 +198,10 @@ class SuiteReport:
 def worst_defect(defects):
     """The largest of the defects (0.0 for none), or NaN as soon as one is
     NaN: ``max`` would drop it, and a NaN value fails because ``nan <= tol``
-    is false."""
+    is false.  A defect is a float or an array of them, one per trial."""
     worst = 0.0
     for defect in defects:
+        defect = np.max(defect, initial=0.0)  # NaN if any entry is NaN
         if math.isnan(defect):
             return math.nan
         worst = max(worst, defect)
@@ -276,11 +277,16 @@ def run_suite(target, cfg: RunConfig) -> SuiteReport:
 # ---------------------------------------------------------------- group ------
 
 
+def _halves(trials, kinds):
+    """(n, kind) for (trials+1)//2 trials of kinds[0] and trials//2 of
+    kinds[1], as alternating trials split them; an empty half is left out."""
+    return [(n, kind) for n, kind in zip(((trials + 1) // 2, trials // 2), kinds) if n]
+
+
 @_register("group", "associativity", "semidirect composition is associative", 1e-12, 1000)
 def _group_assoc(cfg, rng, trials):
-    for i in range(trials):
-        cx = i % 2 == 1
-        l1, l2, l3 = (random_element(rng, complex_entries=cx) for _ in range(3))
+    for n, cx in _halves(trials, (False, True)):
+        l1, l2, l3 = (random_element(rng, complex_entries=cx, size=n) for _ in range(3))
         p = compose(compose(l1, l2), l3)
         q = compose(l1, compose(l2, l3))
         yield from (
@@ -291,8 +297,8 @@ def _group_assoc(cfg, rng, trials):
 
 @_register("group", "inverse", "element times its inverse is the unit", 1e-12, 1000)
 def _group_inverse(cfg, rng, trials):
-    for i in range(trials):
-        l = random_element(rng, complex_entries=i % 2 == 1)
+    for n, cx in _halves(trials, (False, True)):
+        l = random_element(rng, complex_entries=cx, size=n)
         p = compose(l, inverse(l))
         yield from (
             abs(p.a), abs(p.b - 1.0), abs(p.c - 1.0), abs(p.d),
@@ -302,57 +308,49 @@ def _group_inverse(cfg, rng, trials):
 
 @_register("group", "symplectic", "unimodular matrices preserve the symplectic form", 1e-12, 1000)
 def _group_symplectic(cfg, rng, trials):
-    yield from (random_sl2r(rng).symplectic_defect() for _ in range(trials))
+    yield random_sl2r(rng, size=trials).symplectic_defect()
 
 
 @_register("group", "cocycle_cycle_linear", "cocycle cycle condition, linear family", 1e-12, 1000, families=("linear",))
 def _group_cycle_linear(cfg, rng, trials):
     k = cfg.k
-    for _ in range(trials):
-        l1, l2, l3 = (random_element(rng) for _ in range(3))
-        lhs = cocycle_linear(l1, l2, k) + cocycle_linear(compose(l1, l2), l3, k)
-        rhs = cocycle_linear(l2, l3, k) + cocycle_linear(l1, compose(l2, l3), k)
-        yield abs(lhs - rhs)
+    l1, l2, l3 = (random_element(rng, size=trials) for _ in range(3))
+    lhs = cocycle_linear(l1, l2, k) + cocycle_linear(compose(l1, l2), l3, k)
+    rhs = cocycle_linear(l2, l3, k) + cocycle_linear(l1, compose(l2, l3), k)
+    yield abs(lhs - rhs)
 
 
 @_register("group", "cocycle_antisymmetry", "cocycle antisymmetry under inverses", 1e-12, 1000)
 def _group_antisym(cfg, rng, trials):
     k = cfg.k
-    for _ in range(trials):
-        l1, l2 = random_element(rng), random_element(rng)
-        lhs = cocycle_linear(inverse(l2), inverse(l1), k)
-        yield abs(lhs + cocycle_linear(l1, l2, k))
+    l1, l2 = (random_element(rng, size=trials) for _ in range(2))
+    lhs = cocycle_linear(inverse(l2), inverse(l1), k)
+    yield abs(lhs + cocycle_linear(l1, l2, k))
 
 
 @_register("group", "cocycle_cycle_quadratic", "cocycle cycle condition, oscillator family", 1e-12, 1000, families=("quadratic",))
 def _group_cycle_quadratic(cfg, rng, trials):
     w = cfg.omega
-    for _ in range(trials):
-        l1, l2, l3 = (random_element(rng, complex_entries=True) for _ in range(3))
-        lhs = cocycle_quadratic(l1, l2, w) + cocycle_quadratic(compose(l1, l2), l3, w)
-        rhs = cocycle_quadratic(l2, l3, w) + cocycle_quadratic(l1, compose(l2, l3), w)
-        yield abs(lhs - rhs)
+    l1, l2, l3 = (random_element(rng, complex_entries=True, size=trials) for _ in range(3))
+    lhs = cocycle_quadratic(l1, l2, w) + cocycle_quadratic(compose(l1, l2), l3, w)
+    rhs = cocycle_quadratic(l2, l3, w) + cocycle_quadratic(l1, compose(l2, l3), w)
+    yield abs(lhs - rhs)
 
 
 @_register("group", "disk_closure", "circle-preserving shape survives composition", 1e-10, 300, families=("quadratic",))
 def _group_disk_closure(cfg, rng, trials):
-    for _ in range(trials):
-        l1, l2 = random_disk_element(rng), random_disk_element(rng)
-        p = compose(l1, l2)
-        yield from (
-            abs(p.c - np.conj(p.b)),
-            abs(p.d - np.conj(p.a)),
-            abs(np.conj(p.mu) + p.nu),
-        )
+    p = compose(*(random_disk_element(rng, size=trials) for _ in range(2)))
+    yield from (
+        abs(p.c - np.conj(p.b)),
+        abs(p.d - np.conj(p.a)),
+        abs(np.conj(p.mu) + p.nu),
+    )
 
 
 @_register("group", "admissible_closure", "nonnegative matrices compose to nonnegative", 0.5, 300, families=("quadratic",), structural=True)
 def _group_admissible(cfg, rng, trials):
-    for _ in range(trials):
-        l1 = random_admissible_element(rng)
-        l2 = random_admissible_element(rng)
-        if not is_semigroup_admissible(compose(l1, l2)):
-            yield 1.0
+    p = compose(*(random_admissible_element(rng, size=trials) for _ in range(2)))
+    yield np.where(is_semigroup_admissible(p), 0.0, 1.0)
     if is_semigroup_admissible(GroupElement(Mat2(1.0, 0.3, -1.0, 0.7))):
         yield 1.0
 
@@ -387,53 +385,49 @@ def _group_disk_param(cfg, rng, trials):
 def _coords_identity(cfg, rng, trials):
     sp = cfg.specs()
     ident = GroupElement.identity()
-    for _ in range(trials):
-        t, x = rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5)
-        for name in ("linear", "quadratic", "disk"):
-            z = Point(t, x)
-            zp = act(ident, z, sp[name])
-            yield from (abs(zp.t - t), abs(zp.x1 - x))
-        zp = act(ident, Point(t, abs(x) + 0.2), sp["inverse_quadratic"])
-        yield from (abs(zp.t - t), abs(zp.x1 - abs(x) - 0.2))
+    t, x = rng.uniform(-0.5, 0.5, trials), rng.uniform(-1.5, 1.5, trials)
+    for name in ("linear", "quadratic", "disk"):
+        zp = act(ident, Point(t, x), sp[name])
+        yield from (abs(zp.t - t), abs(zp.x1 - x))
+    zp = act(ident, Point(t, abs(x) + 0.2), sp["inverse_quadratic"])
+    yield from (abs(zp.t - t), abs(zp.x1 - abs(x) - 0.2))
 
 
 def _homomorphism_defect(rng, trials, spec, sampler):
-    for _ in range(trials):
-        l1, l2 = sampler(), sampler()
-        t = rng.uniform(-0.4, 0.4)
-        x = rng.uniform(-1.2, 1.2)
-        z = Point(t, x)
-        seq = act(l1, act(l2, z, spec), spec)
-        joint = act(compose(l1, l2), z, spec)
-        dt = abs(seq.t - joint.t)
-        if spec.family == "quadratic" and not spec.komega_is_real:
-            period = 2.0 * np.pi / abs(4.0 * spec.k * spec.omega)
-            dt = min(dt, abs(dt - period))
-        yield from (dt, abs(seq.x1 - joint.x1))
+    l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
+    z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
+    seq = act(l1, act(l2, z, spec), spec)
+    joint = act(compose(l1, l2), z, spec)
+    dt = abs(seq.t - joint.t)
+    if spec.family == "quadratic" and not spec.komega_is_real:
+        period = 2.0 * np.pi / abs(4.0 * spec.k * spec.omega)
+        dt = np.minimum(dt, abs(dt - period))
+    yield from (dt, abs(seq.x1 - joint.x1))
 
 
 @_register("coords", "homomorphism_linear", "two-step action equals composed action, linear family", 1e-11, 300, families=("linear", "free"))
 def _coords_hom_linear(cfg, rng, trials):
     spec = cfg.specs()["linear"]
-    yield from _homomorphism_defect(rng, trials, spec, lambda: random_element(rng))
+    yield from _homomorphism_defect(rng, trials, spec, random_element)
 
 
 @_register("coords", "homomorphism_inverse_quadratic", "two-step action equals composed action, scale-invariant family", 1e-11, 300, families=("inverse_quadratic",))
 def _coords_hom_invq(cfg, rng, trials):
     spec = cfg.specs()["inverse_quadratic"]
-    yield from _homomorphism_defect(rng, trials, spec, lambda: GroupElement(random_sl2r(rng)))
+    sampler = lambda rng, size: GroupElement(random_sl2r(rng, size=size))
+    yield from _homomorphism_defect(rng, trials, spec, sampler)
 
 
 @_register("coords", "homomorphism_quadratic", "two-step action equals composed action, oscillator semigroup", 1e-11, 300, families=("quadratic",))
 def _coords_hom_quad(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
-    yield from _homomorphism_defect(rng, trials, spec, lambda: random_admissible_element(rng))
+    yield from _homomorphism_defect(rng, trials, spec, random_admissible_element)
 
 
 @_register("coords", "homomorphism_disk", "two-step action equals composed action, circle subgroup", 1e-11, 300, families=("quadratic",))
 def _coords_hom_disk(cfg, rng, trials):
     spec = cfg.specs()["disk"]
-    yield from _homomorphism_defect(rng, trials, spec, lambda: random_disk_element(rng))
+    yield from _homomorphism_defect(rng, trials, spec, random_disk_element)
 
 
 @_register("coords", "time_translation", "upper shear translates time", 1e-13, families=("linear", "free", "inverse_quadratic"))
@@ -458,13 +452,12 @@ def _coords_dilatation(cfg, rng, trials):
 @_register("coords", "galilean", "shear elements act as affine boosts", 1e-12, 100, families=("linear",))
 def _coords_galilean(cfg, rng, trials):
     spec = cfg.specs()["linear"]
-    for _ in range(trials):
-        lam, mu, nu = rng.uniform(-0.8, 0.8, 3)
-        l = GroupElement(Mat2(1.0, lam, 0.0, 1.0), mu, nu)
-        gd = galilean_params(l, spec)
-        t, x = rng.uniform(-0.6, 0.6), rng.uniform(-1.5, 1.5)
-        zp = act(l, Point(t, x), spec)
-        yield from (abs(zp.t - (t + lam)), abs(zp.x1 - (x + gd.sigma + gd.v * t)))
+    lam, mu, nu = rng.uniform(-0.8, 0.8, (3, trials))
+    l = GroupElement(Mat2(1.0, lam, 0.0, 1.0), mu, nu)
+    gd = galilean_params(l, spec)
+    t, x = rng.uniform(-0.6, 0.6, trials), rng.uniform(-1.5, 1.5, trials)
+    zp = act(l, Point(t, x), spec)
+    yield from (abs(zp.t - (t + lam)), abs(zp.x1 - (x + gd.sigma + gd.v * t)))
     k2b = spec.k ** 2 * spec.beta
     l0 = GroupElement(Mat2(1.0, 0.5, 0.0, 1.0), 0.3, 0.0)
     gd = galilean_params(l0, spec)
@@ -474,10 +467,9 @@ def _coords_galilean(cfg, rng, trials):
 @_register("coords", "comoving_identity", "translation-free comoving coordinate scales uniformly", 1e-12, 100, families=("linear",))
 def _coords_comoving(cfg, rng, trials):
     spec = cfg.specs()["linear"]
-    for _ in range(trials):
-        l = GroupElement(random_sl2r(rng), 0.0, 0.0)
-        yield comoving_identity_check(
-            l, Point(rng.uniform(-0.4, 0.4), rng.uniform(-1.5, 1.5)), spec)
+    l = GroupElement(random_sl2r(rng, size=trials), 0.0, 0.0)
+    z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.5, 1.5, trials))
+    yield comoving_identity_check(l, z, spec)
     # control: with a translation the identity must break
     bad = GroupElement(Mat2.identity(), 0.7, 0.0)
     if comoving_identity_check(bad, Point(0.2, 0.4), spec) < 1e-3:
@@ -487,60 +479,53 @@ def _coords_comoving(cfg, rng, trials):
 @_register("coords", "pair_differences", "coordinate differences scale by the common factor", 1e-12, 100, families=("ndim_linear",))
 def _coords_pairs(cfg, rng, trials):
     spec = cfg.specs()["ndim_linear"]
-    for _ in range(trials):
-        l = random_element(rng)
-        t = rng.uniform(-0.4, 0.4)
-        x1, x2 = rng.uniform(-1.5, 1.5, 2)
-        zp = act(l, Point(t, (x1, x2)), spec)
-        r = l.a * t + l.b
-        yield abs((zp.x[0] - zp.x[1]) - (x1 - x2) / r)
+    l = random_element(rng, size=trials)
+    t = rng.uniform(-0.4, 0.4, trials)
+    x1, x2 = rng.uniform(-1.5, 1.5, (2, trials))
+    zp = act(l, Point(t, (x1, x2)), spec)
+    r = l.a * t + l.b
+    yield abs((zp.x[0] - zp.x[1]) - (x1 - x2) / r)
 
 
 @_register("coords", "branch_continuity", "oscillator action tends to the identity map", 1e-6, 40, families=("quadratic",), structural=True)
 def _coords_branch(cfg, rng, trials):
     """Richardson limit of the action along a shrinking one-parameter
     element family; a branch jump at the unit would leave an O(1) defect."""
-    from .sampling import _expm_traceless
-
     for name in ("quadratic", "disk"):
         spec = cfg.specs()[name]
-        for _ in range(trials):
-            t, x = rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5)
-            if name == "quadratic":
-                p = rng.uniform(-1.0, 1.0)
-                q, r = rng.uniform(0.0, 1.0, 2)
-                mu, nu = rng.uniform(-1.0, 1.0, 2)
+        t, x = rng.uniform(-2.5, 2.5, trials), rng.uniform(-1.5, 1.5, trials)
+        if name == "quadratic":
+            p = rng.uniform(-1.0, 1.0, trials)
+            q, r = rng.uniform(0.0, 1.0, (2, trials))
+            mu, nu = rng.uniform(-1.0, 1.0, (2, trials))
 
-                def element(eps):
-                    e = np.real(_expm_traceless(eps * p, eps * q, eps * r))
-                    return GroupElement(Mat2(e[0, 0], e[0, 1], e[1, 0], e[1, 1]),
-                                        eps * mu, eps * nu)
-            else:
-                th = rng.uniform(-1.0, 1.0)
-                lam = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-                mu = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
+            def element(eps):
+                m = Mat2(*np.real(_expm_traceless(eps * p, eps * q, eps * r)))
+                return GroupElement(m, eps * mu, eps * nu)
+        else:
+            th = rng.uniform(-1.0, 1.0, trials)
+            lam = rng.uniform(0.0, 1.0, trials) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, trials))
+            mu = rng.uniform(-1.0, 1.0, trials) + 1j * rng.uniform(-1.0, 1.0, trials)
 
-                def element(eps):
-                    el = disk_parametrize(DiskParams(eps * th, eps * lam))
-                    return GroupElement(el.m, eps * mu, -np.conj(eps * mu))
+            def element(eps):
+                el = disk_parametrize(DiskParams(eps * th, eps * lam))
+                return GroupElement(el.m, eps * mu, -np.conj(eps * mu))
 
-            def deviation(eps):
-                zp = act(element(eps), Point(t, x), spec)
-                return zp.t - t, zp.x1 - x
+        def deviation(eps):
+            zp = act(element(eps), Point(t, x), spec)
+            return zp.t - t, zp.x1 - x
 
-            eps = 1e-5
-            d1t, d1x = deviation(eps)
-            d2t, d2x = deviation(eps / 2.0)
-            yield from (abs(2.0 * d2t - d1t), abs(2.0 * d2x - d1x))
+        eps = 1e-5
+        d1t, d1x = deviation(eps)
+        d2t, d2x = deviation(eps / 2.0)
+        yield from (abs(2.0 * d2t - d1t), abs(2.0 * d2x - d1x))
 
 
 @_register("coords", "reality_domain", "reality predicate accepts the semigroup, rejects sign flips", 0.5, 40, families=("quadratic",), structural=True)
 def _coords_reality(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
-    for _ in range(trials):
-        l = random_admissible_element(rng)
-        if not reality_domain_check(l, rng.uniform(-1.0, 1.0), spec):
-            yield 1.0
+    l = random_admissible_element(rng, size=trials)
+    yield np.where(reality_domain_check(l, rng.uniform(-1.0, 1.0, trials), spec), 0.0, 1.0)
     bad = GroupElement(Mat2(1.0, 0.0, -0.5, 1.0))
     if reality_domain_check(bad, 3.0, spec):
         yield 1.0
@@ -556,20 +541,19 @@ def _coords_reality(cfg, rng, trials):
 def _mult_identity(cfg, rng, trials):
     sp = cfg.specs()
     ident = GroupElement.identity()
-    for _ in range(trials):
-        t, x = rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)
-        for name in ("linear", "quadratic", "disk", "inverse_quadratic"):
-            yield abs(multiplier(ident, Point(t, x), sp[name]) - 1.0)
-        yield abs(multiplier(ident, Point(t, (x, x + 0.3)), sp["ndim_linear"]) - 1.0)
+    t, x = rng.uniform(-2.0, 2.0, trials), rng.uniform(-1.5, 1.5, trials)
+    for name in ("linear", "quadratic", "disk", "inverse_quadratic"):
+        yield abs(multiplier(ident, Point(t, x), sp[name]) - 1.0)
+    yield abs(multiplier(ident, Point(t, (x, x + 0.3)), sp["ndim_linear"]) - 1.0)
 
 
 @_register("multiplier", "cocycle_inverse_quadratic", "exact multiplier product law, scale-invariant family", 1e-10, 500, families=("inverse_quadratic",))
 def _mult_cocycle_invq(cfg, rng, trials):
+    """One space coordinate in (trials+1)//2 trials, two in trials//2."""
     spec = cfg.specs()["inverse_quadratic"]
-    for i in range(trials):
-        l1, l2 = GroupElement(random_sl2r(rng)), GroupElement(random_sl2r(rng))
-        xs = (0.7,) if i % 2 == 0 else (0.7, -0.4)
-        z = Point(rng.uniform(-0.4, 0.4), xs)
+    for n, xs in _halves(trials, ((0.7,), (0.7, -0.4))):
+        l1, l2 = (GroupElement(random_sl2r(rng, size=n)) for _ in range(2))
+        z = Point(rng.uniform(-0.4, 0.4, n), xs)
         lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
         rhs = multiplier(compose(l1, l2), z, spec)
         yield abs(lhs - rhs) / abs(rhs)
@@ -577,18 +561,17 @@ def _mult_cocycle_invq(cfg, rng, trials):
 
 def _cocycle_defect(rng, trials, spec, sampler, cocycle):
     """Relative defects of K(l2, z) K(l1, l2 z) = exp(cocycle(l1, l2)) K(l1 l2, z)."""
-    for _ in range(trials):
-        l1, l2 = sampler(), sampler()
-        z = Point(rng.uniform(-0.4, 0.4), rng.uniform(-1.2, 1.2))
-        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
-        rhs = np.exp(cocycle(l1, l2)) * multiplier(compose(l1, l2), z, spec)
-        yield abs(lhs - rhs) / abs(lhs)
+    l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
+    z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
+    lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
+    rhs = np.exp(cocycle(l1, l2)) * multiplier(compose(l1, l2), z, spec)
+    yield abs(lhs - rhs) / abs(lhs)
 
 
 @_register("multiplier", "cocycle_linear", "projective multiplier product law, linear family", 1e-10, 500, families=("linear",))
 def _mult_cocycle_linear(cfg, rng, trials):
     spec = cfg.specs()["linear"]
-    yield from _cocycle_defect(rng, trials, spec, lambda: random_element(rng),
+    yield from _cocycle_defect(rng, trials, spec, random_element,
                                lambda l1, l2: cocycle_linear(l1, l2, spec.k))
 
 
@@ -602,17 +585,15 @@ def _mult_cocycle_quadratic(cfg, rng, trials):
     sp = cfg.specs()
     half = max(1, trials // 2)
     yield from _quadratic_cocycle_defect(
-        rng, half, sp["quadratic"], lambda: random_admissible_element(rng), "resolved")
-    yield from _quadratic_cocycle_defect(
-        rng, half, sp["disk"], lambda: random_disk_element(rng), "resolved")
+        rng, half, sp["quadratic"], random_admissible_element, "resolved")
+    yield from _quadratic_cocycle_defect(rng, half, sp["disk"], random_disk_element, "resolved")
 
 
 @_register("multiplier", "cocycle_variant_resolution", "misprinted cocycle bracket fails, resolved one passes", 0.5, 60, families=("quadratic",), structural=True)
 def _mult_variant(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
-    sampler = lambda: random_admissible_element(rng)
-    good = worst_defect(_quadratic_cocycle_defect(rng, trials, spec, sampler, "resolved"))
-    bad = worst_defect(_quadratic_cocycle_defect(rng, trials, spec, sampler, "printed"))
+    good, bad = (worst_defect(_quadratic_cocycle_defect(
+        rng, trials, spec, random_admissible_element, variant)) for variant in ("resolved", "printed"))
     yield 0.0 if good < 1e-10 and bad > 1e-6 else 1.0
 
 
@@ -659,30 +640,25 @@ def _mult_oracle_disk(cfg, rng, trials):
 def _mult_structure(cfg, rng, trials):
     """Central differences of the frame: B = f'/(2 k xi), C = xi'/(4 k xi)."""
     h = 1e-5
-    for name, sampler in (
-        ("linear", lambda: random_element(rng)),
-        ("quadratic", lambda: random_admissible_element(rng)),
-    ):
+    for name, sampler in (("linear", random_element), ("quadratic", random_admissible_element)):
         spec = cfg.specs()[name]
-        for _ in range(trials):
-            l = sampler()
-            t = rng.uniform(-0.3, 0.3)
-            fr = frame(l, spec, t + np.array([-h, 0.0, h]))
-            fdot = (fr.f[2] - fr.f[0]) / (2.0 * h)
-            xidot = (fr.xi[2] - fr.xi[0]) / (2.0 * h)
-            yield abs(fr.B[1] - fdot / (2.0 * spec.k * fr.xi[1]))
-            yield abs(fr.C[1] - xidot / (4.0 * spec.k * fr.xi[1]))
+        l = sampler(rng, size=trials)
+        t = rng.uniform(-0.3, 0.3, trials)
+        fr = frame(l, spec, t + np.array([[-h], [0.0], [h]]))
+        fdot = (fr.f[2] - fr.f[0]) / (2.0 * h)
+        xidot = (fr.xi[2] - fr.xi[0]) / (2.0 * h)
+        yield abs(fr.B[1] - fdot / (2.0 * spec.k * fr.xi[1]))
+        yield abs(fr.C[1] - xidot / (4.0 * spec.k * fr.xi[1]))
 
 
 @_register("multiplier", "nls_modulus", "two-coordinate multiplier has unit-free modulus, imaginary k", 1e-10, 200, families=("nls2d",))
 def _mult_nls(cfg, rng, trials):
     spec = cfg.specs()["nls2d"]
-    for _ in range(trials):
-        l = random_element(rng)
-        t = rng.uniform(-0.4, 0.4)
-        z = Point(t, (rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        r = l.a * t + l.b
-        yield abs(abs(multiplier(l, z, spec)) ** 2 - 1.0 / r ** 2)
+    l = random_element(rng, size=trials)
+    t = rng.uniform(-0.4, 0.4, trials)
+    z = Point(t, tuple(rng.uniform(-1, 1, (2, trials))))
+    r = l.a * t + l.b
+    yield abs(abs(multiplier(l, z, spec)) ** 2 - 1.0 / r ** 2)
 
 
 @_register("multiplier", "k0_values", "free-to-oscillator lift reproduces its closed constants", 1e-12, families=("quadratic",))

@@ -49,7 +49,9 @@ def test_empty_report_is_empty_and_passes():
 
 @pytest.mark.parametrize("defects", [
     (math.nan, 0.1, 0.2), (0.1, math.nan, 0.2), (0.1, 0.2, math.nan),
-], ids=["first", "middle", "last"])
+    (np.array([math.nan, 0.1, 0.2]),), (0.3, np.array([0.1, math.nan, 0.2])),
+    (np.array([0.1, 0.2, math.nan]), 0.3),
+], ids=["first", "middle", "last", "array_first", "array_middle", "array_last"])
 def test_nan_defect_fails_its_check(defects):
     def fn(cfg, rng, trials):
         yield from defects

@@ -37,6 +37,16 @@ def test_determinant_error():
         Mat2(2.0, 0.0, 0.0, 2.0)
 
 
+def test_determinant_guard_rejects_nan_and_acts_per_entry():
+    with pytest.raises(DeterminantError):
+        Mat2(np.nan, 0.0, 0.0, 1.0)
+    c = np.ones(5)
+    Mat2(c, 0.0, 0.0, c)
+    c[2] = 1.1
+    with pytest.raises(DeterminantError):
+        Mat2(c, 0.0, 0.0, np.ones(5))
+
+
 def test_compose_time_translations_add():
     l1 = GroupElement(Mat2(1.0, 0.4, 0.0, 1.0))
     l2 = GroupElement(Mat2(1.0, 0.35, 0.0, 1.0))
