@@ -58,6 +58,9 @@ def asjet(value, nvars, order):
 
 class Jet:
     __slots__ = ("nvars", "order", "coef")
+    # numpy defers to the reflected operators, so ``ndarray * jet`` is a jet
+    # with array coefficients rather than an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, nvars, order, coef):
         self.nvars = nvars

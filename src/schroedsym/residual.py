@@ -10,10 +10,16 @@ axis varies along the first array dimension and each space axis along its
 own, so the frame and the time-only jets hold one value per time, and only
 what mixes ``t`` with ``x`` is computed on the whole grid.  Reports
 broadcast their arrays before locating the worst point.
+
+An element whose entries have shape ``(n,)`` is a batch of n elements on
+its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
+``x (1, nx)``): one verification covers the batch, and its report has one
+``max_abs``/``max_rel`` per element.  A scalar element is batch shape ().
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +37,7 @@ from .coords import (
     frame,
 )
 from .errors import DomainError
-from .group import GroupElement
+from .group import GroupElement, Mat2
 from .multiplier import IntertwinerParams, k0_map
 from .solutions import SmoothFn
 
@@ -64,7 +70,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Grid summary of a pointwise residual."""
+    """Grid summary of a pointwise residual: floats for one function,
+    arrays of the batch shape for a batch; ``n_points`` counts them all."""
 
     max_abs: float
     max_rel: float
@@ -74,11 +81,19 @@ class ResidualReport:
     n_domain_errors: int = 0
 
     def __str__(self):
-        s = (f"max_abs={self.max_abs:.3e} max_rel={self.max_rel:.3e} "
-             f"at (t, x)={self.argmax} over {self.n_points} points")
+        i = np.argmax(self.max_rel) if np.ndim(self.max_rel) else ()  # a batch's worst entry
+        s = (f"max_abs={np.asarray(self.max_abs)[i]:.3e} max_rel={np.asarray(self.max_rel)[i]:.3e} "
+             f"at (t, x)={tuple(complex(np.asarray(a)[i]) for a in self.argmax)} "
+             f"over {self.n_points} points")
         if self.convergence_order is not None:
             s += f", fd order {self.convergence_order:.2f}"
         return s
+
+    @property
+    def defect(self):
+        """``max_rel``, or inf when any grid point fell outside the
+        function's domain: a check must not pass on a grid it dropped."""
+        return math.inf if self.n_domain_errors else self.max_rel
 
 
 def potential(spec: FamilySpec, xs):
@@ -154,16 +169,23 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
 
 
 def _report(resid, scale, t, xs, order=None, nerr=0):
-    """Summary of ``|resid|`` relative to ``scale`` over the broadcast grid."""
-    resid, scale, t, *xs = np.broadcast_arrays(resid, scale, t, *xs)
-    absr = np.abs(resid)
-    rel = absr / (scale + REL_FLOOR)
-    i = int(np.argmax(absr))
+    """Summary of ``|resid|`` relative to ``scale`` over the broadcast grid,
+    the last ``t.ndim`` axes; batch axes ahead of them are kept."""
+    resid, scale, *coords = np.broadcast_arrays(resid, scale, t, *xs)
+    nb = resid.ndim - np.ndim(t)
+    batch, grid = resid.shape[:nb], resid.shape[nb:]
+    absr = np.abs(resid).reshape(batch + (-1,))
+    rel = absr / (scale.reshape(batch + (-1,)) + REL_FLOOR)
+    at = np.indices(batch, sparse=True) + np.unravel_index(absr.argmax(axis=-1), grid)
+
+    def out(a, kind):  # a scalar for one function, an array for a batch
+        return a if batch else kind(a)
+
     return ResidualReport(
-        max_abs=float(absr.max()),
-        max_rel=float(rel.max()),
-        argmax=tuple(complex(a.flat[i]) for a in [t] + xs),
-        n_points=int(resid.size),
+        max_abs=out(absr.max(axis=-1), float),
+        max_rel=out(rel.max(axis=-1), float),
+        argmax=tuple(out(a[at].astype(complex), complex) for a in coords),
+        n_points=resid.size,
         convergence_order=order,
         n_domain_errors=nerr,
     )
@@ -180,14 +202,14 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec, mode="analytic
         fn.check_domain(t, xs[0] if fn.ndim == 1 else tuple(xs))
         in_domain = None
     except DomainError:
-        # keep the points the function accepts, count the rest
+        # keep the points the function accepts (for a batch, that every
+        # element accepts) along the first grid axis, count the rest
         t, *xs = (a.ravel() for a in np.broadcast_arrays(t, *xs))
         in_domain = np.array([fn.in_domain(ti, xi[0] if fn.ndim == 1 else tuple(xi))
                               for ti, *xi in zip(t, *xs)])
         if not in_domain.any():
             raise DomainError("no grid point lies in the function's domain")
-        t = t[in_domain]
-        xs = [x[in_domain] for x in xs]
+        t, *xs = (a[in_domain].reshape((-1,) + (1,) * fn.ndim) for a in [t] + xs)
     nerr = 0 if in_domain is None else int((~in_domain).sum())
 
     if mode == "analytic":
@@ -234,8 +256,19 @@ class PullbackFn(SmoothFn):
         return jets.compose(bj, [tp] + xps) * kj
 
 
+def _batch_first(l: GroupElement, naxes):
+    """``l`` with its entries' batch axes ahead of ``naxes`` grid axes."""
+    entries = (l.c, l.d, l.a, l.b, l.mu, l.nu)
+    if not any(isinstance(v, np.ndarray) for v in entries):
+        return l
+    c, d, a, b, mu, nu = (np.reshape(v, np.shape(v) + (1,) * naxes) for v in entries)
+    return GroupElement(Mat2(c, d, a, b), mu, nu)
+
+
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
-    """The group-transformed function K(Z | element) * fn(element Z)."""
+    """The group-transformed function K(Z | element) * fn(element Z); a
+    batched element gives a function with the batch axes leading."""
+    l = _batch_first(l, 1 + spec.n)
 
     def pullback(tj, xjs):
         fr = frame(l, spec, tj)
@@ -312,7 +345,7 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     """
     t, xs = grid.points(spec.n)
     lhs, psi_prime = residual_arrays(transformed(fn, l, spec), spec, t, xs)
-    fr = frame(l, spec, t)
+    fr = frame(_batch_first(l, 1 + spec.n), spec, t)
     base_res, _ = residual_arrays(fn, spec, fr.tp, list(fr.space(xs)))
     rhs = fr.xi * fr.xi * fr.multiplier(xs) * base_res
     return _report(lhs - rhs, np.abs(rhs) + np.abs(psi_prime), t, xs)

@@ -432,38 +432,47 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 def _contour_integral(p, beta, delta, trunc, h, moments):
     """2 Re of the damped oscillatory integral, rotated onto the ray
     e^{i pi/6} where the cubic phase decays; ``moments`` selects x-derivative
-    weights (i beta z)^m.  Returns a list, one value per moment order."""
+    weights (i beta z)^m.  The result has one row per moment order, each of
+    the shape of ``p``.  The Gauss-Legendre nodes of all panels of both
+    contour pieces (0 -> i delta, then the ray) are one array, evaluated for
+    every ``p`` at once, per truncation: without a given ``trunc`` each ``p``
+    gets the least whole one at which the cubic phase has decayed."""
+    p = np.asarray(p, dtype=float)
     ray = np.exp(1j * np.pi / 6.0)
     if trunc is None:
-        trunc = 4.0
-        while beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0:
-            trunc += 1.0
-    # tail estimate at the truncation point
+        trunc = np.full(p.shape, 4.0)
+        while np.any(short := beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0):
+            trunc = trunc + short
+    trunc = np.broadcast_to(trunc, p.shape)
+    # tail estimate at the truncation point, per p
     ztail = 1j * delta + ray * trunc
     phase = 1j * (p * ztail + beta ** 2 * ztail ** 3 / 3.0)
     decay = beta ** 2 * trunc ** 2 / 2.0
-    tail = np.exp(np.real(phase)) / max(decay, 1e-30) * max(abs(p), 1.0) ** max(moments)
-    if tail > 1e-8:
-        raise QuadratureError(f"tail estimate {tail:.3e} exceeds 1e-8")
+    tail = np.exp(np.real(phase)) / np.maximum(decay, 1e-30) * np.maximum(abs(p), 1.0) ** max(moments)
+    if np.any(tail > 1e-8):
+        raise QuadratureError(f"tail estimate {np.max(tail):.3e} exceeds 1e-8")
 
-    def integrate(dl):
-        total = np.zeros(len(moments), dtype=complex)
-        # vertical segment 0 -> i dl, then the rotated ray
-        for z0, direction, length in ((0.0, 1j, dl), (1j * dl, ray, trunc)):
-            nseg = max(1, int(np.ceil(length / h)))
-            edges = np.linspace(0.0, length, nseg + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                z = z0 + direction * (mid + half * _GL_NODES)
-                w = half * _GL_WEIGHTS * direction
-                f = np.exp(1j * (p * z + beta ** 2 * z ** 3 / 3.0))
-                for mi, m in enumerate(moments):
-                    total[mi] += np.sum(w * f * (1j * beta * z) ** m)
-        return 2.0 * np.real(total)
+    def integrate(p, length, dl):
+        z, w = [], []
+        for z0, direction, span in ((0.0, 1j, dl), (1j * dl, ray, length)):
+            edges = np.linspace(0.0, span, max(1, int(np.ceil(span / h))) + 1)
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            z.append(z0 + direction * (mid[:, None] + half[:, None] * _GL_NODES))
+            w.append(half[:, None] * _GL_WEIGHTS * direction)
+        z, w = np.concatenate(z).ravel(), np.concatenate(w).ravel()
+        wf = np.multiply.outer(p, z)  # in place from here: one (p, node) array
+        wf += beta ** 2 * z ** 3 / 3.0
+        wf *= 1j
+        np.exp(wf, out=wf)
+        wf *= w
+        return np.stack([2.0 * np.real(np.sum(wf * (1j * beta * z) ** m, axis=-1)) for m in moments])
 
-    v1 = integrate(delta)
-    v2 = integrate(delta / 2.0)
-    return 2.0 * v2 - v1  # Richardson extrapolation of the damping offset
+    out = np.empty((len(moments),) + p.shape)
+    for length in np.unique(trunc):
+        sel = trunc == length
+        # Richardson extrapolation of the damping offset
+        out[:, sel] = 2.0 * integrate(p[sel], length, delta / 2.0) - integrate(p[sel], length, delta)
+    return out
 
 
 class AiryFn:
@@ -476,20 +485,13 @@ class AiryFn:
         return self.derivatives(x, 0)[0]
 
     def derivatives(self, x, max_order):
-        """u(x), u'(x), ... up to max_order (<= 3)."""
+        """u(x), u'(x), ... up to max_order (<= 3): one row per order, each
+        of the shape of ``x``."""
         if max_order > 3:
             raise DomainError("quadrature moments implemented to order 3")
         p = self.spec.alpha + self.spec.beta * np.asarray(x)
-        moments = tuple(range(max_order + 1))
-        if np.ndim(p) == 0:
-            return _contour_integral(float(p), self.spec.beta, self.spec.delta,
-                                     self.spec.trunc, self.spec.h, moments)
-        out = np.array([
-            _contour_integral(float(pv), self.spec.beta, self.spec.delta,
-                              self.spec.trunc, self.spec.h, moments)
-            for pv in p
-        ])
-        return [out[:, m] for m in moments]
+        return _contour_integral(p, self.spec.beta, self.spec.delta, self.spec.trunc,
+                                 self.spec.h, tuple(range(max_order + 1)))
 
     def ode_residual(self, x):
         """-u'' + beta x u - E u; zero for the true bound-state profile."""
@@ -504,7 +506,8 @@ def airy_u(spec: AirySpec) -> AiryFn:
 def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
     """Roots of the x = 0 boundary condition in the energy window.
 
-    Brackets sign changes of u(0; E) on a uniform scan, then bisects.
+    Brackets sign changes of u(0; E) on a uniform scan, evaluated as one
+    batch, then bisects.
     """
     lo, hi = e_range
     if not hi > lo:
@@ -514,7 +517,7 @@ def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
         return _contour_integral(-E, spec.beta, spec.delta, spec.trunc, spec.h, (0,))[0]
 
     es = np.linspace(lo, hi, scan_points)
-    vals = np.array([u0(e) for e in es])
+    vals = u0(es)
     roots = []
     for i in range(len(es) - 1):
         if vals[i] == 0.0:

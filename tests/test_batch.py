@@ -1,13 +1,17 @@
-"""Batched group elements: one array pass equals the per-entry scalar
-evaluation, and a slip in one trial of a batch fails its check."""
+"""Batched trials: one array pass equals the per-entry scalar evaluation,
+a slip in one trial of a batch fails its check, and every check that
+draws several trials evaluates them as a batch."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from schroedsym import suites
+from schroedsym import jets, residual, suites
 from schroedsym.coords import FamilySpec, Point, act, frame
 from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
 from schroedsym.multiplier import multiplier
+from schroedsym.residual import GridSpec, residual_arrays, transformed, verify_intertwining
 from schroedsym.sampling import (
     element_for_family,
     random_admissible_element,
@@ -17,6 +21,7 @@ from schroedsym.sampling import (
     random_sl2c,
     random_sl2r,
 )
+from schroedsym.solutions import ExpPolyFn, FormulaFn
 from schroedsym.suites import RunConfig, run_named_check
 
 N = 8
@@ -83,6 +88,118 @@ def test_one_slipped_trial_fails_its_batched_check(monkeypatch):
         assert not run_named_check(name, cfg).passed
 
 
+EXPFN = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
+X2FN = FormulaFn(lambda tj, xj: xj * xj)
+GRID = GridSpec((-0.4, 0.6), (-1.2, 1.2))
+GRID_X_POS = GridSpec((-0.4, 0.6), (0.4, 1.8))
+
+# a function that does not solve (so the residual is O(1)), a batch sampler,
+# the family and the grid of each batched residual verification
+RESIDUAL_CASES = {
+    "linear": (EXPFN, CASES["element"][0], LIN, GRID),
+    "inverse_quadratic": (X2FN, CASES["sl2r"][0], FamilySpec.inverse_quadratic(0.7, 0.0), GRID_X_POS),
+    "quadratic": (EXPFN, CASES["admissible"][0], QUAD, GRID),
+    "disk": (EXPFN, CASES["disk"][0], DISK, GRID),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_batched_residual_matches_scalar_verification_per_entry(case):
+    fn, sampler, spec, grid = RESIDUAL_CASES[case]
+    l = sampler(np.random.default_rng(5))
+    t, xs = grid.points(1)
+    resid, psi = residual_arrays(transformed(fn, l, spec), spec, t, xs)
+    assert resid.shape == psi.shape == (N, grid.nt, grid.nx)
+    rep = verify_intertwining(fn, l, spec, grid)
+    assert rep.max_rel.shape == (N,) and rep.n_points == N * grid.nt * grid.nx
+    for i in range(N):
+        r1, psi1 = residual_arrays(transformed(fn, _entry(l, i), spec), spec, t, xs)
+        np.testing.assert_allclose(resid[i], r1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(psi[i], psi1, rtol=1e-12, atol=0)
+        one = verify_intertwining(fn, _entry(l, i), spec, grid)
+        # the identity holds to round-off for every entry; a batch axis out of
+        # step with the frame's would leave an O(1) defect
+        assert rep.max_rel[i] < 1e-13 and one.max_rel < 1e-13
+        assert abs(rep.max_rel[i] - one.max_rel) < 1e-14
+
+
+def test_unbatched_report_is_scalar_and_batched_report_is_per_entry():
+    fn, sampler, spec, grid = RESIDUAL_CASES["linear"]
+    l = sampler(np.random.default_rng(5))
+    one = verify_intertwining(fn, _entry(l, 0), spec, grid)
+    assert type(one.max_abs) is float and type(one.max_rel) is float
+    assert all(type(c) is complex for c in one.argmax) and len(one.argmax) == 2
+    assert one.n_points == grid.nt * grid.nx and one.n_domain_errors == 0
+    batch = verify_intertwining(fn, l, spec, grid)
+    assert batch.max_abs.shape == batch.max_rel.shape == (N,)
+    assert all(np.shape(c) == (N,) for c in batch.argmax)
+    assert batch.n_points == N * grid.nt * grid.nx
+    assert batch.max_abs[0] == one.max_abs and batch.argmax[1][0] == one.argmax[1]
+    worst = int(np.argmax(batch.max_rel))
+    assert str(batch) == str(verify_intertwining(fn, _entry(l, worst), spec, grid)).replace(
+        f"over {grid.nt * grid.nx} points", f"over {batch.n_points} points")
+
+
+def test_one_slipped_trial_fails_a_batched_residual_check(monkeypatch):
+    def slipped(l, spec, t):  # the new time of the middle trial, by 1e-9
+        fr = frame(l, spec, t)
+        bump = np.ones(np.shape(l.a))
+        bump.flat[bump.size // 2] += 1e-9
+        return dataclasses.replace(fr, tp=fr.tp * bump)
+
+    cfg = RunConfig(seed=3)
+    assert run_named_check("residual.transformed_linear", cfg).passed
+    monkeypatch.setattr(residual, "frame", slipped)
+    assert not run_named_check("residual.transformed_linear", cfg).passed
+
+
+def test_a_slipped_weight_state_fails_eigenrelations(monkeypatch):
+    def slipped(spec, gamma=0.0):
+        g1, g2, g3 = g_functions(spec, gamma)
+        (term,) = g1.terms
+        (i, j, c), = term.expo
+        g1 = ExpPolyFn([(term.coeff, term.rho, term.sigma, [(i, j, c * (1 + 1e-9))])],
+                       kind=g1.kind, rate=g1.rate)
+        return g1, g2, g3
+
+    g_functions = suites.g_functions
+    cfg = RunConfig(seed=3)
+    assert run_named_check("liealg.eigenrelations", cfg).passed
+    monkeypatch.setattr(suites, "g_functions", slipped)
+    assert not run_named_check("liealg.eigenrelations", cfg).passed
+
+
+def test_uniform_rows_are_the_draws_of_a_per_trial_loop():
+    batch, loop = np.random.default_rng(4), np.random.default_rng(4)
+    t, x = suites._uniforms(batch, 5, (0.2, 2.0), (-1.5, 1.5))
+    drawn = [(loop.uniform(0.2, 2.0), loop.uniform(-1.5, 1.5)) for _ in range(5)]
+    np.testing.assert_array_equal(np.stack([t, x], axis=1), drawn)
+    assert batch.bit_generator.state == loop.bit_generator.state
+
+
+# checks that draw several trials and still evaluate them one at a time
+PER_TRIAL = {
+    "multiplier.ode_oracle_linear": "the RK4 oracle integrates one element's state at a time",
+    "multiplier.ode_oracle_quadratic": "the RK4 oracle integrates one element's state at a time",
+    "multiplier.ode_oracle_disk": "the RK4 oracle integrates one element's state at a time",
+    "residual.transformed_nls": "each trial is a 14^3-point grid; a batch holds them all at once",
+    "liealg.jacobi": "symbolic DiffOp algebra, which has no array axis",
+    "solutions.inverse_pair": "two fixed-grid lifts; its trial count is not used",
+    "multiplier.cocycle_variant_resolution": "batched; folds both batches into one pass/fail",
+}
+
+
+def test_every_multi_trial_check_yields_an_array_defect():
+    cfg = RunConfig(seed=1)
+    for checks in suites._REGISTRY.values():
+        for check in checks:
+            if check.trials == 1 or check.name in PER_TRIAL:
+                continue
+            rng = np.random.default_rng(1)
+            defects = list(check.fn(cfg, rng, check.trials))
+            assert any(isinstance(d, np.ndarray) for d in defects), check.name
+
+
 BATCHED = [
     *(f"group.{n}" for n in (
         "associativity", "inverse", "symplectic", "cocycle_cycle_linear",
@@ -95,6 +212,14 @@ BATCHED = [
     *(f"multiplier.{n}" for n in (
         "identity_value", "cocycle_inverse_quadratic", "cocycle_linear", "cocycle_quadratic",
         "cocycle_variant_resolution", "structure_consistency", "nls_modulus")),
+    *(f"residual.{n}" for n in (
+        "transformed_linear", "transformed_inverse_quadratic", "transformed_quadratic",
+        "transformed_disk", "intertwining_nonsolution")),
+    *(f"solutions.{n}" for n in (
+        "free_gaussian", "power_static", "linear_pair", "oscillator_states", "theta_pde",
+        "theta_modular", "airy_ode", "nls_plane_wave", "partials_fd", "mixed_symmetry")),
+    "liealg.eigenrelations",
+    "liealg.time_derivative_stays",
 ]
 
 

@@ -81,6 +81,20 @@ def test_array_coefficients_vectorize_over_grids():
     assert np.abs(F.partial((1, 0)) - fd).max() < 1e-7
 
 
+def test_array_times_jet_is_a_jet_with_array_coefficients():
+    # numpy must defer to the jet's reflected operators, not build an
+    # object array of jets
+    arr = np.array([0.1, 0.2])
+    X = Jet.variable(0.3, 0, 2, 2)
+    for got, want in ((arr * X, X * arr), (arr + X, X + arr), (arr - X, -X + arr),
+                      (arr / X, X.reciprocal() * arr)):
+        assert isinstance(got, Jet)
+        assert set(got.coef) == set(want.coef)
+        for k in got.coef:
+            np.testing.assert_array_equal(got.coef[k], want.coef[k])
+    assert np.shape((arr * X).value) == (2,)
+
+
 def test_truncation_order_is_respected():
     # exponents of parabolic weight 2 * k[0] + k[1] <= order are kept, the rest dropped
     t = Jet.variable(0.3, 0, 2, 5)

@@ -84,6 +84,22 @@ def test_grid_residual_skips_out_of_domain_points():
     assert rep.max_rel < 1e-11
 
 
+def test_a_residual_check_on_a_dropped_grid_fails():
+    # t down to -5 takes part of the grid out of the Gaussian's domain t > -2
+    from schroedsym.suites import RunConfig, run_named_check
+    result = run_named_check("residual.lift_residuals", RunConfig(seed=3, t_range=(-5.0, 0.6)))
+    assert not result.passed and result.value == np.inf
+    invq, half_out = FamilySpec.inverse_quadratic(0.7, 2.0), GridSpec((-0.3, 0.3), (-0.5, 1.5))
+    rep = grid_residual(power_static(2.0, 2.0), invq, half_out)
+    assert rep.n_domain_errors > 0 and rep.defect == np.inf
+    # a batch keeps the points every element accepts, and fails the same way
+    l = GroupElement(random_sl2r(np.random.default_rng(2), 0.3, size=4))
+    batch = verify_transformed_solution(power_static(2.0, 2.0), l, invq, half_out)
+    assert batch.max_rel.shape == (4,) and batch.max_rel.max() < 1e-11
+    assert batch.n_domain_errors > 0 and batch.defect == np.inf
+    assert grid_residual(f_pair(LIN)[0], LIN, GRID).defect < 1e-11
+
+
 @pytest.mark.parametrize("fn, spec", [
     (constant_one(), FREE),
     (power_static(2.0, 2.0), FamilySpec.inverse_quadratic(0.7, 2.0)),

@@ -6,6 +6,9 @@ from schroedsym.coords import FamilySpec, Point
 from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError
 from schroedsym.residual import GridSpec, grid_residual, residual_arrays, residual_at
 from schroedsym.solutions import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _contour_integral,
     AirySpec,
     airy_u,
     constant_one,
@@ -206,6 +209,54 @@ def test_eigenvalue_scan_matches_airy_zeros():
     spec2 = AirySpec(alpha=-2.0, beta=2.0)
     r = eigenvalue_scan(spec2, (2.0, 5.0))
     assert abs(r[0] - zeros[0] * 2.0 ** (2.0 / 3.0)) < 1e-6
+
+
+def _contour_integral_per_panel(p, beta, delta, trunc, h, moments):
+    """The quadrature of ``_contour_integral`` for one p, panel by panel."""
+    ray = np.exp(1j * np.pi / 6.0)
+
+    def integrate(dl):
+        total = np.zeros(len(moments), dtype=complex)
+        for z0, direction, length in ((0.0, 1j, dl), (1j * dl, ray, trunc)):
+            nseg = max(1, int(np.ceil(length / h)))
+            edges = np.linspace(0.0, length, nseg + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                z = z0 + direction * (mid + half * _GL_NODES)
+                f = np.exp(1j * (p * z + beta ** 2 * z ** 3 / 3.0))
+                for mi, m in enumerate(moments):
+                    total[mi] += np.sum(half * _GL_WEIGHTS * direction * f * (1j * beta * z) ** m)
+        return 2.0 * np.real(total)
+
+    return 2.0 * integrate(delta / 2.0) - integrate(delta)
+
+
+@pytest.mark.parametrize("beta, trunc, h", [(1.0, 6.0, 0.25), (1.0, 7.0, 0.3), (2.0, 4.0, 0.25)])
+def test_vectorised_contour_integral_matches_the_per_panel_loop(beta, trunc, h):
+    ps = np.array([-4.3, -1.0, 0.0, 0.7, 2.5, 5.0])
+    moments = (0, 1, 2, 3)
+    batch = _contour_integral(ps, beta, 1e-3, trunc, h, moments)
+    assert batch.shape == (4, len(ps))
+    for i, p in enumerate(ps):
+        want = _contour_integral_per_panel(p, beta, 1e-3, trunc, h, moments)
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_array_equal(_contour_integral(p, beta, 1e-3, trunc, h, moments),
+                                      batch[:, i])
+
+
+def test_contour_truncation_is_chosen_per_p():
+    # at beta = 0.5, |p| = 6 needs a longer contour than |p| <= 3
+    ps = np.array([6.0, 0.5, -1.0])
+    batch = _contour_integral(ps, 0.5, 1e-3, None, 0.25, (0, 2))
+    for i, trunc in enumerate((10.0, 9.0, 9.0)):
+        want = _contour_integral_per_panel(ps[i], 0.5, 1e-3, trunc, 0.25, (0, 2))
+        np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
+        # one panel more or less would move the sum at round-off
+        np.testing.assert_array_equal(batch[:, i], _contour_integral(ps[i], 0.5, 1e-3, None, 0.25, (0, 2)))
+    u = airy_u(AirySpec(alpha=-1.0, beta=1.0))
+    xs = np.linspace(0.0, 3.0, 4)
+    np.testing.assert_array_equal(u.derivatives(xs, 2)[2], [u.derivatives(x, 2)[2] for x in xs])
 
 
 def test_airy_quadrature_error_on_tiny_truncation():
