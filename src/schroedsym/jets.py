@@ -1,11 +1,18 @@
 """Truncated multivariate Taylor (jet) arithmetic.
 
 A ``Jet`` stores the Taylor coefficients of a scalar function at a point,
-keyed by exponent tuples.  Coefficients may be plain complex scalars or
-numpy arrays, so one jet evaluation can cover an entire sampling grid at
-once.  All branchy functions (``exp``, ``log``, ``sqrt``, complex powers)
-use principal branches on the constant term and nilpotent series for the
+keyed by exponent tuples.  Coefficients may be plain scalars or numpy
+arrays, so one jet evaluation can cover an entire sampling grid at once.
+All branchy functions (``exp``, ``log``, ``sqrt``, complex powers) use
+principal branches on the constant term and nilpotent series for the
 rest, which is exactly the chain rule.
+
+Real data stays real.  A coefficient is float64 unless a complex value
+enters it: a complex input or constant (imaginary k, a plane-wave or
+theta phase), or a branch function (``log``, ``sqrt``, ``cpow``) whose
+argument leaves [0, inf), which then gives the principal-branch complex
+value for the whole array.  These are ``numpy.emath``'s semantics, used
+alike for jets and plain arrays, so the jet and array paths agree.
 
 Truncation is by parabolic weight: variable 0 is time and counts twice,
 so the exponent ``k`` weighs ``2 k[0] + k[1] + ...`` and a jet of order N
@@ -172,7 +179,7 @@ class Jet:
 
     def exp(self):
         c, h = self._split()
-        out = Jet.const(1.0 + 0.0j, self.nvars, self.order)
+        out = Jet.const(1.0, self.nvars, self.order)
         hp = None
         for i in range(1, self.order + 1):
             hp = h if hp is None else hp * h
@@ -184,7 +191,7 @@ class Jet:
     def log(self):
         c, h = self._split()
         inv_c = 1.0 / c
-        out = Jet.const(np.log(c), self.nvars, self.order)
+        out = Jet.const(np.emath.log(c), self.nvars, self.order)
         hp = None
         for i in range(1, self.order + 1):
             hp = h if hp is None else hp * h
@@ -207,8 +214,14 @@ class Jet:
 
     def cpow(self, p):
         """Principal-branch power with arbitrary complex exponent."""
+        return self._power(p, np.emath.power(self.value, p))
+
+    def sqrt(self):
+        return self._power(0.5, np.emath.sqrt(self.value))
+
+    def _power(self, p, cp):
+        """Series of the p-th power whose constant term is ``cp``."""
         c, h = self._split()
-        cp = np.power(c + 0.0j, p)
         inv_c = 1.0 / c
         out = Jet.const(cp, self.nvars, self.order)
         hp = None
@@ -221,9 +234,6 @@ class Jet:
             out = out + hp * (binom * inv_c ** i * cp)
         return out
 
-    def sqrt(self):
-        return self.cpow(0.5)
-
 
 # -- scalar/array/jet generic wrappers --------------------------------------
 
@@ -233,15 +243,15 @@ def exp(z):
 
 
 def log(z):
-    return z.log() if isinstance(z, Jet) else np.log(z + 0.0j)
+    return z.log() if isinstance(z, Jet) else np.emath.log(z)
 
 
 def sqrt(z):
-    return z.sqrt() if isinstance(z, Jet) else np.sqrt(z + 0.0j)
+    return z.sqrt() if isinstance(z, Jet) else np.emath.sqrt(z)
 
 
 def cpow(z, p):
-    return z.cpow(p) if isinstance(z, Jet) else np.power(z + 0.0j, p)
+    return z.cpow(p) if isinstance(z, Jet) else np.emath.power(z, p)
 
 
 def value_of(z):
@@ -273,7 +283,7 @@ def compose(base, args):
         for _ in range(maxdeg):
             p.append(p[-1] * d)
         powers.append(p)
-    out = Jet.const(0.0j, nvars, order)
+    out = Jet.const(0.0, nvars, order)
     for alpha, c in base.coef.items():
         term = Jet.const(c, nvars, order)
         for i, a in enumerate(alpha):

@@ -55,8 +55,7 @@ def k0_map(p: IntertwinerParams, spec: FamilySpec, t, x):
     A0 = -(p.tau ** 2) / (4.0 * omega) / denom - k * alpha * t
     B0 = p.tau * rootu / denom
     C0 = omega * (p.lam - u) / (2.0 * denom)
-    k0 = rootu.cpow(0.5) if isinstance(rootu, jets.Jet) else np.power(rootu + 0.0j, 0.5)
-    k0 = k0 * jets.cpow(denom, -0.5) * _guarded_exp(A0 + B0 * x + C0 * x * x)
+    k0 = jets.sqrt(rootu) * jets.cpow(denom, -0.5) * _guarded_exp(A0 + B0 * x + C0 * x * x)
     return tp, xp, k0
 
 

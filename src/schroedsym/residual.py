@@ -146,7 +146,8 @@ def residual_at(fn: SmoothFn, spec: FamilySpec, z: Point):
 
 
 def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
-    """Vectorized residual and value over point arrays."""
+    """Vectorized residual and value over point arrays; float64 for a real
+    family on real points (the dtype rule of ``jets``)."""
     x_arg = xs[0] if fn.ndim == 1 else tuple(xs)
     j = fn.jet(t, x_arg, 2)
     return _residual_from_jet(j, spec, xs), j.value

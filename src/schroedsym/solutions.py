@@ -41,7 +41,8 @@ class SmoothFn:
     def jet(self, t, x, order) -> Jet:
         """Jet at (t, x) holding every partial whose parabolic weight
         (twice the t order plus the x orders) is at most ``order``: order 2
-        gives psi, psi_t, the x partials and the second x partials."""
+        gives psi, psi_t, the x partials and the second x partials.  The
+        coefficients are float64 for real data (the dtype rule of ``jets``)."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -161,7 +162,7 @@ class ExpPolyFn(SmoothFn):
                 else:
                     piece = jets.asjet(piece, tau.nvars, tau.order)
                 expo = piece if expo is None else expo + piece
-            val = jets.exp(expo) if expo is not None else Jet.const(1.0 + 0.0j, tau.nvars, tau.order)
+            val = jets.exp(expo) if expo is not None else Jet.const(1.0, tau.nvars, tau.order)
             if term.rho:
                 val = val * (tpow(int(term.rho)) if float(term.rho).is_integer()
                              else jets.cpow(tau, term.rho))
@@ -263,7 +264,7 @@ def gaussian_free(k, t0=0.0) -> ExpPolyFn:
     """Heat/Schrodinger kernel (4 pi k (t + t0))^{-1/2} e^{-x^2/(4k(t+t0))}."""
     if k == 0:
         raise DomainError("k must be nonzero")
-    c = np.power(4.0 * np.pi * k + 0.0j, -0.5)
+    c = jets.cpow(4.0 * np.pi * k, -0.5)
     return ExpPolyFn(
         [(c, -0.5, 0.0, [(-1, 2, -1.0 / (4.0 * k))])],
         shift=t0,

@@ -719,7 +719,7 @@ def _sol_fpair(cfg, rng, trials):
     yield abs(base.value(0.7, 0.4) - np.exp(-cfg.k * cfg.alpha * 0.7))
 
 
-@_register("solutions", "inverse_pair", "both inverse lifts land in the free solution space", 1e-11, 10, families=("linear",))
+@_register("solutions", "inverse_pair", "both inverse lifts land in the free solution space", 1e-11, families=("linear",))
 def _sol_phipair(cfg, rng, trials):
     spec = cfg.specs()["linear"]
     free = cfg.specs()["free"]

@@ -184,7 +184,6 @@ PER_TRIAL = {
     "multiplier.ode_oracle_disk": "the RK4 oracle integrates one element's state at a time",
     "residual.transformed_nls": "each trial is a 14^3-point grid; a batch holds them all at once",
     "liealg.jacobi": "symbolic DiffOp algebra, which has no array axis",
-    "solutions.inverse_pair": "two fixed-grid lifts; its trial count is not used",
     "multiplier.cocycle_variant_resolution": "batched; folds both batches into one pass/fail",
 }
 

@@ -10,9 +10,11 @@ from schroedsym.coords import (
     quadratic_frame,
     reality_domain_check,
     comoving_identity_check,
+    frame,
 )
 from schroedsym.errors import BranchError, DomainError, ShapeError, SingularTime, ZeroK, ZeroOmega
 from schroedsym.group import DiskParams, GroupElement, Mat2, compose, disk_parametrize
+from schroedsym.jets import Jet, value_of
 from schroedsym.sampling import random_admissible_element, random_disk_element, random_element, random_sl2r
 
 RNG = np.random.default_rng(11)
@@ -213,3 +215,17 @@ def test_act_dispatch_matches_family_actions():
     la = random_admissible_element(RNG)
     tp, xi, f, *_ = quadratic_frame(la, QUAD, z.t)
     assert act(la, z, QUAD) == Point(tp, xi * z.x1 + f)
+
+
+def test_frame_jet_and_array_paths_agree_where_a_t_plus_b_is_negative():
+    # a t + b = -0.4 at the first point: A = -log(a t + b)/2 takes the
+    # principal branch on both paths, with no NaN on the jet path
+    l = GroupElement(Mat2(10.0, 0.0, 1.0, 0.1), 0.0, 0.0)
+    spec = FamilySpec.linear(0.7, 0.3, 0.9)
+    t = np.array([-0.5, 0.5])
+    arr = frame(l, spec, t)
+    with np.errstate(all="raise"):
+        jet = frame(l, spec, Jet.variable(t, 0, 2, 2))
+    assert arr.A[0] == pytest.approx(367.1158 - 1.5708j, abs=1e-4)
+    for name in ("tp", "xi", "f", "A", "B", "C"):
+        np.testing.assert_allclose(value_of(getattr(jet, name)), getattr(arr, name), rtol=1e-14)

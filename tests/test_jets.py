@@ -44,6 +44,31 @@ def test_log_exp_roundtrip_and_sqrt():
     assert all(abs(p.coef[k] - s.coef[k]) < 1e-14 for k in s.coef)
 
 
+def test_branch_functions_of_a_mixed_sign_constant_match_the_array_path():
+    # the constant term of a jet's log, sqrt and cpow is what the plain-array
+    # function gives: the principal branch, complex once an entry is negative
+    c = np.array([-0.4, 0.5, 2.0])
+    z = Jet.variable(c, 0, 1, 2)
+    with np.errstate(all="raise"):
+        pairs = ((z.log(), log(c)), (z.sqrt(), sqrt(c)), (z.cpow(-0.5), cpow(c, -0.5)))
+    for got, want in pairs:
+        assert np.iscomplexobj(got.value)
+        np.testing.assert_array_equal(got.value, want)
+    assert log(c)[0] == pytest.approx(np.log(0.4) + 1j * np.pi, rel=1e-15)
+    assert sqrt(c)[0] == pytest.approx(1j * np.sqrt(0.4), rel=1e-15)
+
+
+def test_real_data_stays_real_until_a_branch_function_leaves_the_half_line():
+    t = Jet.variable(np.array([0.5, 1.5]), 0, 2, 4)
+    x = Jet.variable(np.array([-0.3, 0.2]), 1, 2, 4)
+    z = t + x * x
+    for f in (exp(t * x), log(z), sqrt(z), cpow(z, -0.5), compose(z, [t, x]),
+              exp(z) / z, z ** 3):
+        assert all(np.asarray(v).dtype == np.float64 for v in f.coef.values())
+    assert np.iscomplexobj(log(x).value) and np.iscomplexobj(exp(1j * x).value)
+    assert np.asarray(log(np.array([0.5, 2.0]))).dtype == np.float64
+
+
 def test_integer_power_keeps_branch_for_negative_base():
     x = Jet.variable(-1.5, 0, 1, 2)
     cube = x ** 3

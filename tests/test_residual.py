@@ -226,6 +226,54 @@ def test_order_2_residual_matches_partials_of_order_4_jets(case):
     assert np.abs(resid - ref).max() <= 1e-13 * scale
 
 
+REAL_IDS = ["linear", "inverse_quadratic", "quadratic", "K0", "f1", "f2",
+            "intertwining_linear", "intertwining_quadratic", "intertwining_x2"]
+
+
+def _real_cases(rng):
+    """The order-2 pullbacks of real data: every real case of the graded
+    set, and intertwining with exp(t + x) and x^2."""
+    expfn = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
+    x2fn = FormulaFn(lambda tj, xj: xj * xj)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    grid_x_pos = GridSpec((-0.4, 0.6), (0.4, 1.8), nt=9, nx=11)
+    invq0 = FamilySpec.inverse_quadratic(0.7, 0.0)
+    graded = dict(zip(GRADED_IDS, _graded_cases(rng)))
+    return [graded[name] for name in REAL_IDS[:7]] + [
+        (transformed(expfn, random_admissible_element(rng), QUAD), QUAD, grid),
+        (transformed(x2fn, GroupElement(random_sl2r(rng)), invq0), invq0, grid_x_pos),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9), ids=REAL_IDS)
+def test_jets_of_real_data_stay_real_and_match_the_complex_path(case):
+    fn, spec, grid = _real_cases(np.random.default_rng(5))[case]
+    t, xs = grid.points(spec.n)
+    j = fn.jet(t, xs[0], 2)
+    assert all(np.asarray(v).dtype == np.float64 for v in j.coef.values())
+    # t + 0j drives every array through complex arithmetic
+    jc = fn.jet(t + 0j, xs[0], 2)
+    assert set(jc.coef) == set(j.coef)
+    assert all(np.asarray(v).dtype == np.complex128 for v in jc.coef.values())
+    for k in j.coef:
+        np.testing.assert_allclose(jc.coef[k], j.coef[k], rtol=1e-13,
+                                   atol=1e-13 * np.abs(jc.coef[k]).max())
+    resid, psi = residual_arrays(fn, spec, t, xs)
+    resid_c, psi_c = residual_arrays(fn, spec, t + 0j, xs)
+    assert resid.dtype == psi.dtype == np.float64
+    scale = np.abs(j.partial((1, 0))).max() + abs(spec.k) * np.abs(j.partial((0, 2))).max()
+    np.testing.assert_allclose(psi_c, psi, rtol=1e-13)
+    assert np.abs(resid_c - resid).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", [3, 4], ids=["disk", "nls"])
+def test_jets_of_imaginary_k_families_are_complex(case):
+    fn, spec, grid = _graded_cases(np.random.default_rng(5))[case]
+    t, xs = grid.points(spec.n)
+    j = fn.jet(t, xs[0] if spec.n == 1 else tuple(xs), 2)
+    assert all(np.asarray(v).dtype == np.complex128 for v in j.coef.values())
+
+
 def test_pullback_whose_time_depends_on_space_raises():
     def sheared(tj, xjs):
         return tj + 0.1 * xjs[0], [xjs[0]], 1.0
