@@ -51,7 +51,6 @@ from .group import (
 )
 from .multiplier import (
     IntertwinerParams,
-    K0_intertwiner,
     multiplier,
     ode_oracle_coefficients,
 )
@@ -70,7 +69,6 @@ from .residual import (
     PullbackFn,
     ResidualReport,
     grid_residual,
-    residual_at,
     lift_frame,
     transformed,
     verify_intertwining,

@@ -42,7 +42,8 @@ class IntegrationError(SchroedSymError):
 
 
 class ConvergenceError(SchroedSymError):
-    """Series truncation error exceeds the requested tolerance."""
+    """A series or an iteration did not reach its tolerance (a truncation
+    error bound too large, or a loop that hit its step cap)."""
 
 
 class QuadratureError(SchroedSymError):

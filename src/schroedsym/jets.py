@@ -1,14 +1,18 @@
 """Truncated multivariate Taylor (jet) arithmetic.
 
-A ``Jet`` stores the Taylor coefficients of a scalar function at a point,
-keyed by exponent tuples.  Coefficients may be plain scalars or numpy
-arrays, so one jet evaluation can cover an entire sampling grid at once.
-All branchy functions (``exp``, ``log``, ``sqrt``, complex powers) use
-principal branches on the constant term and nilpotent series for the
-rest, which is exactly the chain rule.
+A ``Jet`` stores the Taylor coefficients of a scalar function at a point
+in one owned array ``block`` of shape ``(len(support), *shape)``: row i
+holds the coefficient of the exponent ``support[i]``, an exponent outside
+``support`` is a structural zero, and ``coef`` is a read-only view.  The
+coefficients may be arrays, so one jet covers a whole sampling grid.  An
+operation fills a block it allocates, in place, and never writes a block
+a jet holds.  Products walk a Cauchy table cached per pair of supports;
+``exp``, ``log``, ``reciprocal`` and the powers are one nilpotent series
+(principal branch on the constant term, each function's own coefficient
+sequence for the powers of the rest): exactly the chain rule.
 
 Real data stays real.  A coefficient is float64 unless a complex value
-enters it: a complex input or constant (imaginary k, a plane-wave or
+enters its jet: a complex input or constant (imaginary k, a plane-wave or
 theta phase), or a branch function (``log``, ``sqrt``, ``cpow``) whose
 argument leaves [0, inf), which then gives the principal-branch complex
 value for the whole array.  These are ``numpy.emath``'s semantics, used
@@ -28,16 +32,12 @@ fractional-linear function of t); it raises ``OrderError`` otherwise.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import OrderError
-
-
-@lru_cache(maxsize=None)
-def _zero_key(nvars):
-    return (0,) * nvars
 
 
 @lru_cache(maxsize=None)
@@ -47,109 +47,152 @@ def weight(alpha):
 
 
 @lru_cache(maxsize=None)
-def _factorial_product(alpha):
-    w = 1
-    for a in alpha:
-        w *= math.factorial(a)
-    return w
+def _product(order, sa, sb):
+    """Cauchy table: support, per row the first (i, j) pair and the rest, and any sums."""
+    rows = {}
+    for i, ka in enumerate(sa):
+        for j, kb in enumerate(sb):
+            if weight(ka) + weight(kb) <= order:
+                rows.setdefault(tuple(p + q for p, q in zip(ka, kb)), []).append((i, j))
+    terms = tuple((*pairs[0], tuple(pairs[1:])) for pairs in rows.values())
+    return tuple(rows), terms, any(len(pairs) > 1 for pairs in rows.values())
 
 
-def asjet(value, nvars, order):
-    """Coerce a scalar/array into a constant jet; jets pass through."""
-    if isinstance(value, Jet):
-        if value.nvars != nvars or value.order != order:
-            raise ValueError("jet shape mismatch")
-        return value
-    return Jet.const(value, nvars, order)
+def _shape(sa, sb):
+    """Broadcast of two coefficient shapes."""
+    if sa == sb or not (sa and sb):
+        return sa or sb
+    n = len(sa) - len(sb)
+    return tuple(map(max, (1,) * -n + sa, (1,) * n + sb))
+
+
+@lru_cache(maxsize=None)
+def _union(sa, sb):
+    """Support of a sum (``sa``, then what ``sb`` adds) and per row its rows in ``sa``, ``sb``."""
+    support = sa + tuple(k for k in sb if k not in sa)
+    return support, tuple((sa.index(k) if k in sa else None, sb.index(k) if k in sb else None)
+                          for k in support)
+
+
+@lru_cache(maxsize=None)
+def _powers(nvars, order, hs):
+    """Support of a series in a nilpotent jet of support ``hs`` (the constant,
+    then what each power adds), and the last power that holds an exponent."""
+    support, ps, m = ((0,) * nvars,) + hs, hs, 1
+    while ps := _product(order, ps, hs)[0]:
+        support, m = _union(support, ps)[0], m + 1
+    return support, m
+
+
+def _pad(block, ndim):
+    """``block`` with unit axes after its row axis, up to ``ndim`` axes."""
+    return block if block.ndim >= ndim else block[(slice(None),) + (None,) * (ndim - block.ndim)]
+
+
+def _add_rows(out, support, jet, k, scratch):
+    """``out[row of key] += k * coefficient`` for each key of ``jet``."""
+    for r, row in zip(map(support.index, jet.support), jet.block):
+        np.add(out[r, ...], np.multiply(row, k, out=scratch), out=out[r, ...])
+
+
+def _jet(nvars, order, support, block):
+    jet = object.__new__(Jet)
+    jet.nvars, jet.order, jet.support, jet.block = nvars, order, support, block
+    return jet
 
 
 class Jet:
-    __slots__ = ("nvars", "order", "coef")
+    __slots__ = ("nvars", "order", "support", "block")
     # numpy defers to the reflected operators, so ``ndarray * jet`` is a jet
     # with array coefficients rather than an object array of jets
     __array_ufunc__ = None
 
     def __init__(self, nvars, order, coef):
-        self.nvars = nvars
-        self.order = order
-        self.coef = coef  # dict: exponent tuple -> scalar or ndarray
+        """The jet with coefficients ``coef``: exponent tuple -> scalar or array."""
+        vals = [np.asarray(v) for v in coef.values()]
+        block = np.array(np.broadcast_arrays(*vals), np.result_type(float, *vals))
+        self.nvars, self.order, self.support, self.block = nvars, order, tuple(coef), block
 
     @classmethod
     def const(cls, value, nvars, order):
-        return cls(nvars, order, {_zero_key(nvars): value})
+        return cls(nvars, order, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, value, index, nvars, order):
-        coef = {_zero_key(nvars): value}
-        seed = tuple(1 if i == index else 0 for i in range(nvars))
-        if weight(seed) <= order:
-            coef[seed] = 1.0
-        return cls(nvars, order, coef)
+        z = (0,) * nvars
+        seed = z[:index] + (1,) + z[index + 1:]
+        support, value = (z,) + ((seed,) if weight(seed) <= order else ()), np.asarray(value)
+        block = np.empty((len(support),) + value.shape, np.promote_types(value.dtype, float))
+        block[0], block[1:] = value, 1.0
+        return _jet(nvars, order, support, block)
+
+    @property
+    def coef(self):
+        """Read-only ``{exponent: coefficient}`` view of the block."""
+        return MappingProxyType(dict(zip(self.support, self.block)))
 
     @property
     def value(self):
-        return self.coef.get(_zero_key(self.nvars), 0.0)
+        z = (0,) * self.nvars
+        return self.block[self.support.index(z)] if z in self.support else 0.0
 
     def coefficient(self, alpha):
         """Taylor coefficient for the exponent tuple ``alpha``."""
         alpha = tuple(alpha)
         if weight(alpha) > self.order:
             raise OrderError(f"exponent {alpha} has weight {weight(alpha)} > jet order {self.order}")
-        return self.coef.get(alpha, 0.0)
+        return self.block[self.support.index(alpha)] if alpha in self.support else 0.0
 
     def partial(self, alpha):
         """Partial derivative of multi-order ``alpha`` (Taylor coef times factorials)."""
-        alpha = tuple(alpha)
-        return self.coefficient(alpha) * _factorial_product(alpha)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _like(self, coef):
-        return Jet(self.nvars, self.order, coef)
+        return self.coefficient(alpha) * math.prod(map(math.factorial, alpha))
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            coef = dict(self.coef)
-            z = _zero_key(self.nvars)
-            coef[z] = coef.get(z, 0.0) + other
-            return self._like(coef)
-        coef = dict(self.coef)
-        for k, v in other.coef.items():
-            coef[k] = coef[k] + v if k in coef else v
-        return self._like(coef)
+        sb, b = ((other.support, other.block) if isinstance(other, Jet)
+                 else (((0,) * self.nvars,), np.asarray(other)[None]))
+        a = self.block
+        if sb == self.support:
+            return _jet(self.nvars, self.order, sb, _pad(a, b.ndim) + _pad(b, a.ndim))
+        support, rows = _union(self.support, sb)
+        out = np.empty((len(support),) + _shape(a.shape[1:], b.shape[1:]),
+                       np.promote_types(a.dtype, b.dtype))
+        for r, (i, j) in enumerate(rows):
+            if i is None or j is None:
+                out[r] = b[j] if i is None else a[i]
+            else:
+                np.add(a[i], b[j], out=out[r, ...])
+        return _jet(self.nvars, self.order, support, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.coef.items()})
+        return _jet(self.nvars, self.order, self.support, -self.block)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -1 * other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return self._like({k: v * other for k, v in self.coef.items()})
-        rhs = [(k2, weight(k2), v2) for k2, v2 in other.coef.items()]
-        coef = {}
-        for k1, v1 in self.coef.items():
-            room = self.order - weight(k1)
-            for k2, w2, v2 in rhs:
-                if w2 > room:
-                    continue
-                k = tuple(i + j for i, j in zip(k1, k2))
-                prod = v1 * v2
-                coef[k] = coef[k] + prod if k in coef else prod
-        return self._like(coef)
+            other = np.asarray(other)
+            return _jet(self.nvars, self.order, self.support,
+                        _pad(self.block, other.ndim + 1) * other)
+        support, terms, sums = _product(self.order, self.support, other.support)
+        a, b, shape = self.block, other.block, _shape(self.block.shape[1:], other.block.shape[1:])
+        dtype = np.promote_types(a.dtype, b.dtype)
+        out, scratch = np.empty((len(support),) + shape, dtype), sums and np.empty(shape, dtype)
+        for o, (i, j, rest) in enumerate(terms):
+            np.multiply(a[i], b[j], out=out[o, ...])
+            for i, j in rest:
+                np.add(out[o, ...], np.multiply(a[i], b[j], out=scratch), out=out[o, ...])
+        return _jet(self.nvars, self.order, support, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / other)
-        return self * other.reciprocal()
+        return self * (other.reciprocal() if isinstance(other, Jet) else 1.0 / other)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -159,58 +202,51 @@ class Jet:
             raise TypeError("use cpow for non-integer powers")
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = Jet.const(1.0, self.nvars, self.order)
-        base = self
+        out, base = Jet.const(1.0, self.nvars, self.order) if n == 0 else None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
         return out
 
-    # -- nilpotent series --------------------------------------------------
+    def _nilpotent(self):
+        """The non-constant part, on a view of the block if the constant is first."""
+        z = (0,) * self.nvars
+        if z not in self.support:
+            return self
+        i = self.support.index(z)
+        rest = self.block[1:] if i == 0 else np.delete(self.block, i, axis=0)
+        return _jet(self.nvars, self.order, self.support[:i] + self.support[i + 1:], rest)
 
-    def _split(self):
-        """Constant part and the nilpotent remainder."""
-        z = _zero_key(self.nvars)
-        c = self.coef.get(z, 0.0)
-        h = {k: v for k, v in self.coef.items() if k != z}
-        return c, self._like(h)
+    def _series(self, c0, coef, scale=None):
+        """``scale * (c0 + sum_i coef(i) h^i)``, h the nilpotent part: the series of
+        the function with value c0 and Taylor coefficients coef(i) at the constant."""
+        h = self._nilpotent()
+        support, m = _powers(self.nvars, self.order, h.support)
+        k, n = coef(1), len(h.support)
+        out = np.empty((len(support),) + self.block.shape[1:], np.result_type(self.block, c0, k))
+        out[0] = c0 if scale is None else c0 * scale
+        np.multiply(h.block, k, out=out[1:n + 1])
+        if m > 1:
+            out[n + 1:], p, scratch = 0.0, h, np.empty(out.shape[1:], out.dtype)
+        for i in range(2, m + 1):
+            p = p * h
+            _add_rows(out, support, p, coef(i), scratch)
+        if scale is not None:
+            out[1:] *= scale
+        return _jet(self.nvars, self.order, support, out)
 
     def exp(self):
-        c, h = self._split()
-        out = Jet.const(1.0, self.nvars, self.order)
-        hp = None
-        for i in range(1, self.order + 1):
-            hp = h if hp is None else hp * h
-            if not hp.coef:
-                break
-            out = out + hp * (1.0 / math.factorial(i))
-        return out * np.exp(c)
+        return self._series(1.0, lambda i: 1.0 / math.factorial(i), np.exp(self.value))
 
     def log(self):
-        c, h = self._split()
-        inv_c = 1.0 / c
-        out = Jet.const(np.emath.log(c), self.nvars, self.order)
-        hp = None
-        for i in range(1, self.order + 1):
-            hp = h if hp is None else hp * h
-            if not hp.coef:
-                break
-            out = out + hp * ((-1.0) ** (i + 1) * inv_c ** i / i)
-        return out
+        inv_c = 1.0 / self.value
+        return self._series(np.emath.log(self.value), lambda i: (-1.0) ** (i + 1) * inv_c ** i / i)
 
     def reciprocal(self):
-        c, h = self._split()
-        inv_c = 1.0 / c
-        out = Jet.const(inv_c, self.nvars, self.order)
-        hp = None
-        for i in range(1, self.order + 1):
-            hp = h if hp is None else hp * h
-            if not hp.coef:
-                break
-            out = out + hp * ((-1.0) ** i * inv_c ** (i + 1))
-        return out
+        inv_c = 1.0 / self.value
+        return self._series(inv_c, lambda i: (-1.0) ** i * inv_c ** (i + 1))
 
     def cpow(self, p):
         """Principal-branch power with arbitrary complex exponent."""
@@ -221,21 +257,9 @@ class Jet:
 
     def _power(self, p, cp):
         """Series of the p-th power whose constant term is ``cp``."""
-        c, h = self._split()
-        inv_c = 1.0 / c
-        out = Jet.const(cp, self.nvars, self.order)
-        hp = None
-        binom = 1.0
-        for i in range(1, self.order + 1):
-            binom *= (p - (i - 1)) / i
-            hp = h if hp is None else hp * h
-            if not hp.coef:
-                break
-            out = out + hp * (binom * inv_c ** i * cp)
-        return out
-
-
-# -- scalar/array/jet generic wrappers --------------------------------------
+        inv_c = 1.0 / self.value
+        return self._series(cp, lambda i: math.prod((p - j) / (j + 1) for j in range(i))
+                            * inv_c ** i * cp)
 
 
 def exp(z):
@@ -260,34 +284,28 @@ def value_of(z):
 
 
 def compose(base, args):
-    """Taylor composition: insert the jets ``args`` into ``base``.
-
-    ``base`` holds the Taylor coefficients of g at the point
-    (value_of(args[0]), ...); the result is the jet of
-    g(args[0](y), args[1](y), ...).  No argument's increment may hold a
-    term lighter than its own variable (a time that depends on space):
-    the truncated ``base`` would miss what such a term feeds.
-    """
+    """Taylor composition: the jet of g(args[0](y), ...), its terms added into
+    one block, ``base`` holding g's Taylor coefficients at (value_of(args[0]), ...).
+    No argument's increment may hold a term lighter than its own variable (a time
+    that depends on space): the truncated ``base`` would miss what it feeds."""
     if len(args) != base.nvars:
         raise ValueError("arity mismatch in jet composition")
-    nvars = args[0].nvars
-    order = args[0].order
-    deltas = [a._split()[1] for a in args]  # increments, with no constant key
-    powers = []
-    for i, d in enumerate(deltas):
+    order, powers = args[0].order, []  # powers[i][a]: the a-th power of increment i
+    for i, d in enumerate(a._nilpotent() for a in args):
         lightest = weight(tuple(int(j == i) for j in range(base.nvars)))
-        if any(0 < weight(k) < lightest for k in d.coef):
+        if any(0 < weight(k) < lightest for k in d.support):
             raise OrderError(f"argument {i} of a composition depends on a lighter variable")
-        maxdeg = max((k[i] for k in base.coef), default=0)
-        p = [Jet.const(1.0, nvars, order)]
-        for _ in range(maxdeg):
-            p.append(p[-1] * d)
-        powers.append(p)
-    out = Jet.const(0.0, nvars, order)
-    for alpha, c in base.coef.items():
-        term = Jet.const(c, nvars, order)
-        for i, a in enumerate(alpha):
-            if a:
-                term = term * powers[i][a]
-        out = out + term
-    return out
+        powers.append([None, d])
+        for _ in range(max((k[i] for k in base.support), default=0) - 1):
+            powers[-1].append(powers[-1][-1] * d)
+    one = _jet(args[0].nvars, order, ((0,) * args[0].nvars,), np.ones(1))
+    factors = [[p[a] for p, a in zip(powers, alpha) if a] or [one] for alpha in base.support]
+    supports = [reduce(lambda s, f: _product(order, s, f.support)[0], fs[1:], fs[0].support)
+                for fs in factors]  # of each term's product of factors
+    support = reduce(lambda s, t: _union(s, t)[0], supports, one.support)
+    shape = reduce(_shape, (f.block.shape[1:] for fs in factors for f in fs), base.block.shape[1:])
+    dtype = np.result_type(base.block, *(f.block for fs in factors for f in fs))
+    out, scratch = np.zeros((len(support),) + shape, dtype), np.empty(shape, dtype)
+    for fs, c in zip(factors, base.block):  # each term is the product of its factors, times c
+        _add_rows(out, support, reduce(Jet.__mul__, fs[1:], fs[0]), c, scratch)
+    return _jet(one.nvars, order, support, out)

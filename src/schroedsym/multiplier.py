@@ -59,12 +59,6 @@ def k0_map(p: IntertwinerParams, spec: FamilySpec, t, x):
     return tp, xp, k0
 
 
-def K0_intertwiner(p: IntertwinerParams, z: Point, spec: FamilySpec):
-    """Public wrapper returning (mapped point, multiplier value)."""
-    tp, xp, k0 = k0_map(p, spec, z.t, z.x1)
-    return Point(tp, (xp,)), k0
-
-
 # -- structure-equation oracle -------------------------------------------------
 
 # first and smallest RK4 step, and the error estimate that ends the doubling

@@ -33,7 +33,6 @@ from .coords import (
     NLS2D,
     QUADRATIC,
     FamilySpec,
-    Point,
     frame,
 )
 from .errors import DomainError
@@ -136,13 +135,6 @@ def _residual_from_jet(j, spec: FamilySpec, xs):
         alpha[1 + i] = 2
         lap = lap + j.partial(tuple(alpha))
     return _residual(spec, pt, lap, j.value, xs)
-
-
-def residual_at(fn: SmoothFn, spec: FamilySpec, z: Point):
-    """(d/dt - k Delta + k V) fn at one point, from analytic partials."""
-    fn.check_domain(z.t, z.x)
-    j = fn.jet(z.t, z.x if fn.ndim > 1 else z.x1, 2)
-    return _residual_from_jet(j, spec, z.x)
 
 
 def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):

@@ -160,7 +160,7 @@ class ExpPolyFn(SmoothFn):
                 if isinstance(piece, Jet) or j:
                     piece = piece * xpow(j) if j else piece
                 else:
-                    piece = jets.asjet(piece, tau.nvars, tau.order)
+                    piece = Jet.const(piece, tau.nvars, tau.order)
                 expo = piece if expo is None else expo + piece
             val = jets.exp(expo) if expo is not None else Jet.const(1.0, tau.nvars, tau.order)
             if term.rho:
@@ -248,13 +248,8 @@ class MultiProductFn(SmoothFn):
 
 def _embed(j2, nvars, var_map):
     """Re-index a jet's variables into a larger variable space."""
-    coef = {}
-    for k, v in j2.coef.items():
-        key = [0] * nvars
-        for src, dst in enumerate(var_map):
-            key[dst] = k[src]
-        coef[tuple(key)] = v
-    return Jet(nvars, j2.order, coef)
+    keys = [tuple(dict(zip(var_map, k)).get(i, 0) for i in range(nvars)) for k in j2.coef]
+    return Jet(nvars, j2.order, dict(zip(keys, j2.coef.values())))
 
 
 # -- library constructors ------------------------------------------------------
@@ -429,6 +424,12 @@ class AirySpec:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# caps of the Airy code's loops, past which they raise ConvergenceError: a
+# truncation grown 1000 times covers |p| up to ~6e5 beta^2, and 100
+# halvings take any bracket of the energy scan down to adjacent floats
+TRUNCATION_STEPS = 1000
+BISECTION_STEPS = 100
+
 
 def _contour_integral(p, beta, delta, trunc, h, moments):
     """2 Re of the damped oscillatory integral, rotated onto the ray
@@ -441,9 +442,11 @@ def _contour_integral(p, beta, delta, trunc, h, moments):
     p = np.asarray(p, dtype=float)
     ray = np.exp(1j * np.pi / 6.0)
     if trunc is None:
-        trunc = np.full(p.shape, 4.0)
+        trunc, steps = np.full(p.shape, 4.0), 0
         while np.any(short := beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0):
-            trunc = trunc + short
+            if steps == TRUNCATION_STEPS:
+                raise ConvergenceError(f"no truncation up to {trunc.max():.0f} decays the phase")
+            trunc, steps = trunc + short, steps + 1
     trunc = np.broadcast_to(trunc, p.shape)
     # tail estimate at the truncation point, per p
     ztail = 1j * delta + ray * trunc
@@ -508,7 +511,8 @@ def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
     """Roots of the x = 0 boundary condition in the energy window.
 
     Brackets sign changes of u(0; E) on a uniform scan, evaluated as one
-    batch, then bisects.
+    batch, then bisects each bracket to width ``tol``, in at most
+    ``BISECTION_STEPS`` halvings.
     """
     lo, hi = e_range
     if not hi > lo:
@@ -526,8 +530,11 @@ def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
             continue
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
             a, fa = es[i], vals[i]
-            b = es[i + 1]
+            b, steps = es[i + 1], 0
             while b - a > tol:
+                if steps == BISECTION_STEPS:
+                    raise ConvergenceError(f"bisection width {b - a:.3e} > tol {tol:.3e}")
+                steps += 1
                 m = 0.5 * (a + b)
                 fm = u0(m)
                 if fm == 0.0:

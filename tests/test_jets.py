@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroedsym.errors import OrderError
-from schroedsym.jets import Jet, compose, cpow, exp, log, sqrt
+from schroedsym.jets import Jet, compose, cpow, exp, log, sqrt, weight
 
 
 def test_polynomial_partials_match_closed_form():
@@ -148,3 +151,96 @@ def test_composition_rejects_a_time_that_depends_on_space():
     base = Jet.variable(0.2, 0, 2, 2) * Jet.variable(0.9, 1, 2, 2)
     with pytest.raises(OrderError):
         compose(base, [t + 0.0 * x, x])
+
+
+# -- algebra properties, read through the public API only ---------------------
+
+
+def _exponents(nvars, order):
+    """Every exponent of parabolic weight <= order."""
+    return [k for k in itertools.product(range(order + 1), repeat=nvars) if weight(k) <= order]
+
+
+@st.composite
+def _jet_draws(draw):
+    """(nvars, order, coefficient shape, complex?, numpy generator)."""
+    return (draw(st.integers(1, 3)), draw(st.integers(0, 6)), draw(st.sampled_from([(), (3,)])),
+            draw(st.booleans()), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+def _random_jet(draws, const=None):
+    """A jet on a random subset of the exponents, coefficients in the unit
+    box; ``const`` (a scalar) overrides the constant term."""
+    nvars, order, shape, is_complex, rng = draws
+    coef = {}
+    for k in _exponents(nvars, order):
+        if rng.random() < 0.6:
+            coef[k] = rng.uniform(-0.5, 0.5, shape) + (1j * rng.uniform(-0.5, 0.5, shape) if is_complex else 0)
+    if const is not None:
+        coef[(0,) * nvars] = np.full(shape, const)
+    return Jet(nvars, order, coef)
+
+
+def _assert_close(x, y, rtol=1e-12):
+    """Every coefficient agrees to ``rtol`` of the larger jet's size (at least 1)."""
+    assert (x.nvars, x.order) == (y.nvars, y.order)
+    keys = _exponents(x.nvars, x.order)
+    diff = max(np.max(np.abs(x.coefficient(k) - y.coefficient(k))) for k in keys)
+    size = max(max(np.max(np.abs(j.coefficient(k))) for k in keys) for j in (x, y))
+    assert diff <= rtol * max(size, 1.0), (diff, size)
+
+
+def _product_keys(a, b):
+    return {tuple(p + q for p, q in zip(ka, kb)) for ka in a.coef for kb in b.coef
+            if weight(ka) + weight(kb) <= a.order}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jet_draws())
+def test_ring_laws_and_structural_zeros(draws):
+    a, b, c = (_random_jet(draws) for _ in range(3))
+    _assert_close((a * b) * c, a * (b * c))
+    _assert_close(a * (b + c), a * b + a * c)
+    assert set((a * b).coef) <= _product_keys(a, b)
+    assert set((a + b).coef) <= set(a.coef) | set(b.coef)
+    assert all(weight(k) <= a.order for k in ((a * b) * c).coef)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jet_draws(), st.floats(-1.0, 1.0), st.floats(0.5, 1.5), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_series_laws(draws, c, r, p, q):
+    a, b = _random_jet(draws), _random_jet(draws)
+    _assert_close((a + b).exp(), a.exp() * b.exp())
+    real_constant = _random_jet(draws, const=c)
+    _assert_close(real_constant.exp().log(), real_constant)
+    away = _random_jet(draws, const=r)  # a constant term away from 0
+    _assert_close(away.reciprocal() * away, Jet.const(1.0, away.nvars, away.order))
+    _assert_close(cpow(away, p) * cpow(away, q), cpow(away, p + q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jet_draws())
+def test_composition_with_the_identity_returns_the_base(draws):
+    nvars, order, shape, _, rng = draws
+    base = _random_jet(draws)
+    ident = [Jet.variable(rng.uniform(-1, 1, shape), i, nvars, order) for i in range(nvars)]
+    _assert_close(compose(base, ident), base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_jet_draws())
+def test_batch_equals_its_entries_and_real_stays_real(draws):
+    nvars, order, _, is_complex, rng = draws
+    draws = (nvars, order, (3,), is_complex, rng)
+    a, b = _random_jet(draws), _random_jet(draws, const=1.0)
+
+    def expression(a, b):
+        return (a * b).exp() * (a - 2.0) / b + cpow(b, 0.5) * b.log()
+
+    batch = expression(a, b)
+    for i in range(3):
+        entry = [Jet(nvars, order, {k: v[i] for k, v in j.coef.items()}) for j in (a, b)]
+        got = Jet(nvars, order, {k: v[i] for k, v in batch.coef.items()})
+        _assert_close(got, expression(*entry))
+    if not is_complex:
+        assert all(np.asarray(v).dtype == np.float64 for v in batch.coef.values())

@@ -9,7 +9,7 @@ from schroedsym.errors import RangeError, SingularTime, DomainError
 from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
 from schroedsym.multiplier import (
     IntertwinerParams,
-    K0_intertwiner,
+    k0_map,
     multiplier,
     ode_oracle_coefficients,
 )
@@ -121,15 +121,15 @@ def test_k0_intertwiner_values():
     k, w = QUAD.k, QUAD.omega
     for t in (0.0, 0.3):
         u = np.exp(4 * k * w * t)
-        zp, k0 = K0_intertwiner(p, Point(t, 0.5), QUAD)
-        assert abs(zp.t + 1.0 / (4 * k * w * u)) < 1e-14
-        assert abs(zp.x1 - 0.5 / np.sqrt(u)) < 1e-14
+        tp, xp, k0 = k0_map(p, QUAD, t, 0.5)
+        assert abs(tp + 1.0 / (4 * k * w * u)) < 1e-14
+        assert abs(xp - 0.5 / np.sqrt(u)) < 1e-14
         want = u ** 0.25 / np.sqrt(u) * np.exp(-k * QUAD.alpha * t - w / 2 * 0.25)
         assert abs(k0 - want) < 1e-14
     # C0 coefficient at lam = 0 is -omega/2: with tau = 0 there is no
     # x-linear part, so C0 = log(K0(x=1)/K0(x=0))
-    _, k1 = K0_intertwiner(p, Point(0.2, 1.0), QUAD)
-    _, k0v = K0_intertwiner(p, Point(0.2, 0.0), QUAD)
+    *_, k1 = k0_map(p, QUAD, 0.2, 1.0)
+    *_, k0v = k0_map(p, QUAD, 0.2, 0.0)
     c0 = np.log(k1 / k0v)
     assert abs(c0 + w / 2.0) < 1e-12
 
@@ -137,7 +137,7 @@ def test_k0_intertwiner_values():
 def test_k0_singular_time():
     p = IntertwinerParams(sigma=1.0, tau=0.0, lam=-1.0)
     with pytest.raises(SingularTime):
-        K0_intertwiner(p, Point(0.0, 0.5), QUAD)
+        k0_map(p, QUAD, 0.0, 0.5)
     with pytest.raises(DomainError):
         IntertwinerParams(sigma=0.0)
 

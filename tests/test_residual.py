@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schroedsym import coords, jets, residual
-from schroedsym.coords import FamilySpec, Point
+from schroedsym.coords import FamilySpec
 from schroedsym.errors import DomainError, OrderError
 from schroedsym.group import GroupElement, Mat2
 from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
@@ -11,7 +11,6 @@ from schroedsym.residual import (
     PullbackFn,
     grid_residual,
     residual_arrays,
-    residual_at,
     lift_frame,
     transformed,
     verify_intertwining,
@@ -51,15 +50,15 @@ def test_gridspec_validation():
         GridSpec((1.0, 0.0), (0.0, 1.0))
 
 
-def test_residual_at_known_solutions():
+def test_residual_arrays_at_points_of_known_solutions():
     f1, _ = f_pair(LIN)
-    assert abs(residual_at(f1, LIN, Point(0.9, 0.2))) < 1e-12
-    assert abs(residual_at(gaussian_free(0.7), FREE, Point(1.0, 0.5))) < 1e-12
+    assert abs(residual_arrays(f1, LIN, 0.9, [0.2])[0]) < 1e-12
+    assert abs(residual_arrays(gaussian_free(0.7), FREE, 1.0, [0.5])[0]) < 1e-12
     g1 = g_functions(QUAD, 0.0)[0]
-    assert abs(residual_at(g1, QUAD, Point(0.2, 0.4))) < 1e-12
+    assert abs(residual_arrays(g1, QUAD, 0.2, [0.4])[0]) < 1e-12
     # non-solution has a visibly nonzero residual
     bad = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
-    assert abs(residual_at(bad, LIN, Point(0.2, 0.4))) > 1e-3
+    assert abs(residual_arrays(bad, LIN, 0.2, [0.4])[0]) > 1e-3
 
 
 def test_grid_residual_modes_and_order():

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 import scipy.special
 
-from schroedsym.coords import FamilySpec, Point
+from schroedsym import suites
+from schroedsym.coords import FamilySpec
 from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError
-from schroedsym.residual import GridSpec, grid_residual, residual_arrays, residual_at
+from schroedsym.jets import Jet
+from schroedsym.residual import GridSpec, grid_residual, residual_arrays
 from schroedsym.solutions import (
     _GL_NODES,
     _GL_WEIGHTS,
     _contour_integral,
     AirySpec,
+    SmoothFn,
     airy_u,
     constant_one,
     eigenvalue_scan,
@@ -23,6 +26,7 @@ from schroedsym.solutions import (
     power_static,
     theta1,
 )
+from schroedsym.suites import RunConfig, run_named_check
 
 RNG = np.random.default_rng(99)
 
@@ -69,7 +73,7 @@ def test_theta_series_pde_and_oddness():
         x = RNG.uniform(-0.45, 0.45)
         j = th.jet(t, x, 2)
         assert abs(4 * np.pi * 1j * j.partial((1, 0)) - j.partial((0, 2))) < 1e-10
-        assert abs(residual_at(th, spec, Point(t, x))) < 1e-10
+        assert abs(residual_arrays(th, spec, t, [x])[0]) < 1e-10
         assert abs(th.value(t, -x) + th.value(t, x)) < 1e-12
     with pytest.raises(DomainError):
         theta1(9)
@@ -211,6 +215,15 @@ def test_eigenvalue_scan_matches_airy_zeros():
     assert abs(r[0] - zeros[0] * 2.0 ** (2.0 / 3.0)) < 1e-6
 
 
+def test_airy_loops_raise_at_their_caps():
+    # adjacent floats never bracket a root to width 0, so the bisection
+    # would run forever; a phase this steep needs a truncation past the cap
+    with pytest.raises(ConvergenceError):
+        eigenvalue_scan(AirySpec(alpha=-2.0, beta=1.0), (1.0, 3.0), tol=0.0)
+    with pytest.raises(ConvergenceError):
+        airy_u(AirySpec(alpha=-1e9, beta=1.0)).value(0.0)
+
+
 def _contour_integral_per_panel(p, beta, delta, trunc, h, moments):
     """The quadrature of ``_contour_integral`` for one p, panel by panel."""
     ray = np.exp(1j * np.pi / 6.0)
@@ -302,3 +315,30 @@ def test_mixed_partial_matches_central_difference_of_the_x_partial():
         fd = (f2.partial(t + h, x, (0, 1)) - f2.partial(t - h, x, (0, 1))) / (2 * h)
         exact = f2.partial(t, x, (1, 1))
         assert abs(exact - fd) <= 1e-7 * max(abs(exact), 1.0)
+
+
+@pytest.mark.parametrize("seed", [2053341308, 1863541293])
+def test_partials_fd_passes_where_the_second_difference_hit_round_off(seed):
+    # at these seeds the psi_xx difference at h = 5e-4 sat on its round-off
+    # floor and read as order 1.0
+    assert run_named_check("solutions.partials_fd", RunConfig(seed=seed)).passed
+
+
+class _SlippedXX(SmoothFn):
+    """``fn`` with its psi_xx partial off by a relative 1e-6."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def jet(self, t, x, order):
+        j = self.fn.jet(t, x, order)
+        if order < 2:
+            return j
+        return j + Jet(2, order, {(0, 2): 1e-6 * j.coefficient((0, 2))})
+
+
+def test_partials_fd_fails_a_slipped_second_partial(monkeypatch):
+    f1, f2 = f_pair(LIN)
+    monkeypatch.setattr(suites, "f_pair", lambda spec: (f1, _SlippedXX(f2)))
+    for seed in (7, 11):
+        assert run_named_check("solutions.partials_fd", RunConfig(seed=seed)).value == 1.0
