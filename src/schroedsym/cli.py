@@ -19,10 +19,10 @@ import numpy as np
 from .coords import FamilySpec
 from .errors import ConfigError, SchroedSymError
 from .group import GroupElement, Mat2
-from .residual import GridSpec, residual_arrays, transformed
+from .residual import residual_arrays, transformed
 from .sampling import element_for_family
 from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
-from .suites import RunConfig, SuiteReport, run_suite, suite_names
+from .suites import RunConfig, SuiteReport, run_suite
 
 
 # the demo's sampling window; f2 and power leave their domains (t > 0,

@@ -11,7 +11,7 @@ chain-rule machinery of the residual verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class FamilySpec:
     beta: float = 0.0
     omega: complex = 0.0
     n: int = 1
-    ajk: tuple = None
     coupling: float = 1.0  # cubic coupling, 2-d NLS family only
 
     def __post_init__(self):
@@ -69,15 +68,6 @@ class FamilySpec:
             _real_or_imaginary(self.omega, "omega")
         if self.n < 1:
             raise DomainError("dimension must be >= 1")
-        if self.ajk is not None:
-            m = np.asarray(self.ajk)
-            if m.shape != (self.n, self.n):
-                raise DomainError("ajk must be n x n")
-            if np.abs(np.diagonal(m)).max() > 0:
-                raise DomainError("ajk must have zero diagonal")
-            if np.abs(m - m.T).max() > 1e-12:
-                raise DomainError("ajk must be symmetric")
-            object.__setattr__(self, "ajk", tuple(map(tuple, m.tolist())))
 
     # convenience constructors ------------------------------------------------
 
@@ -98,8 +88,8 @@ class FamilySpec:
         return cls(QUADRATIC, k, alpha=alpha, omega=omega)
 
     @classmethod
-    def ndim_linear(cls, k, alpha, beta, n, ajk=None):
-        return cls(NDIM_LINEAR, k, alpha=alpha, beta=beta, n=n, ajk=ajk)
+    def ndim_linear(cls, k, alpha, beta, n):
+        return cls(NDIM_LINEAR, k, alpha=alpha, beta=beta, n=n)
 
     @classmethod
     def nls2d(cls, k, coupling=1.0):

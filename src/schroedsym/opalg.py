@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jets
 from .errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
 

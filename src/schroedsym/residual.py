@@ -107,14 +107,7 @@ def potential(spec: FamilySpec, xs):
     if spec.family == QUADRATIC:
         return spec.alpha + spec.omega ** 2 * np.asarray(xs[0]) ** 2
     if spec.family == NDIM_LINEAR:
-        v = sum(spec.alpha + spec.beta * np.asarray(x) for x in xs)
-        if spec.ajk is not None:
-            a = np.asarray(spec.ajk)
-            for i in range(spec.n):
-                for j in range(spec.n):
-                    if i != j and a[i, j] != 0:
-                        v = v + a[i, j] / (np.asarray(xs[i]) - np.asarray(xs[j])) ** 2
-        return v
+        return sum(spec.alpha + spec.beta * np.asarray(x) for x in xs)
     raise DomainError(f"no potential for family {spec.family!r}")
 
 
@@ -184,33 +177,39 @@ def _report(resid, scale, t, xs, order=None, nerr=0):
     )
 
 
+def _in_domain(fn: SmoothFn, t, xs):
+    """Whether ``fn`` evaluates at the point: its jet is its domain guard."""
+    try:
+        fn.jet(t, xs[0] if fn.ndim == 1 else tuple(xs), 0)
+        return True
+    except DomainError:
+        return False
+
+
 def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec, mode="analytic") -> ResidualReport:
     """Residual report over the grid.
 
     ``finite_difference`` mode uses centered stencils at h and h/2 and
     reports the observed convergence order towards the analytic residual.
+    When the function rejects the grid, the points it rejects (for a
+    batch, that any element rejects) are dropped and counted.
     """
-    t, xs = grid.points(fn.ndim)
-    try:
-        fn.check_domain(t, xs[0] if fn.ndim == 1 else tuple(xs))
-        in_domain = None
-    except DomainError:
-        # keep the points the function accepts (for a batch, that every
-        # element accepts) along the first grid axis, count the rest
-        t, *xs = (a.ravel() for a in np.broadcast_arrays(t, *xs))
-        in_domain = np.array([fn.in_domain(ti, xi[0] if fn.ndim == 1 else tuple(xi))
-                              for ti, *xi in zip(t, *xs)])
-        if not in_domain.any():
-            raise DomainError("no grid point lies in the function's domain")
-        t, *xs = (a[in_domain].reshape((-1,) + (1,) * fn.ndim) for a in [t] + xs)
-    nerr = 0 if in_domain is None else int((~in_domain).sum())
-
-    if mode == "analytic":
-        resid, psi = residual_arrays(fn, spec, t, xs)
-        return _report(resid, np.abs(psi), t, xs, nerr=nerr)
-    if mode != "finite_difference":
+    if mode not in ("analytic", "finite_difference"):
         raise DomainError(f"unknown mode {mode!r}")
-    exact, psi = residual_arrays(fn, spec, t, xs)
+    t, xs = grid.points(fn.ndim)
+    nerr = 0
+    try:
+        exact, psi = residual_arrays(fn, spec, t, xs)
+    except DomainError:
+        t, *xs = (a.ravel() for a in np.broadcast_arrays(t, *xs))
+        keep = np.array([_in_domain(fn, ti, xi) for ti, *xi in zip(t, *xs)])
+        if not keep.any():
+            raise DomainError("no grid point lies in the function's domain")
+        nerr = int((~keep).sum())
+        t, *xs = (a[keep].reshape((-1,) + (1,) * fn.ndim) for a in [t] + xs)
+        exact, psi = residual_arrays(fn, spec, t, xs)
+    if mode == "analytic":
+        return _report(exact, np.abs(psi), t, xs, nerr=nerr)
     r1, _ = _fd_residual_arrays(fn, spec, t, xs, grid.h_fd)
     r2, _ = _fd_residual_arrays(fn, spec, t, xs, grid.h_fd / 2.0)
     e1 = np.max(np.abs(r1 - exact))
@@ -224,7 +223,8 @@ class PullbackFn(SmoothFn):
 
     ``frame(t_jet, x_jets) -> (t'_jet, [x'_jets], K_jet)`` fixes the
     coordinate map and multiplier; the base function's jet at the mapped
-    point is Taylor-composed with the map jets.
+    point, which guards the base's domain, is Taylor-composed with the map
+    jets.
     """
 
     def __init__(self, base: SmoothFn, frame, ndim=None):
@@ -232,19 +232,11 @@ class PullbackFn(SmoothFn):
         self.frame = frame
         self.ndim = base.ndim if ndim is None else ndim
 
-    def check_domain(self, t, x):
-        tj, xjs = self._seed(t, x, 0)
-        tp, xps, _ = self.frame(tj, xjs)
-        tv = jets.value_of(tp)
-        xvs = [jets.value_of(xp) for xp in xps]
-        self.base.check_domain(tv, xvs[0] if self.base.ndim == 1 else tuple(xvs))
-
     def jet(self, t, x, order):
         tj, xjs = self._seed(t, x, order)
         tp, xps, kj = self.frame(tj, xjs)
         tv = jets.value_of(tp)
         xvs = [jets.value_of(xp) for xp in xps]
-        self.base.check_domain(tv, xvs[0] if self.base.ndim == 1 else tuple(xvs))
         bj = self.base.jet(tv, xvs[0] if self.base.ndim == 1 else tuple(xvs), order)
         return jets.compose(bj, [tp] + xps) * kj
 

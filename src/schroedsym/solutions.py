@@ -13,12 +13,12 @@ operator algebra never fall back to finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D, Point
+from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -42,7 +42,9 @@ class SmoothFn:
         """Jet at (t, x) holding every partial whose parabolic weight
         (twice the t order plus the x orders) is at most ``order``: order 2
         gives psi, psi_t, the x partials and the second x partials.  The
-        coefficients are float64 for real data (the dtype rule of ``jets``)."""
+        coefficients are float64 for real data (the dtype rule of ``jets``).
+        A point outside the function's domain raises ``DomainError`` here:
+        the jet is the only domain guard."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -51,16 +53,6 @@ class SmoothFn:
     def partial(self, t, x, orders):
         """Partial derivative; ``orders`` = (t order, x order, ...)."""
         return self.jet(t, x, jets.weight(tuple(orders))).partial(orders)
-
-    def in_domain(self, t, x) -> bool:
-        try:
-            self.check_domain(t, x)
-            return True
-        except DomainError:
-            return False
-
-    def check_domain(self, t, x):
-        pass
 
     def _seed(self, t, x, order):
         nv = 1 + self.ndim
@@ -105,7 +97,7 @@ class ExpPolyFn(SmoothFn):
         if kind == TIME_EXP and rate == 0.0:
             raise DomainError("exponential time kind needs a nonzero rate")
 
-    def check_domain(self, t, x):
+    def jet(self, t, x, order):
         tv = np.asarray(t)
         if self.t_min is not None and np.any(np.real(tv) <= self.t_min):
             raise DomainError(f"needs t > {self.t_min}")
@@ -119,9 +111,6 @@ class ExpPolyFn(SmoothFn):
             bound = self.tail_bound(tv)
             if np.max(bound) > 1e-12:
                 raise ConvergenceError(f"series tail bound {np.max(bound):.3e} exceeds 1e-12")
-
-    def jet(self, t, x, order):
-        self.check_domain(t, x)
         tj, (xj,) = self._seed(t, x, order)
         tau = tj + self.shift if self.kind == TIME_POLY else jets.exp(self.rate * tj)
         return self._eval(tau, xj)
@@ -187,71 +176,6 @@ class FormulaFn(SmoothFn):
         return self.formula(tj, *xjs)
 
 
-class ProductFn(SmoothFn):
-    """Product of one-dimensional factors, one per space coordinate."""
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-        self.ndim = len(self.factors)
-
-    def check_domain(self, t, x):
-        xs = x if isinstance(x, (tuple, list)) else (x,)
-        for f, xj in zip(self.factors, xs):
-            f.check_domain(t, xj)
-
-    def jet(self, t, x, order):
-        nv = 1 + self.ndim
-        out = None
-        for i, (f, xc) in enumerate(zip(self.factors, x)):
-            j2 = f.jet(t, xc, order)
-            emb = _embed(j2, nv, (0, 1 + i))
-            out = emb if out is None else out * emb
-        return out
-
-
-class PairPowerFn(SmoothFn):
-    """(x_i - x_j)^s, the relative-coordinate factor of the pair potential."""
-
-    def __init__(self, s, i, j, ndim):
-        self.s = s
-        self.i, self.j = i, j
-        self.ndim = ndim
-
-    def check_domain(self, t, x):
-        d = np.real(np.asarray(x[self.i]) - np.asarray(x[self.j]))
-        if np.any(d <= 0):
-            raise DomainError("needs x_i > x_j")
-
-    def jet(self, t, x, order):
-        _, xjs = self._seed(t, x, order)
-        return jets.cpow(xjs[self.i] - xjs[self.j], self.s)
-
-
-class MultiProductFn(SmoothFn):
-    """Pointwise product of same-dimension factors."""
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-        self.ndim = factors[0].ndim
-
-    def check_domain(self, t, x):
-        for f in self.factors:
-            f.check_domain(t, x)
-
-    def jet(self, t, x, order):
-        out = None
-        for f in self.factors:
-            j = f.jet(t, x, order)
-            out = j if out is None else out * j
-        return out
-
-
-def _embed(j2, nvars, var_map):
-    """Re-index a jet's variables into a larger variable space."""
-    keys = [tuple(dict(zip(var_map, k)).get(i, 0) for i in range(nvars)) for k in j2.coef]
-    return Jet(nvars, j2.order, dict(zip(keys, j2.coef.values())))
-
-
 # -- library constructors ------------------------------------------------------
 
 
@@ -265,11 +189,6 @@ def gaussian_free(k, t0=0.0) -> ExpPolyFn:
         shift=t0,
         t_min=float(-np.real(t0)) if abs(np.imag(k)) < 1e-12 * abs(k) else None,
     )
-
-
-def exp_free(k, p) -> ExpPolyFn:
-    """Plane solution e^{p x + k p^2 t} of the free equation."""
-    return ExpPolyFn([(1.0, 0.0, 0.0, [(0, 1, p), (1, 0, k * p * p)])])
 
 
 def constant_one() -> ExpPolyFn:
@@ -381,22 +300,6 @@ def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
         return jets.exp(1j * (p[0] * x1 + p[1] * x2) + rate * tj) * amplitude
 
     return FormulaFn(formula, ndim=2)
-
-
-def ndim_product_solution(spec: FamilySpec):
-    """Product of per-coordinate linear-family lifts; with nonzero pair
-    couplings a_jk (n = 2 only) the relative-coordinate power factor is
-    attached, with exponent s(s-1) = a_12."""
-    sub = FamilySpec.linear(spec.k, spec.alpha, spec.beta)
-    f1, _ = f_pair(sub)
-    prod = ProductFn([f1] * spec.n)
-    if spec.ajk is None or np.abs(np.asarray(spec.ajk)).max() == 0:
-        return prod
-    if spec.n != 2:
-        raise DomainError("pair-coupling product solution implemented for n = 2")
-    a12 = spec.ajk[0][1]
-    s = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * a12))
-    return MultiProductFn([prod, PairPowerFn(s, 0, 1, 2)])
 
 
 # -- bound-state machinery -----------------------------------------------------

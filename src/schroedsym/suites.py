@@ -4,6 +4,8 @@ Each check pins one identity, runs it over seeded random draws, and
 yields its defects, each a float or an array with one entry per trial;
 ``Check.run`` folds them through ``worst_defect`` into the check's value,
 the largest defect, which is NaN (and fails) as soon as one is NaN.  A
+check that raises a typed error (``SchroedSymError``) fails with the value
+NaN and the error's type and message, and the other checks still run.  A
 check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
 in one array pass.  Three kinds still go trial by trial: the RK4 oracle
@@ -35,7 +37,7 @@ from .coords import (
     reality_domain_check,
     comoving_identity_check,
 )
-from .errors import ConfigError, DeterminantError
+from .errors import ConfigError, DeterminantError, SchroedSymError
 from .group import (
     DiskParams,
     GroupElement,
@@ -45,7 +47,6 @@ from .group import (
     compose,
     disk_parametrize,
     inverse,
-    is_disk_shaped,
     is_semigroup_admissible,
 )
 from .multiplier import (
@@ -90,11 +91,9 @@ from .solutions import (
     airy_u,
     constant_one,
     eigenvalue_scan,
-    exp_free,
     f_pair,
     g_functions,
     gaussian_free,
-    ndim_product_solution,
     phi_pair,
     plane_wave_nls,
     power_static,
@@ -159,6 +158,7 @@ class CheckResult:
     value: float
     tol: float
     seconds: float
+    error: str = None  # "Type: message" of the typed error the check raised
 
 
 @dataclass
@@ -179,6 +179,7 @@ class SuiteReport:
             lines.append(
                 f"{status}  {r.name:<{width}}  value={r.value:.3e}  tol={r.tol:.1e}"
                 f"  {r.seconds*1e3:8.1f} ms  [{r.anchor}]"
+                + (f"  error: {r.error}" if r.error else "")
             )
         npass = sum(r.passed for r in self.results)
         lines.append(f"{npass}/{len(self.results)} checks passed")
@@ -193,6 +194,7 @@ class SuiteReport:
                 "value": float(r.value),
                 "tol": float(r.tol),
                 "seconds": round(r.seconds, 6),
+                "error": r.error,
             }
             for r in sorted(self.results, key=lambda r: r.name)
         ]
@@ -233,9 +235,12 @@ class Check:
         tol = cfg.tol if cfg.tol is not None and not self.structural else self.tol
         trials = cfg.trials if cfg.trials is not None else self.trials
         start = time.perf_counter()
-        value = worst_defect(self.fn(cfg, rng, trials))
+        try:
+            value, error = worst_defect(self.fn(cfg, rng, trials)), None
+        except SchroedSymError as exc:  # a typed error fails this check only
+            value, error = math.nan, f"{type(exc).__name__}: {exc}"
         dt = time.perf_counter() - start
-        return CheckResult(self.name, self.anchor, value <= tol, value, tol, dt)
+        return CheckResult(self.name, self.anchor, value <= tol, value, tol, dt, error)
 
 
 _REGISTRY: dict[str, list[Check]] = {}
@@ -397,41 +402,35 @@ def _coords_identity(cfg, rng, trials):
     yield from (abs(zp.t - t), abs(zp.x1 - abs(x) - 0.2))
 
 
-def _homomorphism_defect(rng, trials, spec, sampler):
-    l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
-    z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
-    seq = act(l1, act(l2, z, spec), spec)
-    joint = act(compose(l1, l2), z, spec)
-    dt = abs(seq.t - joint.t)
-    if spec.family == "quadratic" and not spec.komega_is_real:
-        period = 2.0 * np.pi / abs(4.0 * spec.k * spec.omega)
-        dt = np.minimum(dt, abs(dt - period))
-    yield from (dt, abs(seq.x1 - joint.x1))
+# family: (what the anchor names, the families it runs for, a sampler of
+# ``size`` elements)
+_HOMOMORPHISM = {
+    "linear": ("linear family", ("linear", "free"), random_element),
+    "inverse_quadratic": ("scale-invariant family", ("inverse_quadratic",),
+                          lambda rng, size: GroupElement(random_sl2r(rng, size=size))),
+    "quadratic": ("oscillator semigroup", ("quadratic",), random_admissible_element),
+    "disk": ("circle subgroup", ("quadratic",), random_disk_element),
+}
 
 
-@_register("coords", "homomorphism_linear", "two-step action equals composed action, linear family", 1e-11, 300, families=("linear", "free"))
-def _coords_hom_linear(cfg, rng, trials):
-    spec = cfg.specs()["linear"]
-    yield from _homomorphism_defect(rng, trials, spec, random_element)
+def _homomorphism_check(family, sampler):
+    def check(cfg, rng, trials):
+        spec = cfg.specs()[family]
+        l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
+        z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
+        seq = act(l1, act(l2, z, spec), spec)
+        joint = act(compose(l1, l2), z, spec)
+        dt = abs(seq.t - joint.t)
+        if spec.family == "quadratic" and not spec.komega_is_real:
+            period = 2.0 * np.pi / abs(4.0 * spec.k * spec.omega)
+            dt = np.minimum(dt, abs(dt - period))
+        yield from (dt, abs(seq.x1 - joint.x1))
+    return check
 
 
-@_register("coords", "homomorphism_inverse_quadratic", "two-step action equals composed action, scale-invariant family", 1e-11, 300, families=("inverse_quadratic",))
-def _coords_hom_invq(cfg, rng, trials):
-    spec = cfg.specs()["inverse_quadratic"]
-    sampler = lambda rng, size: GroupElement(random_sl2r(rng, size=size))
-    yield from _homomorphism_defect(rng, trials, spec, sampler)
-
-
-@_register("coords", "homomorphism_quadratic", "two-step action equals composed action, oscillator semigroup", 1e-11, 300, families=("quadratic",))
-def _coords_hom_quad(cfg, rng, trials):
-    spec = cfg.specs()["quadratic"]
-    yield from _homomorphism_defect(rng, trials, spec, random_admissible_element)
-
-
-@_register("coords", "homomorphism_disk", "two-step action equals composed action, circle subgroup", 1e-11, 300, families=("quadratic",))
-def _coords_hom_disk(cfg, rng, trials):
-    spec = cfg.specs()["disk"]
-    yield from _homomorphism_defect(rng, trials, spec, random_disk_element)
+for _family, (_what, _families, _sampler) in _HOMOMORPHISM.items():
+    _register("coords", f"homomorphism_{_family}", f"two-step action equals composed action, {_what}",
+              1e-11, 300, families=_families)(_homomorphism_check(_family, _sampler))
 
 
 @_register("coords", "time_translation", "upper shear translates time", 1e-13, families=("linear", "free", "inverse_quadratic"))
@@ -611,33 +610,27 @@ def _oracle_defect(l, spec, t_grid):
     return defect + estimate
 
 
-@_register("multiplier", "ode_oracle_linear", "closed exponent coefficients solve their structure equations, linear family", 1e-7, 5, families=("linear",), structural=True)
-def _mult_oracle_linear(cfg, rng, trials):
-    spec = cfg.specs()["linear"]
-    tg = np.linspace(-0.3, 0.5, 9)
-    yield from (
-        _oracle_defect(random_element(rng), spec, tg) for _ in range(trials)
-    )
+# family: (what the anchor names, its tolerance, a sampler of one element)
+_ORACLE = {
+    "linear": ("linear family", 1e-7, random_element),
+    "quadratic": ("oscillator semigroup", 1e-6, random_admissible_element),
+    "disk": ("circle subgroup", 1e-6, random_disk_element),
+}
 
 
-@_register("multiplier", "ode_oracle_quadratic", "closed exponent coefficients solve their structure equations, oscillator semigroup", 1e-6, 5, families=("quadratic",), structural=True)
-def _mult_oracle_quadratic(cfg, rng, trials):
-    spec = cfg.specs()["quadratic"]
-    tg = np.linspace(-0.3, 0.5, 9)
-    yield from (
-        _oracle_defect(random_admissible_element(rng), spec, tg)
-        for _ in range(trials)
-    )
+def _oracle_check(family, sampler):
+    def check(cfg, rng, trials):
+        spec = cfg.specs()[family]
+        tg = np.linspace(-0.3, 0.5, 9)
+        yield from (_oracle_defect(sampler(rng), spec, tg) for _ in range(trials))
+    return check
 
 
-@_register("multiplier", "ode_oracle_disk", "closed exponent coefficients solve their structure equations, circle subgroup", 1e-6, 5, families=("quadratic",), structural=True)
-def _mult_oracle_disk(cfg, rng, trials):
-    spec = cfg.specs()["disk"]
-    tg = np.linspace(-0.3, 0.5, 9)
-    yield from (
-        _oracle_defect(random_disk_element(rng), spec, tg)
-        for _ in range(trials)
-    )
+for _family, (_what, _tol, _sampler) in _ORACLE.items():
+    _register("multiplier", f"ode_oracle_{_family}",
+              f"closed exponent coefficients solve their structure equations, {_what}",
+              _tol, 5, families=("quadratic" if _family == "disk" else _family,),
+              structural=True)(_oracle_check(_family, _sampler))
 
 
 @_register("multiplier", "structure_consistency", "x-linear and x-square coefficients match the frame derivatives", 1e-7, 20, structural=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from schroedsym.cli import main
-from schroedsym.errors import ConfigError
+from schroedsym.errors import ConfigError, DeterminantError
 from schroedsym import suites
 from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names
 
@@ -147,7 +147,8 @@ def test_json_report_shape_and_determinism(tmp_path):
     rows2 = json.loads(p2.read_text())
     for rows in (rows1, rows2):
         for row in rows:
-            assert set(row) == {"name", "anchor", "pass", "value", "tol", "seconds"}
+            assert set(row) == {"name", "anchor", "pass", "value", "tol", "seconds", "error"}
+            assert row["error"] is None
             row.pop("seconds")
     assert json.dumps(rows1, sort_keys=True) == json.dumps(rows2, sort_keys=True)
     # round-trips through the parser
@@ -167,6 +168,25 @@ def test_failing_check_flips_exit_code(tmp_path, monkeypatch):
     assert rc == 1
     rows = json.loads((tmp_path / "f.json").read_text())
     assert any(not r["pass"] for r in rows)
+
+
+def test_a_check_that_raises_fails_alone(tmp_path, monkeypatch, capsys):
+    def raising(cfg, rng, trials):
+        raise DeterminantError("det off by 1e-9")
+        yield
+
+    (check,) = [c for c in suites._REGISTRY["group"] if c.name == "group.symplectic"]
+    monkeypatch.setattr(check, "fn", raising)
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())
+    assert len(rows) == 68
+    failed = [r for r in rows if not r["pass"]]
+    assert [r["name"] for r in failed] == ["group.symplectic"]
+    assert failed[0]["error"] == "DeterminantError: det off by 1e-9"
+    assert math.isnan(failed[0]["value"])
+    assert main(["verify", "group"]) == 1
+    assert "error: DeterminantError: det off by 1e-9" in capsys.readouterr().out
 
 
 def test_demo_transform_identity_reproduces_solution(tmp_path):

@@ -40,11 +40,7 @@ def test_family_spec_validation():
     with pytest.raises(DomainError):
         FamilySpec("linear", k=1.0 + 1.0j)  # neither real nor imaginary
     with pytest.raises(DomainError):
-        FamilySpec.ndim_linear(1.0, 0.0, 0.0, 2, [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(DomainError):
         FamilySpec.nls2d(1.0)
-    spec = FamilySpec.ndim_linear(1.0, 0.0, 0.0, 2, [[0.0, 0.3], [0.3, 0.0]])
-    assert spec.ajk[0][1] == 0.3
 
 
 def test_inverse_quadratic_action_specials():
@@ -131,16 +127,8 @@ def test_quadratic_branch_error():
 
 
 def test_galilean_params_and_affine_formula():
-    for _ in range(100):
-        lam, mu, nu = RNG.uniform(-0.8, 0.8, 3)
-        l = GroupElement(Mat2(1.0, lam, 0.0, 1.0), mu, nu)
-        gd = galilean_params(l, LIN)
-        k2b = LIN.k ** 2 * LIN.beta
-        assert abs(gd.sigma - (mu - nu * lam + k2b * lam ** 2)) < 1e-14
-        assert abs(gd.v - (2 * k2b * lam - nu)) < 1e-14
-        t, x = RNG.uniform(-0.5, 0.5), RNG.uniform(-1.5, 1.5)
-        zp = act(l, Point(t, x), LIN)
-        assert abs(zp.x1 - (x + gd.sigma + gd.v * t)) < 1e-12
+    # the affine formula is coords.galilean; the unit has no boost, and
+    # other shapes are rejected
     assert galilean_params(GroupElement.identity(), LIN) == galilean_params(
         GroupElement(Mat2.identity(), 0.0, 0.0), LIN)
     gd0 = galilean_params(GroupElement.identity(), LIN)
@@ -171,11 +159,9 @@ def test_comoving_identity():
 
 
 def test_reality_domain_check():
+    # the semigroup, the sign flip and the circle subgroup are
+    # coords.reality_domain
     assert reality_domain_check(GroupElement.identity(), 1.7, QUAD)
-    for _ in range(50):
-        assert reality_domain_check(random_admissible_element(RNG), RNG.uniform(-1, 1), QUAD)
-    assert not reality_domain_check(GroupElement(Mat2(1.0, 0.0, -0.5, 1.0)), 3.0, QUAD)
-    assert reality_domain_check(random_disk_element(RNG), 0.4, DISK)
     # broken pairing mu* != -nu fails the circle-subgroup test
     el = disk_parametrize(DiskParams(0.2, 0.1))
     assert not reality_domain_check(GroupElement(el.m, 0.5, 0.5), 0.4, DISK)

@@ -16,7 +16,7 @@ from schroedsym.group import (
     is_disk_shaped,
     is_semigroup_admissible,
 )
-from schroedsym.sampling import random_admissible_element, random_disk_element, random_element
+from schroedsym.sampling import random_disk_element, random_element
 
 RNG = np.random.default_rng(20240817)
 
@@ -56,12 +56,11 @@ def test_compose_time_translations_add():
 
 
 def test_compose_with_identity_and_inverse():
+    # the inverse is group.inverse; the unit is a right unit
     for _ in range(50):
         l = random_element(RNG)
         p = compose(l, GroupElement.identity())
         assert max(abs(p.a - l.a), abs(p.mu - l.mu), abs(p.nu - l.nu)) < 1e-15
-        q = compose(l, inverse(l))
-        assert max(abs(q.a), abs(q.d), abs(q.b - 1), abs(q.c - 1), abs(q.mu), abs(q.nu)) < 1e-12
 
 
 def test_pure_translation_inverse_negates():
@@ -124,21 +123,10 @@ def test_cocycle_quadratic_variants_and_cycle():
         cocycle_quadratic(a, b, 0.0)
     with pytest.raises(ValueError):
         cocycle_quadratic(a, b, 1.0, variant="nonsense")
-    w = 0.6
-    for _ in range(200):
-        l1, l2, l3 = (random_element(RNG, complex_entries=True) for _ in range(3))
-        lhs = cocycle_quadratic(l1, l2, w) + cocycle_quadratic(compose(l1, l2), l3, w)
-        rhs = cocycle_quadratic(l2, l3, w) + cocycle_quadratic(l1, compose(l2, l3), w)
-        assert abs(lhs - rhs) < 1e-12
 
 
 def test_disk_parametrize_shapes():
-    assert disk_parametrize(DiskParams(0.0, 0.0)).m.symplectic_defect() < 1e-14
-    rot = disk_parametrize(DiskParams(np.pi / 2.0, 0.0))
-    # pure rotation of the Mobius variable by pi
-    for u in (1.0, np.exp(0.4j)):
-        up = (rot.c * u + rot.d) / (rot.a * u + rot.b)
-        assert abs(up + u) < 1e-14
+    # the unit and the rotation by pi are group.disk_parametrization
     el = disk_parametrize(DiskParams(0.3, 0.2 + 0.4j))
     assert is_disk_shaped(el.m)
     assert abs(el.m.det - 1.0) < 1e-14
@@ -156,9 +144,6 @@ def test_disk_closure_under_composition():
 
 
 def test_semigroup_admissibility():
+    # closure is group.admissible_closure
     assert is_semigroup_admissible(GroupElement.identity())
     assert not is_semigroup_admissible(GroupElement(Mat2(1.0, 0.0, -1.0, 1.0)))
-    for _ in range(100):
-        l1 = random_admissible_element(RNG)
-        l2 = random_admissible_element(RNG)
-        assert is_semigroup_admissible(compose(l1, l2))

@@ -25,12 +25,8 @@ INVQ = FamilySpec.inverse_quadratic(k=0.7, alpha=2.0)
 
 
 def test_identity_multipliers_are_one():
-    ident = GroupElement.identity()
-    for t in (-2.0, 0.0, 0.3, 4.0):
-        z = Point(t, 0.8)
-        for spec in (LIN, QUAD, DISK, INVQ):
-            assert abs(multiplier(ident, z, spec) - 1.0) < 1e-14
-    # time translation likewise (a=0, b=1)
+    # the unit is multiplier.identity_value; a time translation (a=0, b=1)
+    # has multiplier one too
     shear = GroupElement(Mat2(1.0, 0.6, 0.0, 1.0))
     assert abs(multiplier(shear, Point(0.2, 0.5), INVQ) - 1.0) < 1e-14
 
@@ -117,15 +113,9 @@ def test_nls_modulus_identity():
 
 
 def test_k0_intertwiner_values():
+    # t', x' and K0 at the simplest constants are multiplier.k0_values
     p = IntertwinerParams(sigma=1.0, tau=0.0, lam=0.0)
-    k, w = QUAD.k, QUAD.omega
-    for t in (0.0, 0.3):
-        u = np.exp(4 * k * w * t)
-        tp, xp, k0 = k0_map(p, QUAD, t, 0.5)
-        assert abs(tp + 1.0 / (4 * k * w * u)) < 1e-14
-        assert abs(xp - 0.5 / np.sqrt(u)) < 1e-14
-        want = u ** 0.25 / np.sqrt(u) * np.exp(-k * QUAD.alpha * t - w / 2 * 0.25)
-        assert abs(k0 - want) < 1e-14
+    w = QUAD.omega
     # C0 coefficient at lam = 0 is -omega/2: with tau = 0 there is no
     # x-linear part, so C0 = log(K0(x=1)/K0(x=0))
     *_, k1 = k0_map(p, QUAD, 0.2, 1.0)

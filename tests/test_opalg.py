@@ -26,14 +26,9 @@ QUAD = FamilySpec.quadratic(K, ALPHA, OMEGA)
 
 
 def test_laurent_poly_ring():
+    # products and s-derivatives are liealg.poly_ring; here the x-derivative
+    # and evaluation
     p = LaurentPoly2.term(1.0, 1, 0) + LaurentPoly2.term(1.0, -1, 0)
-    want = LaurentPoly2({(2, 0): 1.0, (0, 0): 2.0, (-2, 0): 1.0})
-    assert (p * p).max_abs_diff(want) == 0.0
-    one = LaurentPoly2.const(1.0)
-    assert (p * one).max_abs_diff(p) == 0.0
-    # d/ds (s^2 x) = 2 s x ; d/ds s^-1 = -s^-2
-    assert LaurentPoly2.term(1.0, 2, 1).derive(0).max_abs_diff(LaurentPoly2.term(2.0, 1, 1)) == 0.0
-    assert LaurentPoly2.term(1.0, -1, 0).derive(0).max_abs_diff(LaurentPoly2.term(-1.0, -2, 0)) == 0.0
     assert LaurentPoly2.term(2.0, 0, 3).derive(1).max_abs_diff(LaurentPoly2.term(6.0, 0, 2)) == 0.0
     assert abs(p.evaluate(2.0, 0.0) - 2.5) < 1e-15
 
@@ -73,8 +68,7 @@ def test_family_mismatch_raises():
 
 
 def test_commutator_tables():
-    assert GL.commutator_table_defect() < 1e-13
-    assert GQ.commutator_table_defect() < 1e-13
+    # the tables are liealg.table_linear and liealg.table_quadratic; here
     # the central brackets explicitly
     want_lin = DiffOp.from_poly(LINEAR_VARS, LaurentPoly2.const(1.0 / (2.0 * K)))
     assert GL.T1.commutator(GL.T2).max_abs_diff(want_lin) < 1e-15
@@ -105,19 +99,10 @@ def test_evolution_operator_identities():
 
 
 def test_intertwining_and_falsification():
-    assert intertwine_check(GL, GL.Kop)
-    assert intertwine_check(GQ, GQ.Kop)
-    from dataclasses import replace
-
-    broken = replace(GL, Lminus=GL.Lminus + 1e-3 * GL.unit)
-    assert not intertwine_check(broken, GL.Kop)
+    # both families, the perturbed control and the linear family's brackets
+    # with the evolution operator are liealg.intertwine
     with pytest.raises(FamilyMismatch):
         intertwine_check(GL, GQ.Kop)
-    # implied brackets with the evolution operator
-    assert GL.Lplus.commutator(GL.Kop).is_zero()
-    assert GL.T1.commutator(GL.Kop).is_zero()
-    assert GL.T2.commutator(GL.Kop).is_zero()
-    assert (GL.L3.commutator(GL.Kop) - GL.Kop).is_zero()
     assert GQ.L3.commutator(GQ.Kop).is_zero()
     assert GQ.T1.commutator(GQ.Kop).is_zero()
     assert GQ.T2.commutator(GQ.Kop).is_zero()
@@ -145,24 +130,6 @@ def test_jacobi_identity():
              + b.commutator(c.commutator(a))
              + c.commutator(a.commutator(b)))
         assert j.is_zero(1e-12)
-
-
-def test_numeric_apply_eigenrelations():
-    f1, f2 = f_pair(LIN)
-    i2, i3 = casimir_I2(GL), casimir_I3(GL)
-    for _ in range(25):
-        z = Point(RNG.uniform(0.2, 1.0), RNG.uniform(-1.2, 1.2))
-        v1, v2 = f1.value(z.t, z.x1), f2.value(z.t, z.x1)
-        assert abs(GL.Lplus.apply(f1, z)) / abs(v1) < 1e-11
-        assert abs(GL.T1.apply(f1, z)) / abs(v1) < 1e-11
-        assert abs(GL.L3.apply(f1, z) + 0.25 * v1) / abs(v1) < 1e-11
-        assert abs(GL.Lminus.apply(f2, z)) / abs(v2) < 1e-11
-        assert abs(GL.T2.apply(f2, z)) / abs(v2) < 1e-11
-        assert abs(GL.L3.apply(f2, z) - 0.25 * v2) / abs(v2) < 1e-11
-        assert abs(i2.apply(f1, z) - 3.0 / 16.0 * v1) / abs(v1) < 1e-10
-        assert abs(i3.apply(f1, z) - 3.0 / 16.0 * v1) / abs(v1) < 1e-10
-        assert abs(i2.apply(f2, z) - 3.0 / 16.0 * v2) / abs(v2) < 1e-10
-        assert abs(i3.apply(f2, z) - 3.0 / 16.0 * v2) / abs(v2) < 1e-10
 
 
 def test_numeric_apply_oscillator_states():
