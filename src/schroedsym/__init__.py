@@ -77,7 +77,6 @@ from .residual import (
 )
 from .solutions import (
     AirySpec,
-    ExpPolyFn,
     FormulaFn,
     SmoothFn,
     airy_u,

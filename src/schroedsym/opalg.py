@@ -226,7 +226,7 @@ class DiffOp:
         t = z.t if hasattr(z, "t") else z[0]
         x = z.x1 if hasattr(z, "x1") else z[1]
         if self.family == QUADRATIC_VARS:
-            if not hasattr(fn, "jet_s") or getattr(fn, "kind", None) != "exps":
+            if getattr(fn, "rate", None) is None:
                 raise OrderError("function has no exponential-variable jets")
             s = fn.s_of_t(t)
             j = fn.jet_s(s, x, order)

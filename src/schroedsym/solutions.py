@@ -1,19 +1,18 @@
 """Reference solutions with analytic partial derivatives.
 
-Every closed-form solution used here is a finite sum of terms
-
-    coeff * tau^rho * x^sigma * exp( sum_ij c_ij tau^i x^j )
-
-where tau is either the (possibly shifted) time variable or the
-exponential variable s = e^{2 k omega t} of the oscillator family, and the
-exponents i, j may be negative.  Jet evaluation of that expression yields
-partial derivatives of any order, so the residual verifier and the
-operator algebra never fall back to finite differences.
+Every closed-form solution here is a ``FormulaFn``: its formula is the
+closed form written once as jet arithmetic, so evaluating it on jets
+yields partial derivatives of any order, and the residual verifier and
+the operator algebra never fall back to finite differences.  A formula
+guards its own domain at its top and raises ``DomainError`` there.  The
+oscillator family's functions take the exponential variable
+s = e^{2 k omega t} as their first argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -66,182 +65,132 @@ class SmoothFn:
         return tj, xjs
 
 
-TIME_POLY = "poly"  # tau = t + shift
-TIME_EXP = "exps"  # tau = exp(rate * t)
-
-
-@dataclass(frozen=True)
-class ExpPolyTerm:
-    coeff: complex
-    rho: complex  # tau power of the prefactor
-    sigma: complex  # x power of the prefactor
-    expo: tuple  # ((i, j, c), ...) meaning sum c * tau^i x^j
-
-
-class ExpPolyFn(SmoothFn):
-    """Sum of exp-of-Laurent-polynomial terms in (tau, x)."""
-
-    def __init__(self, terms, kind=TIME_POLY, shift=0.0, rate=0.0,
-                 t_min=None, im_t_min=None, x_min=None, tail_bound=None):
-        self.terms = [
-            ExpPolyTerm(c, r, s, tuple((i, j, cc) for i, j, cc in e))
-            for c, r, s, e in terms
-        ]
-        self.kind = kind
-        self.shift = shift
-        self.rate = rate  # 2 k omega for the exponential time variable
-        self.t_min = t_min
-        self.im_t_min = im_t_min
-        self.x_min = x_min
-        self.tail_bound = tail_bound  # callable t -> bound, for series
-        if kind == TIME_EXP and rate == 0.0:
-            raise DomainError("exponential time kind needs a nonzero rate")
-
-    def jet(self, t, x, order):
-        tv = np.asarray(t)
-        if self.t_min is not None and np.any(np.real(tv) <= self.t_min):
-            raise DomainError(f"needs t > {self.t_min}")
-        if self.im_t_min is not None and np.any(np.imag(tv) <= self.im_t_min):
-            raise DomainError("needs Im t > 0")
-        if self.x_min is not None:
-            xv = np.asarray(x[0] if isinstance(x, (tuple, list)) else x)
-            if np.any(np.real(xv) <= self.x_min):
-                raise DomainError(f"needs x > {self.x_min}")
-        if self.tail_bound is not None:
-            bound = self.tail_bound(tv)
-            if np.max(bound) > 1e-12:
-                raise ConvergenceError(f"series tail bound {np.max(bound):.3e} exceeds 1e-12")
-        tj, (xj,) = self._seed(t, x, order)
-        tau = tj + self.shift if self.kind == TIME_POLY else jets.exp(self.rate * tj)
-        return self._eval(tau, xj)
-
-    def jet_s(self, s, x, order):
-        """Jet in the exponential variable itself (oscillator family)."""
-        if self.kind != TIME_EXP:
-            raise DomainError("function is not represented in the exponential variable")
-        tau = Jet.variable(s, 0, 2, order)
-        xj = Jet.variable(x, 1, 2, order)
-        return self._eval(tau, xj)
-
-    def s_of_t(self, t):
-        if self.kind != TIME_EXP:
-            raise DomainError("function is not represented in the exponential variable")
-        return np.exp(self.rate * np.asarray(t))
-
-    def _eval(self, tau, xj):
-        tau_pows, x_pows = {}, {}
-
-        def tpow(n):
-            if n not in tau_pows:
-                tau_pows[n] = tau ** n
-            return tau_pows[n]
-
-        def xpow(n):
-            if n not in x_pows:
-                x_pows[n] = xj ** n
-            return x_pows[n]
-
-        out = None
-        for term in self.terms:
-            expo = None
-            for i, j, c in term.expo:
-                piece = c * (tpow(i) if i else 1.0)
-                if isinstance(piece, Jet) or j:
-                    piece = piece * xpow(j) if j else piece
-                else:
-                    piece = Jet.const(piece, tau.nvars, tau.order)
-                expo = piece if expo is None else expo + piece
-            val = jets.exp(expo) if expo is not None else Jet.const(1.0, tau.nvars, tau.order)
-            if term.rho:
-                val = val * (tpow(int(term.rho)) if float(term.rho).is_integer()
-                             else jets.cpow(tau, term.rho))
-            if term.sigma:
-                val = val * (xpow(int(term.sigma)) if float(np.real(term.sigma)).is_integer()
-                             and np.imag(term.sigma) == 0
-                             else jets.cpow(xj, term.sigma))
-            val = val * term.coeff
-            out = val if out is None else out + val
-        return out
-
-
 class FormulaFn(SmoothFn):
-    """Adapter turning a jet-generic formula f(t, x...) into a SmoothFn."""
+    """A jet-generic formula f(t, x...) as a SmoothFn.
 
-    def __init__(self, formula, ndim=1):
+    With a ``rate`` the formula's first argument is the exponential
+    variable s = e^{rate t} instead of t, and ``jet_s`` gives its jets in
+    (s, x) themselves, as the oscillator family's operators need.
+    """
+
+    def __init__(self, formula, ndim=1, rate=None):
         self.formula = formula
         self.ndim = ndim
+        self.rate = rate
 
     def jet(self, t, x, order):
         tj, xjs = self._seed(t, x, order)
-        return self.formula(tj, *xjs)
+        return self.formula(tj if self.rate is None else jets.exp(self.rate * tj), *xjs)
+
+    def jet_s(self, s, x, order):
+        """Jet in the exponential variable itself."""
+        if self.rate is None:
+            raise DomainError("function is not represented in the exponential variable")
+        sj, xjs = self._seed(s, x, order)
+        return self.formula(sj, *xjs)
+
+    def s_of_t(self, t):
+        if self.rate is None:
+            raise DomainError("function is not represented in the exponential variable")
+        return np.exp(self.rate * np.asarray(t))
+
+
+def _above(z, bound, name):
+    """The domain guard of a formula: ``DomainError`` unless the real part
+    of every value of ``z`` (a jet's constant part, or an array) exceeds
+    ``bound``."""
+    if np.any(np.real(jets.value_of(z)) <= bound):
+        raise DomainError(f"needs {name} > {bound}")
+
+
+def _power(z, p):
+    """z^p: a product of factors for a whole real p, where the series of
+    ``cpow`` would round differently, else the principal branch."""
+    whole = np.imag(p) == 0 and float(np.real(p)).is_integer()
+    return z ** int(np.real(p)) if whole else jets.cpow(z, p)
 
 
 # -- library constructors ------------------------------------------------------
 
 
-def gaussian_free(k, t0=0.0) -> ExpPolyFn:
-    """Heat/Schrodinger kernel (4 pi k (t + t0))^{-1/2} e^{-x^2/(4k(t+t0))}."""
+def gaussian_free(k, t0=0.0) -> FormulaFn:
+    """Heat/Schrodinger kernel (4 pi k (t + t0))^{-1/2} e^{-x^2/(4k(t+t0))};
+    for a real k it guards t > -t0."""
     if k == 0:
         raise DomainError("k must be nonzero")
     c = jets.cpow(4.0 * np.pi * k, -0.5)
-    return ExpPolyFn(
-        [(c, -0.5, 0.0, [(-1, 2, -1.0 / (4.0 * k))])],
-        shift=t0,
-        t_min=float(-np.real(t0)) if abs(np.imag(k)) < 1e-12 * abs(k) else None,
-    )
+    t_min = float(-np.real(t0)) if abs(np.imag(k)) < 1e-12 * abs(k) else None
+
+    def formula(t, x):
+        if t_min is not None:
+            _above(t, t_min, "t")
+        tau = t + t0
+        return jets.exp(-1.0 / (4.0 * k) * tau ** -1 * x ** 2) * jets.cpow(tau, -0.5) * c
+
+    return FormulaFn(formula)
 
 
-def constant_one() -> ExpPolyFn:
-    return ExpPolyFn([(1.0, 0.0, 0.0, [])])
+def constant_one() -> FormulaFn:
+    return FormulaFn(lambda t, x: Jet.const(1.0, t.nvars, t.order))
 
 
-def power_static(s_exponent, alpha) -> ExpPolyFn:
-    """Static solution x^s of the scale-invariant family, s(s-1) = alpha."""
+def power_static(s_exponent, alpha) -> FormulaFn:
+    """Static solution x^s of the scale-invariant family, s(s-1) = alpha,
+    on x > 0."""
     if abs(s_exponent * (s_exponent - 1.0) - alpha) > 1e-10:
         raise DomainError("s(s-1) must equal alpha")
-    return ExpPolyFn([(1.0, 0.0, s_exponent, [])], x_min=0.0)
+
+    def formula(t, x):
+        _above(x, 0.0, "x")
+        return _power(x, s_exponent)
+
+    return FormulaFn(formula)
 
 
-def theta1(trunc: int) -> ExpPolyFn:
+def theta1(trunc: int) -> FormulaFn:
     """Odd Jacobi theta series, truncated symmetrically.
 
     Satisfies 4 pi i d/dt = d^2/dx^2 term by term (k = -i/4pi).  The
     truncation window n in [1-trunc, trunc] keeps the series exactly odd
-    in x.  Evaluation raises when the tail bound at Im t exceeds 1e-12.
+    in x.  Evaluation needs Im t > 0, and raises ``ConvergenceError`` when
+    the tail bound at Im t exceeds 1e-12.
     """
     if trunc < 10:
         raise DomainError("trunc must be >= 10")
-    terms = []
-    for n in range(1 - trunc, trunc + 1):
-        coeff = 1j * (-1) ** n
-        terms.append(
-            (coeff, 0.0, 0.0,
-             [(1, 0, 1j * np.pi * (n - 0.5) ** 2), (0, 1, 1j * np.pi * (2 * n - 1))])
-        )
 
-    def tail(t):
-        im = np.imag(np.asarray(t))
-        return 4.0 * np.exp(-np.pi * (trunc + 0.5) ** 2 * np.minimum(im, 50.0))
+    def formula(t, x):
+        im = np.imag(jets.value_of(t))
+        _above(im, 0, "Im t")
+        bound = np.max(4.0 * np.exp(-np.pi * (trunc + 0.5) ** 2 * np.minimum(im, 50.0)))
+        if bound > 1e-12:
+            raise ConvergenceError(f"series tail bound {bound:.3e} exceeds 1e-12")
+        return reduce(Jet.__add__, (
+            jets.exp(1j * np.pi * (n - 0.5) ** 2 * t + 1j * np.pi * (2 * n - 1) * x) * (1j * (-1) ** n)
+            for n in range(1 - trunc, trunc + 1)))
 
-    return ExpPolyFn(terms, im_t_min=0.0, tail_bound=tail)
+    return FormulaFn(formula)
 
 
 def f_pair(spec: FamilySpec):
-    """Static-exponent and spreading lifts of the linear-potential family."""
+    """Static-exponent and spreading lifts of the linear-potential family;
+    the spreading lift guards t > 0."""
     if spec.family != LINEAR:
         raise DomainError("f_pair needs the linear family")
     k, a, b = spec.k, spec.alpha, spec.beta
-    f1 = ExpPolyFn([(1.0, 0.0, 0.0,
-                     [(1, 0, -k * a), (1, 1, -k * b), (3, 0, k ** 3 * b ** 2 / 3.0)])])
-    f2 = ExpPolyFn([(1.0, -0.5, 0.0,
-                     [(1, 0, -k * a), (1, 1, -k * b / 2.0),
-                      (3, 0, k ** 3 * b ** 2 / 12.0), (-1, 2, -1.0 / (4.0 * k))])],
-                   t_min=0.0)
-    return f1, f2
+
+    def f1(t, x):
+        return jets.exp((-k * a) * t + (-k * b) * t * x + k ** 3 * b ** 2 / 3.0 * t ** 3)
+
+    def f2(t, x):
+        _above(t, 0.0, "t")
+        return jets.exp((-k * a) * t + (-k * b / 2.0) * t * x + k ** 3 * b ** 2 / 12.0 * t ** 3
+                        + -1.0 / (4.0 * k) * t ** -1 * x ** 2) * jets.cpow(t, -0.5)
+
+    return FormulaFn(f1), FormulaFn(f2)
 
 
 def phi_pair(spec: FamilySpec):
-    """Inverse lifts back to the free equation.
+    """Inverse lifts back to the free equation; the second guards t > 0.
 
     The exponent coefficients come from inverting the forward lifts: the
     cubic coefficients must be (2/3) k^3 beta^2 (and its 1/t^3 mirror) for
@@ -251,39 +200,45 @@ def phi_pair(spec: FamilySpec):
         raise DomainError("phi_pair needs the linear family")
     k, a, b = spec.k, spec.alpha, spec.beta
     cub = (2.0 / 3.0) * k ** 3 * b ** 2
-    phi1 = ExpPolyFn([(1.0, 0.0, 0.0,
-                       [(1, 0, k * a), (1, 1, k * b), (3, 0, cub)])])
-    phi2 = ExpPolyFn([(1.0, -0.5, 0.0,
-                       [(-1, 0, -k * a), (-2, 1, -k * b),
-                        (-3, 0, -cub), (-1, 2, -1.0 / (4.0 * k))])],
-                     t_min=0.0)
-    return phi1, phi2
+
+    def phi1(t, x):
+        return jets.exp((k * a) * t + (k * b) * t * x + cub * t ** 3)
+
+    def phi2(t, x):
+        _above(t, 0.0, "t")
+        r = t ** -1
+        return jets.exp((-k * a) * r + (-k * b) * r ** 2 * x + (-cub) * r ** 3
+                        + -1.0 / (4.0 * k) * r * x ** 2) * jets.cpow(t, -0.5)
+
+    return FormulaFn(phi1), FormulaFn(phi2)
 
 
 def g_functions(spec: FamilySpec, gamma=0.0):
     """Highest/lowest-weight and coherent states of the oscillator family.
 
-    Represented in the exponential variable s = e^{2 k omega t}: the
-    t-linear exponent parts become s-powers, and the coherent state's
-    1/sqrt(u), 1/u terms become s^{-1}, s^{-2}.
+    Written in the exponential variable s = e^{2 k omega t}: the t-linear
+    exponent parts become s-powers, and the coherent state's 1/sqrt(u),
+    1/u terms become s^{-1}, s^{-2}.
     """
     if spec.family != QUADRATIC:
         raise DomainError("g_functions needs the quadratic family")
     k, a, w = spec.k, spec.alpha, spec.omega
-    rate = 2.0 * k * w
-    g1 = ExpPolyFn([(1.0, (w - a) / (2.0 * w), 0.0, [(0, 2, w / 2.0)])],
-                   kind=TIME_EXP, rate=rate)
-    g2 = ExpPolyFn([(1.0, -(w + a) / (2.0 * w), 0.0, [(0, 2, -w / 2.0)])],
-                   kind=TIME_EXP, rate=rate)
+
+    def g1(s, x):
+        return jets.exp(w / 2.0 * x ** 2) * _power(s, (w - a) / (2.0 * w))
+
+    def g2(s, x):
+        return jets.exp(-w / 2.0 * x ** 2) * _power(s, -(w + a) / (2.0 * w))
+
     # The linear term carries +gamma so the annihilation-type generator has
     # eigenvalue +gamma on g3; the opposite sign convention is the gamma ->
     # -gamma relabeling of the same one-parameter family.
-    g3 = ExpPolyFn([(1.0, -(a + w) / (2.0 * w), 0.0,
-                     [(0, 2, -w / 2.0), (-1, 1, gamma),
-                      (-2, 0, -gamma ** 2 / (4.0 * w))])],
-                   kind=TIME_EXP, rate=rate)
-    return g1, g2, g3
+    def g3(s, x):
+        r = s ** -1
+        return jets.exp(-w / 2.0 * x ** 2 + gamma * r * x + -gamma ** 2 / (4.0 * w) * r ** 2) \
+            * _power(s, -(a + w) / (2.0 * w))
 
+    return tuple(FormulaFn(g, rate=2.0 * k * w) for g in (g1, g2, g3))
 
 def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     """Exact plane-wave solution of the 2-d cubic equation (imaginary k)."""

@@ -4,14 +4,16 @@ Each check pins one identity, runs it over seeded random draws, and
 yields its defects, each a float or an array with one entry per trial;
 ``Check.run`` folds them through ``worst_defect`` into the check's value,
 the largest defect, which is NaN (and fails) as soon as one is NaN.  A
-check that raises a typed error (``SchroedSymError``) fails with the value
-NaN and the error's type and message, and the other checks still run.  A
+check that raises a typed error (``SchroedSymError``) or a
+``FloatingPointError`` (each check runs with numpy's overflow, invalid
+and divide-by-zero errors raised) fails with the value NaN and the
+error's type and message, and the other checks still run.  A
 check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
 in one array pass.  Three kinds still go trial by trial: the RK4 oracle
 checks, ``residual.transformed_nls`` (each trial is a 14^3-point grid) and
-the symbolic ``liealg.jacobi``.  A residual report that dropped a grid
-point outside the function's domain yields an infinite defect.  The CLI
+the symbolic ``liealg.jacobi``.  A grid that leaves a function's domain
+raises ``DomainError``, which fails its check.  The CLI
 wraps these; the acceptance tests drive the same functions at their
 own trial counts.  Per-check generators are seeded from (run seed, check
 name), so reports are reproducible regardless of which subset runs.
@@ -69,6 +71,7 @@ from .opalg import (
 from .residual import (
     GridSpec,
     PullbackFn,
+    fd_order,
     grid_residual,
     residual_arrays,
     lift_frame,
@@ -235,9 +238,10 @@ class Check:
         tol = cfg.tol if cfg.tol is not None and not self.structural else self.tol
         trials = cfg.trials if cfg.trials is not None else self.trials
         start = time.perf_counter()
-        try:
-            value, error = worst_defect(self.fn(cfg, rng, trials)), None
-        except SchroedSymError as exc:  # a typed error fails this check only
+        try:  # an overflow or invalid operation is an error, never a silent NaN
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                value, error = worst_defect(self.fn(cfg, rng, trials)), None
+        except (SchroedSymError, FloatingPointError) as exc:  # fails this check only
             value, error = math.nan, f"{type(exc).__name__}: {exc}"
         dt = time.perf_counter() - start
         return CheckResult(self.name, self.anchor, value <= tol, value, tol, dt, error)
@@ -720,7 +724,7 @@ def _sol_phipair(cfg, rng, trials):
     for kind, grid in (("phi1", GridSpec((-0.4, 0.6), (-1.2, 1.2))),
                        ("phi2", GridSpec((0.15, 1.0), (-1.2, 1.2)))):
         rep = verify_lifted_solution(f1, kind, None, spec, free, grid)
-        yield rep.defect
+        yield rep.max_rel
     phi1, _ = phi_pair(spec)
     k, b = spec.k, spec.beta
     yield abs(phi1.value(0.6, 0.0)
@@ -748,9 +752,8 @@ def _sol_gfuncs(cfg, rng, trials):
 def _sol_theta_pde(cfg, rng, trials):
     fn = theta1(20)
     im_t, re_t, x = _uniforms(rng, trials, (0.8, 1.5), (-0.3, 0.3), (-0.45, 0.45))
-    j = fn.jet(im_t * 1j + re_t, x, 2)
-    res = 4.0 * np.pi * 1j * j.partial((1, 0)) - j.partial((0, 2))
-    yield abs(res) / np.maximum(abs(j.value), 1e-6)
+    r, v = residual_arrays(fn, FamilySpec.free(-1j / (4.0 * np.pi)), im_t * 1j + re_t, [x])
+    yield abs(4.0 * np.pi * 1j * r) / np.maximum(abs(v), 1e-6)
     yield abs(fn.value(1.1j, 0.23) + fn.value(1.1j, -0.23))
 
 
@@ -860,16 +863,14 @@ def _res_self(cfg, rng, trials):
         (g2, sp["quadratic"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
         (g3, sp["quadratic"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
     ]
-    yield from (grid_residual(fn, spec, grid).defect for fn, spec, grid in cases)
+    yield from (grid_residual(fn, spec, grid).max_rel for fn, spec, grid in cases)
 
 
 @_register("residual", "fd_order", "finite-difference residual converges at second order", 0.2, structural=True)
 def _res_fd(cfg, rng, trials):
     spec = cfg.specs()["linear"]
     _, f2 = f_pair(spec)
-    rep = grid_residual(f2, spec, GridSpec((0.4, 1.4), (-1.0, 1.0), h_fd=1e-3),
-                        mode="finite_difference")
-    yield abs(rep.convergence_order - 2.0)
+    yield abs(fd_order(f2, spec, GridSpec((0.4, 1.4), (-1.0, 1.0))) - 2.0)
 
 
 @_register("residual", "zero_function", "zero function reports zero residual", 0.0)
@@ -897,7 +898,7 @@ def _transformed_check(family, solution, sampler, x_range):
     def check(cfg, rng, trials):
         spec = cfg.specs()[family]
         grid = GridSpec(cfg.t_range, x_range or cfg.x_range, cfg.nt, cfg.nx)
-        yield verify_transformed_solution(solution(spec), sampler(rng, trials), spec, grid).defect
+        yield verify_transformed_solution(solution(spec), sampler(rng, trials), spec, grid).max_rel
     return check
 
 
@@ -914,7 +915,7 @@ def _res_tr_nls(cfg, rng, trials):
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
     for _ in range(trials):
-        yield verify_transformed_solution(fn, random_element(rng), spec, cfg.grid()).defect
+        yield verify_transformed_solution(fn, random_element(rng), spec, cfg.grid()).max_rel
 
 
 @_register("residual", "intertwining_nonsolution", "operator identity holds on functions that do not solve", 1e-9, 20)
@@ -925,11 +926,11 @@ def _res_intertwine(cfg, rng, trials):
     grid_x_pos = GridSpec(cfg.t_range, (0.4, 1.8), cfg.nt, cfg.nx)
     invq0 = FamilySpec.inverse_quadratic(cfg.k, 0.0)
     yield verify_intertwining(
-        expfn, random_element(rng, size=trials), sp["linear"], cfg.grid()).defect
+        expfn, random_element(rng, size=trials), sp["linear"], cfg.grid()).max_rel
     yield verify_intertwining(
-        x2fn, GroupElement(random_sl2r(rng, size=trials), 0.0, 0.0), invq0, grid_x_pos).defect
+        x2fn, GroupElement(random_sl2r(rng, size=trials), 0.0, 0.0), invq0, grid_x_pos).max_rel
     yield verify_intertwining(
-        expfn, random_admissible_element(rng, size=trials), sp["quadratic"], cfg.grid()).defect
+        expfn, random_admissible_element(rng, size=trials), sp["quadratic"], cfg.grid()).max_rel
 
 
 @_register("residual", "lift_residuals", "free solutions lift into both potential families", 1e-9, families=("linear", "quadratic", "free"))
@@ -937,19 +938,19 @@ def _res_lift(cfg, rng, trials):
     sp = cfg.specs()
     psi0 = gaussian_free(cfg.k, t0=2.0)
     yield verify_lifted_solution(
-        psi0, "f1", None, sp["free"], sp["linear"], cfg.grid()).defect
+        psi0, "f1", None, sp["free"], sp["linear"], cfg.grid()).max_rel
     yield verify_lifted_solution(
         constant_one(), "f2", None, sp["free"], sp["linear"],
-        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).defect
+        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).max_rel
     yield verify_lifted_solution(
         gaussian_free(cfg.k, t0=8.0), "f2", None, sp["free"], sp["linear"],
-        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).defect
+        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).max_rel
     yield verify_lifted_solution(
         psi0, "K0", IntertwinerParams(1.0, 0.0, 0.0), sp["free"], sp["quadratic"],
-        cfg.grid()).defect
+        cfg.grid()).max_rel
     yield verify_lifted_solution(
         psi0, "K0", IntertwinerParams(0.8, 0.3, 0.2), sp["free"], sp["quadratic"],
-        cfg.grid()).defect
+        cfg.grid()).max_rel
 
 
 @_register("residual", "lift_roundtrip", "lift then inverse lift is multiplication by a constant", 1e-9, families=("linear", "free"))

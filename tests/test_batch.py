@@ -22,7 +22,7 @@ from schroedsym.sampling import (
     random_sl2c,
     random_sl2r,
 )
-from schroedsym.solutions import ExpPolyFn, FormulaFn
+from schroedsym.solutions import FormulaFn
 from schroedsym.suites import RunConfig, run_named_check
 
 N = 8
@@ -130,7 +130,7 @@ def test_unbatched_report_is_scalar_and_batched_report_is_per_entry():
     one = verify_intertwining(fn, _entry(l, 0), spec, grid)
     assert type(one.max_abs) is float and type(one.max_rel) is float
     assert all(type(c) is complex for c in one.argmax) and len(one.argmax) == 2
-    assert one.n_points == grid.nt * grid.nx and one.n_domain_errors == 0
+    assert one.n_points == grid.nt * grid.nx
     batch = verify_intertwining(fn, l, spec, grid)
     assert batch.max_abs.shape == batch.max_rel.shape == (N,)
     assert all(np.shape(c) == (N,) for c in batch.argmax)
@@ -156,12 +156,8 @@ def test_one_slipped_trial_fails_a_batched_residual_check(monkeypatch):
 
 def test_a_slipped_weight_state_fails_eigenrelations(monkeypatch):
     def slipped(spec, gamma=0.0):
-        g1, g2, g3 = g_functions(spec, gamma)
-        (term,) = g1.terms
-        (i, j, c), = term.expo
-        g1 = ExpPolyFn([(term.coeff, term.rho, term.sigma, [(i, j, c * (1 + 1e-9))])],
-                       kind=g1.kind, rate=g1.rate)
-        return g1, g2, g3
+        g1, g2, g3 = g_functions(spec, gamma)  # g1 with x stretched by 1e-9
+        return FormulaFn(lambda s, x: g1.formula(s, x * (1 + 1e-9)), rate=g1.rate), g2, g3
 
     g_functions = suites.g_functions
     cfg = RunConfig(seed=3)

@@ -79,16 +79,17 @@ def test_every_registered_check_yields_its_defects():
 
 
 def test_nan_defects_fail_at_extreme_k(tmp_path):
-    # at k = 1e-300 the lifts overflow to NaN; the checks must not read 0
+    # at k = 1e-300 the lifts overflow; the checks must not read 0, the
+    # overflow is named, and no check aborts the run
     out = tmp_path / "tiny_k.json"
-    with np.errstate(all="ignore"):
-        rc = main(["verify", "solutions", "--k", "1e-300", "--format", "json",
-                   "--out", str(out)])
+    rc = main(["verify", "all", "--k", "1e-300", "--format", "json", "--out", str(out)])
     assert rc == 1
     rows = {r["name"]: r for r in json.loads(out.read_text())}
-    for name in ("free_gaussian", "inverse_pair", "linear_pair", "mixed_symmetry",
-                 "partials_fd"):
-        assert not rows[f"solutions.{name}"]["pass"], name
+    assert len(rows) == 68
+    for name in ("solutions.free_gaussian", "solutions.inverse_pair", "solutions.linear_pair",
+                 "solutions.mixed_symmetry", "solutions.partials_fd", "residual.fd_order"):
+        assert not rows[name]["pass"], name
+        assert rows[name]["error"].startswith("FloatingPointError: overflow"), name
 
 
 def test_family_filter_restricts_checks():

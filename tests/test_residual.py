@@ -9,6 +9,7 @@ from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
 from schroedsym.residual import (
     GridSpec,
     PullbackFn,
+    fd_order,
     grid_residual,
     residual_arrays,
     lift_frame,
@@ -60,37 +61,30 @@ def test_grid_residual_modes_and_order():
     rep = grid_residual(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0)))
     assert rep.max_rel < 1e-11
     assert rep.n_points == 14 * 14
-    fd = grid_residual(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0), h_fd=1e-3),
-                       mode="finite_difference")
-    assert fd.convergence_order is not None
-    assert 1.8 <= fd.convergence_order <= 2.2
+    assert 1.8 <= fd_order(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0))) <= 2.2
     zero = FormulaFn(lambda tj, xj: 0.0 * tj)
     assert grid_residual(zero, LIN, GRID).max_abs == 0.0
 
 
-def test_grid_residual_skips_out_of_domain_points():
-    ps = power_static(2.0, 2.0)
+def test_grid_residual_raises_off_the_domain():
+    # the jet is the only domain guard: no grid point is dropped
     spec = FamilySpec.inverse_quadratic(0.7, 2.0)
-    rep = grid_residual(ps, spec, GridSpec((-0.3, 0.3), (-0.5, 1.5)))
-    assert rep.n_domain_errors > 0
-    assert rep.n_points + rep.n_domain_errors == 14 * 14
-    assert rep.max_rel < 1e-11
+    with pytest.raises(DomainError, match="needs x > 0.0"):
+        grid_residual(power_static(2.0, 2.0), spec, GridSpec((-0.3, 0.3), (-0.5, 1.5)))
 
 
 def test_a_residual_check_on_a_dropped_grid_fails():
     # t down to -5 takes part of the grid out of the Gaussian's domain t > -2
     from schroedsym.suites import RunConfig, run_named_check
     result = run_named_check("residual.lift_residuals", RunConfig(seed=3, t_range=(-5.0, 0.6)))
-    assert not result.passed and result.value == np.inf
+    assert not result.passed and np.isnan(result.value)
+    assert result.error == "DomainError: needs t > -2.0"
+    # a batch raises when any element leaves the domain
     invq, half_out = FamilySpec.inverse_quadratic(0.7, 2.0), GridSpec((-0.3, 0.3), (-0.5, 1.5))
-    rep = grid_residual(power_static(2.0, 2.0), invq, half_out)
-    assert rep.n_domain_errors > 0 and rep.defect == np.inf
-    # a batch keeps the points every element accepts, and fails the same way
     l = GroupElement(random_sl2r(np.random.default_rng(2), 0.3, size=4))
-    batch = verify_transformed_solution(power_static(2.0, 2.0), l, invq, half_out)
-    assert batch.max_rel.shape == (4,) and batch.max_rel.max() < 1e-11
-    assert batch.n_domain_errors > 0 and batch.defect == np.inf
-    assert grid_residual(f_pair(LIN)[0], LIN, GRID).defect < 1e-11
+    with pytest.raises(DomainError):
+        verify_transformed_solution(power_static(2.0, 2.0), l, invq, half_out)
+    assert grid_residual(f_pair(LIN)[0], LIN, GRID).max_rel < 1e-11
 
 
 @pytest.mark.parametrize("fn, spec", [
@@ -102,7 +96,6 @@ def test_grid_residual_counts_every_point_of_a_lower_rank_residual(fn, spec):
     # a residual that lacks an axis still covers the whole grid
     rep = grid_residual(fn, spec, GridSpec((-0.4, 0.6), (0.3, 1.8)))
     assert rep.n_points == 14 * 14
-    assert rep.n_domain_errors == 0
     assert rep.max_rel < 1e-11
 
 

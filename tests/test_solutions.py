@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from schroedsym import suites
+from schroedsym import solutions, suites
 from schroedsym.coords import FamilySpec
 from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError
 from schroedsym.jets import Jet
@@ -63,10 +63,12 @@ def test_theta_series_pde_and_oddness():
         theta1(9)
     with pytest.raises(ConvergenceError):
         theta1(10).value(0.05j, 0.2)
+    with pytest.raises(DomainError, match="needs Im t > 0"):
+        theta1(10).value(0.3 + 0.0j, 0.2)
 
 
 def test_theta_against_brute_force_series():
-    # independent summation without the ExpPoly machinery
+    # independent summation in numpy, term by term
     th = theta1(25)
     t, x = 0.2 + 1.1j, 0.37
     brute = 0.0j
@@ -77,10 +79,12 @@ def test_theta_against_brute_force_series():
 
 def test_f_pair_membership_and_beta_zero_limit():
     # membership and the beta = 0 limit are solutions.linear_pair; the
-    # spreading lift guards t > 0
+    # spreading lift and its inverse guard t > 0
     _, f2 = f_pair(LIN)
     with pytest.raises(DomainError):
         f2.value(-0.2, 0.0)
+    with pytest.raises(DomainError, match="needs t > 0.0"):
+        phi_pair(LIN)[1].value(0.0, 0.3)
 
 
 def test_phi_pair_inverts_f_pair():
@@ -104,15 +108,12 @@ def test_phi_pair_inverts_f_pair():
     assert abs(bare.value(0.9, 2.0) - np.exp(0.7 * 0.3 * 0.9)) < 1e-14
 
 
-def test_phi2_inverts_f2_with_parity_flip():
-    from schroedsym.solutions import ExpPolyFn
-
+def test_phi2_inverts_f2_with_parity_flip(monkeypatch):
     _, phi2 = phi_pair(LIN)
-    _, f2 = f_pair(LIN)
     # the composition evaluates the forward lift at negative times, so use
-    # its principal-branch continuation (same terms, no domain guard)
-    f2_cont = ExpPolyFn([(term.coeff, term.rho, term.sigma, term.expo)
-                         for term in f2.terms])
+    # its principal-branch continuation: the same formula without its guard
+    monkeypatch.setattr(solutions, "_above", lambda z, bound, name: None)
+    _, f2_cont = f_pair(LIN)
     k, b = LIN.k, LIN.beta
     k2b = k * k * b
     vals = []
