@@ -76,10 +76,10 @@ from .residual import (
     verify_lifted_solution,
 )
 from .solutions import (
+    AiryFn,
     AirySpec,
     FormulaFn,
     SmoothFn,
-    airy_u,
     eigenvalue_scan,
     f_pair,
     g_functions,

@@ -196,7 +196,7 @@ def _cmd_demo(args):
         element = _parse_element(args.element)
     else:
         rng = np.random.default_rng(cfg.seed)
-        element = element_for_family(rng, spec)
+        element = element_for_family(rng, spec, scale=0.3, translation=0.5)
     moved = transformed(fn, element, spec)
     window = _demo_range(args)
     ts = np.linspace(window["t_min"], window["t_max"], args.nt)

@@ -141,7 +141,6 @@ class GalileanData:
 
     sigma: float
     v: float
-    lambda_shift: float
 
 
 # -- scalar-generic primitives ----------------------------------------------
@@ -321,7 +320,7 @@ def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:
     k2b = spec.k ** 2 * spec.beta
     sigma = l.mu - l.nu * lam + k2b * lam ** 2
     v = 2.0 * k2b * lam - l.nu
-    return GalileanData(sigma, v, lam)
+    return GalileanData(sigma, v)
 
 
 def comoving_identity_check(l: GroupElement, z: Point, spec: FamilySpec):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 from .errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
 
@@ -314,6 +316,9 @@ def generators_linear(k, alpha, beta) -> GeneratorSet:
     """Symmetry generators of the linear-potential family in (t, x)."""
     if k == 0:
         raise ZeroK("k must be nonzero")
+    # numpy scalars, so that an overflow of the algebra raises under
+    # numpy's error state (``Check.run``) instead of reading inf
+    k, alpha, beta = (np.asarray(v)[()] for v in (k, alpha, beta))
     mono = _op(LINEAR_VARS)
     k2b = k * k * beta
     k3b2 = k ** 3 * beta ** 2
@@ -357,6 +362,7 @@ def generators_quadratic(k, alpha, omega) -> GeneratorSet:
         raise ZeroK("k must be nonzero")
     if omega == 0:
         raise ZeroOmega("omega must be nonzero")
+    k, alpha, omega = (np.asarray(v)[()] for v in (k, alpha, omega))  # as in generators_linear
     mono = _op(QUADRATIC_VARS)
     a4w = alpha / (4.0 * omega)
     L3 = -1.0 * (mono(0.5, 1, 0, 1, 0) + mono(a4w))

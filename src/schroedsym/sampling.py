@@ -66,15 +66,15 @@ def random_admissible_element(rng, scale=0.3, translation=0.5, size=None) -> Gro
     return GroupElement(m, mu, nu)
 
 
-def random_disk_element(rng, theta_max=0.3, lam_max=0.3, translation=0.5,
-                        size=None) -> GroupElement:
+def random_disk_element(rng, scale=0.3, translation=0.5, size=None) -> GroupElement:
     """Circle-preserving element with the reality pairing mu* = -nu.
 
-    Rotation and disk displacement are bounded so that composed pairs stay
-    inside the principal branch window of the periodic time variable.
+    Rotation and disk displacement are both bounded by ``scale`` so that
+    composed pairs stay inside the principal branch window of the periodic
+    time variable.
     """
-    theta = rng.uniform(-theta_max, theta_max, size)
-    lam = rng.uniform(0.0, lam_max, size) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    theta = rng.uniform(-scale, scale, size)
+    lam = rng.uniform(0.0, scale, size) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
     el = disk_parametrize(DiskParams(theta, lam))
     mu = rng.uniform(-translation, translation, size) + 1j * rng.uniform(-translation, translation, size)
     return GroupElement(el.m, mu, -np.conj(mu))
@@ -83,23 +83,27 @@ def random_disk_element(rng, theta_max=0.3, lam_max=0.3, translation=0.5,
 _SHEARS = np.array([[[1, 0], [1, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]])
 
 
-def random_modular_matrix(rng, nfactors=4, size=None) -> Mat2:
-    """Integer unimodular matrix from short products of shear generators."""
+def random_modular_matrix(rng, size=None) -> Mat2:
+    """Integer unimodular matrix, a product of four shear generators."""
     std = np.eye(2, dtype=int)
-    for _ in range(int(nfactors)):
+    for _ in range(4):
         std = std @ _SHEARS[rng.integers(0, 3, size)]
     # standard [[p, q], [r, s]] maps to the (c, d, a, b) layout as-is
     return Mat2(*(std[..., i, j][()] for i in (0, 1) for j in (0, 1)))
 
 
-def element_for_family(rng, spec, scale=0.3, translation=0.5, size=None) -> GroupElement:
-    """An in-domain random element for the given family."""
-    fam = spec.family
-    if fam == "quadratic":
-        if spec.komega_is_real:
-            return random_admissible_element(rng, scale, translation, size)
-        return random_disk_element(rng, theta_max=scale, lam_max=scale,
-                                   translation=translation, size=size)
-    if fam == "inverse_quadratic":
-        return GroupElement(random_sl2r(rng, scale, size), 0.0, 0.0)
-    return random_element(rng, scale, translation, size=size)
+def element_for_family(rng, spec, scale=None, translation=None, size=None) -> GroupElement:
+    """An in-domain random element for the spec's family, drawn by that
+    family's sampler: admissible elements for the oscillator family at real
+    k omega, disk elements at imaginary k omega, translation-free
+    ``random_sl2r`` for the scale-invariant family and ``random_element``
+    for every other.  A bound left ``None`` takes that sampler's default."""
+    bounds = {name: v for name, v in (("scale", scale), ("translation", translation))
+              if v is not None}
+    if spec.family == "inverse_quadratic":
+        bounds.pop("translation", None)
+        return GroupElement(random_sl2r(rng, **bounds, size=size), 0.0, 0.0)
+    if spec.family == "quadratic":
+        sampler = random_admissible_element if spec.komega_is_real else random_disk_element
+        return sampler(rng, **bounds, size=size)
+    return random_element(rng, **bounds, size=size)

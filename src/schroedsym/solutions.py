@@ -262,78 +262,68 @@ def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
 
 @dataclass(frozen=True)
 class AirySpec:
-    """Ingredients of the oscillatory bound-state integral."""
+    """The potential alpha + beta x of the halfline bound state; its energy
+    is E = -alpha."""
 
     alpha: float
     beta: float
-    E: float = None
-    trunc: float = None  # contour truncation
-    h: float = 0.25  # panel width of the composite quadrature
-    delta: float = 1e-3  # contour damping offset
 
     def __post_init__(self):
         if self.beta <= 0:
             raise DomainError("beta must be positive for square integrability")
-        if self.E is None:
-            object.__setattr__(self, "E", -self.alpha)
-        elif abs(self.E + self.alpha) > 1e-12:
-            raise DomainError("E must equal -alpha")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+PANEL_WIDTH = 0.25  # of the composite Gauss-Legendre rule along the ray
 
 # caps of the Airy code's loops, past which they raise ConvergenceError: a
 # truncation grown 1000 times covers |p| up to ~6e5 beta^2, and 100
 # halvings take any bracket of the energy scan down to adjacent floats
 TRUNCATION_STEPS = 1000
 BISECTION_STEPS = 100
+SCAN_POINTS, ROOT_WIDTH = 61, 1e-10  # of the energy scan and its bisection
 
 
-def _contour_integral(p, beta, delta, trunc, h, moments):
-    """2 Re of the damped oscillatory integral, rotated onto the ray
-    e^{i pi/6} where the cubic phase decays; ``moments`` selects x-derivative
-    weights (i beta z)^m.  The result has one row per moment order, each of
-    the shape of ``p``.  The Gauss-Legendre nodes of all panels of both
-    contour pieces (0 -> i delta, then the ray) are one array, evaluated for
-    every ``p`` at once, per truncation: without a given ``trunc`` each ``p``
-    gets the least whole one at which the cubic phase has decayed."""
+def _contour_integral(p, beta, moments):
+    """2 Re of the oscillatory integral of exp(i(p z + beta^2 z^3/3)) over
+    the ray e^{i pi/6} from 0, where the cubic phase decays; ``moments``
+    selects x-derivative weights (i beta z)^m.  The result has one row per
+    moment order, each of the shape of ``p``.  Each ``p`` gets the least
+    whole truncation at which the phase has decayed, and the Gauss-Legendre
+    nodes of all panels are one array, evaluated for every ``p`` of one
+    truncation at once.
+
+    For p < 0 the integrand first grows to its peak e^g, g = (2/3)
+    (-p/2)^{3/2} / beta, and the sum cancels; a node's phase there is of
+    size ~g, so the error estimate adds the round-off eps e^g (1 + g) to
+    the truncated tail, and past 1e-8 it raises ``QuadratureError``."""
     p = np.asarray(p, dtype=float)
     ray = np.exp(1j * np.pi / 6.0)
-    if trunc is None:
-        trunc, steps = np.full(p.shape, 4.0), 0
-        while np.any(short := beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0):
-            if steps == TRUNCATION_STEPS:
-                raise ConvergenceError(f"no truncation up to {trunc.max():.0f} decays the phase")
-            trunc, steps = trunc + short, steps + 1
-    trunc = np.broadcast_to(trunc, p.shape)
-    # tail estimate at the truncation point, per p
-    ztail = 1j * delta + ray * trunc
-    phase = 1j * (p * ztail + beta ** 2 * ztail ** 3 / 3.0)
-    decay = beta ** 2 * trunc ** 2 / 2.0
-    tail = np.exp(np.real(phase)) / np.maximum(decay, 1e-30) * np.maximum(abs(p), 1.0) ** max(moments)
-    if np.any(tail > 1e-8):
-        raise QuadratureError(f"tail estimate {np.max(tail):.3e} exceeds 1e-8")
-
-    def integrate(p, length, dl):
-        z, w = [], []
-        for z0, direction, span in ((0.0, 1j, dl), (1j * dl, ray, length)):
-            edges = np.linspace(0.0, span, max(1, int(np.ceil(span / h))) + 1)
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            z.append(z0 + direction * (mid[:, None] + half[:, None] * _GL_NODES))
-            w.append(half[:, None] * _GL_WEIGHTS * direction)
-        z, w = np.concatenate(z).ravel(), np.concatenate(w).ravel()
-        wf = np.multiply.outer(p, z)  # in place from here: one (p, node) array
-        wf += beta ** 2 * z ** 3 / 3.0
-        wf *= 1j
-        np.exp(wf, out=wf)
-        wf *= w
-        return np.stack([2.0 * np.real(np.sum(wf * (1j * beta * z) ** m, axis=-1)) for m in moments])
+    trunc, steps = np.full(p.shape, 4.0), 0
+    while np.any(short := beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0):
+        if steps == TRUNCATION_STEPS:
+            raise ConvergenceError(f"no truncation up to {trunc.max():.0f} decays the phase")
+        trunc, steps = trunc + short, steps + 1
+    # |integrand| = exp(-p r / 2 - beta^2 r^3 / 3) at z = r e^{i pi/6}
+    tail = np.exp(-p * trunc / 2.0 - beta ** 2 * trunc ** 3 / 3.0) / (beta ** 2 * trunc ** 2 / 2.0)
+    g = (2.0 / 3.0) * np.maximum(-p / 2.0, 0.0) ** 1.5 / beta
+    error = (tail + np.finfo(float).eps * np.exp(g) * (1.0 + g)) * np.maximum(abs(p), 1.0) ** max(moments)
+    if np.any(error > 1e-8):
+        raise QuadratureError(f"error estimate {np.max(error):.3e} exceeds 1e-8")
 
     out = np.empty((len(moments),) + p.shape)
     for length in np.unique(trunc):
         sel = trunc == length
-        # Richardson extrapolation of the damping offset
-        out[:, sel] = 2.0 * integrate(p[sel], length, delta / 2.0) - integrate(p[sel], length, delta)
+        edges = np.linspace(0.0, length, int(np.ceil(length / PANEL_WIDTH)) + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        z = (ray * (mid[:, None] + half[:, None] * _GL_NODES)).ravel()
+        w = (ray * half[:, None] * _GL_WEIGHTS).ravel()
+        wf = np.multiply.outer(p[sel], z)  # in place from here: one (p, node) array
+        wf += beta ** 2 * z ** 3 / 3.0
+        wf *= 1j
+        np.exp(wf, out=wf)
+        wf *= w
+        out[:, sel] = [2.0 * np.real(np.sum(wf * (1j * beta * z) ** m, axis=-1)) for m in moments]
     return out
 
 
@@ -352,34 +342,30 @@ class AiryFn:
         if max_order > 3:
             raise DomainError("quadrature moments implemented to order 3")
         p = self.spec.alpha + self.spec.beta * np.asarray(x)
-        return _contour_integral(p, self.spec.beta, self.spec.delta, self.spec.trunc,
-                                 self.spec.h, tuple(range(max_order + 1)))
+        return _contour_integral(p, self.spec.beta, tuple(range(max_order + 1)))
 
     def ode_residual(self, x):
-        """-u'' + beta x u - E u; zero for the true bound-state profile."""
+        """-u'' + beta x u - E u with E = -alpha; zero for the true
+        bound-state profile."""
         u, _, upp = self.derivatives(x, 2)
-        return -upp + (self.spec.beta * x - self.spec.E) * u
+        return -upp + (self.spec.beta * x + self.spec.alpha) * u
 
 
-def airy_u(spec: AirySpec) -> AiryFn:
-    return AiryFn(spec)
-
-
-def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
+def eigenvalue_scan(spec: AirySpec, e_range):
     """Roots of the x = 0 boundary condition in the energy window.
 
-    Brackets sign changes of u(0; E) on a uniform scan, evaluated as one
-    batch, then bisects each bracket to width ``tol``, in at most
-    ``BISECTION_STEPS`` halvings.
+    Brackets sign changes of u(0; E) on a uniform scan of ``SCAN_POINTS``
+    energies, evaluated as one batch, then bisects each bracket to width
+    ``ROOT_WIDTH``, in at most ``BISECTION_STEPS`` halvings.
     """
     lo, hi = e_range
     if not hi > lo:
         raise DomainError("empty energy window")
 
     def u0(E):
-        return _contour_integral(-E, spec.beta, spec.delta, spec.trunc, spec.h, (0,))[0]
+        return _contour_integral(-E, spec.beta, (0,))[0]
 
-    es = np.linspace(lo, hi, scan_points)
+    es = np.linspace(lo, hi, SCAN_POINTS)
     vals = u0(es)
     roots = []
     for i in range(len(es) - 1):
@@ -389,9 +375,9 @@ def eigenvalue_scan(spec: AirySpec, e_range, scan_points=61, tol=1e-10):
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
             a, fa = es[i], vals[i]
             b, steps = es[i + 1], 0
-            while b - a > tol:
+            while b - a > ROOT_WIDTH:
                 if steps == BISECTION_STEPS:
-                    raise ConvergenceError(f"bisection width {b - a:.3e} > tol {tol:.3e}")
+                    raise ConvergenceError(f"bisection width {b - a:.3e} > {ROOT_WIDTH:.3e}")
                 steps += 1
                 m = 0.5 * (a + b)
                 fm = u0(m)

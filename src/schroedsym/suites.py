@@ -82,6 +82,7 @@ from .residual import (
 )
 from .sampling import (
     _expm_traceless,
+    element_for_family,
     random_admissible_element,
     random_disk_element,
     random_element,
@@ -89,9 +90,9 @@ from .sampling import (
     random_sl2r,
 )
 from .solutions import (
+    AiryFn,
     AirySpec,
     FormulaFn,
-    airy_u,
     constant_one,
     eigenvalue_scan,
     f_pair,
@@ -104,6 +105,7 @@ from .solutions import (
 )
 
 AIRY_FIRST_TWO = (2.3381, 4.0879)  # magnitudes of the first two boundary roots
+T_RANGE, X_RANGE = (-0.4, 0.6), (-1.2, 1.2)  # of the residual checks' grids
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,6 @@ class RunConfig:
     alpha: float = 0.3
     beta: float = 0.9
     omega: float = 0.6
-    t_range: tuple = (-0.4, 0.6)
-    x_range: tuple = (-1.2, 1.2)
-    nt: int = 14
-    nx: int = 14
 
     def __post_init__(self):
         for name in ("tol", "k", "alpha", "beta", "omega"):
@@ -136,9 +134,6 @@ class RunConfig:
             raise ConfigError("k must be nonzero")
         if self.omega == 0:
             raise ConfigError("omega must be nonzero")
-
-    def grid(self):
-        return GridSpec(self.t_range, self.x_range, self.nt, self.nx)
 
     def specs(self):
         k, a, b, w = self.k, self.alpha, self.beta, self.omega
@@ -406,21 +401,19 @@ def _coords_identity(cfg, rng, trials):
     yield from (abs(zp.t - t), abs(zp.x1 - abs(x) - 0.2))
 
 
-# family: (what the anchor names, the families it runs for, a sampler of
-# ``size`` elements)
+# family: (what the anchor names, the families it runs for)
 _HOMOMORPHISM = {
-    "linear": ("linear family", ("linear", "free"), random_element),
-    "inverse_quadratic": ("scale-invariant family", ("inverse_quadratic",),
-                          lambda rng, size: GroupElement(random_sl2r(rng, size=size))),
-    "quadratic": ("oscillator semigroup", ("quadratic",), random_admissible_element),
-    "disk": ("circle subgroup", ("quadratic",), random_disk_element),
+    "linear": ("linear family", ("linear", "free")),
+    "inverse_quadratic": ("scale-invariant family", ("inverse_quadratic",)),
+    "quadratic": ("oscillator semigroup", ("quadratic",)),
+    "disk": ("circle subgroup", ("quadratic",)),
 }
 
 
-def _homomorphism_check(family, sampler):
+def _homomorphism_check(family):
     def check(cfg, rng, trials):
         spec = cfg.specs()[family]
-        l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
+        l1, l2 = (element_for_family(rng, spec, size=trials) for _ in range(2))
         z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
         seq = act(l1, act(l2, z, spec), spec)
         joint = act(compose(l1, l2), z, spec)
@@ -432,9 +425,9 @@ def _homomorphism_check(family, sampler):
     return check
 
 
-for _family, (_what, _families, _sampler) in _HOMOMORPHISM.items():
+for _family, (_what, _families) in _HOMOMORPHISM.items():
     _register("coords", f"homomorphism_{_family}", f"two-step action equals composed action, {_what}",
-              1e-11, 300, families=_families)(_homomorphism_check(_family, _sampler))
+              1e-11, 300, families=_families)(_homomorphism_check(_family))
 
 
 @_register("coords", "time_translation", "upper shear translates time", 1e-13, families=("linear", "free", "inverse_quadratic"))
@@ -486,7 +479,7 @@ def _coords_comoving(cfg, rng, trials):
 @_register("coords", "pair_differences", "coordinate differences scale by the common factor", 1e-12, 100, families=("ndim_linear",))
 def _coords_pairs(cfg, rng, trials):
     spec = cfg.specs()["ndim_linear"]
-    l = random_element(rng, size=trials)
+    l = element_for_family(rng, spec, size=trials)
     t = rng.uniform(-0.4, 0.4, trials)
     x1, x2 = rng.uniform(-1.5, 1.5, (2, trials))
     zp = act(l, Point(t, (x1, x2)), spec)
@@ -531,13 +524,13 @@ def _coords_branch(cfg, rng, trials):
 @_register("coords", "reality_domain", "reality predicate accepts the semigroup, rejects sign flips", 0.5, 40, families=("quadratic",), structural=True)
 def _coords_reality(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
-    l = random_admissible_element(rng, size=trials)
+    l = element_for_family(rng, spec, size=trials)
     yield np.where(reality_domain_check(l, rng.uniform(-1.0, 1.0, trials), spec), 0.0, 1.0)
     bad = GroupElement(Mat2(1.0, 0.0, -0.5, 1.0))
     if reality_domain_check(bad, 3.0, spec):
         yield 1.0
     disk = cfg.specs()["disk"]
-    if not reality_domain_check(random_disk_element(rng), 0.3, disk):
+    if not reality_domain_check(element_for_family(rng, disk), 0.3, disk):
         yield 1.0
 
 
@@ -559,48 +552,43 @@ def _mult_cocycle_invq(cfg, rng, trials):
     """One space coordinate in (trials+1)//2 trials, two in trials//2."""
     spec = cfg.specs()["inverse_quadratic"]
     for n, xs in _halves(trials, ((0.7,), (0.7, -0.4))):
-        l1, l2 = (GroupElement(random_sl2r(rng, size=n)) for _ in range(2))
+        l1, l2 = (element_for_family(rng, spec, size=n) for _ in range(2))
         z = Point(rng.uniform(-0.4, 0.4, n), xs)
         lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
         rhs = multiplier(compose(l1, l2), z, spec)
         yield abs(lhs - rhs) / abs(rhs)
 
 
-def _cocycle_defect(rng, trials, spec, sampler, cocycle):
-    """Relative defects of K(l2, z) K(l1, l2 z) = exp(cocycle(l1, l2)) K(l1 l2, z)."""
-    l1, l2 = sampler(rng, size=trials), sampler(rng, size=trials)
+def _cocycle_defect(rng, trials, spec, variant="resolved"):
+    """Relative defects of K(l2, z) K(l1, l2 z) = exp(w(l1, l2)) K(l1 l2, z),
+    w the cocycle of the spec's family; ``variant`` picks the oscillator's."""
+    l1, l2 = (element_for_family(rng, spec, size=trials) for _ in range(2))
     z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
     lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
-    rhs = np.exp(cocycle(l1, l2)) * multiplier(compose(l1, l2), z, spec)
+    w = (cocycle_linear(l1, l2, spec.k) if spec.family == "linear"
+         else cocycle_quadratic(l1, l2, spec.omega, variant))
+    rhs = np.exp(w) * multiplier(compose(l1, l2), z, spec)
     yield abs(lhs - rhs) / abs(lhs)
 
 
 @_register("multiplier", "cocycle_linear", "projective multiplier product law, linear family", 1e-10, 500, families=("linear",))
 def _mult_cocycle_linear(cfg, rng, trials):
-    spec = cfg.specs()["linear"]
-    yield from _cocycle_defect(rng, trials, spec, random_element,
-                               lambda l1, l2: cocycle_linear(l1, l2, spec.k))
-
-
-def _quadratic_cocycle_defect(rng, trials, spec, sampler, variant):
-    yield from _cocycle_defect(rng, trials, spec, sampler,
-                               lambda l1, l2: cocycle_quadratic(l1, l2, spec.omega, variant))
+    yield from _cocycle_defect(rng, trials, cfg.specs()["linear"])
 
 
 @_register("multiplier", "cocycle_quadratic", "projective multiplier product law, oscillator family", 1e-10, 500, families=("quadratic",))
 def _mult_cocycle_quadratic(cfg, rng, trials):
     sp = cfg.specs()
     half = max(1, trials // 2)
-    yield from _quadratic_cocycle_defect(
-        rng, half, sp["quadratic"], random_admissible_element, "resolved")
-    yield from _quadratic_cocycle_defect(rng, half, sp["disk"], random_disk_element, "resolved")
+    for name in ("quadratic", "disk"):
+        yield from _cocycle_defect(rng, half, sp[name])
 
 
 @_register("multiplier", "cocycle_variant_resolution", "misprinted cocycle bracket fails, resolved one passes", 0.5, 60, families=("quadratic",), structural=True)
 def _mult_variant(cfg, rng, trials):
     spec = cfg.specs()["quadratic"]
-    good, bad = (worst_defect(_quadratic_cocycle_defect(
-        rng, trials, spec, random_admissible_element, variant)) for variant in ("resolved", "printed"))
+    good, bad = (worst_defect(_cocycle_defect(rng, trials, spec, variant))
+                 for variant in ("resolved", "printed"))
     yield 0.0 if good < 1e-10 and bad > 1e-6 else 1.0
 
 
@@ -614,36 +602,36 @@ def _oracle_defect(l, spec, t_grid):
     return defect + estimate
 
 
-# family: (what the anchor names, its tolerance, a sampler of one element)
+# family: (what the anchor names, its tolerance)
 _ORACLE = {
-    "linear": ("linear family", 1e-7, random_element),
-    "quadratic": ("oscillator semigroup", 1e-6, random_admissible_element),
-    "disk": ("circle subgroup", 1e-6, random_disk_element),
+    "linear": ("linear family", 1e-7),
+    "quadratic": ("oscillator semigroup", 1e-6),
+    "disk": ("circle subgroup", 1e-6),
 }
 
 
-def _oracle_check(family, sampler):
+def _oracle_check(family):
     def check(cfg, rng, trials):
         spec = cfg.specs()[family]
         tg = np.linspace(-0.3, 0.5, 9)
-        yield from (_oracle_defect(sampler(rng), spec, tg) for _ in range(trials))
+        yield from (_oracle_defect(element_for_family(rng, spec), spec, tg) for _ in range(trials))
     return check
 
 
-for _family, (_what, _tol, _sampler) in _ORACLE.items():
+for _family, (_what, _tol) in _ORACLE.items():
     _register("multiplier", f"ode_oracle_{_family}",
               f"closed exponent coefficients solve their structure equations, {_what}",
               _tol, 5, families=("quadratic" if _family == "disk" else _family,),
-              structural=True)(_oracle_check(_family, _sampler))
+              structural=True)(_oracle_check(_family))
 
 
 @_register("multiplier", "structure_consistency", "x-linear and x-square coefficients match the frame derivatives", 1e-7, 20, structural=True)
 def _mult_structure(cfg, rng, trials):
     """Central differences of the frame: B = f'/(2 k xi), C = xi'/(4 k xi)."""
     h = 1e-5
-    for name, sampler in (("linear", random_element), ("quadratic", random_admissible_element)):
+    for name in ("linear", "quadratic"):
         spec = cfg.specs()[name]
-        l = sampler(rng, size=trials)
+        l = element_for_family(rng, spec, size=trials)
         t = rng.uniform(-0.3, 0.3, trials)
         fr = frame(l, spec, t + np.array([[-h], [0.0], [h]]))
         fdot = (fr.f[2] - fr.f[0]) / (2.0 * h)
@@ -655,7 +643,7 @@ def _mult_structure(cfg, rng, trials):
 @_register("multiplier", "nls_modulus", "two-coordinate multiplier has unit-free modulus, imaginary k", 1e-10, 200, families=("nls2d",))
 def _mult_nls(cfg, rng, trials):
     spec = cfg.specs()["nls2d"]
-    l = random_element(rng, size=trials)
+    l = element_for_family(rng, spec, size=trials)
     t = rng.uniform(-0.4, 0.4, trials)
     z = Point(t, tuple(rng.uniform(-1, 1, (2, trials))))
     r = l.a * t + l.b
@@ -748,12 +736,18 @@ def _sol_gfuncs(cfg, rng, trials):
     yield abs(g2.value(0.4, 0.8) - g3_zero.value(0.4, 0.8))
 
 
-@_register("solutions", "theta_pde", "truncated theta series solves its evolution equation", 1e-10, 30, families=("free",))
+@_register("solutions", "theta_pde", "truncated theta series solves its evolution equation", 1e-13, 30, families=("free",))
 def _sol_theta_pde(cfg, rng, trials):
-    fn = theta1(20)
+    """The residual psi_t - k psi_xx over the sizes of its terms, 2 pi
+    (n - 1/2)^2 e^{-pi (n - 1/2)^2 Im t} per term of the series, rather than
+    over |theta|, which vanishes at x = 0 because theta is odd."""
+    trunc = 20
+    fn = theta1(trunc)
     im_t, re_t, x = _uniforms(rng, trials, (0.8, 1.5), (-0.3, 0.3), (-0.45, 0.45))
-    r, v = residual_arrays(fn, FamilySpec.free(-1j / (4.0 * np.pi)), im_t * 1j + re_t, [x])
-    yield abs(4.0 * np.pi * 1j * r) / np.maximum(abs(v), 1e-6)
+    r, _ = residual_arrays(fn, FamilySpec.free(-1j / (4.0 * np.pi)), im_t * 1j + re_t, [x])
+    n2 = (np.arange(1 - trunc, trunc + 1) - 0.5) ** 2  # (n - 1/2)^2 over the truncation window
+    scale = np.sum(2.0 * np.pi * n2 * np.exp(-np.pi * n2 * im_t[:, None]), axis=-1)
+    yield abs(r) / scale
     yield abs(fn.value(1.1j, 0.23) + fn.value(1.1j, -0.23))
 
 
@@ -761,7 +755,7 @@ def _sol_theta_pde(cfg, rng, trials):
 def _sol_theta_modular(cfg, rng, trials):
     fn = theta1(28)
     spec = FamilySpec.free(-1j / (4.0 * np.pi))
-    l = GroupElement(random_modular_matrix(rng, nfactors=4, size=trials), 0.0, 0.0)
+    l = GroupElement(random_modular_matrix(rng, size=trials), 0.0, 0.0)
     tf = transformed(fn, l, spec)
     pts = [(1.4j + 0.1, 0.2), (1.7j, -0.3), (1.5j - 0.2, 0.15)]
     eps, *ratios = (tf.value(t, x) / fn.value(t, x) for t, x in pts)
@@ -771,8 +765,7 @@ def _sol_theta_modular(cfg, rng, trials):
 
 @_register("solutions", "airy_ode", "oscillatory integral solves the halfline eigenproblem", 1e-6, 5, families=("linear",), structural=True)
 def _sol_airy_ode(cfg, rng, trials):
-    spec = AirySpec(alpha=-1.0, beta=1.0)
-    u = airy_u(spec)
+    u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     yield abs(u.ode_residual(np.linspace(0.0, 3.0, trials)))
     if abs(u.value(10.0)) > 1e-4:
         yield 1.0
@@ -876,29 +869,28 @@ def _res_fd(cfg, rng, trials):
 @_register("residual", "zero_function", "zero function reports zero residual", 0.0)
 def _res_zero(cfg, rng, trials):
     zero = FormulaFn(lambda tj, xj: 0.0 * tj)
-    rep = grid_residual(zero, cfg.specs()["linear"], cfg.grid())
+    rep = grid_residual(zero, cfg.specs()["linear"], GridSpec(T_RANGE, X_RANGE))
     yield rep.max_abs
 
 
-# family: (what the anchor names, its solution, a sampler of n elements,
-# the x range of its grid when not the configured one)
+# family: (what the anchor names, its solution, the x range of its grid
+# when not X_RANGE, the bounds that differ from its sampler's defaults)
 _TRANSFORMED = {
-    "linear": ("linear family", lambda spec: f_pair(spec)[0],
-               lambda rng, n: random_element(rng, scale=0.3, translation=0.6, size=n), None),
+    "linear": ("linear family", lambda spec: f_pair(spec)[0], None,
+               {"scale": 0.3, "translation": 0.6}),
     "inverse_quadratic": ("scale-invariant family", lambda spec: power_static(2.0, 2.0),
-                          lambda rng, n: GroupElement(random_sl2r(rng, 0.3, size=n)), (0.4, 1.8)),
-    "quadratic": ("oscillator semigroup", lambda spec: g_functions(spec, 0.5)[1],
-                  lambda rng, n: random_admissible_element(rng, size=n), None),
-    "disk": ("circle subgroup", lambda spec: g_functions(spec, 0.4)[2],
-             lambda rng, n: random_disk_element(rng, size=n), None),
+                          (0.4, 1.8), {"scale": 0.3}),
+    "quadratic": ("oscillator semigroup", lambda spec: g_functions(spec, 0.5)[1], None, {}),
+    "disk": ("circle subgroup", lambda spec: g_functions(spec, 0.4)[2], None, {}),
 }
 
 
-def _transformed_check(family, solution, sampler, x_range):
+def _transformed_check(family, solution, x_range, bounds):
     def check(cfg, rng, trials):
         spec = cfg.specs()[family]
-        grid = GridSpec(cfg.t_range, x_range or cfg.x_range, cfg.nt, cfg.nx)
-        yield verify_transformed_solution(solution(spec), sampler(rng, trials), spec, grid).max_rel
+        l = element_for_family(rng, spec, **bounds, size=trials)
+        grid = GridSpec(T_RANGE, x_range or X_RANGE)
+        yield verify_transformed_solution(solution(spec), l, spec, grid).max_rel
     return check
 
 
@@ -914,8 +906,9 @@ def _res_tr_nls(cfg, rng, trials):
     them would hold every trial's jets at once."""
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
+    grid = GridSpec(T_RANGE, X_RANGE)
     for _ in range(trials):
-        yield verify_transformed_solution(fn, random_element(rng), spec, cfg.grid()).max_rel
+        yield verify_transformed_solution(fn, element_for_family(rng, spec), spec, grid).max_rel
 
 
 @_register("residual", "intertwining_nonsolution", "operator identity holds on functions that do not solve", 1e-9, 20)
@@ -923,34 +916,25 @@ def _res_intertwine(cfg, rng, trials):
     sp = cfg.specs()
     expfn = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
     x2fn = FormulaFn(lambda tj, xj: xj * xj)
-    grid_x_pos = GridSpec(cfg.t_range, (0.4, 1.8), cfg.nt, cfg.nx)
+    grid, grid_x_pos = GridSpec(T_RANGE, X_RANGE), GridSpec(T_RANGE, (0.4, 1.8))
     invq0 = FamilySpec.inverse_quadratic(cfg.k, 0.0)
-    yield verify_intertwining(
-        expfn, random_element(rng, size=trials), sp["linear"], cfg.grid()).max_rel
-    yield verify_intertwining(
-        x2fn, GroupElement(random_sl2r(rng, size=trials), 0.0, 0.0), invq0, grid_x_pos).max_rel
-    yield verify_intertwining(
-        expfn, random_admissible_element(rng, size=trials), sp["quadratic"], cfg.grid()).max_rel
+    for fn, spec, g in ((expfn, sp["linear"], grid), (x2fn, invq0, grid_x_pos),
+                        (expfn, sp["quadratic"], grid)):
+        yield verify_intertwining(fn, element_for_family(rng, spec, size=trials), spec, g).max_rel
 
 
 @_register("residual", "lift_residuals", "free solutions lift into both potential families", 1e-9, families=("linear", "quadratic", "free"))
 def _res_lift(cfg, rng, trials):
     sp = cfg.specs()
     psi0 = gaussian_free(cfg.k, t0=2.0)
-    yield verify_lifted_solution(
-        psi0, "f1", None, sp["free"], sp["linear"], cfg.grid()).max_rel
-    yield verify_lifted_solution(
-        constant_one(), "f2", None, sp["free"], sp["linear"],
-        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).max_rel
-    yield verify_lifted_solution(
-        gaussian_free(cfg.k, t0=8.0), "f2", None, sp["free"], sp["linear"],
-        GridSpec((0.15, 1.0), cfg.x_range, cfg.nt, cfg.nx)).max_rel
-    yield verify_lifted_solution(
-        psi0, "K0", IntertwinerParams(1.0, 0.0, 0.0), sp["free"], sp["quadratic"],
-        cfg.grid()).max_rel
-    yield verify_lifted_solution(
-        psi0, "K0", IntertwinerParams(0.8, 0.3, 0.2), sp["free"], sp["quadratic"],
-        cfg.grid()).max_rel
+    grid, late = GridSpec(T_RANGE, X_RANGE), GridSpec((0.15, 1.0), X_RANGE)
+    for fn, kind, params, family, g in (
+            (psi0, "f1", None, "linear", grid),
+            (constant_one(), "f2", None, "linear", late),
+            (gaussian_free(cfg.k, t0=8.0), "f2", None, "linear", late),
+            (psi0, "K0", IntertwinerParams(1.0, 0.0, 0.0), "quadratic", grid),
+            (psi0, "K0", IntertwinerParams(0.8, 0.3, 0.2), "quadratic", grid)):
+        yield verify_lifted_solution(fn, kind, params, sp["free"], sp[family], g).max_rel
 
 
 @_register("residual", "lift_roundtrip", "lift then inverse lift is multiplication by a constant", 1e-9, families=("linear", "free"))
@@ -959,7 +943,7 @@ def _res_roundtrip(cfg, rng, trials):
     psi0 = gaussian_free(cfg.k, t0=2.0)
     lifted = PullbackFn(psi0, lift_frame("f1", sp["linear"]))
     back = PullbackFn(lifted, lift_frame("phi1", sp["linear"]))
-    t, xs = cfg.grid().points(1)
+    t, xs = GridSpec(T_RANGE, X_RANGE).points(1)
     ratio = back.jet(t, xs[0], 0).value / psi0.jet(t, xs[0], 0).value
     yield float(np.abs(ratio - ratio.flat[0]).max() + abs(ratio.flat[0] - 1.0))
 

@@ -74,6 +74,26 @@ def test_batch_matches_scalar_evaluation_per_entry(case):
             np.testing.assert_allclose(np.broadcast_to(got, (N,))[i], want, rtol=1e-14, atol=0)
 
 
+# spec, and its family's own sampler at that sampler's default bounds
+FAMILY_SAMPLERS = {
+    "linear": (LIN, random_element),
+    "free": (FamilySpec.free(0.7), random_element),
+    "inverse_quadratic": (INVQ, lambda rng, size: GroupElement(random_sl2r(rng, size=size))),
+    "quadratic": (QUAD, random_admissible_element),
+    "disk": (DISK, random_disk_element),
+    "nls2d": (FamilySpec.nls2d(-0.7j, coupling=1.3), random_element),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SAMPLERS))
+def test_element_for_family_draws_what_its_family_sampler_draws(family):
+    spec, sampler = FAMILY_SAMPLERS[family]
+    got = element_for_family(np.random.default_rng(5), spec, size=N)
+    want = sampler(np.random.default_rng(5), size=N)
+    for entry in ("c", "d", "a", "b", "mu", "nu"):
+        np.testing.assert_array_equal(getattr(got, entry), getattr(want, entry))
+
+
 def test_one_slipped_trial_fails_its_batched_check(monkeypatch):
     def slipped(l1, l2):
         p = compose(l1, l2)

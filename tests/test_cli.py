@@ -90,6 +90,9 @@ def test_nan_defects_fail_at_extreme_k(tmp_path):
                  "solutions.mixed_symmetry", "solutions.partials_fd", "residual.fd_order"):
         assert not rows[name]["pass"], name
         assert rows[name]["error"].startswith("FloatingPointError: overflow"), name
+    # the operator algebra's 0.25 / k overflows in a product, and is named too
+    assert not rows["liealg.jacobi"]["pass"]
+    assert rows["liealg.jacobi"]["error"].startswith("FloatingPointError: overflow")
 
 
 def test_family_filter_restricts_checks():

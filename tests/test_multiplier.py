@@ -71,19 +71,6 @@ def test_quadratic_cocycle_resolved_variant(spec, sampler):
         assert abs(lhs - rhs) / abs(lhs) < 1e-11
 
 
-def test_printed_cocycle_variant_fails_the_product_oracle():
-    worst = 0.0
-    for _ in range(100):
-        l1 = random_admissible_element(RNG)
-        l2 = random_admissible_element(RNG)
-        z = Point(RNG.uniform(-0.3, 0.3), RNG.uniform(-1.0, 1.0))
-        lhs = multiplier(l2, z, QUAD) * multiplier(l1, act(l2, z, QUAD), QUAD)
-        w = cocycle_quadratic(l1, l2, QUAD.omega, "printed")
-        rhs = np.exp(w) * multiplier(compose(l1, l2), z, QUAD)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    assert worst > 1e-6
-
-
 def test_ndim_product_multiplier_closed_form():
     # two free coordinates: the product takes the known closed form
     spec = FamilySpec.ndim_linear(0.7, 0.0, 0.0, 2)

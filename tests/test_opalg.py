@@ -122,16 +122,6 @@ def test_casimirs_are_constants_and_factor():
     assert casimir_I3(GL).commutator(GL.T1).is_zero()
 
 
-def test_jacobi_identity():
-    basis = [GL.L3, GL.Lplus, GL.Lminus, GL.T1, GL.T2]
-    for _ in range(15):
-        a, b, c = (basis[RNG.integers(0, 5)] for _ in range(3))
-        j = (a.commutator(b.commutator(c))
-             + b.commutator(c.commutator(a))
-             + c.commutator(a.commutator(b)))
-        assert j.is_zero(1e-12)
-
-
 def test_numeric_apply_oscillator_states():
     g1, g2, g3 = g_functions(QUAD, gamma=0.8)
     for _ in range(25):

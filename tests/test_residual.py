@@ -73,10 +73,11 @@ def test_grid_residual_raises_off_the_domain():
         grid_residual(power_static(2.0, 2.0), spec, GridSpec((-0.3, 0.3), (-0.5, 1.5)))
 
 
-def test_a_residual_check_on_a_dropped_grid_fails():
+def test_a_residual_check_on_a_dropped_grid_fails(monkeypatch):
     # t down to -5 takes part of the grid out of the Gaussian's domain t > -2
-    from schroedsym.suites import RunConfig, run_named_check
-    result = run_named_check("residual.lift_residuals", RunConfig(seed=3, t_range=(-5.0, 0.6)))
+    from schroedsym import suites
+    monkeypatch.setattr(suites, "T_RANGE", (-5.0, 0.6))
+    result = suites.run_named_check("residual.lift_residuals", suites.RunConfig(seed=3))
     assert not result.passed and np.isnan(result.value)
     assert result.error == "DomainError: needs t > -2.0"
     # a batch raises when any element leaves the domain

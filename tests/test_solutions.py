@@ -10,10 +10,11 @@ from schroedsym.residual import residual_arrays
 from schroedsym.solutions import (
     _GL_NODES,
     _GL_WEIGHTS,
+    PANEL_WIDTH,
     _contour_integral,
+    AiryFn,
     AirySpec,
     SmoothFn,
-    airy_u,
     eigenvalue_scan,
     f_pair,
     g_functions,
@@ -149,8 +150,7 @@ def test_plane_wave_nls_residual():
 
 
 def test_airy_profile_against_scipy():
-    spec = AirySpec(alpha=-1.0, beta=1.0)
-    u = airy_u(spec)
+    u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     # u(x) = 2 pi Ai(x + alpha) for beta = 1
     for x in (0.0, 0.5, 1.3, 2.0):
         want = 2.0 * np.pi * scipy.special.airy(x - 1.0)[0]
@@ -161,7 +161,7 @@ def test_airy_profile_against_scipy():
 
 
 def test_airy_ode_residual_and_decay():
-    u = airy_u(AirySpec(alpha=-1.0, beta=1.0))
+    u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     assert abs(u.ode_residual(1.0)) < 1e-6
     # finite-difference cross-check of the quadrature derivatives
     h = 1e-3
@@ -184,70 +184,78 @@ def test_eigenvalue_scan_matches_airy_zeros():
     assert abs(r[0] - zeros[0] * 2.0 ** (2.0 / 3.0)) < 1e-6
 
 
-def test_airy_loops_raise_at_their_caps():
-    # adjacent floats never bracket a root to width 0, so the bisection
-    # would run forever; a phase this steep needs a truncation past the cap
+def test_airy_loops_raise_at_their_caps(monkeypatch):
+    # a phase this steep needs a truncation past the cap, and five halvings
+    # leave the scan's brackets far wider than ROOT_WIDTH
     with pytest.raises(ConvergenceError):
-        eigenvalue_scan(AirySpec(alpha=-2.0, beta=1.0), (1.0, 3.0), tol=0.0)
+        AiryFn(AirySpec(alpha=-1e9, beta=1.0)).value(0.0)
+    monkeypatch.setattr(solutions, "BISECTION_STEPS", 5)
     with pytest.raises(ConvergenceError):
-        airy_u(AirySpec(alpha=-1e9, beta=1.0)).value(0.0)
+        eigenvalue_scan(AirySpec(alpha=-2.0, beta=1.0), (1.0, 3.0))
 
 
-def _contour_integral_per_panel(p, beta, delta, trunc, h, moments):
-    """The quadrature of ``_contour_integral`` for one p, panel by panel."""
+def _truncation(p, beta):
+    """The least whole truncation from 4 at which the cubic phase has decayed."""
+    trunc = 4.0
+    while beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0:
+        trunc += 1.0
+    return trunc
+
+
+def _contour_integral_per_panel(p, beta, trunc, moments):
+    """The quadrature of ``_contour_integral`` for one p, panel by panel
+    along the ray e^{i pi/6} from 0 to ``trunc``."""
     ray = np.exp(1j * np.pi / 6.0)
-
-    def integrate(dl):
-        total = np.zeros(len(moments), dtype=complex)
-        for z0, direction, length in ((0.0, 1j, dl), (1j * dl, ray, trunc)):
-            nseg = max(1, int(np.ceil(length / h)))
-            edges = np.linspace(0.0, length, nseg + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                z = z0 + direction * (mid + half * _GL_NODES)
-                f = np.exp(1j * (p * z + beta ** 2 * z ** 3 / 3.0))
-                for mi, m in enumerate(moments):
-                    total[mi] += np.sum(half * _GL_WEIGHTS * direction * f * (1j * beta * z) ** m)
-        return 2.0 * np.real(total)
-
-    return 2.0 * integrate(delta / 2.0) - integrate(delta)
+    total = np.zeros(len(moments), dtype=complex)
+    edges = np.linspace(0.0, trunc, int(np.ceil(trunc / PANEL_WIDTH)) + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        z = ray * (mid + half * _GL_NODES)
+        f = np.exp(1j * (p * z + beta ** 2 * z ** 3 / 3.0))
+        for mi, m in enumerate(moments):
+            total[mi] += np.sum(half * _GL_WEIGHTS * ray * f * (1j * beta * z) ** m)
+    return 2.0 * np.real(total)
 
 
-@pytest.mark.parametrize("beta, trunc, h", [(1.0, 6.0, 0.25), (1.0, 7.0, 0.3), (2.0, 4.0, 0.25)])
-def test_vectorised_contour_integral_matches_the_per_panel_loop(beta, trunc, h):
+@pytest.mark.parametrize("beta", [1.0, 2.0, 0.5])
+def test_vectorised_contour_integral_matches_the_per_panel_loop(beta):
     ps = np.array([-4.3, -1.0, 0.0, 0.7, 2.5, 5.0])
     moments = (0, 1, 2, 3)
-    batch = _contour_integral(ps, beta, 1e-3, trunc, h, moments)
+    batch = _contour_integral(ps, beta, moments)
     assert batch.shape == (4, len(ps))
     for i, p in enumerate(ps):
-        want = _contour_integral_per_panel(p, beta, 1e-3, trunc, h, moments)
+        want = _contour_integral_per_panel(p, beta, _truncation(p, beta), moments)
         scale = max(1.0, np.abs(want).max())
         np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_array_equal(_contour_integral(p, beta, 1e-3, trunc, h, moments),
-                                      batch[:, i])
+        np.testing.assert_array_equal(_contour_integral(p, beta, moments), batch[:, i])
 
 
 def test_contour_truncation_is_chosen_per_p():
     # at beta = 0.5, |p| = 6 needs a longer contour than |p| <= 3
     ps = np.array([6.0, 0.5, -1.0])
-    batch = _contour_integral(ps, 0.5, 1e-3, None, 0.25, (0, 2))
+    batch = _contour_integral(ps, 0.5, (0, 2))
     for i, trunc in enumerate((10.0, 9.0, 9.0)):
-        want = _contour_integral_per_panel(ps[i], 0.5, 1e-3, trunc, 0.25, (0, 2))
+        assert _truncation(ps[i], 0.5) == trunc
+        want = _contour_integral_per_panel(ps[i], 0.5, trunc, (0, 2))
         np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
         # one panel more or less would move the sum at round-off
-        np.testing.assert_array_equal(batch[:, i], _contour_integral(ps[i], 0.5, 1e-3, None, 0.25, (0, 2)))
-    u = airy_u(AirySpec(alpha=-1.0, beta=1.0))
+        np.testing.assert_array_equal(batch[:, i], _contour_integral(ps[i], 0.5, (0, 2)))
+    u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     xs = np.linspace(0.0, 3.0, 4)
     np.testing.assert_array_equal(u.derivatives(xs, 2)[2], [u.derivatives(x, 2)[2] for x in xs])
 
 
 def test_airy_quadrature_error_on_tiny_truncation():
-    with pytest.raises(QuadratureError):
-        airy_u(AirySpec(alpha=-2.0, beta=1.0, trunc=2.0)).value(0.0)
+    # for p < 0 the integrand grows to exp((2/3) (-p/2)^{3/2}) before it
+    # decays and the sum cancels: at p = -15 the value is still right to
+    # 1e-8, further out it raises (at p = -30 the sum read -103, not -0.553)
+    got = AiryFn(AirySpec(-15.0, 1.0)).value(0.0)
+    assert abs(got - 2.0 * np.pi * scipy.special.airy(-15.0)[0]) < 1e-8
+    for p in (-20.0, -30.0):
+        with pytest.raises(QuadratureError):
+            AiryFn(AirySpec(p, 1.0)).value(0.0)
     with pytest.raises(DomainError):
         AirySpec(alpha=-1.0, beta=0.0)
-    with pytest.raises(DomainError):
-        AirySpec(alpha=-1.0, beta=1.0, E=2.0)
 
 
 def test_partials_match_central_differences_at_second_order():
