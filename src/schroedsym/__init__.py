@@ -57,7 +57,6 @@ from .multiplier import (
 from .opalg import (
     DiffOp,
     GeneratorSet,
-    LaurentPoly2,
     casimir_I2,
     casimir_I3,
     generators_linear,

@@ -1,12 +1,14 @@
 """Exact differential-operator algebra with Laurent-polynomial coefficients.
 
-Operators are finite sums of coefficient polynomials (Laurent in the first
-variable, polynomial in the second) times mixed partial derivatives, in
-canonical derivatives-rightmost form.  Composition expands by the Leibniz
-rule, so commutation tables, Casimir elements, and intertwining relations
-are checked coefficient-exactly instead of by sampling.
+An operator is one table ``{(m, n, i, j): c}`` of terms
+``c s^i x^j d1^m d2^n`` in canonical derivatives-rightmost form (the power
+i of the first variable may be negative).  Composition expands by the
+Leibniz rule in closed form on that table, so commutation tables, Casimir
+elements, and intertwining relations are checked coefficient-exactly
+instead of by sampling.  Only coefficients that are exactly zero are
+dropped.
 
-The first variable is t for the linear family and s = e^{2 k omega t} for
+The first variable s is t for the linear family and e^{2 k omega t} for
 the oscillator family (so 1/sqrt(u) and 1/u become s^{-1}, s^{-2}).
 """
 
@@ -17,131 +19,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
 
-PRUNE_TOL = 1e-15
 EQ_TOL = 1e-13
 
 LINEAR_VARS = "linear"  # (t, x)
 QUADRATIC_VARS = "quadratic"  # (s, x)
 
 
-class LaurentPoly2:
-    """Sparse polynomial in two variables; the first exponent may be negative."""
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef=None):
-        self.coef = {}
-        if coef:
-            for k, v in coef.items():
-                if v != 0:
-                    self.coef[k] = self.coef.get(k, 0) + v
-
-    @classmethod
-    def term(cls, c, i=0, j=0):
-        return cls({(i, j): c})
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    def __bool__(self):
-        return bool(self.coef)
-
-    def __add__(self, other):
-        out = dict(self.coef)
-        for k, v in other.coef.items():
-            out[k] = out.get(k, 0) + v
-        return LaurentPoly2(out)._pruned()
-
-    def __sub__(self, other):
-        out = dict(self.coef)
-        for k, v in other.coef.items():
-            out[k] = out.get(k, 0) - v
-        return LaurentPoly2(out)._pruned()
-
-    def __neg__(self):
-        return LaurentPoly2({k: -v for k, v in self.coef.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly2):
-            if other == 0:
-                return LaurentPoly2()
-            return LaurentPoly2({k: v * other for k, v in self.coef.items()})
-        out = {}
-        for (i1, j1), v1 in self.coef.items():
-            for (i2, j2), v2 in other.coef.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return LaurentPoly2(out)._pruned()
-
-    __rmul__ = __mul__
-
-    def _pruned(self):
-        self.coef = {k: v for k, v in self.coef.items() if abs(v) > PRUNE_TOL}
-        return self
-
-    def derive(self, var):
-        """d/d(var); var 0 is the Laurent variable, var 1 the polynomial one."""
-        out = {}
-        for (i, j), v in self.coef.items():
-            if var == 0 and i != 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0) + i * v
-            elif var == 1 and j != 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + j * v
-        return LaurentPoly2(out)
-
-    def evaluate(self, v1, v2):
-        total = 0.0
-        for (i, j), c in self.coef.items():
-            term = c
-            if i:
-                term = term * v1 ** i if i > 0 else term / v1 ** (-i)
-            if j:
-                term = term * v2 ** j
-            total = total + term
-        return total
-
-    def max_abs_diff(self, other):
-        keys = set(self.coef) | set(other.coef)
-        if not keys:
-            return 0.0
-        return max(abs(self.coef.get(k, 0) - other.coef.get(k, 0)) for k in keys)
-
-    def __repr__(self):
-        if not self.coef:
-            return "0"
-        parts = [f"{v!r}*v1^{i}*v2^{j}" for (i, j), v in sorted(self.coef.items())]
-        return " + ".join(parts)
-
-
 class DiffOp:
-    """Finite sum of LaurentPoly2 coefficients times d1^m d2^n."""
+    """Finite sum of terms c s^i x^j d1^m d2^n, held as {(m, n, i, j): c}."""
 
     __slots__ = ("family", "terms")
 
     def __init__(self, family, terms=None):
         self.family = family
-        self.terms = {}
-        if terms:
-            for k, p in terms.items():
-                if p:
-                    self.terms[k] = self.terms[k] + p if k in self.terms else p
+        self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
 
     @classmethod
     def from_poly(cls, family, poly):
-        return cls(family, {(0, 0): poly})
+        """The multiplication operator by the polynomial {(i, j): c}."""
+        return cls(family, {(0, 0, i, j): c for (i, j), c in poly.items()})
 
     @classmethod
     def monomial(cls, family, c, i=0, j=0, m=0, n=0):
-        return cls(family, {(m, n): LaurentPoly2.term(c, i, j)})
+        return cls(family, {(m, n, i, j): c})
 
     @property
     def order(self):
         """Parabolic order: the largest 2m + n, d1 counting twice."""
-        return max((jets.weight(k) for k in self.terms), default=0)
+        return max((2 * m + n for m, n, _, _ in self.terms), default=0)
 
     def _check(self, other):
         if self.family != other.family:
@@ -149,71 +56,70 @@ class DiffOp:
 
     def __add__(self, other):
         if not isinstance(other, DiffOp):
-            return self + DiffOp.from_poly(self.family, LaurentPoly2.const(other))
+            return self + DiffOp.monomial(self.family, other)
         self._check(other)
         out = dict(self.terms)
-        for k, p in other.terms.items():
-            out[k] = out[k] + p if k in out else p
-        return DiffOp(self.family, {k: p for k, p in out.items() if p})
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return DiffOp(self.family, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, DiffOp) else -other)
+        return self + (-other)
 
     def __neg__(self):
-        return DiffOp(self.family, {k: -p for k, p in self.terms.items()})
+        return DiffOp(self.family, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        return DiffOp(self.family, {k: p * scalar for k, p in self.terms.items()})
+        return DiffOp(self.family, {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator product via the Leibniz expansion."""
+        """Operator product via the Leibniz expansion.
+
+        d1^m d2^n . (c s^i x^j d1^p d2^q) is the sum over a <= m, b <= n of
+        C(m, a) C(n, b) i^(a) j^(b) c s^(i-a) x^(j-b) d1^(m-a+p) d2^(n-b+q),
+        with i^(a) = i (i - 1) ... (i - a + 1) the falling factorial (exact
+        for negative i, 0 for 0 <= i < a).  Each right-hand term is
+        differentiated one derivative at a time, once per (a, b) that some
+        left-hand term can take.
+        """
         self._check(other)
+        top_m = max((m for m, _, _, _ in self.terms), default=0)
+        top_n = max((n for _, n, _, _ in self.terms), default=0)
+        # derived[a, b]: the right-hand terms after d1^a d2^b hit their coefficients
+        derived = {(0, 0): [(*k, c) for k, c in other.terms.items()]}
+        for a in range(top_m + 1):
+            if a:
+                derived[a, 0] = [(p, q, i - 1, j, c * i) for p, q, i, j, c in derived[a - 1, 0] if i]
+            for b in range(1, top_n + 1):
+                derived[a, b] = [(p, q, i, j - 1, c * j) for p, q, i, j, c in derived[a, b - 1] if j]
         out = {}
-        for (m, n), P in self.terms.items():
-            for (p, q), Q in other.terms.items():
-                # d1^m d2^n (Q ...) -> sum over derivatives hitting Q
-                for i in range(m + 1):
-                    ci = math.comb(m, i)
-                    Qi = Q
-                    for _ in range(i):
-                        Qi = Qi.derive(0)
-                    if not Qi and i < m:
-                        continue
-                    for j in range(n + 1):
-                        cj = math.comb(n, j)
-                        Qij = Qi
-                        for _ in range(j):
-                            Qij = Qij.derive(1)
-                        if not Qij:
-                            continue
-                        key = (m - i + p, n - j + q)
-                        contrib = P * Qij * (ci * cj)
-                        out[key] = out[key] + contrib if key in out else contrib
-        return DiffOp(self.family, {k: v for k, v in out.items() if v})
+        for (m, n, i1, j1), c1 in self.terms.items():
+            for a in range(m + 1):
+                for b in range(n + 1):
+                    w = c1 * (math.comb(m, a) * math.comb(n, b))
+                    for p, q, i, j, c in derived[a, b]:
+                        key = (m - a + p, n - b + q, i1 + i, j1 + j)
+                        out[key] = out.get(key, 0) + w * c
+        return DiffOp(self.family, out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
 
     def max_abs_diff(self, other: "DiffOp") -> float:
         self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        empty = LaurentPoly2()
-        return max(
-            (self.terms.get(k, empty).max_abs_diff(other.terms.get(k, empty)) for k in keys),
-            default=0.0,
-        )
+        a, b = self.terms, other.terms
+        return max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()),
+                   default=0.0)
 
     def equals(self, other, tol=EQ_TOL) -> bool:
         return self.max_abs_diff(other) <= tol
 
     def is_zero(self, tol=EQ_TOL) -> bool:
-        return all(
-            all(abs(v) <= tol for v in p.coef.values()) for p in self.terms.values()
-        )
+        return all(abs(c) <= tol for c in self.terms.values())
 
     def apply(self, fn, z):
         """Numeric action on a jet-backed function at a point.
@@ -236,13 +142,22 @@ class DiffOp:
         else:
             j = fn.jet(t, x, order)
             v1 = t
+        coefs = {}
+        for (m, n, i, jx), c in self.terms.items():
+            term = c
+            if i:
+                term = term * v1 ** i if i > 0 else term / v1 ** (-i)
+            if jx:
+                term = term * x ** jx
+            coefs[m, n] = coefs.get((m, n), 0.0) + term
         total = 0.0
-        for (m, n), P in self.terms.items():
-            total = total + P.evaluate(v1, x) * j.partial((m, n))
+        for mn, coef in coefs.items():
+            total = total + coef * j.partial(mn)
         return total
 
     def __repr__(self):
-        parts = [f"({p!r}) d1^{m} d2^{n}" for (m, n), p in sorted(self.terms.items())]
+        parts = [f"{c!r}*s^{i}*x^{j} d1^{m} d2^{n}"
+                 for (m, n, i, j), c in sorted(self.terms.items())]
         return f"DiffOp[{self.family}]: " + (" + ".join(parts) if parts else "0")
 
 
@@ -285,10 +200,9 @@ class GeneratorSet:
 
     def commutator_table_defect(self) -> float:
         """Max coefficient defect over the full bracket table."""
-        two_k_bracket = (
-            LaurentPoly2.const(1.0 / (2.0 * self.k))
-            if self.family == LINEAR_VARS
-            else LaurentPoly2.const(2.0 * self.omega)
+        two_k_bracket = DiffOp.monomial(
+            self.family,
+            1.0 / (2.0 * self.k) if self.family == LINEAR_VARS else 2.0 * self.omega,
         )
         expect = [
             (self.L3.commutator(self.Lplus), self.Lplus),
@@ -300,7 +214,7 @@ class GeneratorSet:
             (self.Lminus.commutator(self.T2), 0.0 * self.unit),
             (self.Lplus.commutator(self.T2), self.T1),
             (self.Lminus.commutator(self.T1), -1.0 * self.T2),
-            (self.T1.commutator(self.T2), DiffOp.from_poly(self.family, two_k_bracket)),
+            (self.T1.commutator(self.T2), two_k_bracket),
         ]
         return max(got.max_abs_diff(want) for got, want in expect)
 

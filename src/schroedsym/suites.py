@@ -59,7 +59,6 @@ from .multiplier import (
 )
 from .opalg import (
     DiffOp,
-    LaurentPoly2,
     LINEAR_VARS,
     QUADRATIC_VARS,
     casimir_I2,
@@ -1013,13 +1012,12 @@ def _lie_i3(cfg, rng, trials):
 def _lie_i2(cfg, rng, trials):
     k = cfg.k
     gl = generators_linear(k, cfg.alpha, cfg.beta)
-    poly = LaurentPoly2.term(1.0, 0, 1) - LaurentPoly2.term(k * k * cfg.beta, 2, 0)
+    poly = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1) - DiffOp.monomial(LINEAR_VARS, k * k * cfg.beta, 2, 0)
     lhs = casimir_I2(gl)
-    rhs = (3.0 / 16.0) * gl.unit + DiffOp.from_poly(LINEAR_VARS, poly * poly * (0.25 / k)).compose(gl.Kop)
+    rhs = (3.0 / 16.0) * gl.unit + (poly.compose(poly) * (0.25 / k)).compose(gl.Kop)
     dl = lhs.max_abs_diff(rhs)
     gq = generators_quadratic(k, cfg.alpha, cfg.omega)
-    rhsq = (3.0 / 16.0) * gq.unit + DiffOp.from_poly(
-        QUADRATIC_VARS, LaurentPoly2.term(0.25 / k, 0, 2)).compose(gq.Kop)
+    rhsq = (3.0 / 16.0) * gq.unit + DiffOp.monomial(QUADRATIC_VARS, 0.25 / k, 0, 2).compose(gq.Kop)
     dq = casimir_I2(gq).max_abs_diff(rhsq)
     yield from (dl, dq)
 
@@ -1086,13 +1084,13 @@ def _lie_dpower(cfg, rng, trials):
 
 @_register("liealg", "poly_ring", "coefficient ring arithmetic handles negative powers", 1e-14)
 def _lie_poly(cfg, rng, trials):
-    p = LaurentPoly2.term(1.0, 1, 0) + LaurentPoly2.term(1.0, -1, 0)
-    sq = p * p
-    want = LaurentPoly2({(2, 0): 1.0, (0, 0): 2.0, (-2, 0): 1.0})
-    yield sq.max_abs_diff(want)
-    q = LaurentPoly2.term(1.0, 2, 1)
-    yield q.derive(0).max_abs_diff(LaurentPoly2.term(2.0, 1, 1))
-    yield LaurentPoly2.term(1.0, -1, 0).derive(0).max_abs_diff(
-        LaurentPoly2.term(-1.0, -2, 0))
-    one = LaurentPoly2.const(1.0)
-    yield (p * one).max_abs_diff(p)
+    """Order-0 operators are the coefficient ring that ``compose`` multiplies."""
+    def mono(c, i=0, j=0, m=0):
+        return DiffOp.monomial(QUADRATIC_VARS, c, i, j, m)
+
+    p = mono(1.0, 1) + mono(1.0, -1)
+    yield p.compose(p).max_abs_diff(mono(1.0, 2) + mono(2.0) + mono(1.0, -2))
+    ds = mono(1.0, m=1)
+    yield ds.commutator(mono(1.0, 2, 1)).max_abs_diff(mono(2.0, 1, 1))
+    yield ds.commutator(mono(1.0, -1)).max_abs_diff(mono(-1.0, -2))
+    yield p.compose(mono(1.0)).max_abs_diff(p)

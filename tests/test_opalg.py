@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroedsym.coords import FamilySpec, Point
 from schroedsym.errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
 from schroedsym.opalg import (
     DiffOp,
-    LaurentPoly2,
     LINEAR_VARS,
     QUADRATIC_VARS,
     casimir_I2,
@@ -14,7 +15,8 @@ from schroedsym.opalg import (
     generators_quadratic,
     intertwine_check,
 )
-from schroedsym.solutions import f_pair, g_functions
+from schroedsym.solutions import constant_one, f_pair, g_functions
+from schroedsym.suites import RunConfig, run_named_check
 
 RNG = np.random.default_rng(2718)
 
@@ -25,28 +27,59 @@ LIN = FamilySpec.linear(K, ALPHA, BETA)
 QUAD = FamilySpec.quadratic(K, ALPHA, OMEGA)
 
 
+def lin(c, i=0, j=0, m=0, n=0):
+    return DiffOp.monomial(LINEAR_VARS, c, i, j, m, n)
+
+
+def quad(c, i=0, j=0, m=0, n=0):
+    return DiffOp.monomial(QUADRATIC_VARS, c, i, j, m, n)
+
+
 def test_laurent_poly_ring():
     # products and s-derivatives are liealg.poly_ring; here the x-derivative
-    # and evaluation
-    p = LaurentPoly2.term(1.0, 1, 0) + LaurentPoly2.term(1.0, -1, 0)
-    assert LaurentPoly2.term(2.0, 0, 3).derive(1).max_abs_diff(LaurentPoly2.term(6.0, 0, 2)) == 0.0
-    assert abs(p.evaluate(2.0, 0.0) - 2.5) < 1e-15
+    # and evaluation, through the operators' action
+    dx = lin(1.0, n=1)
+    assert dx.commutator(lin(2.0, 0, 3)).max_abs_diff(lin(6.0, 0, 2)) == 0.0
+    p = DiffOp.from_poly(LINEAR_VARS, {(1, 0): 1.0, (-1, 0): 1.0})
+    assert p.max_abs_diff(lin(1.0, 1) + lin(1.0, -1)) == 0.0
+    assert abs(p.apply(constant_one(), Point(2.0, 0.0)) - 2.5) < 1e-15
+
+
+_MONOMIALS = st.lists(
+    st.tuples(st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-3),
+              st.integers(-2, 3), st.integers(0, 3),
+              st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=4,
+).map(lambda terms: sum((quad(*term) for term in terms), quad(0.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MONOMIALS, _MONOMIALS, _MONOMIALS)
+def test_compose_distributes_over_addition(a, b, c):
+    # to 1e-14 of the largest coefficient: the two sides round in another order
+    for lhs, rhs in ((a.compose(b + c), a.compose(b) + a.compose(c)),
+                     ((a + b).compose(c), a.compose(c) + b.compose(c))):
+        scale = max(map(abs, [*lhs.terms.values(), *rhs.terms.values()]), default=0.0)
+        assert lhs.max_abs_diff(rhs) <= 1e-14 * scale
 
 
 def test_leibniz_composition():
-    # d2 . (x . ) = x d2 + 1
-    dx = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 0, 0, 1)
-    x = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1, 0, 0)
-    got = dx.compose(x)
-    want = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1, 0, 1) + DiffOp.monomial(LINEAR_VARS, 1.0)
-    assert got.max_abs_diff(want) == 0.0
+    # exact identities of both families, with a negative power
+    # d2 . x = x d2 + 1
+    assert lin(1.0, n=1).compose(lin(1.0, 0, 1)).max_abs_diff(lin(1.0, 0, 1, n=1) + lin(1.0)) == 0.0
+    # d_x^2 . x^2 = x^2 d_x^2 + 4 x d_x + 2
+    got = lin(1.0, n=2).compose(lin(1.0, 0, 2))
+    assert got.max_abs_diff(lin(1.0, 0, 2, n=2) + lin(4.0, 0, 1, n=1) + lin(2.0)) == 0.0
+    # d_t . t^3 = t^3 d_t + 3 t^2
+    got = lin(1.0, m=1).compose(lin(1.0, 3))
+    assert got.max_abs_diff(lin(1.0, 3, m=1) + lin(3.0, 2)) == 0.0
+    # d_s . s^-1 = s^-1 d_s - s^-2
+    got = quad(1.0, m=1).compose(quad(1.0, -1))
+    assert got.max_abs_diff(quad(1.0, -1, m=1) - quad(1.0, -2)) == 0.0
     # T1^2 = d2^2 + 2 k beta t d2 + k^2 beta^2 t^2
-    t1sq = GL.T1.compose(GL.T1)
     kb = K * BETA
-    want = (DiffOp.monomial(LINEAR_VARS, 1.0, 0, 0, 0, 2)
-            + DiffOp.monomial(LINEAR_VARS, 2.0 * kb, 1, 0, 0, 1)
-            + DiffOp.monomial(LINEAR_VARS, kb * kb, 2, 0))
-    assert t1sq.max_abs_diff(want) < 1e-15
+    want = lin(1.0, n=2) + lin(2.0 * kb, 1, n=1) + lin(kb * kb, 2)
+    assert GL.T1.compose(GL.T1).max_abs_diff(want) < 1e-15
 
 
 def test_compose_associativity_random():
@@ -70,10 +103,8 @@ def test_family_mismatch_raises():
 def test_commutator_tables():
     # the tables are liealg.table_linear and liealg.table_quadratic; here
     # the central brackets explicitly
-    want_lin = DiffOp.from_poly(LINEAR_VARS, LaurentPoly2.const(1.0 / (2.0 * K)))
-    assert GL.T1.commutator(GL.T2).max_abs_diff(want_lin) < 1e-15
-    want_quad = DiffOp.from_poly(QUADRATIC_VARS, LaurentPoly2.const(2.0 * OMEGA))
-    assert GQ.T1.commutator(GQ.T2).max_abs_diff(want_quad) < 1e-15
+    assert GL.T1.commutator(GL.T2).max_abs_diff(lin(1.0 / (2.0 * K))) < 1e-15
+    assert GQ.T1.commutator(GQ.T2).max_abs_diff(quad(2.0 * OMEGA)) < 1e-15
     assert GL.T1.commutator(GL.T1).is_zero()
 
 
@@ -111,15 +142,20 @@ def test_intertwining_and_falsification():
 def test_casimirs_are_constants_and_factor():
     assert (casimir_I3(GL) - (3.0 / 16.0) * GL.unit).is_zero()
     assert (casimir_I3(GQ) - (3.0 / 16.0) * GQ.unit).is_zero()
-    poly = LaurentPoly2.term(1.0, 0, 1) - LaurentPoly2.term(K * K * BETA, 2, 0)
-    rhs = (3.0 / 16.0) * GL.unit + DiffOp.from_poly(
-        LINEAR_VARS, poly * poly * (0.25 / K)).compose(GL.Kop)
+    poly = lin(1.0, 0, 1) - lin(K * K * BETA, 2, 0)
+    rhs = (3.0 / 16.0) * GL.unit + (poly.compose(poly) * (0.25 / K)).compose(GL.Kop)
     assert casimir_I2(GL).max_abs_diff(rhs) < 1e-14
-    rhs_q = (3.0 / 16.0) * GQ.unit + DiffOp.from_poly(
-        QUADRATIC_VARS, LaurentPoly2.term(0.25 / K, 0, 2)).compose(GQ.Kop)
+    rhs_q = (3.0 / 16.0) * GQ.unit + quad(0.25 / K, 0, 2).compose(GQ.Kop)
     assert casimir_I2(GQ).max_abs_diff(rhs_q) < 1e-14
     assert casimir_I2(GL).commutator(GL.L3).is_zero()
     assert casimir_I3(GL).commutator(GL.T1).is_zero()
+
+
+def test_casimir_factorization_keeps_tiny_coefficients():
+    # only exact zeros are dropped: at k = 1e-100 the oscillator terms of size
+    # k omega^2 stay in the algebra
+    result = run_named_check("liealg.casimir_factorization", RunConfig(seed=7, k=1e-100))
+    assert result.passed, result.value
 
 
 def test_numeric_apply_oscillator_states():

@@ -66,6 +66,17 @@ def test_grid_residual_modes_and_order():
     assert grid_residual(zero, LIN, GRID).max_abs == 0.0
 
 
+def test_richardson_stencils_match_the_analytic_residual():
+    # fd_order reads only the observed order, which a slipped stencil literal
+    # keeps near 2; the Richardson combination of the two steps must land on
+    # the analytic residual
+    _, f2 = f_pair(LIN)
+    t, xs = GridSpec((0.4, 1.4), (-1.0, 1.0)).points(1)
+    exact, _ = residual_arrays(f2, LIN, t, xs)
+    fd_h, fd_half = (residual._fd_residual_arrays(f2, LIN, t, xs, h)[0] for h in (1e-3, 5e-4))
+    assert np.max(np.abs((4.0 * fd_half - fd_h) / 3.0 - exact)) < 1e-7
+
+
 def test_grid_residual_raises_off_the_domain():
     # the jet is the only domain guard: no grid point is dropped
     spec = FamilySpec.inverse_quadratic(0.7, 2.0)
