@@ -168,6 +168,10 @@ class Jet:
     def __neg__(self):
         return _jet(self.nvars, self.order, self.support, -self.block)
 
+    def sum(self, axis=0):
+        """The jet whose coefficients are summed over their axis ``axis``."""
+        return _jet(self.nvars, self.order, self.support, self.block.sum(axis + 1))
+
     def __sub__(self, other):
         return self + (-other)
 

@@ -151,7 +151,8 @@ def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid):
             # stage times of both sweeps: 4n + 1 per interval
             ts = np.linspace(t_grid[:-1], t_grid[1:], 4 * n + 1, axis=1)
             fr = frame(l, spec, ts)
-            start = (complex(fr.A[0, 0]), complex(fr.B[0, 0]), complex(fr.C[0, 0]))
+            # Python scalars of the frame's dtype: real families step in floats
+            start = (fr.A[0, 0].item(), fr.B[0, 0].item(), fr.C[0, 0].item())
             forcing = list(zip(*(np.broadcast_to(g, ts.shape).tolist()
                                  for g in _forcing(spec, fr.xi, fr.f))))
             # after a doubling, the coarse sweep is the last level's fine one

@@ -12,7 +12,6 @@ s = e^{2 k omega t} as their first argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -152,8 +151,10 @@ def theta1(trunc: int) -> FormulaFn:
 
     Satisfies 4 pi i d/dt = d^2/dx^2 term by term (k = -i/4pi).  The
     truncation window n in [1-trunc, trunc] keeps the series exactly odd
-    in x.  Evaluation needs Im t > 0, and raises ``ConvergenceError`` when
-    the tail bound at Im t exceeds 1e-12.
+    in x.  The terms are one jet whose coefficients carry a leading n
+    axis, ahead of the axes of t and x, which ``Jet.sum`` then sums.
+    Evaluation needs Im t > 0, and raises ``ConvergenceError`` when the
+    tail bound at Im t exceeds 1e-12.
     """
     if trunc < 10:
         raise DomainError("trunc must be >= 10")
@@ -164,9 +165,10 @@ def theta1(trunc: int) -> FormulaFn:
         bound = np.max(4.0 * np.exp(-np.pi * (trunc + 0.5) ** 2 * np.minimum(im, 50.0)))
         if bound > 1e-12:
             raise ConvergenceError(f"series tail bound {bound:.3e} exceeds 1e-12")
-        return reduce(Jet.__add__, (
-            jets.exp(1j * np.pi * (n - 0.5) ** 2 * t + 1j * np.pi * (2 * n - 1) * x) * (1j * (-1) ** n)
-            for n in range(1 - trunc, trunc + 1)))
+        ndim = max(np.ndim(jets.value_of(t)), np.ndim(jets.value_of(x)))
+        n = np.arange(1 - trunc, trunc + 1).reshape((-1,) + (1,) * ndim)
+        terms = jets.exp(1j * np.pi * (n - 0.5) ** 2 * t + 1j * np.pi * (2 * n - 1) * x)
+        return (terms * (1j * (-1.0) ** n)).sum(axis=0)
 
     return FormulaFn(formula)
 
@@ -277,11 +279,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 PANEL_WIDTH = 0.25  # of the composite Gauss-Legendre rule along the ray
 
 # caps of the Airy code's loops, past which they raise ConvergenceError: a
-# truncation grown 1000 times covers |p| up to ~6e5 beta^2, and 100
-# halvings take any bracket of the energy scan down to adjacent floats
+# truncation grown 1000 times covers |p| up to ~6e5 beta^2, and a root
+# search takes about 4 Newton steps, while 100 midpoint steps would take
+# any bracket of the energy scan down to adjacent floats
 TRUNCATION_STEPS = 1000
-BISECTION_STEPS = 100
-SCAN_POINTS, ROOT_WIDTH = 61, 1e-10  # of the energy scan and its bisection
+ROOT_STEPS = 100
+SCAN_POINTS, ROOT_WIDTH = 61, 1e-10  # of the energy scan and its root brackets
 
 
 def _contour_integral(p, beta, moments):
@@ -355,39 +358,59 @@ def eigenvalue_scan(spec: AirySpec, e_range):
     """Roots of the x = 0 boundary condition in the energy window.
 
     Brackets sign changes of u(0; E) on a uniform scan of ``SCAN_POINTS``
-    energies, evaluated as one batch, then bisects each bracket to width
-    ``ROOT_WIDTH``, in at most ``BISECTION_STEPS`` halvings.
+    energies, evaluated as one batch, then refines each bracket by the
+    certified Newton search of ``_bracketed_root``: each root returned is
+    the midpoint of a sign-change bracket of width at most ``ROOT_WIDTH``.
     """
     lo, hi = e_range
     if not hi > lo:
         raise DomainError("empty energy window")
 
-    def u0(E):
-        return _contour_integral(-E, spec.beta, (0,))[0]
-
     es = np.linspace(lo, hi, SCAN_POINTS)
-    vals = u0(es)
+    vals = _contour_integral(-es, spec.beta, (0,))[0]
     roots = []
     for i in range(len(es) - 1):
         if vals[i] == 0.0:
             roots.append(es[i])
-            continue
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            a, fa = es[i], vals[i]
-            b, steps = es[i + 1], 0
-            while b - a > ROOT_WIDTH:
-                if steps == BISECTION_STEPS:
-                    raise ConvergenceError(f"bisection width {b - a:.3e} > {ROOT_WIDTH:.3e}")
-                steps += 1
-                m = 0.5 * (a + b)
-                fm = u0(m)
-                if fm == 0.0:
-                    a = b = m
-                elif np.sign(fm) == np.sign(fa):
-                    a, fa = m, fm
-                else:
-                    b = m
-            roots.append(0.5 * (a + b))
+        elif np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+            roots.append(_bracketed_root(spec.beta, es[i], es[i + 1], vals[i]))
     if not roots:
         raise NoRootError(f"no sign change of u(0; E) in [{lo}, {hi}]")
     return roots
+
+
+def _bracketed_root(beta, a, b, fa):
+    """The root of u(0; E) in the bracket [a, b], where u(0; a) = ``fa``,
+    by safeguarded Newton steps from the midpoint.
+
+    One quadrature gives u and u_x, so du/dE = -u_x / beta at x = 0.  Each
+    evaluation shrinks the bracket, and a Newton step that leaves it is
+    replaced by its midpoint.  A step shorter than ROOT_WIDTH / 4 ends the
+    search if u changes sign between E -+ ROOT_WIDTH / 2 (one two-point
+    quadrature): E is then the midpoint of a bracket of width ROOT_WIDTH,
+    as bisection would give, and if it does not change sign the search goes
+    on from the midpoint.  After ``ROOT_STEPS`` steps it raises
+    ``ConvergenceError``.
+    """
+    e = 0.5 * (a + b)
+    for _ in range(ROOT_STEPS):
+        if b - a <= ROOT_WIDTH:
+            return 0.5 * (a + b)
+        u, ux = _contour_integral(-e, beta, (0, 1))
+        if u == 0.0:
+            return e
+        if np.sign(u) == np.sign(fa):
+            a, fa = e, u
+        else:
+            b = e
+        step = beta * u / ux if ux != 0.0 else np.inf  # -u / (du/dE)
+        if not a <= e + step <= b:
+            e = 0.5 * (a + b)
+            continue
+        e += step
+        if abs(step) < ROOT_WIDTH / 4.0:
+            lo, hi = _contour_integral(-e + np.array([0.5, -0.5]) * ROOT_WIDTH, beta, (0,))[0]
+            if np.sign(lo) * np.sign(hi) <= 0:
+                return e
+            e = 0.5 * (a + b)
+    raise ConvergenceError(f"no certified root after {ROOT_STEPS} steps; bracket width {b - a:.3e}")

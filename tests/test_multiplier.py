@@ -151,6 +151,34 @@ def test_ode_oracle_matches_closed_forms(spec, sampler, tol):
     assert max(np.abs(v).max() for v in oracle) < 1e-12
 
 
+@pytest.mark.parametrize("spec,sampler", [
+    (LIN, lambda: random_element(RNG)),
+    (QUAD, lambda: random_admissible_element(RNG)),
+    (DISK, lambda: random_disk_element(RNG)),
+], ids=["linear", "quadratic", "disk"])
+def test_ode_oracle_steps_real_families_in_floats(monkeypatch, spec, sampler):
+    # real start values step RK4 on floats, bit for bit the real part of
+    # the same sweep started from complex values; the disk family is complex
+    module, sweeps = importlib.import_module("schroedsym.multiplier"), []
+
+    def recorded(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    sweep = module._rk4_sweep
+    monkeypatch.setattr(module, "_rk4_sweep", recorded)
+    oracle, _ = ode_oracle_coefficients(sampler(), spec, np.linspace(-0.3, 0.5, 9))
+    if spec is DISK:
+        assert all(o.dtype == np.complex128 for o in oracle)
+        return
+    k, start, forcing, widths, stride = sweeps[-1]  # the fine sweep that was returned
+    assert stride == 1 and all(type(v) is float for v in start)
+    complex_start = sweep(k, tuple(map(complex, start)), forcing, widths, stride)
+    for o, c in zip(oracle, complex_start):
+        assert o.dtype == np.float64
+        assert np.array_equal(o, c.real)
+
+
 @pytest.mark.parametrize("family,coefficient", [
     ("linear", "A"), ("quadratic", "A"), ("quadratic", "B"), ("quadratic", "C"),
 ], ids=["linear-A", "quadratic-A", "quadratic-B", "quadratic-C"])

@@ -1,8 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.special
 
-from schroedsym import solutions, suites
+from schroedsym import jets, solutions, suites
 from schroedsym.coords import FamilySpec
 from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError
 from schroedsym.jets import Jet
@@ -66,6 +68,26 @@ def test_theta_series_pde_and_oddness():
         theta1(10).value(0.05j, 0.2)
     with pytest.raises(DomainError, match="needs Im t > 0"):
         theta1(10).value(0.3 + 0.0j, 0.2)
+
+
+@pytest.mark.parametrize("t,x", [
+    (0.2 + np.linspace(0.8, 1.6, 10) * 1j, 0.37),
+    ((np.linspace(-0.3, 0.3, 4) + 1.1j)[:, None], np.linspace(-0.45, 0.45, 5)[None, :]),
+])
+def test_theta_jet_matches_the_term_by_term_sum(t, x):
+    # every coefficient of the order-2 jet, against the terms' own jets
+    # summed one by one
+    trunc = 20
+    tj, (xj,) = theta1(trunc)._seed(t, x, 2)
+    terms = [jets.exp(1j * np.pi * (n - 0.5) ** 2 * tj + 1j * np.pi * (2 * n - 1) * xj) * (1j * (-1) ** n)
+             for n in range(1 - trunc, trunc + 1)]
+    ref = reduce(Jet.__add__, terms)
+    got = theta1(trunc).jet(t, x, 2)
+    assert set(got.support) == set(ref.support)
+    for alpha in ref.support:
+        scale = sum(np.abs(term.coefficient(alpha)) for term in terms)
+        assert got.coefficient(alpha).shape == np.broadcast_shapes(np.shape(t), np.shape(x))
+        assert np.all(np.abs(got.coefficient(alpha) - ref.coefficient(alpha)) <= 1e-15 * scale)
 
 
 def test_theta_against_brute_force_series():
@@ -137,13 +159,9 @@ def test_g_functions_membership_and_gamma_zero():
 
 
 def test_plane_wave_nls_residual():
+    # the relative residual is solutions.nls_plane_wave; at zero amplitude
+    # the residual is exactly zero
     spec = FamilySpec.nls2d(-0.5j, coupling=1.3)
-    pw = plane_wave_nls(1.2, (0.4, -0.7), spec)
-    for _ in range(20):
-        t = RNG.uniform(-0.5, 0.5)
-        xs = [np.atleast_1d(RNG.uniform(-1, 1)), np.atleast_1d(RNG.uniform(-1, 1))]
-        r, v = residual_arrays(pw, spec, np.atleast_1d(t), xs)
-        assert abs(r[0]) / abs(v[0]) < 1e-12
     zero = plane_wave_nls(0.0, (1.0, 0.0), spec)
     r, _ = residual_arrays(zero, spec, np.array([0.3]), [np.array([0.1]), np.array([0.4])])
     assert abs(r[0]) == 0.0
@@ -185,13 +203,47 @@ def test_eigenvalue_scan_matches_airy_zeros():
 
 
 def test_airy_loops_raise_at_their_caps(monkeypatch):
-    # a phase this steep needs a truncation past the cap, and five halvings
-    # leave the scan's brackets far wider than ROOT_WIDTH
+    # a phase this steep needs a truncation past the cap, and one Newton
+    # step from a bracket's midpoint is not yet shorter than ROOT_WIDTH / 4
     with pytest.raises(ConvergenceError):
         AiryFn(AirySpec(alpha=-1e9, beta=1.0)).value(0.0)
-    monkeypatch.setattr(solutions, "BISECTION_STEPS", 5)
+    monkeypatch.setattr(solutions, "ROOT_STEPS", 1)
     with pytest.raises(ConvergenceError):
         eigenvalue_scan(AirySpec(alpha=-2.0, beta=1.0), (1.0, 3.0))
+
+
+@pytest.mark.parametrize("spec,window", [
+    (AirySpec(-2.0, 1.0), (1.0, 3.0)),
+    (AirySpec(-2.0, 1.0), (3.0, 5.0)),
+    (AirySpec(-2.0, 2.0), (2.0, 5.0)),
+])
+def test_newton_roots_are_certified_and_match_bisection(monkeypatch, spec, window):
+    def u0(E):
+        return _contour_integral(-np.asarray(E), spec.beta, (0,))[0]
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _contour_integral(*args)
+
+    monkeypatch.setattr(solutions, "_contour_integral", counted)
+    roots = eigenvalue_scan(spec, window)
+    # one call for the scan, then at most 8 per root
+    assert len(roots) == 1 and len(calls) - 1 <= 8 * len(roots)
+    (r,) = roots
+    lo, hi = u0(r - solutions.ROOT_WIDTH / 2), u0(r + solutions.ROOT_WIDTH / 2)
+    assert np.sign(lo) * np.sign(hi) < 0
+    # plain bisection of the window, which holds this one root
+    a, b = window
+    fa = u0(a)
+    while b - a > solutions.ROOT_WIDTH / 4:
+        m = 0.5 * (a + b)
+        if np.sign(u0(m)) == np.sign(fa):
+            a = m
+        else:
+            b = m
+    assert abs(r - 0.5 * (a + b)) <= solutions.ROOT_WIDTH
 
 
 def _truncation(p, beta):
@@ -256,21 +308,6 @@ def test_airy_quadrature_error_on_tiny_truncation():
             AiryFn(AirySpec(p, 1.0)).value(0.0)
     with pytest.raises(DomainError):
         AirySpec(alpha=-1.0, beta=0.0)
-
-
-def test_partials_match_central_differences_at_second_order():
-    _, f2 = f_pair(LIN)
-    for _ in range(10):
-        t, x = RNG.uniform(0.4, 1.4), RNG.uniform(-1.0, 1.0)
-        j = f2.jet(t, x, 2)
-        errs = []
-        for h in (1e-3, 5e-4):
-            fd_t = (f2.value(t + h, x) - f2.value(t - h, x)) / (2 * h)
-            fd_xx = (f2.value(t, x + h) - 2 * f2.value(t, x) + f2.value(t, x - h)) / h ** 2
-            errs.append(max(abs(fd_t - j.partial((1, 0))), abs(fd_xx - j.partial((0, 2)))))
-        if errs[1] > 1e-12:
-            order = np.log2(errs[0] / errs[1])
-            assert 1.5 < order < 2.6
 
 
 def test_exponential_variable_jets():
