@@ -8,7 +8,8 @@ compose semidirectly.
 Every entry may be a scalar or a numpy array: an element whose entries
 are arrays of one shape is a batch of elements, and composition,
 inversion, the cocycles, the determinant guard and the shape predicates
-all act per entry.
+all act per entry.  An entry may also be a ``Jet`` (a matrix that depends
+on a parameter); the determinant guard then reads the jet's value.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import DeterminantError, DomainError, ZeroK, ZeroOmega
 
 DET_TOL = 1e-12
@@ -32,7 +34,7 @@ class Mat2:
     b: complex
 
     def __post_init__(self):
-        det = np.asarray(self.det)
+        det = np.asarray(jets.value_of(self.det))  # a jet entry is guarded by its value
         bad = det[~(np.abs(det - 1.0) <= DET_TOL)]  # per entry; NaN is bad too
         if bad.size:
             raise DeterminantError(f"determinant {bad[0]} differs from 1 by more than {DET_TOL}")

@@ -24,15 +24,16 @@ keeps the exponents of weight <= N.  At order 2 that is psi, psi_t, the
 first space partials and the second space partials: exactly what the
 operator d/dt - k Delta + k V reads.  The kept exponents form a lower set
 and every product adds weights, so a dropped term never feeds a kept
-one.  ``compose`` stays exact as long as the new time depends on time
-only, which every frame of the symmetry group satisfies (t' is a
-fractional-linear function of t); it raises ``OrderError`` otherwise.
+one: the jets of order N form a truncated ring, closed under products and
+the series functions.  So a formula evaluated on any argument jets, such
+as the jets of a coordinate map, gives the exact truncated jet of the
+composite (the chain rule by evaluation), whatever the arguments' weights.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -286,30 +287,3 @@ def value_of(z):
     """Constant part of a jet, or the value itself."""
     return z.value if isinstance(z, Jet) else z
 
-
-def compose(base, args):
-    """Taylor composition: the jet of g(args[0](y), ...), its terms added into
-    one block, ``base`` holding g's Taylor coefficients at (value_of(args[0]), ...).
-    No argument's increment may hold a term lighter than its own variable (a time
-    that depends on space): the truncated ``base`` would miss what it feeds."""
-    if len(args) != base.nvars:
-        raise ValueError("arity mismatch in jet composition")
-    order, powers = args[0].order, []  # powers[i][a]: the a-th power of increment i
-    for i, d in enumerate(a._nilpotent() for a in args):
-        lightest = weight(tuple(int(j == i) for j in range(base.nvars)))
-        if any(0 < weight(k) < lightest for k in d.support):
-            raise OrderError(f"argument {i} of a composition depends on a lighter variable")
-        powers.append([None, d])
-        for _ in range(max((k[i] for k in base.support), default=0) - 1):
-            powers[-1].append(powers[-1][-1] * d)
-    one = _jet(args[0].nvars, order, ((0,) * args[0].nvars,), np.ones(1))
-    factors = [[p[a] for p, a in zip(powers, alpha) if a] or [one] for alpha in base.support]
-    supports = [reduce(lambda s, f: _product(order, s, f.support)[0], fs[1:], fs[0].support)
-                for fs in factors]  # of each term's product of factors
-    support = reduce(lambda s, t: _union(s, t)[0], supports, one.support)
-    shape = reduce(_shape, (f.block.shape[1:] for fs in factors for f in fs), base.block.shape[1:])
-    dtype = np.result_type(base.block, *(f.block for fs in factors for f in fs))
-    out, scratch = np.zeros((len(support),) + shape, dtype), np.empty(shape, dtype)
-    for fs, c in zip(factors, base.block):  # each term is the product of its factors, times c
-        _add_rows(out, support, reduce(Jet.__mul__, fs[1:], fs[0]), c, scratch)
-    return _jet(one.nvars, order, support, out)

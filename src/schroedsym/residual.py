@@ -1,9 +1,10 @@
 """Residual verification of the defining evolution operator.
 
 Evaluates r = psi_t - k (Delta psi - V psi) on jet-backed functions, builds
-transformed functions K * psi(mapped coordinates) with chain-rule partials,
-and checks the operator intertwining identity pointwise, including on
-functions that do not solve the equation.
+transformed functions K * psi(mapped coordinates) whose partials come from
+evaluating psi on the jets of the mapped coordinates (the chain rule by
+evaluation, exact for any frame), and checks the operator intertwining
+identity pointwise, including on functions that do not solve the equation.
 
 Grids are sampled on broadcastable axes (``GridSpec.points``): the time
 axis varies along the first array dimension and each space axis along its
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .coords import (
     FREE,
     INVERSE_QUADRATIC,
@@ -187,9 +187,10 @@ class PullbackFn(SmoothFn):
     """K(t, x) * psi(t', x') with chain-rule partials through the frame.
 
     ``frame(t_jet, x_jets) -> (t'_jet, [x'_jets], K_jet)`` fixes the
-    coordinate map and multiplier; the base function's jet at the mapped
-    point, which guards the base's domain, is Taylor-composed with the map
-    jets.
+    coordinate map and multiplier.  The base is evaluated on the map's jets
+    (``jet_at``), which is the chain rule and guards the base's domain at
+    the mapped values; pullbacks nest, each evaluating its base on the
+    jets its frame maps.
     """
 
     def __init__(self, base: SmoothFn, frame, ndim=None):
@@ -197,13 +198,9 @@ class PullbackFn(SmoothFn):
         self.frame = frame
         self.ndim = base.ndim if ndim is None else ndim
 
-    def jet(self, t, x, order):
-        tj, xjs = self._seed(t, x, order)
+    def jet_at(self, tj, xjs):
         tp, xps, kj = self.frame(tj, xjs)
-        tv = jets.value_of(tp)
-        xvs = [jets.value_of(xp) for xp in xps]
-        bj = self.base.jet(tv, xvs[0] if self.base.ndim == 1 else tuple(xvs), order)
-        return jets.compose(bj, [tp] + xps) * kj
+        return self.base.jet_at(tp, xps) * kj
 
 
 def _batch_first(l: GroupElement, naxes):
@@ -263,7 +260,7 @@ def lift_frame(map_kind: str, spec: FamilySpec, params: IntertwinerParams = None
             tp, xp = tj, xj + k2b * tj * tj
         else:  # phi2
             tp, xp = -tj.reciprocal(), xj / tj + k2b * tj.reciprocal() * tj.reciprocal()
-        kj = F.jet(jets.value_of(tj), jets.value_of(xj), tj.order)
+        kj = F.jet_at(tj, [xj])
         return tp, [xp], kj
 
     return frame

@@ -31,7 +31,8 @@ class SmoothFn:
 
     ``x`` is a scalar for one space dimension, else a sequence of length
     ``ndim``.  ``jet`` seeds variable 0 with t and variables 1..ndim with
-    the space coordinates; coefficients may be numpy arrays.
+    the space coordinates and evaluates ``jet_at`` on those seeds;
+    coefficients may be numpy arrays.
     """
 
     ndim = 1
@@ -43,6 +44,12 @@ class SmoothFn:
         coefficients are float64 for real data (the dtype rule of ``jets``).
         A point outside the function's domain raises ``DomainError`` here:
         the jet is the only domain guard."""
+        return self.jet_at(*self._seed(t, x, order))
+
+    def jet_at(self, tj, xjs) -> Jet:
+        """Jet of psi(tj, xjs) for argument jets ``tj`` and ``xjs`` (one per
+        space coordinate): the function evaluated on them, which is the
+        chain rule through whatever map the argument jets expand."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -77,8 +84,7 @@ class FormulaFn(SmoothFn):
         self.ndim = ndim
         self.rate = rate
 
-    def jet(self, t, x, order):
-        tj, xjs = self._seed(t, x, order)
+    def jet_at(self, tj, xjs):
         return self.formula(tj if self.rate is None else jets.exp(self.rate * tj), *xjs)
 
     def jet_s(self, s, x, order):

@@ -943,8 +943,10 @@ def _res_roundtrip(cfg, rng, trials):
     lifted = PullbackFn(psi0, lift_frame("f1", sp["linear"]))
     back = PullbackFn(lifted, lift_frame("phi1", sp["linear"]))
     t, xs = GridSpec(T_RANGE, X_RANGE).points(1)
-    ratio = back.jet(t, xs[0], 0).value / psi0.jet(t, xs[0], 0).value
-    yield float(np.abs(ratio - ratio.flat[0]).max() + abs(ratio.flat[0] - 1.0))
+    got, want = back.jet(t, xs[0], 2), psi0.jet(t, xs[0], 2)
+    for alpha in want.support:  # psi and its partials, each relative to its grid max
+        yield np.abs(got.coefficient(alpha) - want.coefficient(alpha)).max() / np.abs(
+            want.coefficient(alpha)).max()
 
 
 # ----------------------------------------------------------------- liealg ----

@@ -16,6 +16,7 @@ from schroedsym.group import (
     is_disk_shaped,
     is_semigroup_admissible,
 )
+from schroedsym.jets import Jet
 from schroedsym.sampling import random_disk_element, random_element
 
 RNG = np.random.default_rng(20240817)
@@ -45,6 +46,20 @@ def test_determinant_guard_rejects_nan_and_acts_per_entry():
     c[2] = 1.1
     with pytest.raises(DeterminantError):
         Mat2(c, 0.0, 0.0, np.ones(5))
+
+
+def test_determinant_guard_reads_the_value_of_jet_entries():
+    # a matrix that depends on a parameter s, with jet entries in s
+    s = Jet.variable(np.array([0.0, 0.3]), 0, 1, 2)
+    m = Mat2(1.0 + s, 0.0 * s, 0.0 * s, (1.0 + s).reciprocal())
+    np.testing.assert_allclose(m.det.value, 1.0, rtol=1e-15)
+    s = Jet.variable(0.0, 0, 1, 2)
+    with pytest.raises(DeterminantError):
+        Mat2((1.0 + 1e-9) * (1.0 + s), 0.0 * s, 0.0 * s, (1.0 + s).reciprocal())
+    c = np.array([1.0, 2.0])  # batched float entries, as before
+    Mat2(c, 0.0, 0.0, 1.0 / c)
+    with pytest.raises(DeterminantError):
+        Mat2(c, 0.0, 0.0, 1.0 / c + np.array([0.0, 1e-9]))
 
 
 def test_compose_time_translations_add():

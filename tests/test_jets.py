@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroedsym.errors import OrderError
-from schroedsym.jets import Jet, compose, cpow, exp, log, sqrt, weight
+from schroedsym.jets import Jet, cpow, exp, log, sqrt, weight
 
 
 def test_polynomial_partials_match_closed_form():
@@ -65,8 +65,7 @@ def test_real_data_stays_real_until_a_branch_function_leaves_the_half_line():
     t = Jet.variable(np.array([0.5, 1.5]), 0, 2, 4)
     x = Jet.variable(np.array([-0.3, 0.2]), 1, 2, 4)
     z = t + x * x
-    for f in (exp(t * x), log(z), sqrt(z), cpow(z, -0.5), compose(z, [t, x]),
-              exp(z) / z, z ** 3):
+    for f in (exp(t * x), log(z), sqrt(z), cpow(z, -0.5), exp(z) / z, z ** 3):
         assert all(np.asarray(v).dtype == np.float64 for v in f.coef.values())
     assert np.iscomplexobj(log(x).value) and np.iscomplexobj(exp(1j * x).value)
     assert np.asarray(log(np.array([0.5, 2.0]))).dtype == np.float64
@@ -77,24 +76,6 @@ def test_integer_power_keeps_branch_for_negative_base():
     cube = x ** 3
     assert abs(cube.value - (-3.375)) < 1e-14
     assert abs(np.imag(cube.value)) == 0.0
-
-
-def test_composition_matches_direct_expansion():
-    # order 6 gives the base a (3, 0) key, so compose expands du up to du^3
-    t = Jet.variable(0.2, 0, 2, 6)
-    x = Jet.variable(0.9, 1, 2, 6)
-    # the time argument is graded: t + (x - 0.9)^2 has no term lighter than t.
-    # dx is held without a constant key, so dx * dx has no (0, 1) key either.
-    dx = Jet(2, 6, {(0, 1): 1.0})
-    u, v = t + dx * dx, t - 2.0 * x
-    bu = Jet.variable(u.value, 0, 2, 6)
-    bv = Jet.variable(v.value, 1, 2, 6)
-    base = (bu * bv).exp() + bu
-    direct = (u * v).exp() + u
-    comp = compose(base, [u, v])
-    keys = set(comp.coef) | set(direct.coef)
-    assert (3, 0) in base.coef and len(keys) == 16
-    assert max(abs(comp.coef.get(k, 0) - direct.coef.get(k, 0)) for k in keys) < 1e-13
 
 
 def test_array_coefficients_vectorize_over_grids():
@@ -143,14 +124,6 @@ def test_partial_beyond_the_order_raises():
     x = Jet.variable(0.3, 1, 2, 2)
     with pytest.raises(OrderError):
         (t * x).partial((1, 1))
-
-
-def test_composition_rejects_a_time_that_depends_on_space():
-    t = Jet.variable(0.2, 0, 2, 2)
-    x = Jet.variable(0.9, 1, 2, 2)
-    base = Jet.variable(0.2, 0, 2, 2) * Jet.variable(0.9, 1, 2, 2)
-    with pytest.raises(OrderError):
-        compose(base, [t + 0.0 * x, x])
 
 
 # -- algebra properties, read through the public API only ---------------------
@@ -216,15 +189,6 @@ def test_series_laws(draws, c, r, p, q):
     away = _random_jet(draws, const=r)  # a constant term away from 0
     _assert_close(away.reciprocal() * away, Jet.const(1.0, away.nvars, away.order))
     _assert_close(cpow(away, p) * cpow(away, q), cpow(away, p + q))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_jet_draws())
-def test_composition_with_the_identity_returns_the_base(draws):
-    nvars, order, shape, _, rng = draws
-    base = _random_jet(draws)
-    ident = [Jet.variable(rng.uniform(-1, 1, shape), i, nvars, order) for i in range(nvars)]
-    _assert_close(compose(base, ident), base)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from schroedsym import coords, jets, residual
 from schroedsym.coords import FamilySpec
-from schroedsym.errors import DomainError, OrderError
+from schroedsym.errors import DomainError
 from schroedsym.group import GroupElement, Mat2
 from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
 from schroedsym.residual import (
@@ -153,6 +157,36 @@ def test_time_only_frame_work_is_done_once_per_time_value(monkeypatch):
     assert sizes == [9] * 4
 
 
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_function_on_the_grid_is_seeded_once(monkeypatch):
+    # a pullback evaluates its base on the frame's jets, so a verification
+    # seeds t and each x once per function whose jet it takes on the grid:
+    # the pullback, and for the intertwining check also the base at the
+    # mapped points
+    counts, label = {}, [None]
+    variable = jets.Jet.variable.__func__
+
+    def counted(cls, *args):
+        counts[label[0]] = counts.get(label[0], 0) + 1
+        return variable(cls, *args)
+
+    monkeypatch.setattr(jets.Jet, "variable", classmethod(counted))
+    rng, cases = np.random.default_rng(5), _bench_workloads().residual_cases(14, 14)
+    for case in cases:
+        label[0] = case.label
+        case.run(rng)
+    expected = {c.label: 3 if c.label.endswith("_nls") else 4 if "intertwining" in c.label else 2
+                for c in cases}
+    assert len(cases) == 13 and counts == expected
+
+
 def _transformed_cases(rng):
     nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
     grid_x_pos = GridSpec((-0.4, 0.6), (0.4, 1.8), nt=9, nx=11)
@@ -274,15 +308,26 @@ def test_jets_of_imaginary_k_families_are_complex(case):
     assert all(np.asarray(v).dtype == np.complex128 for v in j.coef.values())
 
 
-def test_pullback_whose_time_depends_on_space_raises():
+def test_pullback_whose_time_depends_on_space_is_exact():
+    # t' = t + 0.1 x feeds the x increment into the base's time argument;
+    # evaluating the base on the map's jets still gives the exact partials
     def sheared(tj, xjs):
         return tj + 0.1 * xjs[0], [xjs[0]], 1.0
 
     fn = PullbackFn(gaussian_free(0.7, t0=2.0), sheared)
-    with pytest.raises(OrderError):
-        fn.jet(0.3, 0.2, 2)
-    with pytest.raises(OrderError):
-        grid_residual(fn, FREE, GRID)
+    h, w = 1e-2, np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # fourth-order first difference
+    steps = h * np.array([-2.0, -1.0, 1.0, 2.0])
+    w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # and second difference
+    for t, x in ((0.3, 0.2), (-0.2, 0.9), (0.5, -1.1)):
+        j = fn.jet(t, x, 4)
+        fd = {
+            (1, 0): w @ fn.value(t + steps, x) / h,
+            (0, 1): w @ fn.value(t, x + steps) / h,
+            (0, 2): w2 @ fn.value(t, x + h * np.arange(-2.0, 3.0)) / h ** 2,
+            (1, 1): w @ fn.value(t + steps[:, None], x + steps[None, :]) @ w / h ** 2,
+        }
+        for alpha, want in fd.items():
+            assert j.partial(alpha) == pytest.approx(want, rel=1e-7)
 
 
 def test_transform_with_identity_is_identity():
