@@ -154,38 +154,44 @@ def mobius_denominator(m: Mat2, t):
 
 
 def mobius_time(m: Mat2, t):
-    """t' = (c t + d)/(a t + b) together with the denominator."""
+    """t' = (c t + d)/(a t + b), the denominator r = a t + b and xi = 1/r:
+    the one reciprocal that every other division by r reuses."""
     r = mobius_denominator(m, t)
-    return (m.c * t + m.d) / r, r
+    xi = jets.reciprocal(r)
+    return (m.c * t + m.d) * xi, r, xi
 
 
 def linear_xi_f(l: GroupElement, spec: FamilySpec, t):
     """Scale and shift of the affine space map for the linear family."""
-    tp, r = mobius_time(l.m, t)
-    xi = 1.0 / r
+    tp, r, xi = mobius_time(l.m, t)
+    f = l.mu - l.nu * tp
     k2b = spec.k ** 2 * spec.beta
-    f = l.mu - l.nu * tp + k2b * (tp * tp - t * t / r)
+    if k2b:
+        f = f + k2b * (tp * tp - t * t * xi)
     return tp, xi, f, r
 
 
-def quadratic_frame(l: GroupElement, spec: FamilySpec, t):
-    """Mobius data in the exponential time variable for the quadratic family.
+def quadratic_frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
+    """The quadratic family's frame: Mobius data in the exponential time
+    variable u = e^{4 k omega t}.
 
-    Returns (tp, xp_scale xi, shift f, u, den, num).  Square roots are taken
-    so that the frame is continuous at the group unit: the scale uses the
-    principal root of u/((a u + b)(c u + d)) and sqrt(u) means e^{2 k omega t}.
+    Square roots are taken so that the frame is continuous at the group
+    unit: the scale uses the principal root of u/((a u + b)(c u + d)) and
+    sqrt(u) means e^{2 k omega t}.  The reciprocals of a u + b, c u + d and
+    e^{2 k omega t} are each taken once; u' = (c u + d)/(a u + b), and
+    1/u' and 1/w (w the root of u' that matches xi) are products of them.
     """
-    kw = spec.k * spec.omega
+    k, alpha, omega, mu, nu = spec.k, spec.alpha, spec.omega, l.mu, l.nu
+    kw = spec.komega
     u = jets.exp(4.0 * kw * t)
     den = l.a * u + l.b
     num = l.c * u + l.d
-    den0 = jets.value_of(den)
-    num0 = jets.value_of(num)
-    if np.min(np.abs(den0)) < SINGULAR_TOL:
+    if np.min(np.abs(jets.value_of(den))) < SINGULAR_TOL:
         raise SingularTime("a u + b vanishes at a requested point")
-    if np.min(np.abs(num0)) < SINGULAR_TOL:
+    if np.min(np.abs(jets.value_of(num))) < SINGULAR_TOL:
         raise SingularTime("c u + d vanishes at a requested point")
-    ratio = u / (den * num)
+    inv_den, inv_num = jets.reciprocal(den), jets.reciprocal(num)
+    ratio = u * (inv_den * inv_num)
     r0 = np.asarray(jets.value_of(ratio))
     if spec.komega_is_real:
         # principal square roots need the product off the negative real axis
@@ -193,11 +199,19 @@ def quadratic_frame(l: GroupElement, spec: FamilySpec, t):
             raise BranchError("(a u + b)(c u + d) crossed the branch cut")
     xi = jets.sqrt(ratio)
     rootu = jets.exp(2.0 * kw * t)
-    w = num * xi / rootu  # square root of u'=num/den consistent with xi
-    f = l.nu * w - l.mu / w
-    up = num / den
+    xi_rootu = xi * jets.reciprocal(rootu)
+    w, inv_w = num * xi_rootu, den * xi_rootu  # w^2 = u', consistent with xi
+    f = nu * w - mu * inv_w
+    up = num * inv_den
     tp = _quadratic_time(up, t, kw, spec)
-    return tp, xi, f, u, den, num
+    A = (
+        0.5 * jets.log(xi)
+        + alpha * k * (tp - t)
+        + (omega / 2.0) * (nu * nu * up - mu * mu * (den * inv_num))
+    )
+    B = omega * rootu * (nu * inv_den + mu * inv_num)
+    C = (omega / 2.0) * (-1.0 + l.b * inv_den + l.d * inv_num)
+    return Frame(tp, xi, f, A, B, C)
 
 
 def _quadratic_time(up, t, kw, spec):
@@ -271,37 +285,29 @@ def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
     to its symplectic form.  Quadratic: the same in the exponential time
     variable u = exp(4 k omega t).
     """
-    k, alpha = spec.k, spec.alpha
-    mu, nu = l.mu, l.nu
     if spec.family == INVERSE_QUADRATIC:
-        tp, r = mobius_time(l.m, t)
-        xi = 1.0 / r
-        return Frame(tp, xi, 0.0, -0.5 * jets.log(r), 0.0, (-0.25 * l.a / k) * xi)
+        tp, r, xi = mobius_time(l.m, t)
+        return Frame(tp, xi, 0.0, -0.5 * jets.log(r), 0.0, (-0.25 * l.a / spec.k) * xi)
     if spec.family == QUADRATIC:
-        tp, xi, f, u, den, num = quadratic_frame(l, spec, t)
-        omega = spec.omega
-        up = num / den
-        A = (
-            0.5 * jets.log(xi)
-            + alpha * k * (tp - t)
-            + (omega / 2.0) * (nu * nu * up - mu * mu / up)
-        )
-        B = omega * jets.exp(2.0 * k * omega * t) * (nu / den + mu / num)
-        C = (omega / 2.0) * (-1.0 + l.b / den + l.d / num)
-        return Frame(tp, xi, f, A, B, C)
+        return quadratic_frame(l, spec, t)
+    k, alpha, beta, b, mu, nu = spec.k, spec.alpha, spec.beta, l.b, l.mu, l.nu
     tp, xi, f, r = linear_xi_f(l, spec, t)
-    beta, b = spec.beta, l.b
-    C = -0.25 / k * (l.a / r)
-    B = -nu / (2.0 * k) / r + (k * beta / 2.0) * (2.0 * tp / r - t - b * t / r)
+    C = -0.25 / k * (l.a * xi)
+    B = -nu / (2.0 * k) * xi
     A = (
         -0.5 * jets.log(r)
         - mu * nu / (4.0 * k)
         + alpha * k * (tp - t)
         + nu * nu / (4.0 * k) * tp
-        + k * beta * (mu * tp - nu * (tp * tp - t * t / (2.0 * r)))
-        + k ** 3 * beta ** 2
-        * ((2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (b / 4.0) * t ** 3 / r - t * t * tp / r)
     )
+    if beta:
+        B = B + (k * beta / 2.0) * (2.0 * tp * xi - t - b * t * xi)
+        A = (
+            A
+            + k * beta * (mu * tp - nu * (tp * tp - t * t * xi / 2.0))
+            + k ** 3 * beta ** 2
+            * ((2.0 / 3.0) * tp ** 3 + t ** 3 / 12.0 + (b / 4.0) * t ** 3 * xi - t * t * tp * xi)
+        )
     return Frame(tp, xi, f, A, B, C)
 
 

@@ -14,9 +14,9 @@ sequence for the powers of the rest): exactly the chain rule.
 Real data stays real.  A coefficient is float64 unless a complex value
 enters its jet: a complex input or constant (imaginary k, a plane-wave or
 theta phase), or a branch function (``log``, ``sqrt``, ``cpow``) whose
-argument leaves [0, inf), which then gives the principal-branch complex
-value for the whole array.  These are ``numpy.emath``'s semantics, used
-alike for jets and plain arrays, so the jet and array paths agree.
+argument has an entry < 0, which then gives the principal-branch complex
+value for the whole array.  This is ``numpy.emath``'s rule, applied by one
+helper alike for jets and plain arrays, so the jet and array paths agree.
 
 Truncation is by parabolic weight: variable 0 is time and counts twice,
 so the exponent ``k`` weighs ``2 k[0] + k[1] + ...`` and a jet of order N
@@ -194,10 +194,18 @@ class Jet:
                 np.add(out[o, ...], np.multiply(a[i], b[j], out=scratch), out=out[o, ...])
         return _jet(self.nvars, self.order, support, out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # numpy rounds a complex product by its operand order, so ``other``
+        # stays first: the value row is then what the array path computes
+        other = np.asarray(other)
+        return _jet(self.nvars, self.order, self.support, other * _pad(self.block, other.ndim + 1))
 
     def __truediv__(self, other):
-        return self * (other.reciprocal() if isinstance(other, Jet) else 1.0 / other)
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        # a true division, so that the value row is what the array path computes
+        other = np.asarray(other)
+        return _jet(self.nvars, self.order, self.support, _pad(self.block, other.ndim + 1) / other)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -247,7 +255,8 @@ class Jet:
 
     def log(self):
         inv_c = 1.0 / self.value
-        return self._series(np.emath.log(self.value), lambda i: (-1.0) ** (i + 1) * inv_c ** i / i)
+        return self._series(_principal(np.log, self.value),
+                            lambda i: (-1.0) ** (i + 1) * inv_c ** i / i)
 
     def reciprocal(self):
         inv_c = 1.0 / self.value
@@ -255,10 +264,10 @@ class Jet:
 
     def cpow(self, p):
         """Principal-branch power with arbitrary complex exponent."""
-        return self._power(p, np.emath.power(self.value, p))
+        return self._power(p, _principal(np.power, self.value, p))
 
     def sqrt(self):
-        return self._power(0.5, np.emath.sqrt(self.value))
+        return self._power(0.5, _principal(np.sqrt, self.value))
 
     def _power(self, p, cp):
         """Series of the p-th power whose constant term is ``cp``."""
@@ -267,20 +276,36 @@ class Jet:
                             * inv_c ** i * cp)
 
 
+def _principal(ufunc, z, *p):
+    """``ufunc(z, *p)`` on the principal branch by ``numpy.emath``'s rule, without
+    its overhead: a real ``z`` with an entry < 0 turns complex first (-0.0 and NaN
+    do not), and a negative integer exponent turns float."""
+    z = np.asarray(z)
+    if z.dtype.kind != "c" and (z < 0).any():
+        z = z.astype(complex)
+    if p and isinstance(p[0], (int, np.integer)) and p[0] < 0:
+        p = (float(p[0]),)
+    return ufunc(z, *p)
+
+
 def exp(z):
     return z.exp() if isinstance(z, Jet) else np.exp(z)
 
 
 def log(z):
-    return z.log() if isinstance(z, Jet) else np.emath.log(z)
+    return z.log() if isinstance(z, Jet) else _principal(np.log, z)
+
+
+def reciprocal(z):
+    return z.reciprocal() if isinstance(z, Jet) else 1.0 / z
 
 
 def sqrt(z):
-    return z.sqrt() if isinstance(z, Jet) else np.emath.sqrt(z)
+    return z.sqrt() if isinstance(z, Jet) else _principal(np.sqrt, z)
 
 
 def cpow(z, p):
-    return z.cpow(p) if isinstance(z, Jet) else np.emath.power(z, p)
+    return z.cpow(p) if isinstance(z, Jet) else _principal(np.power, z, p)
 
 
 def value_of(z):

@@ -49,12 +49,13 @@ def k0_map(p: IntertwinerParams, spec: FamilySpec, t, x):
     denom = u + p.lam
     if np.min(np.abs(jets.value_of(denom))) < 1e-14:
         raise SingularTime("u + lam vanishes at a requested point")
+    inv = jets.reciprocal(denom)
     rootu = jets.exp(2.0 * kw * t)
-    tp = -(p.sigma ** 2) / (4.0 * kw) / denom
-    xp = p.sigma * rootu * x / denom - p.sigma * p.tau / (2.0 * omega) / denom
-    A0 = -(p.tau ** 2) / (4.0 * omega) / denom - k * alpha * t
-    B0 = p.tau * rootu / denom
-    C0 = omega * (p.lam - u) / (2.0 * denom)
+    tp = -(p.sigma ** 2) / (4.0 * kw) * inv
+    xp = p.sigma * rootu * x * inv - p.sigma * p.tau / (2.0 * omega) * inv
+    A0 = -(p.tau ** 2) / (4.0 * omega) * inv - k * alpha * t
+    B0 = p.tau * rootu * inv
+    C0 = omega * (p.lam - u) * inv / 2.0
     k0 = jets.sqrt(rootu) * jets.cpow(denom, -0.5) * _guarded_exp(A0 + B0 * x + C0 * x * x)
     return tp, xp, k0
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .coords import (
 )
 from .errors import DomainError
 from .group import GroupElement, Mat2
+from .jets import value_of
 from .multiplier import IntertwinerParams, k0_map
 from .solutions import SmoothFn
 
@@ -59,11 +61,20 @@ class GridSpec:
             raise DomainError("grid ranges must be nondegenerate")
 
     def points(self, ndim=1):
-        """Axes ``(t, [x_1, ..., x_ndim])``, each varying along its own dimension."""
-        ts = np.linspace(self.t_range[0], self.t_range[1], self.nt)
-        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
-        mesh = np.meshgrid(ts, *(xs + 0.37 * i for i in range(ndim)), indexing="ij", sparse=True)
-        return mesh[0], list(mesh[1:])
+        """Axes ``(t, [x_1, ..., x_ndim])``, each varying along its own
+        dimension: read-only arrays, built once per grid value and ``ndim``."""
+        t, *xs = _axes(tuple(self.t_range), tuple(self.x_range), self.nt, self.nx, ndim)
+        return t, xs
+
+
+@lru_cache(maxsize=16)
+def _axes(t_range, x_range, nt, nx, ndim):
+    ts = np.linspace(t_range[0], t_range[1], nt)
+    xs = np.linspace(x_range[0], x_range[1], nx)
+    mesh = np.meshgrid(ts, *(xs + 0.37 * i for i in range(ndim)), indexing="ij", sparse=True)
+    for axis in mesh:
+        axis.flags.writeable = False
+    return tuple(mesh)
 
 
 @dataclass(frozen=True)
@@ -254,12 +265,12 @@ def lift_frame(map_kind: str, spec: FamilySpec, params: IntertwinerParams = None
         xj = xjs[0]
         if map_kind == "f1":
             tp, xp = tj, xj - k2b * tj * tj
-        elif map_kind == "f2":
-            tp, xp = -tj.reciprocal(), xj / tj - k2b * tj
         elif map_kind == "phi1":
             tp, xp = tj, xj + k2b * tj * tj
-        else:  # phi2
-            tp, xp = -tj.reciprocal(), xj / tj + k2b * tj.reciprocal() * tj.reciprocal()
+        else:
+            inv = tj.reciprocal()
+            tp = -inv
+            xp = xj * inv - k2b * tj if map_kind == "f2" else xj * inv + k2b * inv * inv
         kj = F.jet_at(tj, [xj])
         return tp, [xp], kj
 
@@ -288,11 +299,18 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     Compares (d/dt - k Delta + k V)[K fn(mapped)] against
     xi^2 * K * [(d/dt' - k Delta' + k V') fn](mapped), with xi^2 = dt'/dt;
     fn need not solve the equation, so this tests the identity itself rather
-    than solution preservation.
+    than solution preservation.  The frame is evaluated once, on the seeded
+    time jet: the left-hand side evaluates fn on its jets (the pullback) and
+    the right-hand side reads its value rows.
     """
     t, xs = grid.points(spec.n)
-    lhs, psi_prime = residual_arrays(transformed(fn, l, spec), spec, t, xs)
-    fr = frame(_batch_first(l, 1 + spec.n), spec, t)
-    base_res, _ = residual_arrays(fn, spec, fr.tp, list(fr.space(xs)))
-    rhs = fr.xi * fr.xi * fr.multiplier(xs) * base_res
-    return _report(lhs - rhs, np.abs(rhs) + np.abs(psi_prime), t, xs)
+    tj, xjs = fn._seed(t, xs, 2)
+    fr = frame(_batch_first(l, 1 + spec.n), spec, tj)
+    xps, kj = list(fr.space(xjs)), fr.multiplier(xjs)
+    pulled = fn.jet_at(fr.tp, xps) * kj
+    # the right-hand side reads the value rows of the same frame evaluation
+    base_res, _ = residual_arrays(fn, spec, value_of(fr.tp), [value_of(x) for x in xps])
+    xi = value_of(fr.xi)
+    rhs = xi * xi * value_of(kj) * base_res
+    return _report(_residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value),
+                   t, xs)

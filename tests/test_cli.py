@@ -34,6 +34,8 @@ def test_runconfig_validation():
         RunConfig(k=0.0)
     with pytest.raises(ConfigError):
         RunConfig(omega=0.0)
+    with pytest.raises(ConfigError):
+        RunConfig(seed=-1)
     for name in ("tol", "k", "alpha", "beta", "omega"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigError):
@@ -207,6 +209,17 @@ def test_demo_transform_identity_reproduces_solution(tmp_path):
     for t, x, re, im, res in rows[1:5]:
         want = f1.value(float(t), float(x))
         assert abs(complex(float(re), float(im)) - want) < 1e-12
+
+
+def test_negative_seed_is_bad_configuration(tmp_path, capsys):
+    # numpy's generators take no negative seed; the CLI says so with exit 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed = -1\n")
+    out = str(tmp_path / "d.tsv")
+    for argv in (["verify", "all", "--seed", "-1"], ["verify", "group", "--config", str(cfgfile)],
+                 ["demo-transform", "--seed", "-1", "--out", out]):
+        assert main(argv) == 2, argv
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_demo_transform_rejects_empty_grid(tmp_path):

@@ -15,7 +15,14 @@ from schroedsym.coords import (
 from schroedsym.errors import BranchError, DomainError, ShapeError, SingularTime, ZeroK, ZeroOmega
 from schroedsym.group import DiskParams, GroupElement, Mat2, compose, disk_parametrize
 from schroedsym.jets import Jet, value_of
-from schroedsym.sampling import random_admissible_element, random_disk_element, random_element, random_sl2r
+from schroedsym.sampling import (
+    element_for_family,
+    random_admissible_element,
+    random_disk_element,
+    random_element,
+    random_sl2r,
+)
+from schroedsym.suites import T_RANGE, RunConfig
 
 RNG = np.random.default_rng(11)
 
@@ -114,7 +121,8 @@ def test_disk_scale_is_reciprocal_modulus():
     for _ in range(50):
         l = random_disk_element(RNG)
         t = RNG.uniform(-0.5, 0.5)
-        _, xi, _, u, den, _ = quadratic_frame(l, DISK, t)
+        xi = quadratic_frame(l, DISK, t).xi
+        den = l.a * np.exp(4.0 * DISK.komega * t) + l.b
         assert xi > 0
         assert abs(xi - 1.0 / abs(den)) < 1e-12
 
@@ -195,12 +203,13 @@ def test_act_dispatch_matches_family_actions():
     l = random_element(RNG)
     r = l.a * z.t + l.b
     zi = act(l, z, INVQ)
-    assert zi.t == (l.c * z.t + l.d) / r and abs(zi.x1 - z.x1 / r) < 1e-15
+    assert zi.t == pytest.approx((l.c * z.t + l.d) / r, rel=1e-15, abs=1e-15)
+    assert abs(zi.x1 - z.x1 / r) < 1e-15
     tp, xi, f, _ = linear_xi_f(l, LIN, z.t)
     assert act(l, z, LIN) == Point(tp, xi * z.x1 + f)
     la = random_admissible_element(RNG)
-    tp, xi, f, *_ = quadratic_frame(la, QUAD, z.t)
-    assert act(la, z, QUAD) == Point(tp, xi * z.x1 + f)
+    fr = quadratic_frame(la, QUAD, z.t)
+    assert act(la, z, QUAD) == Point(fr.tp, fr.xi * z.x1 + fr.f)
 
 
 def test_frame_jet_and_array_paths_agree_where_a_t_plus_b_is_negative():
@@ -215,3 +224,21 @@ def test_frame_jet_and_array_paths_agree_where_a_t_plus_b_is_negative():
     assert arr.A[0] == pytest.approx(367.1158 - 1.5708j, abs=1e-4)
     for name in ("tp", "xi", "f", "A", "B", "C"):
         np.testing.assert_allclose(value_of(getattr(jet, name)), getattr(arr, name), rtol=1e-14)
+
+
+SPECS = dict(RunConfig().specs(), inverse_quadratic_0=FamilySpec.inverse_quadratic(0.7, 0.0))
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_frame_value_rows_equal_the_array_frame(name):
+    # the intertwining check reads its right-hand side off the value rows of
+    # the frame it evaluates on the time jet
+    spec, rng = SPECS[name], np.random.default_rng(7)
+    t = np.linspace(*T_RANGE, 14)
+    tj = Jet.variable(t, 0, 1 + spec.n, 2)
+    for _ in range(20):
+        l = element_for_family(rng, spec)
+        arr, jet = frame(l, spec, t), frame(l, spec, tj)
+        for key in ("tp", "xi", "f", "A", "B", "C"):
+            want, got = np.broadcast_arrays(getattr(arr, key), value_of(getattr(jet, key)))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), key

@@ -61,6 +61,23 @@ def test_branch_functions_of_a_mixed_sign_constant_match_the_array_path():
     assert sqrt(c)[0] == pytest.approx(1j * np.sqrt(0.4), rel=1e-15)
 
 
+@pytest.mark.parametrize("z", [
+    np.array([0.0, 0.5, 2.0]), np.array([-0.4, 0.5, 2.0]), np.array([-0.0, 0.5]), -0.0,
+    np.array([np.nan, 0.5]), np.array([-0.4 + 0.0j, 0.5 + 0.3j]), np.array([0, 1, 4]),
+    np.array([-1, 1, 4]),
+], ids=["nonnegative", "one_negative", "negative_zero", "scalar_negative_zero", "nan",
+        "complex", "int", "negative_int"])
+def test_branch_functions_match_numpy_emath_bit_for_bit(z):
+    # the rule is numpy.emath's: complex exactly when a real entry is < 0
+    # (-0.0 and NaN are not), and a negative integer exponent turns float
+    with np.errstate(all="ignore"):
+        pairs = [(log(z), np.emath.log(z)), (sqrt(z), np.emath.sqrt(z))]
+        pairs += [(cpow(z, p), np.emath.power(z, p)) for p in (-0.5, -2)]
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_real_data_stays_real_until_a_branch_function_leaves_the_half_line():
     t = Jet.variable(np.array([0.5, 1.5]), 0, 2, 4)
     x = Jet.variable(np.array([-0.3, 0.2]), 1, 2, 4)
