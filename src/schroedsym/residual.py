@@ -38,7 +38,7 @@ from .coords import (
 )
 from .errors import DomainError
 from .group import GroupElement, Mat2
-from .jets import value_of
+from .jets import Jet, value_of
 from .multiplier import IntertwinerParams, k0_map
 from .solutions import SmoothFn
 
@@ -223,16 +223,17 @@ def _batch_first(l: GroupElement, naxes):
     return GroupElement(Mat2(c, d, a, b), mu, nu)
 
 
+def _pullback_of(fr, xjs):
+    """``(t', [x'], K)`` of a family frame at the space jets ``xjs``: the
+    map and multiplier that a pullback evaluates its base on."""
+    return fr.tp, list(fr.space(xjs)), fr.multiplier(xjs)
+
+
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z); a
     batched element gives a function with the batch axes leading."""
     l = _batch_first(l, 1 + spec.n)
-
-    def pullback(tj, xjs):
-        fr = frame(l, spec, tj)
-        return fr.tp, list(fr.space(xjs)), fr.multiplier(xjs)
-
-    return PullbackFn(fn, pullback, ndim=spec.n)
+    return PullbackFn(fn, lambda tj, xjs: _pullback_of(frame(l, spec, tj), xjs), ndim=spec.n)
 
 
 def lift_frame(map_kind: str, spec: FamilySpec, params: IntertwinerParams = None):
@@ -304,12 +305,14 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     the right-hand side reads its value rows.
     """
     t, xs = grid.points(spec.n)
-    tj, xjs = fn._seed(t, xs, 2)
-    fr = frame(_batch_first(l, 1 + spec.n), spec, tj)
-    xps, kj = list(fr.space(xjs)), fr.multiplier(xjs)
-    pulled = fn.jet_at(fr.tp, xps) * kj
+    nv = 1 + spec.n
+    tj = Jet.variable(t, 0, nv, 2)
+    xjs = [Jet.variable(x, 1 + i, nv, 2) for i, x in enumerate(xs)]
+    fr = frame(_batch_first(l, nv), spec, tj)
+    tp, xps, kj = _pullback_of(fr, xjs)
+    pulled = fn.jet_at(tp, xps) * kj
     # the right-hand side reads the value rows of the same frame evaluation
-    base_res, _ = residual_arrays(fn, spec, value_of(fr.tp), [value_of(x) for x in xps])
+    base_res, _ = residual_arrays(fn, spec, value_of(tp), [value_of(x) for x in xps])
     xi = value_of(fr.xi)
     rhs = xi * xi * value_of(kj) * base_res
     return _report(_residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value),

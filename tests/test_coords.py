@@ -203,8 +203,7 @@ def test_act_dispatch_matches_family_actions():
     l = random_element(RNG)
     r = l.a * z.t + l.b
     zi = act(l, z, INVQ)
-    assert zi.t == pytest.approx((l.c * z.t + l.d) / r, rel=1e-15, abs=1e-15)
-    assert abs(zi.x1 - z.x1 / r) < 1e-15
+    assert zi.t == (l.c * z.t + l.d) * (1.0 / r) and abs(zi.x1 - z.x1 / r) < 1e-15
     tp, xi, f, _ = linear_xi_f(l, LIN, z.t)
     assert act(l, z, LIN) == Point(tp, xi * z.x1 + f)
     la = random_admissible_element(RNG)
