@@ -49,11 +49,7 @@ from .group import (
     inverse,
     is_semigroup_admissible,
 )
-from .multiplier import (
-    IntertwinerParams,
-    multiplier,
-    ode_oracle_coefficients,
-)
+from .multiplier import IntertwinerParams, ode_oracle_coefficients
 from .opalg import (
     DiffOp,
     GeneratorSet,

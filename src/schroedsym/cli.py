@@ -12,6 +12,7 @@ seed are byte-identical (timing fields aside).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -122,9 +123,8 @@ def _merge_config(args):
 
 
 def _run_config(merged):
-    kwargs = {k: v for k, v in merged.items() if k in
-              ("seed", "trials", "tol", "family", "k", "alpha", "beta", "omega")}
-    return RunConfig(**kwargs)
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in merged.items() if k in names})
 
 
 def _emit(text, out_path):

@@ -239,6 +239,14 @@ def _quadratic_time(up, t, kw, spec):
 EXP_GUARD = 700.0
 
 
+def _above(z, bound, name):
+    """The domain guard of a formula or a lift: ``DomainError`` unless the
+    real part of every value of ``z`` (a jet's constant part, or an array)
+    exceeds ``bound``."""
+    if np.any(np.real(jets.value_of(z)) <= bound):
+        raise DomainError(f"needs {name} > {bound}")
+
+
 def _guarded_exp(e):
     v = np.asarray(jets.value_of(e))
     if np.max(np.real(v)) > EXP_GUARD:

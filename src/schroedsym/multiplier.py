@@ -1,10 +1,14 @@
-"""Multiplier functions K(t, x | element) for every potential family.
+"""Multiplier functions K(t, x | element) for every potential family, and
+the frames of the solution-space lifts.
 
 ``multiplier`` reads the exponent coefficients A, B, C of one ``Frame``
 evaluation (``coords.frame``), which holds the closed forms of the
-solution family; an independent Runge-Kutta oracle re-derives A, B, C from
-their first-order structure equations, reading only xi and f of the frame,
-so that any transcription slip in the closed forms is caught numerically.
+solution family.  ``lift_frame`` writes the five lifts between the free
+and the potential solution spaces as ``Frame``s too, so that a lift and a
+symmetry are pulled back alike.  An independent Runge-Kutta oracle
+re-derives A, B, C from their first-order structure equations, reading
+only xi and f of the frame, so that any transcription slip in the closed
+forms is caught numerically.
 The oracle is RK4 with step doubling and reports its own error estimate;
 an oracle check's value is the defect against the closed forms plus that
 estimate, so integration error cannot pass for agreement.
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .coords import INVERSE_QUADRATIC, QUADRATIC, FamilySpec, Point, _guarded_exp, frame
+from .coords import (INVERSE_QUADRATIC, QUADRATIC, SINGULAR_TOL, FamilySpec, Frame, Point,
+                     _above, frame)
 from .errors import DomainError, IntegrationError, SingularTime
 from .group import GroupElement
 
@@ -40,24 +45,51 @@ def multiplier(l: GroupElement, z: Point, spec: FamilySpec):
     return frame(l, spec, z.t).multiplier(z.x)
 
 
-def k0_map(p: IntertwinerParams, spec: FamilySpec, t, x):
-    """Coordinate map and multiplier of the free-to-quadratic lift
-    (scalar-generic); returns (t', x', K0)."""
-    k, alpha, omega = spec.k, spec.alpha, spec.omega
-    kw = k * omega
-    u = jets.exp(4.0 * kw * t)
-    denom = u + p.lam
-    if np.min(np.abs(jets.value_of(denom))) < 1e-14:
-        raise SingularTime("u + lam vanishes at a requested point")
-    inv = jets.reciprocal(denom)
-    rootu = jets.exp(2.0 * kw * t)
-    tp = -(p.sigma ** 2) / (4.0 * kw) * inv
-    xp = p.sigma * rootu * x * inv - p.sigma * p.tau / (2.0 * omega) * inv
-    A0 = -(p.tau ** 2) / (4.0 * omega) * inv - k * alpha * t
-    B0 = p.tau * rootu * inv
-    C0 = omega * (p.lam - u) * inv / 2.0
-    k0 = jets.sqrt(rootu) * jets.cpow(denom, -0.5) * _guarded_exp(A0 + B0 * x + C0 * x * x)
-    return tp, xp, k0
+def lift_frame(kind: str, spec: FamilySpec, params: IntertwinerParams = None):
+    """The frame ``t -> Frame`` of one of the named solution-space lifts.
+
+    f1/f2 lift free solutions into the linear family and phi1/phi2 invert
+    them; K0, Niederer's map, lifts free solutions into the quadratic
+    family with the constants ``params``, in u = e^{4 k omega t} with one
+    reciprocal of u + lam.  A pullback through the frame
+    (``solutions.PullbackFn``) is the lifted function.  The prefactors
+    t^{-1/2} of f2/phi2 and sqrt(e^{2 k omega t}) (u + lam)^{-1/2} of K0
+    enter A as principal logarithms.  The cubic coefficients of phi1/phi2
+    come from inverting the forward lifts: they must be (2/3) k^3 beta^2
+    (and its 1/t^3 mirror) for the round trip to collapse to 1.
+    """
+    if kind not in ("f1", "f2", "phi1", "phi2", "K0"):
+        raise DomainError(f"unknown map kind {kind!r}")
+    if kind == "K0" and params is None:
+        raise DomainError("the K0 lift needs intertwiner constants")
+    k, a, b, omega, p = spec.k, spec.alpha, spec.beta, spec.omega, params
+    k2b, cub, kw = k * k * b, k ** 3 * b ** 2, k * omega
+
+    def lift(t):
+        if kind == "f1":
+            return Frame(t, 1.0, -k2b * t * t, (-k * a) * t + cub / 3.0 * t ** 3, (-k * b) * t, 0.0)
+        if kind == "phi1":
+            return Frame(t, 1.0, k2b * t * t, (k * a) * t + (2.0 / 3.0) * cub * t ** 3, (k * b) * t, 0.0)
+        if kind == "K0":
+            u = jets.exp(4.0 * kw * t)
+            denom = u + p.lam
+            if np.min(np.abs(jets.value_of(denom))) < SINGULAR_TOL:
+                raise SingularTime("u + lam vanishes at a requested point")
+            inv, rootu = jets.reciprocal(denom), jets.exp(2.0 * kw * t)
+            A = (0.5 * (jets.log(rootu) - jets.log(denom))
+                 - p.tau ** 2 / (4.0 * omega) * inv - k * a * t)
+            return Frame(-(p.sigma ** 2) / (4.0 * kw) * inv, p.sigma * rootu * inv,
+                         -p.sigma * p.tau / (2.0 * omega) * inv, A,
+                         p.tau * rootu * inv, omega * (p.lam - u) * inv / 2.0)
+        _above(t, 0.0, "t")
+        r, log_root = jets.reciprocal(t), -0.5 * jets.log(t)  # log t^{-1/2}
+        if kind == "f2":
+            A = log_root + (-k * a) * t + cub / 12.0 * t ** 3
+            return Frame(-r, r, -k2b * t, A, (-k * b / 2.0) * t, (-0.25 / k) * r)
+        A = log_root + (-k * a) * r - (2.0 / 3.0) * cub * r ** 3
+        return Frame(-r, r, k2b * r * r, A, (-k * b) * r * r, (-0.25 / k) * r)
+
+    return lift
 
 
 # -- structure-equation oracle -------------------------------------------------

@@ -1,16 +1,17 @@
 """Residual verification of the defining evolution operator.
 
-Evaluates r = psi_t - k (Delta psi - V psi) on jet-backed functions, builds
-transformed functions K * psi(mapped coordinates) whose partials come from
-evaluating psi on the jets of the mapped coordinates (the chain rule by
-evaluation, exact for any frame), and checks the operator intertwining
-identity pointwise, including on functions that do not solve the equation.
+Evaluates r = psi_t - k (Delta psi - V psi) on jet-backed functions,
+builds transformed and lifted functions K * psi(mapped coordinates) as
+pullbacks (``PullbackFn``, re-exported from ``solutions``) through a group
+element's frame or a lift's frame (``lift_frame``, re-exported from
+``multiplier``), and checks the operator intertwining identity pointwise,
+including on functions that do not solve the equation.
 
 Grids are sampled on broadcastable axes (``GridSpec.points``): the time
 axis varies along the first array dimension and each space axis along its
 own, so the frame and the time-only jets hold one value per time, and only
-what mixes ``t`` with ``x`` is computed on the whole grid.  Reports
-broadcast their arrays before locating the worst point.
+what mixes ``t`` with ``x`` is computed on the whole grid.  A report reads
+the axes only at the worst point.
 
 An element whose entries have shape ``(n,)`` is a batch of n elements on
 its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
@@ -39,8 +40,8 @@ from .coords import (
 from .errors import DomainError
 from .group import GroupElement, Mat2
 from .jets import Jet, value_of
-from .multiplier import IntertwinerParams, k0_map
-from .solutions import SmoothFn
+from .multiplier import lift_frame
+from .solutions import PullbackFn, SmoothFn
 
 REL_FLOOR = 1e-300
 
@@ -155,13 +156,17 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
 
 def _report(resid, scale, t, xs):
     """Summary of ``|resid|`` relative to ``scale`` over the broadcast grid,
-    the last ``t.ndim`` axes; batch axes ahead of them are kept."""
-    resid, scale, *coords = np.broadcast_arrays(resid, scale, t, *xs)
-    nb = resid.ndim - np.ndim(t)
-    batch, grid = resid.shape[:nb], resid.shape[nb:]
-    absr = np.abs(resid).reshape(batch + (-1,))
-    rel = absr / (scale.reshape(batch + (-1,)) + REL_FLOOR)
-    at = np.indices(batch, sparse=True) + np.unravel_index(absr.argmax(axis=-1), grid)
+    the last ``t.ndim`` axes; batch axes ahead of them are kept.  Each grid
+    axis varies along its own dimension (``GridSpec.points``), so the worst
+    point's coordinates are read off the axes at its unravelled index."""
+    shape = np.broadcast(resid, scale, t, *xs).shape
+    nb = len(shape) - np.ndim(t)
+    batch, grid = shape[:nb], shape[nb:]
+    absr = np.abs(resid)
+    rel = absr / (scale + REL_FLOOR)
+    absr, rel = ((a if a.shape == shape else np.broadcast_to(a, shape)).reshape(batch + (-1,))
+                 for a in (absr, rel))
+    at = np.unravel_index(absr.argmax(axis=-1), grid)
 
     def out(a, kind):  # a scalar for one function, an array for a batch
         return a if batch else kind(a)
@@ -169,8 +174,8 @@ def _report(resid, scale, t, xs):
     return ResidualReport(
         max_abs=out(absr.max(axis=-1), float),
         max_rel=out(rel.max(axis=-1), float),
-        argmax=tuple(out(a[at].astype(complex), complex) for a in coords),
-        n_points=resid.size,
+        argmax=tuple(out(a.ravel()[i].astype(complex), complex) for a, i in zip((t, *xs), at)),
+        n_points=absr.size,
     )
 
 
@@ -194,26 +199,6 @@ def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
     return float(np.log2(e1 / e2)) if e2 > 0 else math.nan
 
 
-class PullbackFn(SmoothFn):
-    """K(t, x) * psi(t', x') with chain-rule partials through the frame.
-
-    ``frame(t_jet, x_jets) -> (t'_jet, [x'_jets], K_jet)`` fixes the
-    coordinate map and multiplier.  The base is evaluated on the map's jets
-    (``jet_at``), which is the chain rule and guards the base's domain at
-    the mapped values; pullbacks nest, each evaluating its base on the
-    jets its frame maps.
-    """
-
-    def __init__(self, base: SmoothFn, frame, ndim=None):
-        self.base = base
-        self.frame = frame
-        self.ndim = base.ndim if ndim is None else ndim
-
-    def jet_at(self, tj, xjs):
-        tp, xps, kj = self.frame(tj, xjs)
-        return self.base.jet_at(tp, xps) * kj
-
-
 def _batch_first(l: GroupElement, naxes):
     """``l`` with its entries' batch axes ahead of ``naxes`` grid axes."""
     entries = (l.c, l.d, l.a, l.b, l.mu, l.nu)
@@ -223,59 +208,11 @@ def _batch_first(l: GroupElement, naxes):
     return GroupElement(Mat2(c, d, a, b), mu, nu)
 
 
-def _pullback_of(fr, xjs):
-    """``(t', [x'], K)`` of a family frame at the space jets ``xjs``: the
-    map and multiplier that a pullback evaluates its base on."""
-    return fr.tp, list(fr.space(xjs)), fr.multiplier(xjs)
-
-
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z); a
     batched element gives a function with the batch axes leading."""
     l = _batch_first(l, 1 + spec.n)
-    return PullbackFn(fn, lambda tj, xjs: _pullback_of(frame(l, spec, tj), xjs), ndim=spec.n)
-
-
-def lift_frame(map_kind: str, spec: FamilySpec, params: IntertwinerParams = None):
-    """Frame of one of the named solution-space lifts.
-
-    f1/f2 lift free solutions into the linear family, phi1/phi2 invert
-    them, K0 lifts free solutions into the quadratic family.
-    """
-    if map_kind == "K0":
-        if params is None:
-            raise DomainError("the K0 lift needs intertwiner constants")
-
-        def frame(tj, xjs):
-            tp, xp, kj = k0_map(params, spec, tj, xjs[0])
-            return tp, [xp], kj
-
-        return frame
-
-    from .solutions import f_pair, phi_pair
-
-    k2b = spec.k ** 2 * spec.beta
-    if map_kind in ("f1", "f2"):
-        F = f_pair(spec)[0 if map_kind == "f1" else 1]
-    elif map_kind in ("phi1", "phi2"):
-        F = phi_pair(spec)[0 if map_kind == "phi1" else 1]
-    else:
-        raise DomainError(f"unknown map kind {map_kind!r}")
-
-    def frame(tj, xjs):
-        xj = xjs[0]
-        if map_kind == "f1":
-            tp, xp = tj, xj - k2b * tj * tj
-        elif map_kind == "phi1":
-            tp, xp = tj, xj + k2b * tj * tj
-        else:
-            inv = tj.reciprocal()
-            tp = -inv
-            xp = xj * inv - k2b * tj if map_kind == "f2" else xj * inv + k2b * inv * inv
-        kj = F.jet_at(tj, [xj])
-        return tp, [xp], kj
-
-    return frame
+    return PullbackFn(fn, lambda tj: frame(l, spec, tj), ndim=spec.n)
 
 
 def verify_transformed_solution(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
@@ -309,10 +246,10 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     tj = Jet.variable(t, 0, nv, 2)
     xjs = [Jet.variable(x, 1 + i, nv, 2) for i, x in enumerate(xs)]
     fr = frame(_batch_first(l, nv), spec, tj)
-    tp, xps, kj = _pullback_of(fr, xjs)
-    pulled = fn.jet_at(tp, xps) * kj
+    xps, kj = fr.space(xjs), fr.multiplier(xjs)
+    pulled = fn.jet_at(fr.tp, xps) * kj
     # the right-hand side reads the value rows of the same frame evaluation
-    base_res, _ = residual_arrays(fn, spec, value_of(tp), [value_of(x) for x in xps])
+    base_res, _ = residual_arrays(fn, spec, value_of(fr.tp), [value_of(x) for x in xps])
     xi = value_of(fr.xi)
     rhs = xi * xi * value_of(kj) * base_res
     return _report(_residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value),

@@ -1,10 +1,13 @@
 """Reference solutions with analytic partial derivatives.
 
-Every closed-form solution here is a ``FormulaFn``: its formula is the
-closed form written once as jet arithmetic, so evaluating it on jets
-yields partial derivatives of any order, and the residual verifier and
-the operator algebra never fall back to finite differences.  A formula
-guards its own domain at its top and raises ``DomainError`` there.  The
+Every closed-form solution here is a ``FormulaFn`` or a ``PullbackFn``.
+A formula is the closed form written once as jet arithmetic; a pullback
+evaluates its base on the jets that a ``Frame`` maps and multiplies by the
+frame's multiplier, so the linear family's f1, f2, phi1, phi2 are the
+lifts of the constant 1.  Evaluating either on jets yields partial
+derivatives of any order, and the residual verifier and the operator
+algebra never fall back to finite differences.  A formula or a frame
+guards its own domain and raises ``DomainError`` there.  The
 oscillator family's functions take the exponential variable
 s = e^{2 k omega t} as their first argument.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D
+from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D, _above
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -24,6 +27,7 @@ from .errors import (
     QuadratureError,
 )
 from .jets import Jet
+from .multiplier import lift_frame
 
 
 class SmoothFn:
@@ -71,6 +75,27 @@ class SmoothFn:
         return tj, xjs
 
 
+class PullbackFn(SmoothFn):
+    """K(t, x) * psi(t', x'): the base evaluated on the jets that a frame maps.
+
+    ``frame(t) -> Frame`` (``coords.Frame``) gives t', the space map
+    x' = xi x + f and the multiplier K at the time jet, for a symmetry
+    (``coords.frame``) and a lift (``multiplier.lift_frame``) alike.
+    Evaluating the base on the mapped jets is the chain rule and guards the
+    base's domain at the mapped values; pullbacks nest.
+    """
+
+    def __init__(self, base: SmoothFn, frame, ndim=None):
+        self.base = base
+        self.frame = frame
+        self.ndim = base.ndim if ndim is None else ndim
+
+    def jet_at(self, tj, xjs):
+        fr = self.frame(tj)
+        kj = fr.multiplier(xjs)  # before the base's jet: a lower peak of memory
+        return self.base.jet_at(fr.tp, fr.space(xjs)) * kj
+
+
 class FormulaFn(SmoothFn):
     """A jet-generic formula f(t, x...) as a SmoothFn.
 
@@ -98,14 +123,6 @@ class FormulaFn(SmoothFn):
         if self.rate is None:
             raise DomainError("function is not represented in the exponential variable")
         return np.exp(self.rate * np.asarray(t))
-
-
-def _above(z, bound, name):
-    """The domain guard of a formula: ``DomainError`` unless the real part
-    of every value of ``z`` (a jet's constant part, or an array) exceeds
-    ``bound``."""
-    if np.any(np.real(jets.value_of(z)) <= bound):
-        raise DomainError(f"needs {name} > {bound}")
 
 
 def _power(z, p):
@@ -180,45 +197,20 @@ def theta1(trunc: int) -> FormulaFn:
 
 
 def f_pair(spec: FamilySpec):
-    """Static-exponent and spreading lifts of the linear-potential family;
-    the spreading lift guards t > 0."""
+    """Static-exponent and spreading solutions f1, f2 of the linear-potential
+    family: the f1/f2 lifts of the constant 1 (``multiplier.lift_frame``),
+    so the spreading one guards t > 0."""
     if spec.family != LINEAR:
         raise DomainError("f_pair needs the linear family")
-    k, a, b = spec.k, spec.alpha, spec.beta
-
-    def f1(t, x):
-        return jets.exp((-k * a) * t + (-k * b) * t * x + k ** 3 * b ** 2 / 3.0 * t ** 3)
-
-    def f2(t, x):
-        _above(t, 0.0, "t")
-        return jets.exp((-k * a) * t + (-k * b / 2.0) * t * x + k ** 3 * b ** 2 / 12.0 * t ** 3
-                        + -1.0 / (4.0 * k) * t ** -1 * x ** 2) * jets.cpow(t, -0.5)
-
-    return FormulaFn(f1), FormulaFn(f2)
+    return tuple(PullbackFn(constant_one(), lift_frame(kind, spec)) for kind in ("f1", "f2"))
 
 
 def phi_pair(spec: FamilySpec):
-    """Inverse lifts back to the free equation; the second guards t > 0.
-
-    The exponent coefficients come from inverting the forward lifts: the
-    cubic coefficients must be (2/3) k^3 beta^2 (and its 1/t^3 mirror) for
-    the forward/backward round trip to collapse to the constant 1.
-    """
+    """Multipliers phi1, phi2 of the inverse lifts back to the free equation
+    (their lifts of the constant 1); the second guards t > 0."""
     if spec.family != LINEAR:
         raise DomainError("phi_pair needs the linear family")
-    k, a, b = spec.k, spec.alpha, spec.beta
-    cub = (2.0 / 3.0) * k ** 3 * b ** 2
-
-    def phi1(t, x):
-        return jets.exp((k * a) * t + (k * b) * t * x + cub * t ** 3)
-
-    def phi2(t, x):
-        _above(t, 0.0, "t")
-        r = t ** -1
-        return jets.exp((-k * a) * r + (-k * b) * r ** 2 * x + (-cub) * r ** 3
-                        + -1.0 / (4.0 * k) * r * x ** 2) * jets.cpow(t, -0.5)
-
-    return FormulaFn(phi1), FormulaFn(phi2)
+    return tuple(PullbackFn(constant_one(), lift_frame(kind, spec)) for kind in ("phi1", "phi2"))
 
 
 def g_functions(spec: FamilySpec, gamma=0.0):

@@ -51,12 +51,7 @@ from .group import (
     inverse,
     is_semigroup_admissible,
 )
-from .multiplier import (
-    IntertwinerParams,
-    k0_map,
-    multiplier,
-    ode_oracle_coefficients,
-)
+from .multiplier import IntertwinerParams, multiplier, ode_oracle_coefficients
 from .opalg import (
     DiffOp,
     LINEAR_VARS,
@@ -658,11 +653,11 @@ def _mult_k0(cfg, rng, trials):
     p = IntertwinerParams(1.0, 0.0, 0.0)
     for t in (0.1, 0.4):
         u = np.exp(4.0 * k * w * t)
-        tp, xp, k0 = k0_map(p, spec, t, 0.5)
-        yield abs(tp + 1.0 / (4.0 * k * w * u))
-        yield abs(xp - 0.5 / np.sqrt(u))
+        fr = lift_frame("K0", spec, p)(t)
+        yield abs(fr.tp + 1.0 / (4.0 * k * w * u))
+        yield abs(fr.space([0.5])[0] - 0.5 / np.sqrt(u))
         expected = u ** 0.25 / np.sqrt(u) * np.exp(-k * spec.alpha * t - w / 2.0 * 0.25)
-        yield abs(k0 - expected)
+        yield abs(fr.multiplier([0.5]) - expected)
 
 
 # --------------------------------------------------------------- solutions ---

@@ -4,12 +4,12 @@ import pytest
 import dataclasses
 import importlib
 
-from schroedsym.coords import FamilySpec, Point, act, frame
+from schroedsym.coords import FamilySpec, Frame, Point, act, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
 from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
 from schroedsym.multiplier import (
     IntertwinerParams,
-    k0_map,
+    lift_frame,
     multiplier,
     ode_oracle_coefficients,
 )
@@ -105,16 +105,25 @@ def test_k0_intertwiner_values():
     w = QUAD.omega
     # C0 coefficient at lam = 0 is -omega/2: with tau = 0 there is no
     # x-linear part, so C0 = log(K0(x=1)/K0(x=0))
-    *_, k1 = k0_map(p, QUAD, 0.2, 1.0)
-    *_, k0v = k0_map(p, QUAD, 0.2, 0.0)
-    c0 = np.log(k1 / k0v)
+    fr = lift_frame("K0", QUAD, p)(0.2)
+    c0 = np.log(fr.multiplier([1.0]) / fr.multiplier([0.0]))
     assert abs(c0 + w / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["f1", "f2", "phi1", "phi2", "K0"])
+def test_every_lift_is_a_frame(kind):
+    spec = QUAD if kind == "K0" else LIN
+    fr = lift_frame(kind, spec, IntertwinerParams(0.8, 0.3, 0.2))(0.5)
+    assert isinstance(fr, Frame)
+    # the multiplier is exp(A + B x + C x^2) of the frame's coefficients
+    x = 0.7
+    assert abs(fr.multiplier([x]) - np.exp(fr.A + fr.B * x + fr.C * x * x)) < 1e-14
 
 
 def test_k0_singular_time():
     p = IntertwinerParams(sigma=1.0, tau=0.0, lam=-1.0)
     with pytest.raises(SingularTime):
-        k0_map(p, QUAD, 0.0, 0.5)
+        lift_frame("K0", QUAD, p)(0.0)
     with pytest.raises(DomainError):
         IntertwinerParams(sigma=0.0)
 

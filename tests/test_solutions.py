@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from schroedsym import jets, solutions, suites
+from schroedsym import jets, multiplier, solutions, suites
 from schroedsym.coords import FamilySpec
-from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError
+from schroedsym.errors import ConvergenceError, DomainError, NoRootError, QuadratureError, RangeError
 from schroedsym.jets import Jet
 from schroedsym.residual import residual_arrays
 from schroedsym.solutions import (
@@ -110,6 +110,13 @@ def test_f_pair_membership_and_beta_zero_limit():
         phi_pair(LIN)[1].value(0.0, 0.3)
 
 
+def test_a_lift_whose_exponent_leaves_the_double_range_raises():
+    # phi1's exponent at t = 20 is about 1.5e3: every lift multiplier goes
+    # through the frame's range guard instead of overflowing to inf
+    with pytest.raises(RangeError):
+        phi_pair(LIN)[0].value(20.0, 0.0)
+
+
 def test_phi_pair_inverts_f_pair():
     phi1, phi2 = phi_pair(LIN)
     k, b = LIN.k, LIN.beta
@@ -134,8 +141,8 @@ def test_phi_pair_inverts_f_pair():
 def test_phi2_inverts_f2_with_parity_flip(monkeypatch):
     _, phi2 = phi_pair(LIN)
     # the composition evaluates the forward lift at negative times, so use
-    # its principal-branch continuation: the same formula without its guard
-    monkeypatch.setattr(solutions, "_above", lambda z, bound, name: None)
+    # its principal-branch continuation: the same frame without its guard
+    monkeypatch.setattr(multiplier, "_above", lambda z, bound, name: None)
     _, f2_cont = f_pair(LIN)
     k, b = LIN.k, LIN.beta
     k2b = k * k * b
@@ -318,7 +325,7 @@ def test_exponential_variable_jets():
     rho = (QUAD.omega - QUAD.alpha) / (2 * QUAD.omega)
     assert abs(j.partial((1, 0)) - rho / s * j.value) < 1e-12
     with pytest.raises(DomainError):
-        f_pair(LIN)[0].jet_s(1.0, 0.0, 1)
+        gaussian_free(0.7).jet_s(1.0, 0.0, 1)
 
 
 def test_mixed_partial_matches_central_difference_of_the_x_partial():
