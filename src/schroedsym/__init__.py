@@ -27,7 +27,6 @@ from .errors import (
     DeterminantError,
     DomainError,
     FamilyMismatch,
-    IntegrationError,
     NoRootError,
     OrderError,
     QuadratureError,
@@ -49,7 +48,7 @@ from .group import (
     inverse,
     is_semigroup_admissible,
 )
-from .multiplier import IntertwinerParams, ode_oracle_coefficients
+from .multiplier import IntertwinerParams
 from .opalg import (
     DiffOp,
     GeneratorSet,

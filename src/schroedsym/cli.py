@@ -43,7 +43,7 @@ def _build_parser():
     common.add_argument("--config", help="key=value file; explicit flags win")
     common.add_argument("--family", choices=["free", "inverse_quadratic", "linear",
                                              "quadratic", "ndim_linear", "nls2d"])
-    common.add_argument("--k", type=float)
+    common.add_argument("--k", type=complex, help="real or purely imaginary, e.g. 0.7j")
     common.add_argument("--alpha", type=float)
     common.add_argument("--beta", type=float)
     common.add_argument("--omega", type=float)
@@ -99,7 +99,7 @@ def _load_config_file(path):
 
 _CONFIG_TYPES = {
     "seed": int, "trials": int,
-    "k": float, "alpha": float, "beta": float, "omega": float, "tol": float,
+    "k": complex, "alpha": float, "beta": float, "omega": float, "tol": float,
     "family": str, "format": str, "out": str,
 }
 

@@ -3,14 +3,17 @@
 Each family's frame (t', the scale xi and shift f of x' = xi x + f, and
 the multiplier's exponent coefficients A, B, C) comes from one ``frame``
 evaluation, a ``Frame``; the action ``act``, the multiplier and the
-structure-equation oracle all read it.  Every map here is written
-generically over its scalar type: plain complex numbers, numpy arrays, or
-jets all work, so the same code path feeds both the numeric checks and the
-chain-rule machinery of the residual verifier.
+structure-equation checks all read it.  A family's one-coordinate
+potential is ``FamilySpec.potential``, Laurent coefficients that
+``forcing`` expands into the source terms of the structure equations.
+Every map here is written generically over its scalar type: plain complex
+numbers, numpy arrays, or jets all work, so the same code path feeds both
+the numeric checks and the chain-rule machinery of the residual verifier.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +101,19 @@ class FamilySpec:
         return cls(NLS2D, k, n=2, coupling=coupling)
 
     @property
+    def potential(self):
+        """The one-coordinate potential V(x) = sum_p c_p x^p as its Laurent
+        coefficients ``{p: c_p}``; the NLS family's cubic term is not a
+        potential."""
+        if self.family in (FREE, NLS2D):
+            return {}
+        if self.family == INVERSE_QUADRATIC:
+            return {-2: self.alpha}
+        if self.family == QUADRATIC:
+            return {0: self.alpha, 2: self.omega ** 2}
+        return {0: self.alpha, 1: self.beta}
+
+    @property
     def komega(self):
         return self.k * self.omega
 
@@ -105,6 +121,25 @@ class FamilySpec:
     def komega_is_real(self):
         kw = self.komega
         return abs(np.imag(kw)) <= 1e-12 * max(abs(kw), 1.0)
+
+
+def forcing(k, v_from, v_to, xi, f):
+    """The source terms k (xi^2 V_from(xi x + f) - V_to(x)) of the structure
+    equations, for potentials given as Laurent coefficients: ``{p: terms}``,
+    the terms (not summed) of the coefficient of x^p.  A negative power of
+    V_from expands only when the shift f is the literal 0."""
+    terms = {}
+    for p, c in v_from.items():
+        if p < 0:
+            if np.any(f != 0):
+                raise DomainError(f"x^{p} has no finite expansion about a shifted point")
+            terms.setdefault(p, []).append(k * c * xi ** (2 + p))
+            continue
+        for j in range(p + 1):
+            terms.setdefault(j, []).append(k * c * math.comb(p, j) * xi ** (2 + j) * f ** (p - j))
+    for p, c in v_to.items():
+        terms.setdefault(p, []).append(-k * c)
+    return terms
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class RangeError(SchroedSymError):
     """An exponent left the representable double range."""
 
 
-class IntegrationError(SchroedSymError):
-    """The ODE integrator produced a non-finite state."""
-
-
 class ConvergenceError(SchroedSymError):
     """A series or an iteration did not reach its tolerance (a truncation
     error bound too large, or a loop that hit its step cap)."""

@@ -5,13 +5,11 @@ the frames of the solution-space lifts.
 evaluation (``coords.frame``), which holds the closed forms of the
 solution family.  ``lift_frame`` writes the five lifts between the free
 and the potential solution spaces as ``Frame``s too, so that a lift and a
-symmetry are pulled back alike.  An independent Runge-Kutta oracle
-re-derives A, B, C from their first-order structure equations, reading
-only xi and f of the frame, so that any transcription slip in the closed
-forms is caught numerically.
-The oracle is RK4 with step doubling and reports its own error estimate;
-an oracle check's value is the defect against the closed forms plus that
-estimate, so integration error cannot pass for agreement.
+symmetry are pulled back alike.  Every frame, group or lift, is
+scalar-generic in t: evaluated once on a time jet, it gives the exact
+d/dt of each field, which the registry's structure-equation checks
+(``suites``) hold to the first-order equations that A, B, C, xi, f and t'
+solve, so that a transcription slip in any closed form is caught.
 """
 
 from __future__ import annotations
@@ -21,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .coords import (INVERSE_QUADRATIC, QUADRATIC, SINGULAR_TOL, FamilySpec, Frame, Point,
-                     _above, frame)
-from .errors import DomainError, IntegrationError, SingularTime
+from .coords import SINGULAR_TOL, FamilySpec, Frame, Point, _above, frame
+from .errors import DomainError, SingularTime
 from .group import GroupElement
 
 
@@ -90,112 +87,3 @@ def lift_frame(kind: str, spec: FamilySpec, params: IntertwinerParams = None):
         return Frame(-r, r, k2b * r * r, A, (-k * b) * r * r, (-0.25 / k) * r)
 
     return lift
-
-
-# -- structure-equation oracle -------------------------------------------------
-
-# first and smallest RK4 step, and the error estimate that ends the doubling
-ORACLE_START_STEP = 1e-2
-ORACLE_MIN_STEP = 1e-4
-ORACLE_EST_TOL = 1e-12
-
-
-def _forcing(spec: FamilySpec, xi, f):
-    """Source terms k (xi^2 V(xi x + f) - V(x)) of the structure equations,
-    as the coefficients of 1, x and x^2."""
-    k = spec.k
-    x2 = xi * xi
-    g0 = spec.alpha * k * (x2 - 1.0)
-    if spec.family == QUADRATIC:
-        w2 = k * spec.omega ** 2
-        return g0 + w2 * x2 * f * f, 2.0 * w2 * x2 * xi * f, w2 * (x2 * x2 - 1.0)
-    kb = k * spec.beta
-    return g0 + kb * x2 * f, kb * (x2 * xi - 1.0), 0.0
-
-
-def _rk4_sweep(k, start, forcing, widths, stride):
-    """Fixed-step RK4 for A, B, C across every grid interval.
-
-    ``forcing`` holds, per interval, the source terms on that interval's
-    shared stage grid; a step spans 2*stride grid spacings and reads its
-    midpoint stage at +stride.  Returns the (A, B, C) rows at the grid
-    times; overflow shows as inf or nan, never as an exception.
-    """
-    k4 = 4.0 * k
-    A, B, C = start
-    rows = [start]
-    for (gA, gB, gC), width in zip(forcing, widths):
-        nstep = (len(gA) - 1) // (2 * stride)
-        h = width / nstep
-        h2, h6 = h / 2.0, h / 6.0
-        for j in range(0, len(gA) - 1, 2 * stride):
-            jm, je = j + stride, j + 2 * stride
-            a1 = k * (B * B + 2.0 * C) + gA[j]
-            b1 = k4 * B * C + gB[j]
-            c1 = k4 * C * C + gC[j]
-            B2, C2 = B + h2 * b1, C + h2 * c1
-            a2 = k * (B2 * B2 + 2.0 * C2) + gA[jm]
-            b2 = k4 * B2 * C2 + gB[jm]
-            c2 = k4 * C2 * C2 + gC[jm]
-            B3, C3 = B + h2 * b2, C + h2 * c2
-            a3 = k * (B3 * B3 + 2.0 * C3) + gA[jm]
-            b3 = k4 * B3 * C3 + gB[jm]
-            c3 = k4 * C3 * C3 + gC[jm]
-            B4, C4 = B + h * b3, C + h * c3
-            a4 = k * (B4 * B4 + 2.0 * C4) + gA[je]
-            b4 = k4 * B4 * C4 + gB[je]
-            c4 = k4 * C4 * C4 + gC[je]
-            A = A + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            B = B + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            C = C + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        rows.append((A, B, C))
-    return np.array(rows).T
-
-
-def ode_oracle_coefficients(l: GroupElement, spec: FamilySpec, t_grid):
-    """Re-derive A, B, C by integrating their structure equations.
-
-    Starts from the closed-form values at the earliest grid point and
-    integrates RK4 with step doubling (Richardson extrapolation): the grid
-    is swept at n and at 2n steps per interval, and |fine - coarse|/15
-    estimates the error of the fine sweep.  n starts at ORACLE_START_STEP
-    and doubles until the estimate is at most ORACLE_EST_TOL, stopping at
-    ORACLE_MIN_STEP, where a non-finite value raises IntegrationError.  Both
-    sweeps read one frame evaluation on the shared stage grid and take only
-    xi and f from it, so the closed forms enter only as the start value.
-    When n has doubled, the coarse sweep at n is the last level's fine
-    sweep (the same steps, stage times and forcing), so it is not run again.
-    Returns ((A, B, C), estimate): the fine-sweep arrays at the grid times
-    and the error estimate.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be strictly increasing with >= 2 points")
-    if spec.family == INVERSE_QUADRATIC:
-        raise DomainError(f"no structure equations for family {spec.family!r}")
-    widths = np.diff(t_grid).tolist()
-    n = int(np.ceil(max(widths) / ORACLE_START_STEP))
-    n_last = int(np.ceil(max(widths) / ORACLE_MIN_STEP))
-    # overflow to inf is the divergence signal, so silence the warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        fine, n_fine = None, 0  # the last level's fine sweep and its n
-        while True:
-            n = min(n, n_last)
-            # stage times of both sweeps: 4n + 1 per interval
-            ts = np.linspace(t_grid[:-1], t_grid[1:], 4 * n + 1, axis=1)
-            fr = frame(l, spec, ts)
-            # Python scalars of the frame's dtype: real families step in floats
-            start = (fr.A[0, 0].item(), fr.B[0, 0].item(), fr.C[0, 0].item())
-            forcing = list(zip(*(np.broadcast_to(g, ts.shape).tolist()
-                                 for g in _forcing(spec, fr.xi, fr.f))))
-            # after a doubling, the coarse sweep is the last level's fine one
-            coarse = fine if n == 2 * n_fine else _rk4_sweep(spec.k, start, forcing, widths, 2)
-            fine, n_fine = _rk4_sweep(spec.k, start, forcing, widths, 1), n
-            estimate = float(np.abs(fine - coarse).max()) / 15.0
-            finite = np.isfinite(estimate)
-            if n == n_last and not finite:
-                raise IntegrationError(
-                    f"integrator diverged on [{t_grid[0]}, {t_grid[-1]}] at the smallest step")
-            if n == n_last or (finite and estimate <= ORACLE_EST_TOL):
-                return tuple(fine), estimate
-            n *= 2

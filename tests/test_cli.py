@@ -97,6 +97,22 @@ def test_nan_defects_fail_at_extreme_k(tmp_path):
     assert rows["liealg.jacobi"]["error"].startswith("FloatingPointError: overflow")
 
 
+def test_verify_all_at_imaginary_k(tmp_path, capsys):
+    # every family runs at an imaginary k: the circle and NLS specs take k
+    # itself, where a real k gives them i k and -i k
+    out = tmp_path / "imaginary_k.json"
+    assert main(["verify", "all", "--k", "0.7j", "--seed", "7", "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 68 and all(r["pass"] for r in rows)
+    specs = RunConfig(k=0.7j).specs()
+    assert specs["disk"].k == specs["nls2d"].k == 0.7j
+    # a complex k with a zero imaginary part is the real k
+    assert RunConfig(k=0.7 + 0j).specs() == RunConfig(k=0.7).specs()
+    assert main(["verify", "group", "--k", "0.3+0.7j"]) == 2
+    assert "config error: k must be real or purely imaginary" in capsys.readouterr().err
+
+
 def test_family_filter_restricts_checks():
     full = run_suite("multiplier", RunConfig(seed=1, trials=2))
     only_nls = run_suite("multiplier", RunConfig(seed=1, trials=2, family="nls2d"))

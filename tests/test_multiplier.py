@@ -7,12 +7,7 @@ import importlib
 from schroedsym.coords import FamilySpec, Frame, Point, act, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
 from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
-from schroedsym.multiplier import (
-    IntertwinerParams,
-    lift_frame,
-    multiplier,
-    ode_oracle_coefficients,
-)
+from schroedsym.multiplier import IntertwinerParams, lift_frame, multiplier
 from schroedsym.suites import RunConfig, run_named_check
 from schroedsym.sampling import random_admissible_element, random_disk_element, random_element, random_sl2r
 
@@ -134,70 +129,15 @@ def test_range_error_on_overflowing_exponent():
         multiplier(l, Point(0.0, -3000.0), FamilySpec.linear(0.7, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("spec,sampler,tol", [
-    (LIN, lambda: random_element(RNG), 1e-7),
-    (QUAD, lambda: random_admissible_element(RNG), 1e-6),
-    (DISK, lambda: random_disk_element(RNG), 1e-6),
-])
-def test_ode_oracle_matches_closed_forms(spec, sampler, tol):
-    # the error estimate must bound the fine sweep's defect and track it, so
-    # an estimate of 0 or of the fine sweep against itself fails here
-    tg = np.linspace(-0.3, 0.5, 9)
-    tracked = 0
-    for _ in range(6):
-        l = sampler()
-        closed = frame(l, spec, tg)
-        oracle, estimate = ode_oracle_coefficients(l, spec, tg)
-        defect = max(np.abs(o - c).max() for o, c in zip(oracle, (closed.A, closed.B, closed.C)))
-        assert defect < tol
-        assert estimate <= 1e-11
-        if defect > 1e-13:
-            assert 0.5 * defect <= estimate <= 2.0 * defect
-            tracked += 1
-    assert tracked > 0
-    # the unit element keeps all coefficients at zero
-    oracle, _ = ode_oracle_coefficients(GroupElement.identity(), LIN, tg)
-    assert max(np.abs(v).max() for v in oracle) < 1e-12
-
-
-@pytest.mark.parametrize("spec,sampler", [
-    (LIN, lambda: random_element(RNG)),
-    (QUAD, lambda: random_admissible_element(RNG)),
-    (DISK, lambda: random_disk_element(RNG)),
-], ids=["linear", "quadratic", "disk"])
-def test_ode_oracle_steps_real_families_in_floats(monkeypatch, spec, sampler):
-    # real start values step RK4 on floats, bit for bit the real part of
-    # the same sweep started from complex values; the disk family is complex
-    module, sweeps = importlib.import_module("schroedsym.multiplier"), []
-
-    def recorded(*args):
-        sweeps.append(args)
-        return sweep(*args)
-
-    sweep = module._rk4_sweep
-    monkeypatch.setattr(module, "_rk4_sweep", recorded)
-    oracle, _ = ode_oracle_coefficients(sampler(), spec, np.linspace(-0.3, 0.5, 9))
-    if spec is DISK:
-        assert all(o.dtype == np.complex128 for o in oracle)
-        return
-    k, start, forcing, widths, stride = sweeps[-1]  # the fine sweep that was returned
-    assert stride == 1 and all(type(v) is float for v in start)
-    complex_start = sweep(k, tuple(map(complex, start)), forcing, widths, stride)
-    for o, c in zip(oracle, complex_start):
-        assert o.dtype == np.float64
-        assert np.array_equal(o, c.real)
-
-
 @pytest.mark.parametrize("family,coefficient", [
     ("linear", "A"), ("quadratic", "A"), ("quadratic", "B"), ("quadratic", "C"),
 ], ids=["linear-A", "quadratic-A", "quadratic-B", "quadratic-C"])
 def test_oracle_check_rejects_a_slipped_closed_form(monkeypatch, family, coefficient):
     # a 1e-4 slip in one closed-form coefficient must fail the registered
-    # oracle checks of its family at their own trials and tolerance; an
-    # oracle that took the coefficient from the frame at every step, not
-    # only at t_grid[0], would integrate the slip away and pass.  The linear
-    # slip is in the k^3 beta^2 term of A; the oscillator slips are relative
-    # and reach both the real (quadratic) and the circle (disk) checks.
+    # structure-equation checks of its family at their own trials and
+    # tolerance.  The linear slip is in the k^3 beta^2 term of A; the
+    # oscillator slips are relative and reach both the real (quadratic) and
+    # the circle (disk) checks.
     original = frame
 
     def slipped(l, spec, t):
@@ -222,29 +162,16 @@ def test_oracle_check_rejects_a_slipped_closed_form(monkeypatch, family, coeffic
         assert not run_named_check(name, RunConfig(seed=7)).passed, name
 
 
-def test_ode_oracle_integration_error_across_pole():
-    from schroedsym.errors import IntegrationError, SingularTime
-
-    # the Mobius denominator vanishes at t = 1/3 inside the grid
-    l = GroupElement(Mat2(1.0, 0.0, -3.0, 1.0))
-    with pytest.raises((IntegrationError, SingularTime)):
-        ode_oracle_coefficients(l, LIN, np.linspace(0.0, 1.0, 5))
-    with pytest.raises(DomainError):
-        ode_oracle_coefficients(l, LIN, np.array([0.3]))
-
-
-def test_frame_consistency_relations():
-    # B = f'/(2 k xi), C = xi'/(4 k xi)
-    h = 1e-5
-    for spec, sampler in (
-        (LIN, lambda: random_element(RNG)),
-        (QUAD, lambda: random_admissible_element(RNG)),
-    ):
-        for _ in range(20):
-            l = sampler()
-            t = RNG.uniform(-0.3, 0.3)
-            p0, pp, pm = (frame(l, spec, tv) for tv in (t, t + h, t - h))
-            fdot = (pp.f - pm.f) / (2 * h)
-            xidot = (pp.xi - pm.xi) / (2 * h)
-            assert abs(p0.B - fdot / (2 * spec.k * p0.xi)) < 1e-7
-            assert abs(p0.C - xidot / (4 * spec.k * p0.xi)) < 1e-7
+@pytest.mark.parametrize("module,function,text,literal,check", [
+    ("coords", "frame", "0.0, -0.5 * jets.log(r)", "0.5", "structure_consistency"),
+    ("coords", "quadratic_frame", "0.5 * jets.log(xi)", "0.5", "ode_oracle_quadratic"),
+    ("multiplier", "lift_frame", "p.sigma * p.tau / (2.0 * omega)", "2.0", "structure_consistency"),
+    ("multiplier", "lift_frame", "p.tau ** 2 / (4.0 * omega)", "4.0", "structure_consistency"),
+], ids=["inverse-quadratic-A", "quadratic-A", "K0-f", "K0-A-tau"])
+def test_a_single_literal_slip_fails_a_structure_check(slip_literal, module, function, text,
+                                                      literal, check):
+    # a 1e-9 slip of one literal of a frame's A or f: no other check sees these
+    name = f"multiplier.{check}"
+    assert run_named_check(name, RunConfig(seed=7)).passed
+    slip_literal(importlib.import_module(f"schroedsym.{module}"), function, text, literal)
+    assert not run_named_check(name, RunConfig(seed=7)).passed

@@ -1,15 +1,11 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from schroedsym import coords, jets, residual
+from schroedsym import coords, jets, residual, suites
 from schroedsym.coords import FamilySpec
 from schroedsym.errors import DomainError
 from schroedsym.group import GroupElement, Mat2
-from schroedsym.multiplier import IntertwinerParams, ode_oracle_coefficients
+from schroedsym.multiplier import IntertwinerParams
 from schroedsym.residual import (
     GridSpec,
     PullbackFn,
@@ -90,7 +86,6 @@ def test_grid_residual_raises_off_the_domain():
 
 def test_a_residual_check_on_a_dropped_grid_fails(monkeypatch):
     # t down to -5 takes part of the grid out of the Gaussian's domain t > -2
-    from schroedsym import suites
     monkeypatch.setattr(suites, "T_RANGE", (-5.0, 0.6))
     result = suites.run_named_check("residual.lift_residuals", suites.RunConfig(seed=3))
     assert not result.passed and np.isnan(result.value)
@@ -170,15 +165,7 @@ def test_time_only_frame_work_is_done_once_per_time_value(monkeypatch):
     assert sizes == [9] * 3
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_each_function_on_the_grid_is_seeded_once(monkeypatch):
+def test_each_function_on_the_grid_is_seeded_once(monkeypatch, bench_workloads):
     # a pullback evaluates its base on the frame's jets, so a verification
     # seeds t and each x once per function whose jet it takes on the grid:
     # the pullback, and for the intertwining check also the base at the
@@ -191,7 +178,7 @@ def test_each_function_on_the_grid_is_seeded_once(monkeypatch):
         return variable(cls, *args)
 
     monkeypatch.setattr(jets.Jet, "variable", classmethod(counted))
-    rng, cases = np.random.default_rng(5), _bench_workloads().residual_cases(14, 14)
+    rng, cases = np.random.default_rng(5), bench_workloads.residual_cases(14, 14)
     for case in cases:
         label[0] = case.label
         case.run(rng)
@@ -400,7 +387,8 @@ def test_transformed_free_product_in_two_coordinates():
 
 def test_frame_evaluations_per_verification_and_oracle_call(monkeypatch):
     # a transformed verification evaluates its frame once, in the jet that
-    # also guards the domain; the oracle once per step-doubling level
+    # also guards the domain; a structure-equation (oracle) check evaluates
+    # its family's frame once, on one time jet for the whole batch
     calls = {"outer": 0, "depth": 0}
 
     def counted(fn):
@@ -431,9 +419,10 @@ def test_frame_evaluations_per_verification_and_oracle_call(monkeypatch):
         calls["outer"] = 0
         verify_transformed_solution(fn, l, spec, g)
         assert calls["outer"] == 1, spec.family
-    calls["outer"] = 0
-    ode_oracle_coefficients(random_element(rng), LIN, np.linspace(-0.3, 0.5, 9))
-    assert calls["outer"] <= 10
+    for name in ("linear", "quadratic", "disk"):
+        calls["outer"] = 0
+        assert suites.run_named_check(f"multiplier.ode_oracle_{name}", suites.RunConfig(seed=7)).passed
+        assert calls["outer"] == 1, name
 
 
 def test_intertwining_on_solutions_and_nonsolutions():

@@ -209,6 +209,16 @@ def test_eigenvalue_scan_matches_airy_zeros():
     assert abs(r[0] - zeros[0] * 2.0 ** (2.0 / 3.0)) < 1e-6
 
 
+def test_a_slipped_airy_phase_fails_airy_roots(slip_literal):
+    # the reference zeros are Ai's to the last digit, so airy_roots reads
+    # the roots themselves: a 1e-9 slip of the integrand's cubic phase moves
+    # them by about 1e-9, past the ROOT_WIDTH gate
+    assert np.max(np.abs(np.subtract(suites.AIRY_FIRST_TWO, -scipy.special.ai_zeros(2)[0]))) < 1e-15
+    assert run_named_check("solutions.airy_roots", RunConfig(seed=7)).value < 1e-12
+    slip_literal(solutions, "_contour_integral", "wf += beta ** 2 * z ** 3 / 3.0", "3.0")
+    assert not run_named_check("solutions.airy_roots", RunConfig(seed=7)).passed
+
+
 def test_airy_loops_raise_at_their_caps(monkeypatch):
     # a phase this steep needs a truncation past the cap, and one Newton
     # step from a bracket's midpoint is not yet shorter than ROOT_WIDTH / 4
