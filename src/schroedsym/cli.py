@@ -220,9 +220,30 @@ def _cmd_demo(args):
     return 0
 
 
+def _joined_k(argv):
+    """``argv`` with ``--k V`` written ``--k=V`` when V parses as a complex
+    number: argparse's negative-number pattern matches plain numbers only,
+    so it would read ``-0.7j`` as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--k" and _parses_as_complex(arg):
+            out[-1] = f"--k={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _parses_as_complex(text):
+    try:
+        complex(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_k(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return _cmd_verify(args)

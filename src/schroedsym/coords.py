@@ -14,7 +14,9 @@ the numeric checks and the chain-rule machinery of the residual verifier.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -282,11 +284,26 @@ def _above(z, bound, name):
         raise DomainError(f"needs {name} > {bound}")
 
 
-def _guarded_exp(e):
-    v = np.asarray(jets.value_of(e))
-    if np.max(np.real(v)) > EXP_GUARD:
-        raise RangeError("multiplier exponent exceeds the double range")
-    return jets.exp(e)
+def _terms(*terms):
+    """The sum, left to right, of the terms ``(c, *factors)``: c times the
+    product of its factors, or c alone.  A coefficient that is the float
+    literal 0.0 drops its term before its factors multiply, and one that is
+    1.0 skips its multiply, so that a frame's literal coefficients (the
+    f1/phi1 lifts' xi = 1.0 and C = 0.0, the inverse-quadratic f = B = 0.0)
+    cost no pass over the grid.  Any other value, a slipped literal too,
+    takes the general path."""
+    out = None
+    for c, *factors in terms:
+        literal = type(c) is float
+        if literal and c == 0.0:
+            continue
+        if factors:
+            v = reduce(operator.mul, factors)
+            term = v if literal and c == 1.0 else c * v
+        else:
+            term = c
+        out = term if out is None else out + term
+    return 0.0 if out is None else out
 
 
 @dataclass(frozen=True)
@@ -295,7 +312,8 @@ class Frame:
 
     The action maps t to tp and each space coordinate x_j to xi x_j + f; the
     multiplier over n space coordinates is
-    exp(n A + B sum_j x_j + C sum_j x_j^2).
+    exp(n A + B sum_j x_j + C sum_j x_j^2), the product of one factor
+    exp(A + B x_j + C x_j^2) per coordinate.
     """
 
     tp: object
@@ -306,14 +324,27 @@ class Frame:
     C: object
 
     def space(self, x):
-        """Mapped space coordinates xi x_j + f."""
-        return tuple(self.xi * xj + self.f for xj in x)
+        """Mapped space coordinates xi x_j + f; a literal xi = 1.0 or f = 0.0
+        costs nothing (``_terms``)."""
+        return tuple(_terms((self.xi, xj), (self.f,)) for xj in x)
 
     def multiplier(self, x):
-        """exp(n A + B sum_j x_j + C sum_j x_j^2) over the coordinates x."""
-        s1 = sum(x)
-        s2 = sum(xj * xj for xj in x)
-        return _guarded_exp(len(x) * self.A + self.B * s1 + self.C * s2)
+        """exp(n A + B sum_j x_j + C sum_j x_j^2) over the coordinates x, as
+        the product over j of exp(A + B x_j + C x_j^2).
+
+        Each factor depends on t and its own x_j only, so on a grid sampled
+        on broadcastable axes it spans the time axis and one space axis, and
+        only the product spans the grid.  ``RangeError`` when the real part
+        of the whole exponent (the sum of the factors' values) exceeds
+        ``EXP_GUARD``, and, for two or more coordinates, when a factor's
+        leaves [-EXP_GUARD, EXP_GUARD]: it could overflow, or underflow to 0
+        beside a large one."""
+        es = [_terms((self.A,), (self.B, xj), (self.C, xj, xj)) for xj in x]
+        vs = [np.real(jets.value_of(e)) for e in es]
+        if np.max(reduce(operator.add, vs)) > EXP_GUARD or (
+                len(vs) > 1 and max(np.max(np.abs(v)) for v in vs) > EXP_GUARD):
+            raise RangeError("multiplier exponent exceeds the double range")
+        return reduce(operator.mul, map(jets.exp, es))
 
 
 def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:

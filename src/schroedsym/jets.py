@@ -145,8 +145,10 @@ class Jet:
         return self.block[self.support.index(alpha)] if alpha in self.support else 0.0
 
     def partial(self, alpha):
-        """Partial derivative of multi-order ``alpha`` (Taylor coef times factorials)."""
-        return self.coefficient(alpha) * math.prod(map(math.factorial, alpha))
+        """Partial derivative of multi-order ``alpha`` (Taylor coef times
+        factorials): the coefficient itself, not a copy, when they are 1."""
+        c, scale = self.coefficient(alpha), math.prod(map(math.factorial, alpha))
+        return c if scale == 1 else c * scale
 
     def __add__(self, other):
         sb, b = ((other.support, other.block) if isinstance(other, Jet)

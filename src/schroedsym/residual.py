@@ -22,8 +22,9 @@ its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -122,11 +123,9 @@ def _residual(spec: FamilySpec, psi_t, laplacian, psi, xs):
 def _residual_from_jet(j, spec: FamilySpec, xs):
     ndim = j.nvars - 1
     pt = j.partial((1,) + (0,) * ndim)
-    lap = 0.0
-    for i in range(ndim):
-        alpha = [0] * (ndim + 1)
-        alpha[1 + i] = 2
-        lap = lap + j.partial(tuple(alpha))
+    # summed from its first term: one space coordinate reads its row as is
+    lap = reduce(operator.add, (j.partial(tuple(2 * (v == i) for v in range(1 + ndim)))
+                                for i in range(1, 1 + ndim)))
     return _residual(spec, pt, lap, j.value, xs)
 
 

@@ -241,7 +241,10 @@ def g_functions(spec: FamilySpec, gamma=0.0):
     return tuple(FormulaFn(g, rate=2.0 * k * w) for g in (g1, g2, g3))
 
 def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
-    """Exact plane-wave solution of the 2-d cubic equation (imaginary k)."""
+    """Exact plane-wave solution of the 2-d cubic equation (imaginary k),
+    amplitude exp(i p.x + rate t), built as the product of one exponential
+    per space axis, so that each spans only t (or nothing) and its own
+    coordinate, and only the product spans the grid."""
     if spec.family != NLS2D:
         raise DomainError("plane_wave_nls needs the 2-d NLS family")
     p = tuple(p)
@@ -252,7 +255,7 @@ def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     rate = k * (lam * amplitude ** 2 - p2)
 
     def formula(tj, x1, x2):
-        return jets.exp(1j * (p[0] * x1 + p[1] * x2) + rate * tj) * amplitude
+        return jets.exp(1j * p[0] * x1 + rate * tj) * (jets.exp(1j * p[1] * x2) * amplitude)
 
     return FormulaFn(formula, ndim=2)
 

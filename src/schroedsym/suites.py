@@ -951,13 +951,14 @@ for _family, (_what, *_case) in _TRANSFORMED.items():
 @_register("residual", "transformed_nls", "transformed plane waves still solve the cubic equation", 1e-9, 15, families=("nls2d",))
 def _res_tr_nls(cfg, rng, trials):
     """Per trial: each trial is already a 14^3-point grid, and a batch of
-    them would hold every trial's jets at once.  Batching no longer pays
-    (2-vCPU host, 41.3 ms per pass per trial): one batch of 15 trials took
-    34.7 ms at +16 MB peak RSS, chunks of 3 36.4 ms at +2.6 MB (+6 % on a
-    verify-all pass, over the benchmark's 5 % bound), chunks of 5 38.5 ms.
-    A point costs about twice as much once a trial's rows leave L2 (0.45 us
-    at 14^3, 0.92 us at 20^3), so the lever left here is the fixed cost per
-    trial."""
+    them holds every trial's jets at once.  On a 2-vCPU Xeon (numpy 2.4,
+    best of six rounds), 15 trials take 13.5 ms one at a time at a
+    tracemalloc peak of 0.9 MB, 8.7 ms in chunks of 3 at 2.8 MB and 12.6 ms
+    as one batch at 13.9 MB; chunks of 3 raise the peak RSS of a process
+    running verify all from 41.5 to 42.9 MB (+3.4 %), against the
+    benchmark's 5 % bound on it.  A trial costs 0.33 us a point at 14^3 and
+    0.26 us at 37^3, where the multiplier and the plane wave are products
+    of per-axis factors (``Frame.multiplier``, ``plane_wave_nls``)."""
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
     grid = GridSpec(T_RANGE, X_RANGE)

@@ -113,6 +113,13 @@ def test_verify_all_at_imaginary_k(tmp_path, capsys):
     assert "config error: k must be real or purely imaginary" in capsys.readouterr().err
 
 
+def test_negative_imaginary_k_is_a_value(capsys):
+    # argparse would read -0.7j as an option and exit 2
+    assert main(["verify", "group", "--k", "-0.7j", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and all(r["pass"] for r in rows)
+
+
 def test_family_filter_restricts_checks():
     full = run_suite("multiplier", RunConfig(seed=1, trials=2))
     only_nls = run_suite("multiplier", RunConfig(seed=1, trials=2, family="nls2d"))

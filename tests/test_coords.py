@@ -156,14 +156,8 @@ def test_special_galilean_subgroup_values():
 
 
 def test_comoving_identity():
-    for _ in range(100):
-        l = GroupElement(random_sl2r(RNG), 0.0, 0.0)
-        z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.5, 1.5))
-        assert comoving_identity_check(l, z, LIN) < 1e-12
+    # the random trials and the translation control are coords.comoving_identity
     assert comoving_identity_check(GroupElement.identity(), Point(0.3, 0.7), LIN) == 0.0
-    # a translation breaks the identity
-    bad = GroupElement(Mat2.identity(), 0.7, 0.0)
-    assert comoving_identity_check(bad, Point(0.2, 0.4), LIN) > 1e-3
 
 
 def test_reality_domain_check():

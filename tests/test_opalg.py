@@ -183,11 +183,3 @@ def test_apply_is_linear_and_needs_exponential_jets():
     assert abs(lhs - rhs) < 1e-12
     with pytest.raises(OrderError):
         GQ.T1.apply(f1, z)  # linear-family function lacks exponential-variable jets
-
-
-def test_time_derivative_powers_stay_solutions():
-    f1, _ = f_pair(LIN)
-    op = GL.Kop.compose(GL.D.compose(GL.D))
-    for _ in range(10):
-        z = Point(RNG.uniform(0.2, 1.0), RNG.uniform(-1.2, 1.2))
-        assert abs(op.apply(f1, z)) / abs(f1.value(z.t, z.x1)) < 1e-10
