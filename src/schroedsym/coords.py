@@ -329,22 +329,26 @@ class Frame:
         return tuple(_terms((self.xi, xj), (self.f,)) for xj in x)
 
     def multiplier(self, x):
-        """exp(n A + B sum_j x_j + C sum_j x_j^2) over the coordinates x, as
-        the product over j of exp(A + B x_j + C x_j^2).
+        """exp(n A + B sum_j x_j + C sum_j x_j^2) over the coordinates x: the
+        product, left to right, of ``multiplier_factors``."""
+        return reduce(operator.mul, self.multiplier_factors(x))
+
+    def multiplier_factors(self, x):
+        """The multiplier's factors exp(A + B x_j + C x_j^2), one per
+        coordinate x_j.
 
         Each factor depends on t and its own x_j only, so on a grid sampled
-        on broadcastable axes it spans the time axis and one space axis, and
-        only the product spans the grid.  ``RangeError`` when the real part
-        of the whole exponent (the sum of the factors' values) exceeds
-        ``EXP_GUARD``, and, for two or more coordinates, when a factor's
-        leaves [-EXP_GUARD, EXP_GUARD]: it could overflow, or underflow to 0
-        beside a large one."""
+        on broadcastable axes it spans the time axis and one space axis.
+        ``RangeError`` when the real part of the whole exponent (the sum of
+        the factors' values) exceeds ``EXP_GUARD``, and, for two or more
+        coordinates, when a factor's leaves [-EXP_GUARD, EXP_GUARD]: it
+        could overflow, or underflow to 0 beside a large one."""
         es = [_terms((self.A,), (self.B, xj), (self.C, xj, xj)) for xj in x]
         vs = [np.real(jets.value_of(e)) for e in es]
         if np.max(reduce(operator.add, vs)) > EXP_GUARD or (
                 len(vs) > 1 and max(np.max(np.abs(v)) for v in vs) > EXP_GUARD):
             raise RangeError("multiplier exponent exceeds the double range")
-        return reduce(operator.mul, map(jets.exp, es))
+        return tuple(map(jets.exp, es))
 
 
 def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:

@@ -42,7 +42,7 @@ from .errors import DomainError
 from .group import GroupElement, Mat2
 from .jets import Jet, value_of
 from .multiplier import lift_frame
-from .solutions import PullbackFn, SmoothFn
+from .solutions import PullbackFn, SmoothFn, paired
 
 REL_FLOOR = 1e-300
 
@@ -245,11 +245,11 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     tj = Jet.variable(t, 0, nv, 2)
     xjs = [Jet.variable(x, 1 + i, nv, 2) for i, x in enumerate(xs)]
     fr = frame(_batch_first(l, nv), spec, tj)
-    xps, kj = fr.space(xjs), fr.multiplier(xjs)
-    pulled = fn.jet_at(fr.tp, xps) * kj
+    xps, ks = fr.space(xjs), fr.multiplier_factors(xjs)
+    pulled = reduce(operator.mul, paired(fn.factors_at(fr.tp, xps), ks))
     # the right-hand side reads the value rows of the same frame evaluation
     base_res, _ = residual_arrays(fn, spec, value_of(fr.tp), [value_of(x) for x in xps])
     xi = value_of(fr.xi)
-    rhs = xi * xi * value_of(kj) * base_res
+    rhs = xi * xi * reduce(operator.mul, map(value_of, ks)) * base_res
     return _report(_residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value),
                    t, xs)

@@ -14,7 +14,9 @@ s = e^{2 k omega t} as their first argument.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -36,7 +38,7 @@ class SmoothFn:
     ``x`` is a scalar for one space dimension, else a sequence of length
     ``ndim``.  ``jet`` seeds variable 0 with t and variables 1..ndim with
     the space coordinates and evaluates ``jet_at`` on those seeds;
-    coefficients may be numpy arrays.
+    coefficients may be numpy arrays.  A subclass defines ``factors_at``.
     """
 
     ndim = 1
@@ -53,7 +55,15 @@ class SmoothFn:
     def jet_at(self, tj, xjs) -> Jet:
         """Jet of psi(tj, xjs) for argument jets ``tj`` and ``xjs`` (one per
         space coordinate): the function evaluated on them, which is the
-        chain rule through whatever map the argument jets expand."""
+        chain rule through whatever map the argument jets expand.  It is the
+        product, left to right, of ``factors_at``."""
+        return reduce(operator.mul, self.factors_at(tj, xjs))
+
+    def factors_at(self, tj, xjs):
+        """psi(tj, xjs) as a tuple of jets whose product it is: one jet, or
+        one factor per space coordinate, factor j a function of t and x_j
+        only, which a pullback multiplies by its multiplier's factor j
+        (``paired``)."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -75,6 +85,20 @@ class SmoothFn:
         return tj, xjs
 
 
+def paired(base_factors, multiplier_factors):
+    """The factors of K * psi from those of psi (at the mapped jets) and of
+    the multiplier K (``coords.Frame.multiplier_factors``).
+
+    When the base gives one factor per space coordinate, base factor j
+    times multiplier factor j: both depend on t and x_j only (the frame
+    maps x_j to xi x_j + f), so on grid axes each product spans one space
+    axis, and only the product of the pairs spans the grid.  Otherwise the
+    one jet psi * (K_1 K_2 ...).  One coordinate is psi * K_1 either way."""
+    if len(base_factors) == len(multiplier_factors):
+        return tuple(map(operator.mul, base_factors, multiplier_factors))
+    return (reduce(operator.mul, base_factors) * reduce(operator.mul, multiplier_factors),)
+
+
 class PullbackFn(SmoothFn):
     """K(t, x) * psi(t', x'): the base evaluated on the jets that a frame maps.
 
@@ -82,7 +106,8 @@ class PullbackFn(SmoothFn):
     x' = xi x + f and the multiplier K at the time jet, for a symmetry
     (``coords.frame``) and a lift (``multiplier.lift_frame``) alike.
     Evaluating the base on the mapped jets is the chain rule and guards the
-    base's domain at the mapped values; pullbacks nest.
+    base's domain at the mapped values; pullbacks nest, and the factors of
+    a separable base stay separable (``paired``).
     """
 
     def __init__(self, base: SmoothFn, frame, ndim=None):
@@ -90,18 +115,20 @@ class PullbackFn(SmoothFn):
         self.frame = frame
         self.ndim = base.ndim if ndim is None else ndim
 
-    def jet_at(self, tj, xjs):
+    def factors_at(self, tj, xjs):
         fr = self.frame(tj)
-        kj = fr.multiplier(xjs)  # before the base's jet: a lower peak of memory
-        return self.base.jet_at(fr.tp, fr.space(xjs)) * kj
+        ks = fr.multiplier_factors(xjs)  # before the base's jets: a lower peak of memory
+        return paired(self.base.factors_at(fr.tp, fr.space(xjs)), ks)
 
 
 class FormulaFn(SmoothFn):
     """A jet-generic formula f(t, x...) as a SmoothFn.
 
-    With a ``rate`` the formula's first argument is the exponential
-    variable s = e^{rate t} instead of t, and ``jet_s`` gives its jets in
-    (s, x) themselves, as the oscillator family's operators need.
+    The formula returns a jet, or a tuple of factors whose product is f,
+    one per space coordinate (``SmoothFn.factors_at``).  With a ``rate``
+    the formula's first argument is the exponential variable
+    s = e^{rate t} instead of t, and ``jet_s`` gives its jets in (s, x)
+    themselves, as the oscillator family's operators need.
     """
 
     def __init__(self, formula, ndim=1, rate=None):
@@ -109,15 +136,18 @@ class FormulaFn(SmoothFn):
         self.ndim = ndim
         self.rate = rate
 
-    def jet_at(self, tj, xjs):
-        return self.formula(tj if self.rate is None else jets.exp(self.rate * tj), *xjs)
+    def factors_at(self, tj, xjs):
+        return self._factors(tj if self.rate is None else jets.exp(self.rate * tj), xjs)
 
     def jet_s(self, s, x, order):
         """Jet in the exponential variable itself."""
         if self.rate is None:
             raise DomainError("function is not represented in the exponential variable")
-        sj, xjs = self._seed(s, x, order)
-        return self.formula(sj, *xjs)
+        return reduce(operator.mul, self._factors(*self._seed(s, x, order)))
+
+    def _factors(self, first, xjs):
+        out = self.formula(first, *xjs)
+        return out if isinstance(out, tuple) else (out,)
 
     def s_of_t(self, t):
         if self.rate is None:
@@ -242,9 +272,10 @@ def g_functions(spec: FamilySpec, gamma=0.0):
 
 def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     """Exact plane-wave solution of the 2-d cubic equation (imaginary k),
-    amplitude exp(i p.x + rate t), built as the product of one exponential
-    per space axis, so that each spans only t (or nothing) and its own
-    coordinate, and only the product spans the grid."""
+    amplitude exp(i p.x + rate t), given as its two factors
+    exp(i p_1 x_1 + rate t) and amplitude exp(i p_2 x_2), one per space
+    axis: each spans only t (or nothing) and its own coordinate, and a
+    pullback pairs each with the multiplier's factor of that axis."""
     if spec.family != NLS2D:
         raise DomainError("plane_wave_nls needs the 2-d NLS family")
     p = tuple(p)
@@ -255,7 +286,7 @@ def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     rate = k * (lam * amplitude ** 2 - p2)
 
     def formula(tj, x1, x2):
-        return jets.exp(1j * p[0] * x1 + rate * tj) * (jets.exp(1j * p[1] * x2) * amplitude)
+        return jets.exp(1j * p[0] * x1 + rate * tj), jets.exp(1j * p[1] * x2) * amplitude
 
     return FormulaFn(formula, ndim=2)
 

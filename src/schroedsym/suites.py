@@ -10,11 +10,12 @@ and divide-by-zero errors raised) fails with the value NaN and the
 error's type and message, and the other checks still run.  A
 check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
-in one array pass.  Two kinds still go trial by trial:
-``residual.transformed_nls`` (each trial is a 14^3-point grid) and the
-symbolic ``liealg.jacobi``.  The structure-equation checks
-(``multiplier.ode_oracle_*``, ``multiplier.structure_consistency``)
-evaluate each frame once, on a time jet over the whole batch.  A grid
+in one array pass; ``residual.transformed_nls``, whose trials are each a
+14^3-point grid, evaluates them in batches of ``NLS_CHUNK``.  The
+symbolic ``liealg.jacobi`` still goes trial by trial.  The
+structure-equation checks (``multiplier.ode_oracle_*``,
+``multiplier.structure_consistency``) evaluate each frame once, on a
+time jet over the whole batch.  A grid
 that leaves a function's domain raises ``DomainError``, which fails its
 check.  The CLI wraps these; the acceptance tests drive the same
 functions at their own trial counts.  Per-check generators are seeded
@@ -29,6 +30,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -948,22 +950,28 @@ for _family, (_what, *_case) in _TRANSFORMED.items():
         _transformed_check(_family, *_case))
 
 
+# trials of residual.transformed_nls per batch: at 14^3 a batch of 3 has a
+# tracemalloc peak of 1.40 MB, below the 1.81 MB of transformed_disk, the
+# largest of any check in a verify-all pass, so the pass's peak memory does
+# not rise; batches of 5 reach 2.23 MB and all 15 trials 6.59 MB
+NLS_CHUNK = 3
+
+
 @_register("residual", "transformed_nls", "transformed plane waves still solve the cubic equation", 1e-9, 15, families=("nls2d",))
 def _res_tr_nls(cfg, rng, trials):
-    """Per trial: each trial is already a 14^3-point grid, and a batch of
-    them holds every trial's jets at once.  On a 2-vCPU Xeon (numpy 2.4,
-    best of six rounds), 15 trials take 13.5 ms one at a time at a
-    tracemalloc peak of 0.9 MB, 8.7 ms in chunks of 3 at 2.8 MB and 12.6 ms
-    as one batch at 13.9 MB; chunks of 3 raise the peak RSS of a process
-    running verify all from 41.5 to 42.9 MB (+3.4 %), against the
-    benchmark's 5 % bound on it.  A trial costs 0.33 us a point at 14^3 and
-    0.26 us at 37^3, where the multiplier and the plane wave are products
-    of per-axis factors (``Frame.multiplier``, ``plane_wave_nls``)."""
+    """In batches of ``NLS_CHUNK`` trials, each a 14^3-point grid.  On a
+    2-vCPU Xeon (Python 3.11, numpy 2.4, best of 20 rounds), the 15 trials
+    take 11.9 ms one at a time, 6.0 ms in batches of 3 and 3.9 ms as one
+    batch.  A point costs 0.24 us in a trial alone and 0.13 us in a batch
+    of 3 at 14^3, and 0.07 us at 37^3: each factor of the plane wave times
+    the multiplier's factor of its axis spans one space axis
+    (``solutions.paired``), and only their product spans the grid."""
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
     grid = GridSpec(T_RANGE, X_RANGE)
-    for _ in range(trials):
-        yield verify_transformed_solution(fn, element_for_family(rng, spec), spec, grid).max_rel
+    for start in range(0, trials, NLS_CHUNK):
+        l = element_for_family(rng, spec, size=min(NLS_CHUNK, trials - start))
+        yield verify_transformed_solution(fn, l, spec, grid).max_rel
 
 
 @_register("residual", "intertwining_nonsolution", "operator identity holds on functions that do not solve", 1e-9, 20)
@@ -1117,15 +1125,27 @@ def _lie_eigen(cfg, rng, trials):
 
 @_register("liealg", "jacobi", "composition is associative and brackets satisfy Jacobi", 1e-12, 15)
 def _lie_jacobi(cfg, rng, trials):
+    """Each pair of basis operators is composed, and bracketed, once per
+    check, however often the trials draw it."""
     g = generators_linear(cfg.k, cfg.alpha, cfg.beta)
     basis = [g.L3, g.Lplus, g.Lminus, g.T1, g.T2, g.unit]
+
+    @cache
+    def pair(i, j):
+        return basis[i].compose(basis[j])
+
+    @cache
+    def bracket(i, j):  # basis[i].commutator(basis[j])
+        return pair(i, j) - pair(j, i)
+
     for _ in range(trials):
-        a, b, c = (basis[rng.integers(0, len(basis))] for _ in range(3))
-        assoc = a.compose(b).compose(c).max_abs_diff(a.compose(b.compose(c)))
+        i, j, m = (int(rng.integers(0, len(basis))) for _ in range(3))
+        a, b, c = basis[i], basis[j], basis[m]
+        assoc = pair(i, j).compose(c).max_abs_diff(a.compose(pair(j, m)))
         jac = (
-            a.commutator(b.commutator(c))
-            + b.commutator(c.commutator(a))
-            + c.commutator(a.commutator(b))
+            a.commutator(bracket(j, m))
+            + b.commutator(bracket(m, i))
+            + c.commutator(bracket(i, j))
         ).max_abs_diff(0.0 * g.unit)
         yield from (assoc, jac)
 

@@ -196,7 +196,6 @@ def test_uniform_rows_are_the_draws_of_a_per_trial_loop():
 
 # checks that draw several trials and still evaluate them one at a time
 PER_TRIAL = {
-    "residual.transformed_nls": "each trial is a 14^3-point grid; a batch holds them all at once",
     "liealg.jacobi": "symbolic DiffOp algebra, which has no array axis",
     "multiplier.cocycle_variant_resolution": "batched; folds both batches into one pass/fail",
 }
