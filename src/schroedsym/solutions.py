@@ -137,17 +137,15 @@ class FormulaFn(SmoothFn):
         self.rate = rate
 
     def factors_at(self, tj, xjs):
-        return self._factors(tj if self.rate is None else jets.exp(self.rate * tj), xjs)
+        out = self.formula(tj if self.rate is None else jets.exp(self.rate * tj), *xjs)
+        return out if isinstance(out, tuple) else (out,)
 
     def jet_s(self, s, x, order):
         """Jet in the exponential variable itself."""
         if self.rate is None:
             raise DomainError("function is not represented in the exponential variable")
-        return reduce(operator.mul, self._factors(*self._seed(s, x, order)))
-
-    def _factors(self, first, xjs):
-        out = self.formula(first, *xjs)
-        return out if isinstance(out, tuple) else (out,)
+        sj, xjs = self._seed(s, x, order)
+        return self.formula(sj, *xjs)
 
     def s_of_t(self, t):
         if self.rate is None:

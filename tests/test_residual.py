@@ -233,18 +233,13 @@ GRADED_IDS = ["linear", "inverse_quadratic", "quadratic", "disk", "nls", "K0",
               "f1", "f2", "intertwining_linear"]
 
 
-def _seeds(grid, ndim):
-    t, xs = grid.points(ndim)
-    return jets.Jet.variable(t, 0, 1 + ndim, 2), [jets.Jet.variable(x, 1 + i, 1 + ndim, 2)
-                                                  for i, x in enumerate(xs)]
-
-
 @pytest.mark.parametrize("size", [None, 3], ids=["one", "batch"])
 def test_nls_pullback_factors_each_span_one_space_axis(size):
     nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
     fn = transformed(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(RNG, size=size), nls)
     batch = () if size is None else (size,)
-    shapes = [f.block.shape[1:] for f in fn.factors_at(*_seeds(GRID_9_11, 2))]
+    t, xs = GRID_9_11.points(2)
+    shapes = [f.block.shape[1:] for f in fn.factors_at(*fn._seed(t, xs, 2))]
     assert shapes == [batch + (9, 11, 1), batch + (9, 1, 11)]
 
 
@@ -252,7 +247,8 @@ def test_nls_pullback_matches_the_product_of_the_whole_factors():
     # the pairs (b1 K1)(b2 K2) against (b1 b2)(K1 K2), the order before pairing
     nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
     base, l = plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(RNG, size=3)
-    tj, xjs = _seeds(GRID_9_11, 2)
+    t, xs = GRID_9_11.points(2)
+    tj, xjs = base._seed(t, xs, 2)
     fr = coords.frame(residual._batch_first(l, 3), nls, tj)
     b1, b2 = base.factors_at(fr.tp, fr.space(xjs))
     k1, k2 = fr.multiplier_factors(xjs)
@@ -268,7 +264,8 @@ def test_nls_pullback_matches_the_product_of_the_whole_factors():
 def test_one_coordinate_pullback_is_the_base_times_the_multiplier(case):
     # bit for bit the product before pullbacks paired factors
     fn, spec, grid = _graded_cases(np.random.default_rng(5))[case]
-    tj, xjs = _seeds(grid, 1)
+    t, xs = grid.points(1)
+    tj, xjs = fn._seed(t, xs[0], 2)
     fr = fn.frame(tj)
     want, got = fn.base.jet_at(fr.tp, fr.space(xjs)) * fr.multiplier(xjs), fn.jet_at(tj, xjs)
     assert got.support == want.support and np.array_equal(got.block, want.block)
