@@ -17,13 +17,13 @@ import sys
 
 import numpy as np
 
-from .coords import FamilySpec
+from .coords import FAMILIES, FamilySpec
 from .errors import ConfigError, SchroedSymError
 from .group import GroupElement, Mat2
 from .residual import residual_arrays, transformed
 from .sampling import element_for_family
 from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
-from .suites import RunConfig, SuiteReport, run_suite
+from .suites import RunConfig, SuiteReport, run_suite, suite_names
 
 
 # the demo's sampling window; f2 and power leave their domains (t > 0,
@@ -41,8 +41,7 @@ def _build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file; explicit flags win")
-    common.add_argument("--family", choices=["free", "inverse_quadratic", "linear",
-                                             "quadratic", "ndim_linear", "nls2d"])
+    common.add_argument("--family", choices=FAMILIES)
     common.add_argument("--k", type=complex, help="real or purely imaginary, e.g. 0.7j")
     common.add_argument("--alpha", type=float)
     common.add_argument("--beta", type=float)
@@ -54,8 +53,7 @@ def _build_parser():
     common.add_argument("--out", help="write the report/records here instead of stdout")
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    pv.add_argument("target", choices=["all", "group", "coords", "multiplier",
-                                       "solutions", "residual", "liealg"])
+    pv.add_argument("target", choices=["all", *suite_names()])
 
     pd = sub.add_parser("demo-transform", parents=[common],
                         help="write samples of a transformed solution")

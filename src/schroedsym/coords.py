@@ -73,6 +73,10 @@ class FamilySpec:
             _real_or_imaginary(self.omega, "omega")
         if self.n < 1:
             raise DomainError("dimension must be >= 1")
+        if self.family == INVERSE_QUADRATIC and self.n != 1:  # alpha/|x|^2 is no sum over x_j
+            raise DomainError("the inverse-quadratic family has one space coordinate")
+        if self.family == NLS2D and (self.n != 2 or abs(np.real(self.k)) > 1e-12 * abs(self.k)):
+            raise DomainError("the 2-d NLS family needs n = 2 and purely imaginary k")
 
     # convenience constructors ------------------------------------------------
 
@@ -81,8 +85,8 @@ class FamilySpec:
         return cls(FREE, k, n=n)
 
     @classmethod
-    def inverse_quadratic(cls, k, alpha, n=1):
-        return cls(INVERSE_QUADRATIC, k, alpha=alpha, n=n)
+    def inverse_quadratic(cls, k, alpha):
+        return cls(INVERSE_QUADRATIC, k, alpha=alpha)
 
     @classmethod
     def linear(cls, k, alpha, beta):
@@ -98,8 +102,6 @@ class FamilySpec:
 
     @classmethod
     def nls2d(cls, k, coupling=1.0):
-        if abs(np.real(k)) > 1e-12 * abs(k):
-            raise DomainError("the 2-d NLS family needs purely imaginary k")
         return cls(NLS2D, k, n=2, coupling=coupling)
 
     @property
@@ -123,6 +125,11 @@ class FamilySpec:
     def komega_is_real(self):
         kw = self.komega
         return abs(np.imag(kw)) <= 1e-12 * max(abs(kw), 1.0)
+
+    @property
+    def period(self):
+        """2 pi/|4 k omega|, the period of the time at purely imaginary k*omega."""
+        return 2.0 * np.pi / abs(4.0 * self.komega)
 
 
 def forcing(k, v_from, v_to, xi, f):
@@ -264,9 +271,8 @@ def _quadratic_time(up, t, kw, spec):
             raise BranchError("u' landed on the branch cut of the logarithm")
         return jets.log(up) / (4.0 * kw)
     tp = jets.log(up) / (4.0 * kw)
-    period = 2.0 * np.pi / abs(4.0 * kw)
     t0 = jets.value_of(t)
-    shift = np.round(np.real(t0 - jets.value_of(tp)) / period) * period
+    shift = np.round(np.real(t0 - jets.value_of(tp)) / spec.period) * spec.period
     return tp + shift
 
 
@@ -427,9 +433,8 @@ def reality_domain_check(l: GroupElement, t, spec: FamilySpec):
     """
     if spec.family != QUADRATIC:
         raise DomainError("reality_domain_check needs the quadratic family")
-    kw = spec.k * spec.omega
     if spec.komega_is_real:
-        u = np.exp(4.0 * np.real(kw) * np.real(t))
+        u = np.exp(4.0 * np.real(spec.komega) * np.real(t))
         den = l.a * u + l.b
         num = l.c * u + l.d
         real = [np.abs(np.imag(v)) <= 1e-10 * np.maximum(1.0, np.abs(v)) for v in (den, num)]

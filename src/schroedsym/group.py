@@ -22,6 +22,7 @@ from . import jets
 from .errors import DeterminantError, DomainError, ZeroK, ZeroOmega
 
 DET_TOL = 1e-12
+REAL_TOL = 1e-12  # of the reality and sign predicates
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ class Mat2:
         """Matrix action on a translation pair."""
         return self.c * mu + self.d * nu, self.a * mu + self.b * nu
 
-    def is_real(self, tol=1e-12):
-        """Per entry: every matrix entry has |imaginary part| <= tol."""
-        return ((np.abs(np.imag(self.a)) <= tol) & (np.abs(np.imag(self.b)) <= tol)
-                & (np.abs(np.imag(self.c)) <= tol) & (np.abs(np.imag(self.d)) <= tol))
+    def is_real(self):
+        """Per entry: every matrix entry has |imaginary part| <= REAL_TOL."""
+        return ((np.abs(np.imag(self.a)) <= REAL_TOL) & (np.abs(np.imag(self.b)) <= REAL_TOL)
+                & (np.abs(np.imag(self.c)) <= REAL_TOL) & (np.abs(np.imag(self.d)) <= REAL_TOL))
 
     def as_array(self):
         """The matrix, with any batch axes leading: shape batch + (2, 2)."""
@@ -183,8 +184,8 @@ def is_disk_shaped(m: Mat2, tol=1e-10):
     return (np.abs(m.c - np.conj(m.b)) <= tol) & (np.abs(m.d - np.conj(m.a)) <= tol)
 
 
-def is_semigroup_admissible(l: GroupElement, tol=1e-12):
-    """Per entry: all four matrix entries real and nonnegative, so the
-    transformed time stays real for every positive Mobius variable."""
-    return (l.m.is_real(tol) & (np.real(l.a) >= -tol) & (np.real(l.b) >= -tol)
-            & (np.real(l.c) >= -tol) & (np.real(l.d) >= -tol))
+def is_semigroup_admissible(l: GroupElement):
+    """Per entry: all four matrix entries real and nonnegative to REAL_TOL,
+    so the transformed time stays real for every positive Mobius variable."""
+    return (l.m.is_real() & (np.real(l.a) >= -REAL_TOL) & (np.real(l.b) >= -REAL_TOL)
+            & (np.real(l.c) >= -REAL_TOL) & (np.real(l.d) >= -REAL_TOL))

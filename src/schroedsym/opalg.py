@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyMismatch, OrderError, ZeroK, ZeroOmega
+from .coords import FamilySpec
+from .errors import FamilyMismatch, OrderError
 
 EQ_TOL = 1e-13
 
@@ -115,11 +116,11 @@ class DiffOp:
         return max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()),
                    default=0.0)
 
-    def equals(self, other, tol=EQ_TOL) -> bool:
-        return self.max_abs_diff(other) <= tol
+    def equals(self, other) -> bool:
+        return self.max_abs_diff(other) <= EQ_TOL
 
-    def is_zero(self, tol=EQ_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return all(abs(c) <= EQ_TOL for c in self.terms.values())
 
     def apply(self, fn, z):
         """Numeric action on a jet-backed function at a point.
@@ -226,13 +227,18 @@ def _op(family):
     return mono
 
 
-def generators_linear(k, alpha, beta) -> GeneratorSet:
+def _evolution(D, k, spec: FamilySpec):
+    """The evolution operator D - k d2^2 + k V of ``spec``'s potential V,
+    with D the time derivative in the variables of D's family."""
+    return (D - DiffOp.monomial(D.family, k, n=2)
+            + k * DiffOp.from_poly(D.family, {(0, p): c for p, c in spec.potential.items()}))
+
+
+def generators_linear(spec: FamilySpec) -> GeneratorSet:
     """Symmetry generators of the linear-potential family in (t, x)."""
-    if k == 0:
-        raise ZeroK("k must be nonzero")
     # numpy scalars, so that an overflow of the algebra raises under
     # numpy's error state (``Check.run``) instead of reading inf
-    k, alpha, beta = (np.asarray(v)[()] for v in (k, alpha, beta))
+    k, alpha, beta = (np.asarray(v)[()] for v in (spec.k, spec.alpha, spec.beta))
     mono = _op(LINEAR_VARS)
     k2b = k * k * beta
     k3b2 = k ** 3 * beta ** 2
@@ -257,8 +263,8 @@ def generators_linear(k, alpha, beta) -> GeneratorSet:
     T1 = mono(1.0, 0, 0, 0, 1) + mono(k * beta, 1, 0)
     T2 = mono(1.0, 1, 0, 0, 1) + mono(0.5 / k, 0, 1) + mono(0.5 * k * beta, 2, 0)
     unit = mono(1.0)
-    Kop = mono(1.0, 0, 0, 1, 0) - mono(k, 0, 0, 0, 2) + mono(k * alpha) + mono(k * beta, 0, 1)
     D = mono(1.0, 0, 0, 1, 0)
+    Kop = _evolution(D, k, spec)
     return GeneratorSet(
         LINEAR_VARS, L3, Lp, Lm, T1, T2, unit,
         L3 - unit, Lp, Lm + mono(2.0, 1, 0), T1, T2,
@@ -266,17 +272,14 @@ def generators_linear(k, alpha, beta) -> GeneratorSet:
     )
 
 
-def generators_quadratic(k, alpha, omega) -> GeneratorSet:
+def generators_quadratic(spec: FamilySpec) -> GeneratorSet:
     """Symmetry generators of the oscillator family in (s, x), s = e^{2 k omega t}.
 
     With u = s^2 and d/du = (1/2s) d/ds, the exponential-variable forms
     become Laurent polynomials in s.
     """
-    if k == 0:
-        raise ZeroK("k must be nonzero")
-    if omega == 0:
-        raise ZeroOmega("omega must be nonzero")
-    k, alpha, omega = (np.asarray(v)[()] for v in (k, alpha, omega))  # as in generators_linear
+    # numpy scalars, as in generators_linear
+    k, alpha, omega = (np.asarray(v)[()] for v in (spec.k, spec.alpha, spec.omega))
     mono = _op(QUADRATIC_VARS)
     a4w = alpha / (4.0 * omega)
     L3 = -1.0 * (mono(0.5, 1, 0, 1, 0) + mono(a4w))
@@ -297,7 +300,7 @@ def generators_quadratic(k, alpha, omega) -> GeneratorSet:
     unit = mono(1.0)
     # d/dt = 2 k omega s d/ds
     D = mono(2.0 * k * omega, 1, 0, 1, 0)
-    Kop = D - mono(k, 0, 0, 0, 2) + mono(k * alpha) + mono(k * omega ** 2, 0, 2)
+    Kop = _evolution(D, k, spec)
     return GeneratorSet(
         QUADRATIC_VARS, L3, Lp, Lm, T1, T2, unit,
         L3, Lp - mono(1.0, -2, 0), Lm + mono(1.0, 2, 0), T1, T2,
@@ -318,10 +321,8 @@ def casimir_I3(g: GeneratorSet) -> DiffOp:
     return -1.0 * casimir_I2(g) + weight * tail
 
 
-def intertwine_check(g: GeneratorSet, kop: DiffOp, tol=EQ_TOL) -> bool:
+def intertwine_check(g: GeneratorSet, kop: DiffOp) -> bool:
     """tilde(gen) . K == K . gen for all five generators."""
     if kop.family != g.family:
         raise FamilyMismatch("operator belongs to the other family")
-    return all(
-        gt.compose(kop).equals(kop.compose(gen), tol) for gt, gen in g.pairs()
-    )
+    return all(gt.compose(kop).equals(kop.compose(gen)) for gt, gen in g.pairs())

@@ -28,16 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .coords import (
-    FREE,
-    INVERSE_QUADRATIC,
-    LINEAR,
-    NDIM_LINEAR,
-    NLS2D,
-    QUADRATIC,
-    FamilySpec,
-    frame,
-)
+from .coords import LINEAR, NLS2D, QUADRATIC, FamilySpec, frame
 from .errors import DomainError
 from .group import GroupElement, Mat2
 from .jets import Jet, value_of
@@ -97,19 +88,17 @@ class ResidualReport:
 
 
 def potential(spec: FamilySpec, xs):
-    """V(x); ``xs`` is a list of per-coordinate arrays (or scalars)."""
-    if spec.family in (FREE, NLS2D):
-        return 0.0
-    if spec.family == INVERSE_QUADRATIC:
-        x2 = sum(np.asarray(x) ** 2 for x in xs)
-        return spec.alpha / x2
-    if spec.family == LINEAR:
-        return spec.alpha + spec.beta * np.asarray(xs[0])
-    if spec.family == QUADRATIC:
-        return spec.alpha + spec.omega ** 2 * np.asarray(xs[0]) ** 2
-    if spec.family == NDIM_LINEAR:
-        return sum(spec.alpha + spec.beta * np.asarray(x) for x in xs)
-    raise DomainError(f"no potential for family {spec.family!r}")
+    """V(x), the sum over the coordinates x_j of the one-coordinate
+    potential ``spec.potential``; ``xs`` is a list of per-coordinate arrays
+    (or scalars).  A negative power divides: c / x^-p."""
+    coefs = spec.potential.items()
+    total = 0.0
+    for x in map(np.asarray, xs):
+        v = 0.0
+        for p, c in coefs:
+            v = v + (c if p == 0 else c * x ** p if p > 0 else c / x ** -p)
+        total = total + v
+    return total
 
 
 def _residual(spec: FamilySpec, psi_t, laplacian, psi, xs):
@@ -132,16 +121,14 @@ def _residual_from_jet(j, spec: FamilySpec, xs):
 def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
     """Vectorized residual and value over point arrays; float64 for a real
     family on real points (the dtype rule of ``jets``)."""
-    x_arg = xs[0] if fn.ndim == 1 else tuple(xs)
-    j = fn.jet(t, x_arg, 2)
+    j = fn.jet(t, xs, 2)
     return _residual_from_jet(j, spec, xs), j.value
 
 
 def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
     """Centered second-order stencils on function values."""
     def val(tv, xvs):
-        x_arg = xvs[0] if fn.ndim == 1 else tuple(xvs)
-        return fn.jet(tv, x_arg, 0).value
+        return fn.jet(tv, xvs, 0).value
 
     psi = val(t, xs)
     pt = (val(t + h, xs) - val(t - h, xs)) / (2.0 * h)

@@ -374,14 +374,19 @@ class AiryFn:
         of the shape of ``x``."""
         if max_order > 3:
             raise DomainError("quadrature moments implemented to order 3")
-        p = self.spec.alpha + self.spec.beta * np.asarray(x)
-        return _contour_integral(p, self.spec.beta, tuple(range(max_order + 1)))
+        return _contour_integral(self._shifted_potential(x), self.spec.beta,
+                                 tuple(range(max_order + 1)))
+
+    def _shifted_potential(self, x):
+        """alpha + beta x = V(x) - E: the quadrature's argument p and the
+        coefficient of u in the bound-state equation."""
+        return self.spec.alpha + self.spec.beta * np.asarray(x)
 
     def ode_residual(self, x):
         """-u'' + beta x u - E u with E = -alpha; zero for the true
         bound-state profile."""
         u, _, upp = self.derivatives(x, 2)
-        return -upp + (self.spec.beta * x + self.spec.alpha) * u
+        return -upp + self._shifted_potential(x) * u
 
 
 def eigenvalue_scan(spec: AirySpec, e_range):

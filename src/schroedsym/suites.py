@@ -431,8 +431,7 @@ def _homomorphism_check(family):
         joint = act(compose(l1, l2), z, spec)
         dt = abs(seq.t - joint.t)
         if spec.family == "quadratic" and not spec.komega_is_real:
-            period = 2.0 * np.pi / abs(4.0 * spec.k * spec.omega)
-            dt = np.minimum(dt, abs(dt - period))
+            dt = np.minimum(dt, abs(dt - spec.period))
         yield from (dt, abs(seq.x1 - joint.x1))
     return check
 
@@ -1018,17 +1017,17 @@ def _res_roundtrip(cfg, rng, trials):
 
 @_register("liealg", "table_linear", "full bracket table of the linear-family algebra", 1e-13, families=("linear",))
 def _lie_table_linear(cfg, rng, trials):
-    yield generators_linear(cfg.k, cfg.alpha, cfg.beta).commutator_table_defect()
+    yield generators_linear(cfg.specs()["linear"]).commutator_table_defect()
 
 
 @_register("liealg", "table_quadratic", "full bracket table of the oscillator algebra", 1e-13, families=("quadratic",))
 def _lie_table_quadratic(cfg, rng, trials):
-    yield generators_quadratic(cfg.k, cfg.alpha, cfg.omega).commutator_table_defect()
+    yield generators_quadratic(cfg.specs()["quadratic"]).commutator_table_defect()
 
 
 @_register("liealg", "evolution_identity_linear", "evolution operator is an enveloping-algebra element, linear family", 1e-13, families=("linear",))
 def _lie_evol_linear(cfg, rng, trials):
-    g = generators_linear(cfg.k, cfg.alpha, cfg.beta)
+    g = generators_linear(cfg.specs()["linear"])
     k1 = g.Lplus - g.k * g.T1.compose(g.T1)
     d = g.Lplus - (2.0 * g.k ** 2 * g.beta) * g.T2 - (g.k * g.alpha) * g.unit
     yield from (k1.max_abs_diff(g.Kop), d.max_abs_diff(g.D))
@@ -1036,7 +1035,7 @@ def _lie_evol_linear(cfg, rng, trials):
 
 @_register("liealg", "evolution_identity_quadratic", "evolution operator is an enveloping-algebra element, oscillator family", 1e-13, families=("quadratic",))
 def _lie_evol_quadratic(cfg, rng, trials):
-    g = generators_quadratic(cfg.k, cfg.alpha, cfg.omega)
+    g = generators_quadratic(cfg.specs()["quadratic"])
     k2 = (-4.0 * g.k * g.omega) * g.L3 - (0.5 * g.k) * (
         g.T1.compose(g.T2) + g.T2.compose(g.T1))
     d = (-4.0 * g.k * g.omega) * g.L3 - (g.k * g.alpha) * g.unit
@@ -1045,8 +1044,8 @@ def _lie_evol_quadratic(cfg, rng, trials):
 
 @_register("liealg", "intertwine", "conjugated generators intertwine with the evolution operator", 0.5, structural=True)
 def _lie_intertwine(cfg, rng, trials):
-    gl = generators_linear(cfg.k, cfg.alpha, cfg.beta)
-    gq = generators_quadratic(cfg.k, cfg.alpha, cfg.omega)
+    sp = cfg.specs()
+    gl, gq = generators_linear(sp["linear"]), generators_quadratic(sp["quadratic"])
     if not (intertwine_check(gl, gl.Kop) and intertwine_check(gq, gq.Kop)):
         yield 1.0
     # falsification control: a perturbed lowering operator must fail
@@ -1067,8 +1066,8 @@ def _lie_intertwine(cfg, rng, trials):
 
 @_register("liealg", "casimir_cubic", "cubic invariant is the constant 3/16", 1e-13)
 def _lie_i3(cfg, rng, trials):
-    gl = generators_linear(cfg.k, cfg.alpha, cfg.beta)
-    gq = generators_quadratic(cfg.k, cfg.alpha, cfg.omega)
+    sp = cfg.specs()
+    gl, gq = generators_linear(sp["linear"]), generators_quadratic(sp["quadratic"])
     dl = (casimir_I3(gl) - (3.0 / 16.0) * gl.unit).max_abs_diff(0.0 * gl.unit)
     dq = (casimir_I3(gq) - (3.0 / 16.0) * gq.unit).max_abs_diff(0.0 * gq.unit)
     yield from (dl, dq)
@@ -1076,13 +1075,13 @@ def _lie_i3(cfg, rng, trials):
 
 @_register("liealg", "casimir_factorization", "quadratic invariant factors through the evolution operator", 1e-13)
 def _lie_i2(cfg, rng, trials):
-    k = cfg.k
-    gl = generators_linear(k, cfg.alpha, cfg.beta)
+    k, sp = cfg.k, cfg.specs()
+    gl = generators_linear(sp["linear"])
     poly = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1) - DiffOp.monomial(LINEAR_VARS, k * k * cfg.beta, 2, 0)
     lhs = casimir_I2(gl)
     rhs = (3.0 / 16.0) * gl.unit + (poly.compose(poly) * (0.25 / k)).compose(gl.Kop)
     dl = lhs.max_abs_diff(rhs)
-    gq = generators_quadratic(k, cfg.alpha, cfg.omega)
+    gq = generators_quadratic(sp["quadratic"])
     rhsq = (3.0 / 16.0) * gq.unit + DiffOp.monomial(QUADRATIC_VARS, 0.25 / k, 0, 2).compose(gq.Kop)
     dq = casimir_I2(gq).max_abs_diff(rhsq)
     yield from (dl, dq)
@@ -1090,7 +1089,7 @@ def _lie_i2(cfg, rng, trials):
 
 @_register("liealg", "casimir_commutes", "invariants commute with the subalgebra", 1e-13)
 def _lie_casimir_comm(cfg, rng, trials):
-    gl = generators_linear(cfg.k, cfg.alpha, cfg.beta)
+    gl = generators_linear(cfg.specs()["linear"])
     i2 = casimir_I2(gl)
     i3 = casimir_I3(gl)
     yield from (
@@ -1102,10 +1101,9 @@ def _lie_casimir_comm(cfg, rng, trials):
 
 @_register("liealg", "eigenrelations", "weight and coherent states have the stated eigenvalues", 1e-10, 50)
 def _lie_eigen(cfg, rng, trials):
-    gl = generators_linear(cfg.k, cfg.alpha, cfg.beta)
-    gq = generators_quadratic(cfg.k, cfg.alpha, cfg.omega)
-    lspec = cfg.specs()["linear"]
-    qspec = cfg.specs()["quadratic"]
+    sp = cfg.specs()
+    lspec, qspec = sp["linear"], sp["quadratic"]
+    gl, gq = generators_linear(lspec), generators_quadratic(qspec)
     f1, f2 = f_pair(lspec)
     g1, g2, g3 = g_functions(qspec, gamma=0.8)
     i2 = casimir_I2(gl)
@@ -1127,7 +1125,7 @@ def _lie_eigen(cfg, rng, trials):
 def _lie_jacobi(cfg, rng, trials):
     """Each pair of basis operators is composed, and bracketed, once per
     check, however often the trials draw it."""
-    g = generators_linear(cfg.k, cfg.alpha, cfg.beta)
+    g = generators_linear(cfg.specs()["linear"])
     basis = [g.L3, g.Lplus, g.Lminus, g.T1, g.T2, g.unit]
 
     @cache
@@ -1152,8 +1150,8 @@ def _lie_jacobi(cfg, rng, trials):
 
 @_register("liealg", "time_derivative_stays", "time derivatives of solutions remain solutions", 1e-10, 10)
 def _lie_dpower(cfg, rng, trials):
-    g = generators_linear(cfg.k, cfg.alpha, cfg.beta)
     spec = cfg.specs()["linear"]
+    g = generators_linear(spec)
     f1, _ = f_pair(spec)
     op = g.Kop.compose(g.D.compose(g.D))
     z = Point(*_uniforms(rng, trials, (0.2, 1.0), (-1.2, 1.2)))

@@ -50,6 +50,20 @@ def test_family_spec_validation():
         FamilySpec.nls2d(1.0)
 
 
+def test_family_rules_hold_for_the_plain_constructor():
+    # the 2-d NLS family: imaginary k and two coordinates; the
+    # inverse-quadratic one: one coordinate, since alpha/|x|^2 is not a sum
+    # over coordinates
+    for k, n in ((0.7, 2), (0.7j, 1), (0.7j, 3)):
+        with pytest.raises(DomainError):
+            FamilySpec("nls2d", k, n=n)
+    with pytest.raises(DomainError):
+        FamilySpec("inverse_quadratic", 0.7, alpha=2.0, n=2)
+    with pytest.raises(TypeError):
+        FamilySpec.inverse_quadratic(0.7, 2.0, n=2)
+    assert FamilySpec("nls2d", 0.7j, n=2) == FamilySpec.nls2d(0.7j)
+
+
 def test_inverse_quadratic_action_specials():
     z = Point(0.2, 0.5)
     ident = act(GroupElement.identity(), z, INVQ)

@@ -1,6 +1,7 @@
-"""Every module-level import of the package is read somewhere in its module:
-an unused import makes dead code look used.  The package's attribute of
-each submodule's name is that submodule."""
+"""Every module-level import of the package is read somewhere in its module,
+and every function and method it defines is read somewhere in the package:
+an unused import or function makes dead code look used.  The package's
+attribute of each submodule's name is that submodule."""
 
 import ast
 import importlib
@@ -24,6 +25,35 @@ def test_every_module_level_import_is_read(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+# read by the tests and the benchmark only: the registry's public entry point
+UNREAD_BY_DESIGN = {"suites.run_named_check"}
+
+
+def _registered(fn):
+    """Whether ``fn`` is a check body, decorated with ``suites._register``."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+               for d in fn.decorator_list)
+
+
+def test_every_function_defined_in_src_is_read_in_src():
+    # read: loaded as a name or as an attribute anywhere in the package;
+    # dunders are read by the language
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    unread = [
+        f"{stem}.{n.name}" for stem, tree in trees.items() for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name not in read
+        and not (n.name.startswith("__") and n.name.endswith("__")) and not _registered(n)
+    ]
+    assert sorted(set(unread) - UNREAD_BY_DESIGN) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

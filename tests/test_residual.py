@@ -57,6 +57,38 @@ def test_residual_arrays_at_points_of_known_solutions():
     assert abs(residual_arrays(bad, LIN, 0.2, [0.4])[0]) > 1e-3
 
 
+def test_potential_is_the_spec_potential_summed_over_coordinates():
+    # bit for bit the closed forms, summed coordinate by coordinate
+    x1, x2 = np.array([0.3, -1.1, 2.0]), np.array([0.7, 0.4, -0.2])
+    assert residual.potential(FamilySpec.free(0.7, n=2), [x1, x2]) == 0.0
+    np.testing.assert_array_equal(residual.potential(LIN, [x1]), 0.3 + 0.9 * x1)
+    np.testing.assert_array_equal(residual.potential(QUAD, [x1]), 0.4 + 0.6 ** 2 * x1 ** 2)
+    invq = FamilySpec.inverse_quadratic(0.7, 2.0)
+    np.testing.assert_array_equal(residual.potential(invq, [x1]), 2.0 / x1 ** 2)
+    ndim = FamilySpec.ndim_linear(0.7, 0.3, 0.9, 2)
+    np.testing.assert_array_equal(residual.potential(ndim, [x1, x2]),
+                                  (0.3 + 0.9 * x1) + (0.3 + 0.9 * x2))
+
+
+def test_a_slipped_linear_potential_fails_the_residual_and_the_evolution_identity(monkeypatch):
+    # FamilySpec.potential is the one statement of the potential: the
+    # residual and the evolution operator read it
+    names = ("residual.self_residuals", "liealg.evolution_identity_linear")
+    cfg = suites.RunConfig(seed=7)
+    assert all(suites.run_named_check(name, cfg).passed for name in names)
+    stated = FamilySpec.potential.fget
+
+    def slipped(spec):
+        v = stated(spec)
+        if spec.family == coords.LINEAR:
+            v[1] *= 1.0 + 1e-9
+        return v
+
+    monkeypatch.setattr(FamilySpec, "potential", property(slipped))
+    for name in names:
+        assert not suites.run_named_check(name, cfg).passed, name
+
+
 def test_grid_residual_modes_and_order():
     _, f2 = f_pair(LIN)
     rep = grid_residual(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0)))
