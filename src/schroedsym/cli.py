@@ -30,6 +30,7 @@ from .suites import RunConfig, SuiteReport, run_suite, suite_names
 # x > 0) on it, so they get their own unless a range flag is set
 _DEMO_RANGE = {"t_min": -0.4, "t_max": 0.6, "x_min": -1.2, "x_max": 1.2}
 _DEMO_WINDOWS = {"f2": {"t_min": 0.4, "t_max": 1.0}, "power": {"x_min": 0.4, "x_max": 1.8}}
+FORMATS = ("text", "json")  # of the report; a config file's format is checked against it
 
 
 def _build_parser():
@@ -49,7 +50,7 @@ def _build_parser():
     common.add_argument("--seed", type=int)
     common.add_argument("--trials", type=int)
     common.add_argument("--tol", type=float)
-    common.add_argument("--format", choices=["text", "json"], default=None)
+    common.add_argument("--format", choices=FORMATS, default=None)
     common.add_argument("--out", help="write the report/records here instead of stdout")
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -117,6 +118,8 @@ def _merge_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged.get("format", "text") not in FORMATS:
+        raise ConfigError(f"unknown format {merged['format']!r}; choose from {list(FORMATS)}")
     return merged
 
 

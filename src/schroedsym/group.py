@@ -179,9 +179,9 @@ def disk_parametrize(p: DiskParams) -> GroupElement:
     return GroupElement(Mat2(np.conj(b), np.conj(a), a, b), 0.0, 0.0)
 
 
-def is_disk_shaped(m: Mat2, tol=1e-10):
-    """Per entry: c = b*, d = a* within tolerance."""
-    return (np.abs(m.c - np.conj(m.b)) <= tol) & (np.abs(m.d - np.conj(m.a)) <= tol)
+def is_disk_shaped(m: Mat2):
+    """Per entry: c = b*, d = a* to 1e-10."""
+    return (np.abs(m.c - np.conj(m.b)) <= 1e-10) & (np.abs(m.d - np.conj(m.a)) <= 1e-10)
 
 
 def is_semigroup_admissible(l: GroupElement):

@@ -162,10 +162,11 @@ def test_cli_config_file_flags_win(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense 1\n")
     assert main(["verify", "group", "--config", str(bad)]) == 2
-    for line in ("who = 1\n", "n = 3\n"):
+    # unknown keys, and values outside the choices the flags enforce
+    for line in ("who = 1\n", "n = 3\n", "family = nonsense\n", "format = xml\n"):
         unknown = tmp_path / "unknown.cfg"
         unknown.write_text(line)
-        assert main(["verify", "group", "--config", str(unknown)]) == 2
+        assert main(["verify", "group", "--config", str(unknown)]) == 2, line
 
 
 def test_json_report_shape_and_determinism(tmp_path):
@@ -292,3 +293,11 @@ def test_demo_transform_theta_modular_ratio(tmp_path):
     eps = ratios[0]
     assert abs(eps ** 8 - 1.0) < 1e-8
     assert max(abs(r - eps) for r in ratios) < 1e-8
+
+
+@pytest.mark.parametrize("flags", [["--k", "-0.7"], ["--omega", "-0.6"],
+                                   ["--k", "0.1", "--omega", "0.1"]])
+def test_reality_domain_control_holds_at_every_real_k_omega(flags):
+    # the sign-flip control acts where exp(4 k omega t) = 4, which makes
+    # a u + b = -1 whatever the sign and size of k omega
+    assert main(["verify", "coords", *flags, "--format", "json", "--out", "/dev/null"]) == 0

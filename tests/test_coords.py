@@ -13,7 +13,7 @@ from schroedsym.coords import (
     frame,
 )
 from schroedsym.errors import BranchError, DomainError, ShapeError, SingularTime, ZeroK, ZeroOmega
-from schroedsym.group import DiskParams, GroupElement, Mat2, compose, disk_parametrize
+from schroedsym.group import DiskParams, GroupElement, Mat2, disk_parametrize
 from schroedsym.jets import Jet, value_of
 from schroedsym.sampling import (
     element_for_family,
@@ -66,12 +66,10 @@ def test_family_rules_hold_for_the_plain_constructor():
 
 def test_inverse_quadratic_action_specials():
     z = Point(0.2, 0.5)
+    # exactly; the shift and the dilatation are coords.time_translation and
+    # coords.dilatation
     ident = act(GroupElement.identity(), z, INVQ)
     assert ident.t == z.t and ident.x1 == z.x1
-    shift = act(GroupElement(Mat2(1.0, 0.8, 0.0, 1.0)), z, INVQ)
-    assert abs(shift.t - 1.0) < 1e-15 and shift.x1 == 0.5
-    dil = act(GroupElement(Mat2(2.0, 0.0, 0.0, 0.5)), z, INVQ)
-    assert abs(dil.t - 0.8) < 1e-15 and abs(dil.x1 - 1.0) < 1e-15
 
 
 def test_singular_time_raises():
@@ -88,30 +86,15 @@ def test_act_linear_translation_only():
     assert abs(z.x1 - (1.1 + 0.4 + 0.3 * 0.6)) < 1e-15
 
 
-def test_linear_homomorphism_and_identity():
+def test_linear_identity_action():
+    # to 1e-14, which coords.identity_action's gate may not take: 100x its
+    # worst over seeds 1-2000 is 2.3e-14; the homomorphism is
+    # coords.homomorphism_linear
     ident = GroupElement.identity()
     for _ in range(100):
-        l1, l2 = random_element(RNG), random_element(RNG)
         z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
         zi = act(ident, z, LIN)
         assert abs(zi.t - z.t) < 1e-14 and abs(zi.x1 - z.x1) < 1e-14
-        seq = act(l1, act(l2, z, LIN), LIN)
-        joint = act(compose(l1, l2), z, LIN)
-        assert abs(seq.t - joint.t) < 1e-11
-        assert abs(seq.x1 - joint.x1) < 1e-11
-
-
-def test_ndim_pairwise_difference_scaling():
-    spec = FamilySpec.ndim_linear(0.7, 0.3, 0.9, 3)
-    for _ in range(50):
-        l = random_element(RNG)
-        t = RNG.uniform(-0.4, 0.4)
-        xs = RNG.uniform(-1.5, 1.5, 3)
-        zp = act(l, Point(t, tuple(xs)), spec)
-        r = l.a * t + l.b
-        for i in range(3):
-            for j in range(3):
-                assert abs((zp.x[i] - zp.x[j]) - (xs[i] - xs[j]) / r) < 1e-12
 
 
 def test_quadratic_action_identity_and_reality():

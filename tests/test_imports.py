@@ -1,7 +1,8 @@
-"""Every module-level import of the package is read somewhere in its module,
-and every function and method it defines is read somewhere in the package:
-an unused import or function makes dead code look used.  The package's
-attribute of each submodule's name is that submodule."""
+"""Every module-level import of the package and of its tests is read
+somewhere in its module, and every function and method the package
+defines is read somewhere in the package: an unused import or function
+makes dead code look used.  The package's attribute of each submodule's
+name is that submodule."""
 
 import ast
 import importlib
@@ -12,9 +13,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "schroedsym"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.stem for p in MODULES] + [f"tests.{p.stem}" for p in TESTS])
 def test_every_module_level_import_is_read(path):
     tree = ast.parse(path.read_text())
     imported = set()

@@ -5,9 +5,9 @@ import dataclasses
 import importlib
 
 from schroedsym import jets
-from schroedsym.coords import EXP_GUARD, FamilySpec, Frame, Point, act, frame
+from schroedsym.coords import EXP_GUARD, FamilySpec, Frame, Point, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
-from schroedsym.group import GroupElement, Mat2, cocycle_linear, cocycle_quadratic, compose
+from schroedsym.group import GroupElement, Mat2
 from schroedsym.jets import Jet
 from schroedsym.multiplier import IntertwinerParams, lift_frame, multiplier
 from schroedsym.residual import GridSpec
@@ -35,40 +35,6 @@ def test_pure_translation_with_zero_nu_is_trivial():
     assert abs(multiplier(l, Point(0.4, 1.2), spec) - 1.0) < 1e-14
 
 
-def test_inverse_quadratic_cocycle_is_exact():
-    for n in (1, 2, 3):
-        for _ in range(150):
-            l1, l2 = GroupElement(random_sl2r(RNG)), GroupElement(random_sl2r(RNG))
-            xs = tuple(RNG.uniform(0.3, 1.5, n))
-            z = Point(RNG.uniform(-0.4, 0.4), xs)
-            lhs = multiplier(l2, z, INVQ) * multiplier(l1, act(l2, z, INVQ), INVQ)
-            rhs = multiplier(compose(l1, l2), z, INVQ)
-            assert abs(lhs - rhs) / abs(rhs) < 1e-11
-
-
-def test_linear_cocycle_carries_exponential_factor():
-    for _ in range(300):
-        l1, l2 = random_element(RNG), random_element(RNG)
-        z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
-        lhs = multiplier(l2, z, LIN) * multiplier(l1, act(l2, z, LIN), LIN)
-        rhs = np.exp(cocycle_linear(l1, l2, LIN.k)) * multiplier(compose(l1, l2), z, LIN)
-        assert abs(lhs - rhs) / abs(rhs) < 1e-11
-
-
-@pytest.mark.parametrize("spec,sampler", [
-    (QUAD, lambda: random_admissible_element(RNG)),
-    (DISK, lambda: random_disk_element(RNG)),
-])
-def test_quadratic_cocycle_resolved_variant(spec, sampler):
-    for _ in range(200):
-        l1, l2 = sampler(), sampler()
-        z = Point(RNG.uniform(-0.4, 0.4), RNG.uniform(-1.2, 1.2))
-        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
-        w = cocycle_quadratic(l1, l2, spec.omega, "resolved")
-        rhs = np.exp(w) * multiplier(compose(l1, l2), z, spec)
-        assert abs(lhs - rhs) / abs(lhs) < 1e-11
-
-
 def test_ndim_product_multiplier_closed_form():
     # two free coordinates: the product takes the known closed form
     spec = FamilySpec.ndim_linear(0.7, 0.0, 0.0, 2)
@@ -85,27 +51,6 @@ def test_ndim_product_multiplier_closed_form():
         want = np.exp(expo) / r
         got = multiplier(l, Point(t, (x1, x2)), spec)
         assert abs(got - want) / abs(want) < 1e-12
-
-
-def test_nls_modulus_identity():
-    spec = FamilySpec.nls2d(-0.7j, coupling=1.0)
-    for _ in range(100):
-        l = random_element(RNG)
-        t = RNG.uniform(-0.4, 0.4)
-        z = Point(t, (RNG.uniform(-1, 1), RNG.uniform(-1, 1)))
-        r = l.a * t + l.b
-        assert abs(abs(multiplier(l, z, spec)) ** 2 - 1.0 / r ** 2) < 1e-12
-
-
-def test_k0_intertwiner_values():
-    # t', x' and K0 at the simplest constants are multiplier.k0_values
-    p = IntertwinerParams(sigma=1.0, tau=0.0, lam=0.0)
-    w = QUAD.omega
-    # C0 coefficient at lam = 0 is -omega/2: with tau = 0 there is no
-    # x-linear part, so C0 = log(K0(x=1)/K0(x=0))
-    fr = lift_frame("K0", QUAD, p)(0.2)
-    c0 = np.log(fr.multiplier([1.0]) / fr.multiplier([0.0]))
-    assert abs(c0 + w / 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "phi1", "phi2", "K0"])

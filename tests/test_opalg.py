@@ -10,12 +10,11 @@ from schroedsym.opalg import (
     LINEAR_VARS,
     QUADRATIC_VARS,
     casimir_I2,
-    casimir_I3,
     generators_linear,
     generators_quadratic,
     intertwine_check,
 )
-from schroedsym.solutions import constant_one, f_pair, g_functions
+from schroedsym.solutions import constant_one, f_pair
 from schroedsym.suites import RunConfig, run_named_check
 
 RNG = np.random.default_rng(2718)
@@ -114,15 +113,13 @@ def test_tilde_generators_satisfy_same_table():
 
 
 def test_evolution_operator_identities():
+    # the linear family to 1e-14, which liealg.evolution_identity_linear's gate
+    # may not take: 100x its worst over seeds 1-2000 is 1.1e-14; the
+    # oscillator's is liealg.evolution_identity_quadratic
     k1 = GL.Lplus - K * GL.T1.compose(GL.T1)
     assert k1.max_abs_diff(GL.Kop) < 1e-14
     d = GL.Lplus - (2.0 * K * K * BETA) * GL.T2 - (K * ALPHA) * GL.unit
     assert d.max_abs_diff(GL.D) < 1e-14
-    k2 = (-4.0 * K * OMEGA) * GQ.L3 - (0.5 * K) * (
-        GQ.T1.compose(GQ.T2) + GQ.T2.compose(GQ.T1))
-    assert k2.max_abs_diff(GQ.Kop) < 1e-14
-    dq = (-4.0 * K * OMEGA) * GQ.L3 - (K * ALPHA) * GQ.unit
-    assert dq.max_abs_diff(GQ.D) < 1e-14
 
 
 def test_intertwining_and_falsification():
@@ -136,15 +133,14 @@ def test_intertwining_and_falsification():
 
 
 def test_casimirs_are_constants_and_factor():
-    assert (casimir_I3(GL) - (3.0 / 16.0) * GL.unit).is_zero()
-    assert (casimir_I3(GQ) - (3.0 / 16.0) * GQ.unit).is_zero()
+    # the factorizations to 1e-14, which liealg.casimir_factorization's gate
+    # may not take: 100x its worst over seeds 1-2000 is 2.2e-14; the constants
+    # and the commutators are liealg.casimir_cubic and liealg.casimir_commutes
     poly = lin(1.0, 0, 1) - lin(K * K * BETA, 2, 0)
     rhs = (3.0 / 16.0) * GL.unit + (poly.compose(poly) * (0.25 / K)).compose(GL.Kop)
     assert casimir_I2(GL).max_abs_diff(rhs) < 1e-14
     rhs_q = (3.0 / 16.0) * GQ.unit + quad(0.25 / K, 0, 2).compose(GQ.Kop)
     assert casimir_I2(GQ).max_abs_diff(rhs_q) < 1e-14
-    assert casimir_I2(GL).commutator(GL.L3).is_zero()
-    assert casimir_I3(GL).commutator(GL.T1).is_zero()
 
 
 def test_casimir_factorization_keeps_tiny_coefficients():
@@ -152,23 +148,6 @@ def test_casimir_factorization_keeps_tiny_coefficients():
     # k omega^2 stay in the algebra
     result = run_named_check("liealg.casimir_factorization", RunConfig(seed=7, k=1e-100))
     assert result.passed, result.value
-
-
-def test_numeric_apply_oscillator_states():
-    g1, g2, g3 = g_functions(QUAD, gamma=0.8)
-    for _ in range(25):
-        z = Point(RNG.uniform(-0.5, 0.5), RNG.uniform(-1.2, 1.2))
-        w1, w2, w3 = (g.value(z.t, z.x1) for g in (g1, g2, g3))
-        assert abs(GQ.Kop.apply(g1, z)) / abs(w1) < 1e-11
-        assert abs(GQ.Lplus.apply(g1, z)) / abs(w1) < 1e-11
-        assert abs(GQ.T1.apply(g1, z)) / abs(w1) < 1e-11
-        assert abs(GQ.L3.apply(g1, z) + 0.25 * w1) / abs(w1) < 1e-11
-        assert abs(GQ.Lminus.apply(g2, z)) / abs(w2) < 1e-11
-        assert abs(GQ.T2.apply(g2, z)) / abs(w2) < 1e-11
-        assert abs(GQ.L3.apply(g2, z) - 0.25 * w2) / abs(w2) < 1e-11
-        assert abs(GQ.Kop.apply(g3, z)) / abs(w3) < 1e-11
-        assert abs(GQ.T2.apply(g3, z) - 0.8 * w3) / abs(w3) < 1e-11
-        assert abs(GQ.Lminus.apply(g3, z) - 0.8 ** 2 / (4 * OMEGA) * w3) / abs(w3) < 1e-11
 
 
 def test_apply_is_linear_and_needs_exponential_jets():

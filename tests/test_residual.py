@@ -9,7 +9,6 @@ from schroedsym.multiplier import IntertwinerParams
 from schroedsym.residual import (
     GridSpec,
     PullbackFn,
-    fd_order,
     grid_residual,
     residual_arrays,
     lift_frame,
@@ -87,16 +86,6 @@ def test_a_slipped_linear_potential_fails_the_residual_and_the_evolution_identit
     monkeypatch.setattr(FamilySpec, "potential", property(slipped))
     for name in names:
         assert not suites.run_named_check(name, cfg).passed, name
-
-
-def test_grid_residual_modes_and_order():
-    _, f2 = f_pair(LIN)
-    rep = grid_residual(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0)))
-    assert rep.max_rel < 1e-11
-    assert rep.n_points == 14 * 14
-    assert 1.8 <= fd_order(f2, LIN, GridSpec((0.4, 1.4), (-1.0, 1.0))) <= 2.2
-    zero = FormulaFn(lambda tj, xj: 0.0 * tj)
-    assert grid_residual(zero, LIN, GRID).max_abs == 0.0
 
 
 def test_richardson_stencils_match_the_analytic_residual():
@@ -515,15 +504,6 @@ def test_lift_residuals():
         lift_frame("nope", LIN)
     with pytest.raises(DomainError):
         lift_frame("K0", QUAD)
-
-
-def test_lift_roundtrip_is_constant_one():
-    psi0 = gaussian_free(0.7, t0=2.0)
-    lifted = PullbackFn(psi0, lift_frame("f1", LIN))
-    back = PullbackFn(lifted, lift_frame("phi1", LIN))
-    t, xs = GRID.points(1)
-    ratio = back.jet(t, xs[0], 0).value / psi0.jet(t, xs[0], 0).value
-    assert np.abs(ratio - 1.0).max() < 1e-12
 
 
 def test_report_fields():
