@@ -23,14 +23,25 @@ from .group import GroupElement, Mat2
 from .residual import residual_arrays, transformed
 from .sampling import element_for_family
 from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
-from .suites import RunConfig, SuiteReport, run_suite, suite_names
+from .suites import T_RANGE, X_RANGE, RunConfig, SuiteReport, run_suite, suite_names
 
 
-# the demo's sampling window; f2 and power leave their domains (t > 0,
-# x > 0) on it, so they get their own unless a range flag is set
-_DEMO_RANGE = {"t_min": -0.4, "t_max": 0.6, "x_min": -1.2, "x_max": 1.2}
+# the demo's sampling window, the residual checks'; f2 and power leave their
+# domains (t > 0, x > 0) on it, so they get their own unless a range flag is set
+_DEMO_RANGE = dict(zip(("t_min", "t_max", "x_min", "x_max"), (*T_RANGE, *X_RANGE)))
 _DEMO_WINDOWS = {"f2": {"t_min": 0.4, "t_max": 1.0}, "power": {"x_min": 0.4, "x_max": 1.8}}
-FORMATS = ("text", "json")  # of the report; a config file's format is checked against it
+FORMATS = ("text", "json")  # of the report
+
+# the flags every command takes, which are also the keys of a config file:
+# a config value is checked with its flag's type and choices
+_COMMON_FLAGS = {
+    "family": {"choices": FAMILIES},
+    "k": {"type": complex, "help": "real or purely imaginary, e.g. 0.7j"},
+    "alpha": {"type": float}, "beta": {"type": float}, "omega": {"type": float},
+    "seed": {"type": int}, "trials": {"type": int}, "tol": {"type": float},
+    "format": {"choices": FORMATS},
+    "out": {"help": "write the report/records here instead of stdout"},
+}
 
 
 def _build_parser():
@@ -42,16 +53,8 @@ def _build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file; explicit flags win")
-    common.add_argument("--family", choices=FAMILIES)
-    common.add_argument("--k", type=complex, help="real or purely imaginary, e.g. 0.7j")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--omega", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--out", help="write the report/records here instead of stdout")
+    for name, kwargs in _COMMON_FLAGS.items():
+        common.add_argument("--" + name, **kwargs)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("target", choices=["all", *suite_names()])
@@ -96,30 +99,30 @@ def _load_config_file(path):
     return values
 
 
-_CONFIG_TYPES = {
-    "seed": int, "trials": int,
-    "k": complex, "alpha": float, "beta": float, "omega": float, "tol": float,
-    "family": str, "format": str, "out": str,
-}
+def _config_value(key, text):
+    """A config file's ``key = text``, checked like its flag."""
+    if key not in _COMMON_FLAGS:
+        raise ConfigError(f"unknown config key {key!r}")
+    kwargs = _COMMON_FLAGS[key]
+    try:
+        value = kwargs.get("type", str)(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; choose from {list(choices)}")
+    return value
 
 
 def _merge_config(args):
     merged = {}
     if args.config:
-        raw = _load_config_file(args.config)
-        for key, val in raw.items():
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _CONFIG_TYPES[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
+        for key, text in _load_config_file(args.config).items():
+            merged[key] = _config_value(key, text)
+    for key in _COMMON_FLAGS:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
-    if merged.get("format", "text") not in FORMATS:
-        raise ConfigError(f"unknown format {merged['format']!r}; choose from {list(FORMATS)}")
     return merged
 
 

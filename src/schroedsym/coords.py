@@ -44,9 +44,15 @@ NLS2D = "nls2d"
 FAMILIES = (FREE, INVERSE_QUADRATIC, LINEAR, QUADRATIC, NDIM_LINEAR, NLS2D)
 
 
-def _real_or_imaginary(v, name):
-    if v != 0 and min(abs(np.real(v)), abs(np.imag(v))) > 1e-12 * abs(v):
-        raise DomainError(f"{name} must be real or purely imaginary, got {v}")
+def is_real(v, name):
+    """The signature rule: whether ``v`` is real (imaginary part exactly 0)
+    rather than purely imaginary (real part exactly 0); ``DomainError`` when
+    it is neither.  At k omega it picks the oscillator family's group."""
+    if np.imag(v) == 0:
+        return True
+    if np.real(v) == 0:
+        return False
+    raise DomainError(f"{name} must be real or purely imaginary, got {v}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +72,16 @@ class FamilySpec:
             raise DomainError(f"unknown family {self.family!r}")
         if self.k == 0:
             raise ZeroK("k must be nonzero")
-        _real_or_imaginary(self.k, "k")
+        is_real(self.k, "k")
         if self.family == QUADRATIC:
             if self.omega == 0:
                 raise ZeroOmega("quadratic family needs a nonzero omega")
-            _real_or_imaginary(self.omega, "omega")
+            is_real(self.omega, "omega")
         if self.n < 1:
             raise DomainError("dimension must be >= 1")
         if self.family == INVERSE_QUADRATIC and self.n != 1:  # alpha/|x|^2 is no sum over x_j
             raise DomainError("the inverse-quadratic family has one space coordinate")
-        if self.family == NLS2D and (self.n != 2 or abs(np.real(self.k)) > 1e-12 * abs(self.k)):
+        if self.family == NLS2D and (self.n != 2 or is_real(self.k, "k")):
             raise DomainError("the 2-d NLS family needs n = 2 and purely imaginary k")
 
     # convenience constructors ------------------------------------------------
@@ -123,8 +129,7 @@ class FamilySpec:
 
     @property
     def komega_is_real(self):
-        kw = self.komega
-        return abs(np.imag(kw)) <= 1e-12 * max(abs(kw), 1.0)
+        return is_real(self.komega, "k omega")
 
     @property
     def period(self):
@@ -190,17 +195,10 @@ class GalileanData:
 # -- scalar-generic primitives ----------------------------------------------
 
 
-def mobius_denominator(m: Mat2, t):
-    r = m.a * t + m.b
-    if np.min(np.abs(jets.value_of(r))) < SINGULAR_TOL:
-        raise SingularTime("a t + b vanishes at a requested point")
-    return r
-
-
 def mobius_time(m: Mat2, t):
     """t' = (c t + d)/(a t + b), the denominator r = a t + b and xi = 1/r:
     the one reciprocal that every other division by r reuses."""
-    r = mobius_denominator(m, t)
+    r = _nonsingular(m.a * t + m.b, "a t + b")
     xi = jets.reciprocal(r)
     return (m.c * t + m.d) * xi, r, xi
 
@@ -228,19 +226,12 @@ def quadratic_frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
     k, alpha, omega, mu, nu = spec.k, spec.alpha, spec.omega, l.mu, l.nu
     kw = spec.komega
     u = jets.exp(4.0 * kw * t)
-    den = l.a * u + l.b
-    num = l.c * u + l.d
-    if np.min(np.abs(jets.value_of(den))) < SINGULAR_TOL:
-        raise SingularTime("a u + b vanishes at a requested point")
-    if np.min(np.abs(jets.value_of(num))) < SINGULAR_TOL:
-        raise SingularTime("c u + d vanishes at a requested point")
+    den = _nonsingular(l.a * u + l.b, "a u + b")
+    num = _nonsingular(l.c * u + l.d, "c u + d")
     inv_den, inv_num = jets.reciprocal(den), jets.reciprocal(num)
     ratio = u * (inv_den * inv_num)
-    r0 = np.asarray(jets.value_of(ratio))
-    if spec.komega_is_real:
-        # principal square roots need the product off the negative real axis
-        if np.any((np.real(r0) <= 0) & (np.abs(np.imag(r0)) <= 1e-10 * np.abs(r0))):
-            raise BranchError("(a u + b)(c u + d) crossed the branch cut")
+    if spec.komega_is_real:  # principal square roots need the product off the cut
+        _off_cut(ratio, "(a u + b)(c u + d) crossed the branch cut")
     xi = jets.sqrt(ratio)
     rootu = jets.exp(2.0 * kw * t)
     xi_rootu = xi * jets.reciprocal(rootu)
@@ -265,10 +256,8 @@ def _quadratic_time(up, t, kw, spec):
     k*omega the time is periodic and the representative nearest to t is
     reported.
     """
-    up0 = np.asarray(jets.value_of(up))
     if spec.komega_is_real:
-        if np.any((np.real(up0) <= 0) & (np.abs(np.imag(up0)) <= 1e-10 * np.abs(up0))):
-            raise BranchError("u' landed on the branch cut of the logarithm")
+        _off_cut(up, "u' landed on the branch cut of the logarithm")
         return jets.log(up) / (4.0 * kw)
     tp = jets.log(up) / (4.0 * kw)
     t0 = jets.value_of(t)
@@ -288,6 +277,22 @@ def _above(z, bound, name):
     exceeds ``bound``."""
     if np.any(np.real(jets.value_of(z)) <= bound):
         raise DomainError(f"needs {name} > {bound}")
+
+
+def _nonsingular(z, name):
+    """The denominator ``z`` as it came, or ``SingularTime`` when one of its
+    values lies within ``SINGULAR_TOL`` of 0."""
+    if np.min(np.abs(jets.value_of(z))) < SINGULAR_TOL:
+        raise SingularTime(f"{name} vanishes at a requested point")
+    return z
+
+
+def _off_cut(z, message):
+    """``BranchError`` when a value of ``z`` lies on the cut of the principal
+    root and logarithm, the closed negative real axis, to 1e-10 of |z|."""
+    z0 = np.asarray(jets.value_of(z))
+    if np.any((np.real(z0) <= 0) & (np.abs(np.imag(z0)) <= 1e-10 * np.abs(z0))):
+        raise BranchError(message)
 
 
 def _terms(*terms):

@@ -122,17 +122,19 @@ def inverse(l: GroupElement) -> GroupElement:
     return GroupElement(minv, -mu, -nu)
 
 
-def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> complex:
-    """Cocycle of the linear-potential family.
+def symplectic_pairing(l1: GroupElement, l2: GroupElement):
+    """(mu, nu)^T J M (mu', nu') of l1 = {M, (mu, nu)} and l2's (mu', nu'),
+    which both families' cocycles scale."""
+    m, mu, nu = l1.m, l1.mu, l1.nu
+    return (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.d) * l2.nu
 
-    Equals (1/4k) * (mu, nu)^T J M (mu', nu') where M, (mu, nu) come from
-    the first element and (mu', nu') from the second.
-    """
+
+def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> complex:
+    """Cocycle of the linear-potential family: the symplectic pairing
+    over 4k."""
     if k == 0:
         raise ZeroK("k must be nonzero")
-    m, mu, nu = l1.m, l1.mu, l1.nu
-    val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.d) * l2.nu
-    return val / (4.0 * k)
+    return symplectic_pairing(l1, l2) / (4.0 * k)
 
 
 def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolved") -> complex:
@@ -148,7 +150,7 @@ def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolv
         raise ZeroOmega("omega must be nonzero")
     m, mu, nu = l1.m, l1.mu, l1.nu
     if variant == "resolved":
-        val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.d) * l2.nu
+        val = symplectic_pairing(l1, l2)
     elif variant == "printed":
         val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.a) * l2.nu
     else:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jets
-from .coords import SINGULAR_TOL, FamilySpec, Frame, Point, _above, frame
-from .errors import DomainError, SingularTime
+from .coords import FamilySpec, Frame, Point, _above, _nonsingular, frame
+from .errors import DomainError
 from .group import GroupElement
 
 
@@ -69,9 +67,7 @@ def lift_frame(kind: str, spec: FamilySpec, params: IntertwinerParams = None):
             return Frame(t, 1.0, k2b * t * t, (k * a) * t + (2.0 / 3.0) * cub * t ** 3, (k * b) * t, 0.0)
         if kind == "K0":
             u = jets.exp(4.0 * kw * t)
-            denom = u + p.lam
-            if np.min(np.abs(jets.value_of(denom))) < SINGULAR_TOL:
-                raise SingularTime("u + lam vanishes at a requested point")
+            denom = _nonsingular(u + p.lam, "u + lam")
             inv, rootu = jets.reciprocal(denom), jets.exp(2.0 * kw * t)
             A = (0.5 * (jets.log(rootu) - jets.log(denom))
                  - p.tau ** 2 / (4.0 * omega) * inv - k * a * t)

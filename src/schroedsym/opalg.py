@@ -123,7 +123,7 @@ class DiffOp:
         return all(abs(c) <= EQ_TOL for c in self.terms.values())
 
     def apply(self, fn, z):
-        """Numeric action on a jet-backed function at a point.
+        """Numeric action on a jet-backed function at a ``Point`` z.
 
         Linear-family operators differentiate in (t, x).  Oscillator-family
         operators differentiate in (s, x) with s = e^{2 k omega t}; the
@@ -131,9 +131,7 @@ class DiffOp:
         at the parabolic ``order`` (the largest 2m + n), because jets
         weigh the first variable twice.
         """
-        order = self.order
-        t = z.t if hasattr(z, "t") else z[0]
-        x = z.x1 if hasattr(z, "x1") else z[1]
+        order, t, x = self.order, z.t, z.x1
         if self.family == QUADRATIC_VARS:
             if getattr(fn, "rate", None) is None:
                 raise OrderError("function has no exponential-variable jets")

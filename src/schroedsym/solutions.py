@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from . import jets
-from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D, _above
+from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D, _above, is_real
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -169,7 +169,7 @@ def gaussian_free(k, t0=0.0) -> FormulaFn:
     if k == 0:
         raise DomainError("k must be nonzero")
     c = jets.cpow(4.0 * np.pi * k, -0.5)
-    t_min = float(-np.real(t0)) if abs(np.imag(k)) < 1e-12 * abs(k) else None
+    t_min = float(-np.real(t0)) if is_real(k, "k") else None
 
     def formula(t, x):
         if t_min is not None:

@@ -30,7 +30,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -43,6 +43,7 @@ from .coords import (
     act,
     frame,
     galilean_params,
+    is_real,
     reality_domain_check,
     comoving_identity_check,
     forcing,
@@ -136,15 +137,12 @@ class RunConfig:
             raise ConfigError("tolerance must be positive")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trial count must be >= 1")
-        if self.k == 0:
-            raise ConfigError("k must be nonzero")
-        if np.iscomplexobj(self.k):
-            if self.k.real != 0 and self.k.imag != 0:
-                raise ConfigError(f"k must be real or purely imaginary, got {self.k}")
-            if self.k.imag == 0:
-                object.__setattr__(self, "k", float(self.k.real))
-        if self.omega == 0:
-            raise ConfigError("omega must be nonzero")
+        try:  # the families state the rules of k and omega
+            if is_real(self.k, "k"):
+                object.__setattr__(self, "k", float(np.real(self.k)))
+            self.specs()
+        except SchroedSymError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.family is not None and self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {list(FAMILIES)}")
 
@@ -157,7 +155,7 @@ class RunConfig:
     @cached_property
     def _specs(self):
         k, a, b, w = self.k, self.alpha, self.beta, self.omega
-        disk_k, nls_k = (k, k) if np.iscomplexobj(k) else (1j * k, -1j * k)
+        disk_k, nls_k = (1j * k, -1j * k) if is_real(k, "k") else (k, k)
         return MappingProxyType({
             "free": FamilySpec.free(k),
             "inverse_quadratic": FamilySpec.inverse_quadratic(k, 2.0),
@@ -263,42 +261,36 @@ class Check:
         return CheckResult(self.name, self.anchor, value <= tol, value, tol, dt, error)
 
 
-_REGISTRY: dict[str, list[Check]] = {}
+CHECKS: dict[str, Check] = {}  # every registered check, by its qualified name
 
 
 def _register(suite, name, anchor, tol, trials=1, families=None, structural=False):
     def deco(fn):
-        _REGISTRY.setdefault(suite, []).append(
-            Check(f"{suite}.{name}", anchor, tol, trials, fn, families, structural))
+        check = Check(f"{suite}.{name}", anchor, tol, trials, fn, families, structural)
+        CHECKS[check.name] = check
         return fn
 
     return deco
 
 
 def suite_names():
-    return sorted(_REGISTRY)
+    return sorted({name.partition(".")[0] for name in CHECKS})
 
 
 def run_named_check(name, cfg: RunConfig) -> CheckResult:
     """Run one check by its qualified name (e.g. ``group.associativity``)."""
-    for checks in _REGISTRY.values():
-        for check in checks:
-            if check.name == name:
-                return check.run(cfg)
-    raise ConfigError(f"unknown check {name!r}")
+    if name not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}")
+    return CHECKS[name].run(cfg)
 
 
 def run_suite(target, cfg: RunConfig) -> SuiteReport:
-    if target == "all":
-        checks = [c for suite in sorted(_REGISTRY) for c in _REGISTRY[suite]]
-    elif target in _REGISTRY:
-        checks = list(_REGISTRY[target])
-    else:
+    if target != "all" and target not in suite_names():
         raise ConfigError(f"unknown verify target {target!r}; "
                           f"choose from {['all'] + suite_names()}")
     report = SuiteReport()
-    for check in sorted(checks, key=lambda c: c.name):
-        if check.covers(cfg.family):
+    for name, check in sorted(CHECKS.items()):
+        if target in ("all", name.partition(".")[0]) and check.covers(cfg.family):
             report.results.append(check.run(cfg))
     return report
 
@@ -432,23 +424,21 @@ _HOMOMORPHISM = {
 }
 
 
-def _homomorphism_check(family):
-    def check(cfg, rng, trials):
-        spec = cfg.specs()[family]
-        l1, l2 = (element_for_family(rng, spec, size=trials) for _ in range(2))
-        z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
-        seq = act(l1, act(l2, z, spec), spec)
-        joint = act(compose(l1, l2), z, spec)
-        dt = abs(seq.t - joint.t)
-        if spec.family == "quadratic" and not spec.komega_is_real:
-            dt = np.minimum(dt, abs(dt - spec.period))
-        yield from (dt, abs(seq.x1 - joint.x1))
-    return check
+def _homomorphism(family, cfg, rng, trials):
+    spec = cfg.specs()[family]
+    l1, l2 = (element_for_family(rng, spec, size=trials) for _ in range(2))
+    z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
+    seq = act(l1, act(l2, z, spec), spec)
+    joint = act(compose(l1, l2), z, spec)
+    dt = abs(seq.t - joint.t)
+    if spec.family == "quadratic" and not spec.komega_is_real:
+        dt = np.minimum(dt, abs(dt - spec.period))
+    yield from (dt, abs(seq.x1 - joint.x1))
 
 
 for _family, (_what, _families) in _HOMOMORPHISM.items():
     _register("coords", f"homomorphism_{_family}", f"two-step action equals composed action, {_what}",
-              1e-11, 300, families=_families)(_homomorphism_check(_family))
+              1e-11, 300, families=_families)(partial(_homomorphism, _family))
 
 
 # reads 0 at every seed; a gate above 0 leaves room for an FMA on another CPU
@@ -664,20 +654,18 @@ _GROUP_FRAMES = {"linear": "linear family", "quadratic": "oscillator semigroup",
                  "disk": "circle subgroup"}
 
 
-def _group_frame_check(family):
-    def check(cfg, rng, trials):
-        spec = cfg.specs()[family]
-        l = element_for_family(rng, spec, size=trials)
-        fr = frame(l, spec, jets.Jet.variable(np.linspace(-0.3, 0.5, 9)[:, None], 0, 1, 2))
-        yield from _structure_defects(fr, spec.k, spec.potential, spec.potential)
-    return check
+def _group_frame(family, cfg, rng, trials):
+    spec = cfg.specs()[family]
+    l = element_for_family(rng, spec, size=trials)
+    fr = frame(l, spec, jets.Jet.variable(np.linspace(-0.3, 0.5, 9)[:, None], 0, 1, 2))
+    yield from _structure_defects(fr, spec.k, spec.potential, spec.potential)
 
 
 for _family, _what in _GROUP_FRAMES.items():
     _register("multiplier", f"ode_oracle_{_family}",
               f"closed exponent coefficients solve their structure equations, {_what}",
               STRUCTURE_TOL, 5, families=("quadratic" if _family == "disk" else _family,),
-              structural=True)(_group_frame_check(_family))
+              structural=True)(partial(_group_frame, _family))
 
 
 # lift: (the family it lifts from, the family it lifts into)
@@ -770,8 +758,8 @@ def _sol_phipair(cfg, rng, trials):
     spec = cfg.specs()["linear"]
     free = cfg.specs()["free"]
     f1, _ = f_pair(spec)
-    for kind, grid in (("phi1", GridSpec((-0.4, 0.6), (-1.2, 1.2))),
-                       ("phi2", GridSpec((0.15, 1.0), (-1.2, 1.2)))):
+    for kind, grid in (("phi1", GridSpec(T_RANGE, X_RANGE)),
+                       ("phi2", GridSpec((0.15, 1.0), X_RANGE))):
         rep = verify_lifted_solution(f1, kind, None, spec, free, grid)
         yield rep.max_rel
     phi1, _ = phi_pair(spec)
@@ -912,13 +900,14 @@ def _res_self(cfg, rng, trials):
     sp = cfg.specs()
     f1, f2 = f_pair(sp["linear"])
     g1, g2, g3 = g_functions(sp["quadratic"], 0.6)
+    base = GridSpec(T_RANGE, X_RANGE)
     cases = [
-        (gaussian_free(cfg.k, 2.0), sp["free"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
-        (power_static(2.0, 2.0), sp["inverse_quadratic"], GridSpec((-0.4, 0.6), (0.3, 1.8))),
-        (f1, sp["linear"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
-        (f2, sp["linear"], GridSpec((0.5, 2.0), (-1.2, 1.2))),
-        (g2, sp["quadratic"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
-        (g3, sp["quadratic"], GridSpec((-0.4, 0.6), (-1.2, 1.2))),
+        (gaussian_free(cfg.k, 2.0), sp["free"], base),
+        (power_static(2.0, 2.0), sp["inverse_quadratic"], GridSpec(T_RANGE, (0.3, 1.8))),
+        (f1, sp["linear"], base),
+        (f2, sp["linear"], GridSpec((0.5, 2.0), X_RANGE)),
+        (g2, sp["quadratic"], base),
+        (g3, sp["quadratic"], base),
     ]
     yield from (grid_residual(fn, spec, grid).max_rel for fn, spec, grid in cases)
 
@@ -949,19 +938,17 @@ _TRANSFORMED = {
 }
 
 
-def _transformed_check(family, solution, x_range, bounds):
-    def check(cfg, rng, trials):
-        spec = cfg.specs()[family]
-        l = element_for_family(rng, spec, **bounds, size=trials)
-        grid = GridSpec(T_RANGE, x_range or X_RANGE)
-        yield verify_transformed_solution(solution(spec), l, spec, grid).max_rel
-    return check
+def _transformed(family, solution, x_range, bounds, cfg, rng, trials):
+    spec = cfg.specs()[family]
+    l = element_for_family(rng, spec, **bounds, size=trials)
+    grid = GridSpec(T_RANGE, x_range or X_RANGE)
+    yield verify_transformed_solution(solution(spec), l, spec, grid).max_rel
 
 
 for _family, (_what, *_case) in _TRANSFORMED.items():
     _register("residual", f"transformed_{_family}", f"transformed solutions still solve, {_what}",
               1e-9, 30, families=("quadratic" if _family == "disk" else _family,))(
-        _transformed_check(_family, *_case))
+        partial(_transformed, _family, *_case))
 
 
 # trials of residual.transformed_nls per batch: at 14^3 a batch of 3 has a

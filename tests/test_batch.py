@@ -203,17 +203,16 @@ PER_TRIAL = {
 
 def test_every_multi_trial_check_yields_an_array_defect():
     cfg = RunConfig(seed=1)
-    for checks in suites._REGISTRY.values():
-        for check in checks:
-            if check.trials == 1 or check.name in PER_TRIAL:
-                continue
-            rng = np.random.default_rng(1)
-            defects = list(check.fn(cfg, rng, check.trials))
-            assert any(isinstance(d, np.ndarray) for d in defects), check.name
+    for check in suites.CHECKS.values():
+        if check.trials == 1 or check.name in PER_TRIAL:
+            continue
+        rng = np.random.default_rng(1)
+        defects = list(check.fn(cfg, rng, check.trials))
+        assert any(isinstance(d, np.ndarray) for d in defects), check.name
 
 
 # every registered check, by name: the one statement of each identity
-REGISTERED = sorted(c.name for checks in suites._REGISTRY.values() for c in checks)
+REGISTERED = sorted(suites.CHECKS)
 
 
 def test_registered_names_are_the_benchmarks_expected_checks(bench_workloads):

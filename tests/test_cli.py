@@ -75,8 +75,8 @@ def test_check_value_is_its_largest_defect():
 
 
 def test_every_registered_check_yields_its_defects():
-    checks = [c for group in suites._REGISTRY.values() for c in group]
-    assert len(checks) == 68
+    checks = list(suites.CHECKS.values())
+    assert len(checks) == 68 and all(name == c.name for name, c in suites.CHECKS.items())
     assert [c.name for c in checks if not inspect.isgeneratorfunction(c.fn)] == []
 
 
@@ -205,8 +205,7 @@ def test_a_check_that_raises_fails_alone(tmp_path, monkeypatch, capsys):
         raise DeterminantError("det off by 1e-9")
         yield
 
-    (check,) = [c for c in suites._REGISTRY["group"] if c.name == "group.symplectic"]
-    monkeypatch.setattr(check, "fn", raising)
+    monkeypatch.setattr(suites.CHECKS["group.symplectic"], "fn", raising)
     out = tmp_path / "all.json"
     assert main(["verify", "all", "--format", "json", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())

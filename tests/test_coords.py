@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,15 @@ from schroedsym.coords import (
     comoving_identity_check,
     frame,
 )
-from schroedsym.errors import BranchError, DomainError, ShapeError, SingularTime, ZeroK, ZeroOmega
+from schroedsym.errors import (
+    BranchError,
+    ConfigError,
+    DomainError,
+    ShapeError,
+    SingularTime,
+    ZeroK,
+    ZeroOmega,
+)
 from schroedsym.group import DiskParams, GroupElement, Mat2, disk_parametrize
 from schroedsym.jets import Jet, value_of
 from schroedsym.sampling import (
@@ -73,8 +83,13 @@ def test_inverse_quadratic_action_specials():
 
 
 def test_singular_time_raises():
-    with pytest.raises(SingularTime):
-        act(GroupElement(Mat2(0.0, -1.0, 1.0, 0.0)), Point(0.0, 1.0), INVQ)
+    # one input per denominator of the group frames, at t = 0 where u = 1;
+    # u + lam is the K0 lift's (test_multiplier)
+    for m, spec, denominator in ((Mat2(0.0, -1.0, 1.0, 0.0), INVQ, "a t + b"),
+                                 (Mat2(1.0, 0.0, -1.0, 1.0), QUAD, "a u + b"),
+                                 (Mat2(1.0, -1.0, 0.0, 1.0), QUAD, "c u + d")):
+        with pytest.raises(SingularTime, match=re.escape(f"{denominator} vanishes")):
+            act(GroupElement(m), Point(0.0, 1.0), spec)
 
 
 def test_act_linear_translation_only():
@@ -127,8 +142,34 @@ def test_disk_scale_is_reciprocal_modulus():
 def test_quadratic_branch_error():
     # a < 0 pushes (a u + b)(c u + d) negative for large u
     l = GroupElement(Mat2(1.0, 0.0, -0.5, 1.0))
-    with pytest.raises(BranchError):
+    with pytest.raises(BranchError, match=re.escape("(a u + b)(c u + d) crossed")):
         act(l, Point(2.5, 0.3), QUAD)
+    # at t = 0, a u + b = w and c u + d = -w with w = e^{i pi/4}: the
+    # product's root is i, off its cut, but u' = -1 is on the logarithm's
+    w = np.exp(0.25j * np.pi)
+    l = GroupElement(Mat2(np.conj(w), -np.sqrt(2.0), 0.0, w))
+    with pytest.raises(BranchError, match="branch cut of the logarithm"):
+        act(l, Point(0.0, 0.3), QUAD)
+
+
+def test_signature_is_exact():
+    # k omega = 6e-14j is purely imaginary: the circle subgroup, whose
+    # sampler draws disk elements, not the real semigroup's
+    spec = FamilySpec.quadratic(1e-13j, 0.3, 0.6)
+    assert not spec.komega_is_real
+    got = element_for_family(np.random.default_rng(5), spec)
+    want = random_disk_element(np.random.default_rng(5))
+    assert (got.m, got.mu, got.nu) == (want.m, want.mu, want.nu)
+
+
+def test_run_config_and_family_spec_share_the_signature_rule():
+    for k in (0.7 + 1e-20j, 0.3 + 0.7j):
+        with pytest.raises(ConfigError, match="k must be real or purely imaginary"):
+            RunConfig(k=k)
+        with pytest.raises(DomainError, match="k must be real or purely imaginary"):
+            FamilySpec.linear(k, 0.3, 0.9)
+    for k in (0.7 + 0j, 0.7j, -0.7j):
+        assert RunConfig(k=k).specs()["linear"] == FamilySpec.linear(k, 0.3, 0.9)
 
 
 def test_galilean_params_and_affine_formula():

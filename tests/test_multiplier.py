@@ -65,7 +65,7 @@ def test_every_lift_is_a_frame(kind):
 
 def test_k0_singular_time():
     p = IntertwinerParams(sigma=1.0, tau=0.0, lam=-1.0)
-    with pytest.raises(SingularTime):
+    with pytest.raises(SingularTime, match=r"u \+ lam vanishes"):
         lift_frame("K0", QUAD, p)(0.0)
     with pytest.raises(DomainError):
         IntertwinerParams(sigma=0.0)
