@@ -13,6 +13,7 @@ the numeric checks and the chain-rule machinery of the residual verifier.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +71,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+        for name in ("k", "alpha", "beta", "omega", "coupling"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k == 0:
             raise ZeroK("k must be nonzero")
         is_real(self.k, "k")

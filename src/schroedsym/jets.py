@@ -93,7 +93,8 @@ def _pad(block, ndim):
 def _add_rows(out, support, jet, k, scratch):
     """``out[row of key] += k * coefficient`` for each key of ``jet``."""
     for r, row in zip(map(support.index, jet.support), jet.block):
-        np.add(out[r, ...], np.multiply(row, k, out=scratch), out=out[r, ...])
+        target = out[r, ...]
+        np.add(target, np.multiply(row, k, scratch), target)
 
 
 def _jet(nvars, order, support, block):
@@ -163,7 +164,7 @@ class Jet:
             if i is None or j is None:
                 out[r] = b[j] if i is None else a[i]
             else:
-                np.add(a[i], b[j], out=out[r, ...])
+                np.add(a[i], b[j], out[r, ...])
         return _jet(self.nvars, self.order, support, out)
 
     __radd__ = __add__
@@ -191,9 +192,10 @@ class Jet:
         dtype = np.promote_types(a.dtype, b.dtype)
         out, scratch = np.empty((len(support),) + shape, dtype), sums and np.empty(shape, dtype)
         for o, (i, j, rest) in enumerate(terms):
-            np.multiply(a[i], b[j], out=out[o, ...])
+            row = out[o, ...]
+            np.multiply(a[i], b[j], row)
             for i, j in rest:
-                np.add(out[o, ...], np.multiply(a[i], b[j], out=scratch), out=out[o, ...])
+                np.add(row, np.multiply(a[i], b[j], scratch), row)
         return _jet(self.nvars, self.order, support, out)
 
     def __rmul__(self, other):
@@ -242,7 +244,7 @@ class Jet:
         k, n = coef(1), len(h.support)
         out = np.empty((len(support),) + self.block.shape[1:], np.result_type(self.block, c0, k))
         out[0] = c0 if scale is None else c0 * scale
-        np.multiply(h.block, k, out=out[1:n + 1])
+        np.multiply(h.block, k, out[1:n + 1])
         if m > 1:
             out[n + 1:], p, scratch = 0.0, h, np.empty(out.shape[1:], out.dtype)
         for i in range(2, m + 1):

@@ -13,6 +13,15 @@ own, so the frame and the time-only jets hold one value per time, and only
 what mixes ``t`` with ``x`` is computed on the whole grid.  A report reads
 the axes only at the worst point.
 
+A verification evaluates a function in two steps (``SmoothFn.at_time``):
+the time step, once, on the seeded time jet, evaluates the frame and every
+time-only jet; the space step runs on tiles of the last space axis, each of
+at most ``TILE_POINTS`` points, batch axes included.  Each tile is
+summarized on its own and the summaries fold into one report, bit for bit
+the report of one evaluation on the whole grid; a grid within the budget is
+one tile.  A guard raises in the first tile that has a point outside its
+domain or range, with the error of one evaluation on the whole grid.
+
 An element whose entries have shape ``(n,)`` is a batch of n elements on
 its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
 ``x (1, nx)``): one verification covers the batch, and its report has one
@@ -140,38 +149,108 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
     return _residual(spec, pt, lap, psi, xs), psi
 
 
+# Points of one tile, batch axes included: the 224^2 and 37^3 grids of the
+# benchmark's residual_large round take two tiles each (of 112 columns, of
+# 18 and 19 planes), the checks' 14^2 grids one.  On a 2-vCPU Xeon (Python
+# 3.11, numpy 2.4; perfbench/run.py residual_large, 20 s runs, ten pairs)
+# that round's op_s_p50 fell 4 % and its peak_rss_mb from 56.3 to 49.5 MB
+# against one tile.  At 25,088, three 37^3 tiles, the same round read the
+# same or 40 % slower from run to run, as glibc happened to trim the heap;
+# a tile costs ~0.4 ms of its own, so at 12,544 and below the round slows.
+TILE_POINTS = 32_768
+
+
+def _tiles(n, per_column):
+    """Slices of a last space axis of ``n`` values, each of at most
+    ``TILE_POINTS`` points where one value spans ``per_column``, in as few
+    tiles as that allows and of widths that differ by at most one."""
+    count = -(-n // max(1, TILE_POINTS // per_column))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
 def _report(resid, scale, t, xs):
-    """Summary of ``|resid|`` relative to ``scale`` over the broadcast grid,
-    the last ``t.ndim`` axes; batch axes ahead of them are kept.  Each grid
-    axis varies along its own dimension (``GridSpec.points``), so the worst
-    point's coordinates are read off the axes at its unravelled index."""
+    """Summary of ``|resid|`` relative to ``scale`` over one tile, the last
+    ``t.ndim`` axes of the broadcast shape; batch axes ahead of them are
+    kept: the maxima, the flat index in the tile of the first worst point
+    in C order (``ndarray.argmax``'s), and the point count."""
     shape = np.broadcast(resid, scale, t, *xs).shape
-    nb = len(shape) - np.ndim(t)
-    batch, grid = shape[:nb], shape[nb:]
+    batch = shape[:len(shape) - t.ndim]
     absr = np.abs(resid)
     rel = absr / (scale + REL_FLOOR)
     absr, rel = ((a if a.shape == shape else np.broadcast_to(a, shape)).reshape(batch + (-1,))
                  for a in (absr, rel))
-    at = np.unravel_index(absr.argmax(axis=-1), grid)
+    return absr.max(axis=-1), rel.max(axis=-1), absr.argmax(axis=-1), absr.size
+
+
+def _fold(a, b):
+    """The summary of two tiles from theirs, with flat indices in the whole
+    grid: maxima that propagate NaN, as ``ndarray.max`` does, and the point
+    that ``ndarray.argmax`` would pick over both, a NaN before any number
+    and of equal values the lower flat index; point counts add."""
+    (abs_a, rel_a, at_a, n_a), (abs_b, rel_b, at_b, n_b) = a, b
+    nan_a, nan_b = np.isnan(abs_a), np.isnan(abs_b)
+    tie = (abs_a == abs_b) | (nan_a & nan_b)
+    take_b = (nan_b & ~nan_a) | (abs_b > abs_a) | (tie & (at_b < at_a))
+    return np.maximum(abs_a, abs_b), np.maximum(rel_a, rel_b), np.where(take_b, at_b, at_a), n_a + n_b
+
+
+def _tile_report(tile, t, xs, grid, cols):
+    """``_report`` of ``tile`` on the columns ``cols`` of the last space
+    axis, with the worst point's flat index in the whole ``grid``."""
+    *head, last = xs
+    part = [*head, last[..., cols]]
+    max_abs, max_rel, at, n = _report(*tile(part), t, part)
+    *at, col = np.unravel_index(at, grid[:-1] + (cols.stop - cols.start,))
+    return max_abs, max_rel, np.ravel_multi_index((*at, col + cols.start), grid), n
+
+
+def _tiled(tile, batch, t, xs) -> ResidualReport:
+    """Report of ``tile(xs) -> (resid, scale)`` over the grid of the axes
+    ``t`` and ``xs``, whose values carry the batch axes ``batch`` ahead of
+    the grid's.  It is evaluated on tiles of the last space axis
+    (``_tiles``), whose summaries fold into the report of the whole grid
+    (``_fold``): bit for bit the report of one evaluation on it.  Each grid
+    axis varies along its own dimension (``GridSpec.points``), so the worst
+    point's coordinates are read off the axes at its unravelled index."""
+    grid = np.broadcast(t, *xs).shape
+    tiles = _tiles(grid[-1], math.prod(batch) * math.prod(grid[:-1]))
+    if len(tiles) == 1:  # the flat index in the tile is the grid's
+        summary = _report(*tile(xs), t, xs)
+    else:
+        summary = reduce(_fold, (_tile_report(tile, t, xs, grid, cols) for cols in tiles))
+    max_abs, max_rel, at, n_points = summary
+    batched = np.ndim(max_abs) > 0
 
     def out(a, kind):  # a scalar for one function, an array for a batch
-        return a if batch else kind(a)
+        return a if batched else kind(a)
 
     return ResidualReport(
-        max_abs=out(absr.max(axis=-1), float),
-        max_rel=out(rel.max(axis=-1), float),
-        argmax=tuple(out(a.ravel()[i].astype(complex), complex) for a, i in zip((t, *xs), at)),
-        n_points=absr.size,
+        max_abs=out(max_abs, float),
+        max_rel=out(max_rel, float),
+        argmax=tuple(out(a.ravel()[i].astype(complex), complex)
+                     for a, i in zip((t, *xs), np.unravel_index(at, grid))),
+        n_points=n_points,
     )
 
 
+def _seeds(xs):
+    """Jets of the space coordinates ``xs``, variables 1..len(xs), order 2."""
+    return [Jet.variable(x, 1 + i, 1 + len(xs), 2) for i, x in enumerate(xs)]
+
+
 def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec) -> ResidualReport:
-    """Residual report over the whole grid, relative to ``|psi|``.  A grid
-    that leaves the function's domain raises ``DomainError`` (from the
-    function's jet): no point is dropped."""
+    """Residual report over the whole grid, relative to ``|psi|``.  The
+    function's time step is taken once and its space step once per tile
+    (``_tiled``).  A grid that leaves the function's domain raises
+    ``DomainError`` (from the function's jet): no point is dropped."""
     t, xs = grid.points(fn.ndim)
-    resid, psi = residual_arrays(fn, spec, t, xs)
-    return _report(resid, np.abs(psi), t, xs)
+    space = fn.at_time(Jet.variable(t, 0, 1 + fn.ndim, 2))
+
+    def tile(xs):
+        j = reduce(operator.mul, space(_seeds(xs)))
+        return _residual_from_jet(j, spec, xs), np.abs(j.value)
+
+    return _tiled(tile, fn.batch, t, xs)
 
 
 def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
@@ -183,6 +262,14 @@ def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
     e1, e2 = (np.max(np.abs(_fd_residual_arrays(fn, spec, t, xs, h)[0] - exact))
               for h in (1e-3, 1e-3 / 2.0))
     return float(np.log2(e1 / e2)) if e2 > 0 else math.nan
+
+
+def _batch_shape(l: GroupElement):
+    """The shape of the batch that ``l``'s entries make, () for one element."""
+    entries = (l.c, l.d, l.a, l.b, l.mu, l.nu)
+    if not any(isinstance(v, np.ndarray) for v in entries):
+        return ()
+    return np.broadcast_shapes(*map(np.shape, entries))
 
 
 def _batch_first(l: GroupElement, naxes):
@@ -197,8 +284,8 @@ def _batch_first(l: GroupElement, naxes):
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z); a
     batched element gives a function with the batch axes leading."""
-    l = _batch_first(l, 1 + spec.n)
-    return PullbackFn(fn, lambda tj: frame(l, spec, tj), ndim=spec.n)
+    batch, l = _batch_shape(l), _batch_first(l, 1 + spec.n)
+    return PullbackFn(fn, lambda tj: frame(l, spec, tj), ndim=spec.n, batch=batch)
 
 
 def verify_transformed_solution(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
@@ -224,19 +311,25 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     xi^2 * K * [(d/dt' - k Delta' + k V') fn](mapped), with xi^2 = dt'/dt;
     fn need not solve the equation, so this tests the identity itself rather
     than solution preservation.  The frame is evaluated once, on the seeded
-    time jet: the left-hand side evaluates fn on its jets (the pullback) and
-    the right-hand side reads its value rows.
+    time jet, and so are fn's two time steps, at its jet t' and at a fresh
+    jet of its values; per tile of the grid (``_tiled``), the left-hand
+    side evaluates fn on the frame's jets (the pullback) and the
+    right-hand side reads their value rows.
     """
     t, xs = grid.points(spec.n)
     nv = 1 + spec.n
-    tj = Jet.variable(t, 0, nv, 2)
-    xjs = [Jet.variable(x, 1 + i, nv, 2) for i, x in enumerate(xs)]
-    fr = frame(_batch_first(l, nv), spec, tj)
-    xps, ks = fr.space(xjs), fr.multiplier_factors(xjs)
-    pulled = reduce(operator.mul, paired(fn.factors_at(fr.tp, xps), ks))
-    # the right-hand side reads the value rows of the same frame evaluation
-    base_res, _ = residual_arrays(fn, spec, value_of(fr.tp), [value_of(x) for x in xps])
+    fr = frame(_batch_first(l, nv), spec, Jet.variable(t, 0, nv, 2))
+    pulled_at, base_at = fn.at_time(fr.tp), fn.at_time(Jet.variable(value_of(fr.tp), 0, nv, 2))
     xi = value_of(fr.xi)
-    rhs = xi * xi * reduce(operator.mul, map(value_of, ks)) * base_res
-    return _report(_residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value),
-                   t, xs)
+
+    def tile(xs):
+        xjs = _seeds(xs)
+        xps, ks = fr.space(xjs), fr.multiplier_factors(xjs)
+        pulled = reduce(operator.mul, paired(pulled_at(xps), ks))
+        # the right-hand side reads the value rows of the same frame evaluation
+        xvs = [value_of(x) for x in xps]
+        base_res = _residual_from_jet(reduce(operator.mul, base_at(_seeds(xvs))), spec, xvs)
+        rhs = xi * xi * reduce(operator.mul, map(value_of, ks)) * base_res
+        return _residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value)
+
+    return _tiled(tile, _batch_shape(l), t, xs)

@@ -10,6 +10,12 @@ algebra never fall back to finite differences.  A formula or a frame
 guards its own domain and raises ``DomainError`` there.  The
 oscillator family's functions take the exponential variable
 s = e^{2 k omega t} as their first argument.
+
+Evaluation is two steps.  The time step ``at_time`` takes the time jet and
+evaluates everything that depends on time only, a pullback's frame and a
+formula's s = e^{rate t}; it returns the space step, a function of the
+space jets.  The residual verifier takes the time step once per
+verification and the space step once per tile of the grid.
 """
 
 from __future__ import annotations
@@ -38,10 +44,13 @@ class SmoothFn:
     ``x`` is a scalar for one space dimension, else a sequence of length
     ``ndim``.  ``jet`` seeds variable 0 with t and variables 1..ndim with
     the space coordinates and evaluates ``jet_at`` on those seeds;
-    coefficients may be numpy arrays.  A subclass defines ``factors_at``.
+    coefficients may be numpy arrays.  A subclass defines ``at_time``.
+    ``batch`` is the shape of the batch axes that its values carry ahead of
+    the grid's, a batched element's (``residual.transformed``).
     """
 
     ndim = 1
+    batch = ()
 
     def jet(self, t, x, order) -> Jet:
         """Jet at (t, x) holding every partial whose parabolic weight
@@ -63,7 +72,13 @@ class SmoothFn:
         """psi(tj, xjs) as a tuple of jets whose product it is: one jet, or
         one factor per space coordinate, factor j a function of t and x_j
         only, which a pullback multiplies by its multiplier's factor j
-        (``paired``)."""
+        (``paired``).  The space step of ``at_time(tj)`` on ``xjs``."""
+        return self.at_time(tj)(xjs)
+
+    def at_time(self, tj):
+        """The time step: what depends on the time jet ``tj`` alone,
+        evaluated once, and as the result the space step ``xjs ->``
+        ``factors_at(tj, xjs)``.  A guard on time raises here."""
         raise NotImplementedError
 
     def value(self, t, x):
@@ -108,17 +123,29 @@ class PullbackFn(SmoothFn):
     Evaluating the base on the mapped jets is the chain rule and guards the
     base's domain at the mapped values; pullbacks nest, and the factors of
     a separable base stay separable (``paired``).
+
+    The time step evaluates the frame and the base's time step at t' (a
+    nested pullback's inner frame); the space step maps the space jets,
+    runs the base's space step on them and pairs its factors with the
+    multiplier's.  A frame with batch axes (a batched element's) declares
+    their shape in ``batch``.
     """
 
-    def __init__(self, base: SmoothFn, frame, ndim=None):
+    def __init__(self, base: SmoothFn, frame, ndim=None, batch=()):
         self.base = base
         self.frame = frame
         self.ndim = base.ndim if ndim is None else ndim
+        self.batch = np.broadcast_shapes(batch, base.batch) if batch and base.batch else batch or base.batch
 
-    def factors_at(self, tj, xjs):
+    def at_time(self, tj):
         fr = self.frame(tj)
-        ks = fr.multiplier_factors(xjs)  # before the base's jets: a lower peak of memory
-        return paired(self.base.factors_at(fr.tp, fr.space(xjs)), ks)
+        base = self.base.at_time(fr.tp)
+
+        def space(xjs):
+            bs = base(fr.space(xjs))  # before the multiplier: the lower peak of memory
+            return paired(bs, fr.multiplier_factors(xjs))
+
+        return space
 
 
 class FormulaFn(SmoothFn):
@@ -136,9 +163,14 @@ class FormulaFn(SmoothFn):
         self.ndim = ndim
         self.rate = rate
 
-    def factors_at(self, tj, xjs):
-        out = self.formula(tj if self.rate is None else jets.exp(self.rate * tj), *xjs)
-        return out if isinstance(out, tuple) else (out,)
+    def at_time(self, tj):
+        s = tj if self.rate is None else jets.exp(self.rate * tj)
+
+        def space(xjs):
+            out = self.formula(s, *xjs)
+            return out if isinstance(out, tuple) else (out,)
+
+        return space
 
     def jet_s(self, s, x, order):
         """Jet in the exponential variable itself."""

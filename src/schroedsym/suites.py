@@ -129,15 +129,11 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("tol", "k", "alpha", "beta", "omega"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trial count must be >= 1")
-        try:  # the families state the rules of k and omega
+        try:  # the families state the rules of their parameters
             if is_real(self.k, "k"):
                 object.__setattr__(self, "k", float(np.real(self.k)))
             self.specs()

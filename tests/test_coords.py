@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -58,6 +59,20 @@ def test_family_spec_validation():
         FamilySpec("linear", k=1.0 + 1.0j)  # neither real nor imaginary
     with pytest.raises(DomainError):
         FamilySpec.nls2d(1.0)
+
+
+@pytest.mark.parametrize("field, make", [
+    ("k", lambda v: FamilySpec.linear(v, 0.3, 0.9)),
+    ("alpha", lambda v: FamilySpec.linear(0.7, v, 0.9)),
+    ("beta", lambda v: FamilySpec.linear(0.7, 0.3, v)),
+    ("omega", lambda v: FamilySpec.quadratic(0.7, 0.3, v)),
+    ("coupling", lambda v: FamilySpec.nls2d(-0.7j, coupling=v)),
+], ids=["k", "alpha", "beta", "omega", "coupling"])
+def test_family_spec_rejects_non_finite_parameters(field, make):
+    # an infinite imaginary part too: k = i inf is purely imaginary
+    for value in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            make(value)
 
 
 def test_family_rules_hold_for_the_plain_constructor():

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,23 +171,30 @@ def test_grid_points_are_cached_read_only_arrays():
 
 
 def test_time_only_frame_work_is_done_once_per_time_value(monkeypatch):
-    sizes = []
+    sizes, lifted = [], []
     frame = residual.frame
 
     def recorded(l, spec, t):
         sizes.append(np.size(jets.value_of(t)))
         return frame(l, spec, t)
 
+    f1 = f_pair(LIN)[0]
+    lift = f1.frame
+    monkeypatch.setattr(f1, "frame", lambda t: lifted.append(np.size(jets.value_of(t))) or lift(t))
     monkeypatch.setattr(residual, "frame", recorded)
     grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
     nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
-    rng = np.random.default_rng(3)
-    verify_transformed_solution(f_pair(LIN)[0], random_element(rng), LIN, grid)
-    verify_transformed_solution(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng), nls, grid)
-    verify_intertwining(FormulaFn(lambda tj, xj: jets.exp(tj + xj)), random_element(rng), LIN, grid)
-    # one frame evaluation per verification, each on the 9 time values: the
-    # intertwining check's right-hand side reads its pullback's frame
-    assert sizes == [9] * 3
+    for budget in (10 ** 9, 30):  # the 9 x 11 grid in one tile, then in four
+        monkeypatch.setattr(residual, "TILE_POINTS", budget)
+        sizes.clear(), lifted.clear()
+        rng = np.random.default_rng(3)
+        verify_transformed_solution(f1, random_element(rng), LIN, grid)
+        verify_transformed_solution(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng), nls, grid)
+        verify_intertwining(FormulaFn(lambda tj, xj: jets.exp(tj + xj)), random_element(rng), LIN, grid)
+        # one frame evaluation per verification, each on the 9 time values:
+        # the intertwining check's right-hand side reads its pullback's
+        # frame, and the lift nested in f1 is evaluated at t' once
+        assert sizes == [9] * 3 and lifted == [9]
 
 
 def test_each_function_on_the_grid_is_seeded_once(monkeypatch, bench_workloads):
@@ -513,3 +523,116 @@ def test_report_fields():
     assert len(rep.argmax) == 2
     assert GRID.t_range[0] - 1e-9 <= np.real(rep.argmax[0]) <= GRID.t_range[1] + 1e-9
     assert "max_rel" in str(rep)
+
+
+def _counted_reports(monkeypatch):
+    """A list that grows by one per tile report ``residual._report`` makes."""
+    reports, report = [], residual._report
+    monkeypatch.setattr(residual, "_report", lambda *args: reports.append(None) or report(*args))
+    return reports
+
+
+def _one_tile_and_tiled(monkeypatch, verify, budget):
+    """``verify()`` on one tile, then in tiles of ``budget`` points, and how
+    many tiles that took."""
+    monkeypatch.setattr(residual, "TILE_POINTS", 10 ** 9)
+    whole = verify()
+    monkeypatch.setattr(residual, "TILE_POINTS", budget)
+    reports = _counted_reports(monkeypatch)
+    return whole, verify(), len(reports)
+
+
+def _same_report(a, b):
+    """Field by field, bit for bit; NaN equals NaN, arrays entry by entry."""
+    assert a.n_points == b.n_points and len(a.argmax) == len(b.argmax)
+    for u, v in zip((a.max_abs, a.max_rel, *a.argmax), (b.max_abs, b.max_rel, *b.argmax)):
+        assert np.shape(u) == np.shape(v) and np.array_equal(u, v, equal_nan=True)
+
+
+def _nested_lift(rng):
+    psi0 = gaussian_free(0.7, t0=2.0)
+    back = PullbackFn(PullbackFn(psi0, lift_frame("f1", LIN)), lift_frame("phi1", LIN))
+    return grid_residual(back, FREE, GRID_9_11)
+
+
+NLS = FamilySpec.nls2d(-0.7j, coupling=1.3)
+
+
+@pytest.mark.parametrize("verify, budget", [
+    # 9 points a column of the 9 x 11 grid: three columns a tile, four tiles
+    (lambda rng: verify_transformed_solution(f_pair(LIN)[0], random_element(rng), LIN, GRID_9_11), 30),
+    # 3 x 9 x 11 points a plane of the 2-d grid: four planes a tile, three tiles
+    (lambda rng: verify_transformed_solution(plane_wave_nls(1.1, (0.4, -0.7), NLS),
+                                             random_element(rng, size=3), NLS, GRID_9_11), 1200),
+    (lambda rng: verify_intertwining(FormulaFn(lambda tj, xj: jets.exp(tj + xj)),
+                                     random_element(rng), LIN, GRID_9_11), 30),
+    (_nested_lift, 30),
+], ids=["transformed", "nls_batch", "intertwining", "nested_lift"])
+def test_a_tiled_report_is_the_one_tile_report(monkeypatch, verify, budget):
+    whole, tiled, tiles = _one_tile_and_tiled(
+        monkeypatch, lambda: verify(np.random.default_rng(17)), budget)
+    assert tiles >= 3
+    _same_report(tiled, whole)
+
+
+T_4, X_6 = np.linspace(-0.4, 0.6, 4), np.linspace(-1.2, 1.2, 6)
+GRID_4_6 = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=4, nx=6)  # two columns a tile of 8 points
+
+
+def _designed_residual(values):
+    """A function whose free-family residual is ``values(t, x)`` on the
+    grid's points: psi = 0 with psi_t = values, and no x partials."""
+    def formula(tj, xj):
+        v = values(jets.value_of(tj), jets.value_of(xj))
+        return jets.Jet(2, 2, {(0, 0): 0.0 * v, (1, 0): v})
+
+    return FormulaFn(formula)
+
+
+def test_a_tie_between_tiles_goes_to_the_first_point_in_c_order(monkeypatch):
+    # the worst value at (t_0, x_2), in the second tile, and at (t_1, x_0),
+    # in the first tile but later in C order
+    fn = _designed_residual(lambda t, x: np.where(
+        ((t == T_4[0]) & (x == X_6[2])) | ((t == T_4[1]) & (x == X_6[0])), 1.0, 0.5))
+    whole, tiled, tiles = _one_tile_and_tiled(monkeypatch, lambda: grid_residual(fn, FREE, GRID_4_6), 8)
+    assert tiles == 3 and tiled.argmax == (complex(T_4[0]), complex(X_6[2]))
+    _same_report(tiled, whole)
+
+
+def test_a_nan_in_the_last_tile_is_the_report(monkeypatch):
+    fn = _designed_residual(lambda t, x: np.where((t == T_4[2]) & (x == X_6[5]), np.nan, 0.5))
+    whole, tiled, tiles = _one_tile_and_tiled(monkeypatch, lambda: grid_residual(fn, FREE, GRID_4_6), 8)
+    assert tiles == 3 and np.isnan(tiled.max_rel) and np.isnan(tiled.max_abs)
+    assert tiled.argmax == (complex(T_4[2]), complex(X_6[5]))
+    _same_report(tiled, whole)
+
+
+def test_a_grid_whose_last_tile_leaves_the_domain_raises(monkeypatch):
+    # the domain is x < 1: of the three tiles only the last, x in {0.72, 1.2},
+    # leaves it, after the first two have been reported
+    def formula(tj, xj):
+        coords._above(-xj, -1.0, "-x")
+        return xj * xj
+
+    monkeypatch.setattr(residual, "TILE_POINTS", 8)
+    reports = _counted_reports(monkeypatch)
+    with pytest.raises(DomainError, match=re.escape("needs -x > -1.0")):
+        grid_residual(FormulaFn(formula), FREE, GRID_4_6)
+    assert len(reports) == 2
+
+
+def test_a_large_grid_verifies_in_tiles_of_bounded_memory():
+    # the disk case of the benchmark's residual_large round, 224 x 224: the
+    # tracemalloc peak is 14.5 MB on one tile and 7.3 MB in two
+    disk = FamilySpec.quadratic(0.7j, 0.3, 0.6)
+    fn, l = g_functions(disk, 0.4)[2], random_disk_element(np.random.default_rng(1))
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=224, nx=224)
+    verify_transformed_solution(fn, l, disk, grid)  # the caches of grids and jet tables
+    tracemalloc.start()
+    try:
+        report = verify_transformed_solution(fn, l, disk, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_points == 224 * 224 and report.max_rel < 1e-9
+    assert peak < 10e6
