@@ -350,20 +350,28 @@ class Frame:
 
     def multiplier_factors(self, x):
         """The multiplier's factors exp(A + B x_j + C x_j^2), one per
-        coordinate x_j.
+        coordinate x_j: the exponentials of ``exponents``.
 
         Each factor depends on t and its own x_j only, so on a grid sampled
-        on broadcastable axes it spans the time axis and one space axis.
+        on broadcastable axes it spans the time axis and one space axis."""
+        return tuple(map(jets.exp, self.exponents(x)))
+
+    def exponents(self, x):
+        """The exponents A + B x_j + C x_j^2 of the multiplier's factors, one
+        per coordinate x_j, in the association of ``_terms``: jets for space
+        jets, and for arrays the frame's time jets over them, whose value
+        rows are the same and whose t rows are A' + B' x_j + C' x_j^2.
+
         ``RangeError`` when the real part of the whole exponent (the sum of
-        the factors' values) exceeds ``EXP_GUARD``, and, for two or more
-        coordinates, when a factor's leaves [-EXP_GUARD, EXP_GUARD]: it
-        could overflow, or underflow to 0 beside a large one."""
+        the values) exceeds ``EXP_GUARD``, and, for two or more coordinates,
+        when a factor's leaves [-EXP_GUARD, EXP_GUARD]: it could overflow,
+        or underflow to 0 beside a large one."""
         es = [_terms((self.A,), (self.B, xj), (self.C, xj, xj)) for xj in x]
         vs = [np.real(jets.value_of(e)) for e in es]
         if np.max(reduce(operator.add, vs)) > EXP_GUARD or (
                 len(vs) > 1 and max(np.max(np.abs(v)) for v in vs) > EXP_GUARD):
             raise RangeError("multiplier exponent exceeds the double range")
-        return tuple(map(jets.exp, es))
+        return es
 
 
 def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:

@@ -7,13 +7,29 @@ element's frame or a lift's frame (``lift_frame``, re-exported from
 ``multiplier``), and checks the operator intertwining identity pointwise,
 including on functions that do not solve the equation.
 
+One formula gives every analytic residual, the product rule
+(``_product_rule``).  A function is psi = K beta: a pullback's K is its
+outermost multiplier, exp(q) with q = sum_j (A + B x_j + C x_j^2) and A,
+B, C functions of t, and beta its base on the mapped jets; a formula has
+K = 1 and q = 0.  Then
+
+    R = K {beta_t + q_t beta - k sum_j [beta_jj + 2 q_j' beta_j
+          + (2 C + q_j'^2) beta] + k V beta},
+
+with the NLS family's - k g |psi|^2 beta in place of k V beta, so K is
+never made a jet: q_t and q_j' = B + 2 C x_j are plain arrays built from
+the value and t rows of the frame's time jets, and K is exp of q's value.
+A base given as one factor per coordinate splits the braces into one
+bracket per factor, each spanning t and its own coordinate.  Nested lifts
+inside the base stay jets.
+
 Grids are sampled on broadcastable axes (``GridSpec.points``): the time
 axis varies along the first array dimension and each space axis along its
 own, so the frame and the time-only jets hold one value per time, and only
 what mixes ``t`` with ``x`` is computed on the whole grid.  A report reads
 the axes only at the worst point.
 
-A verification evaluates a function in two steps (``SmoothFn.at_time``):
+A verification evaluates a function in two steps (``SmoothFn.split_at``):
 the time step, once, on the seeded time jet, evaluates the frame and every
 time-only jet; the space step runs on tiles of the last space axis, each of
 at most ``TILE_POINTS`` points, batch axes included.  Each tile is
@@ -37,12 +53,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .coords import LINEAR, NLS2D, QUADRATIC, FamilySpec, frame
+from .coords import LINEAR, NLS2D, QUADRATIC, FamilySpec, _terms, frame
 from .errors import DomainError
 from .group import GroupElement, Mat2
 from .jets import Jet, value_of
 from .multiplier import lift_frame
-from .solutions import PullbackFn, SmoothFn, paired
+from .solutions import PullbackFn, SmoothFn
 
 REL_FLOOR = 1e-300
 
@@ -110,28 +126,105 @@ def potential(spec: FamilySpec, xs):
     return total
 
 
-def _residual(spec: FamilySpec, psi_t, laplacian, psi, xs):
-    """psi_t - k (Delta psi - V psi); the NLS family has the cubic term
-    in place of the potential."""
-    if spec.family == NLS2D:
-        return psi_t - spec.k * (laplacian + spec.coupling * np.abs(psi) ** 2 * psi)
+def _braces(spec: FamilySpec, psi_t, laplacian, psi, xs):
+    """psi_t - k (Delta psi - V psi), V the potential over the coordinates
+    ``xs``: the residual but for the NLS family's cubic term, of a function
+    or of one factor of a product (``_product_rule``)."""
     return psi_t - spec.k * (laplacian - potential(spec, xs) * psi)
 
 
-def _residual_from_jet(j, spec: FamilySpec, xs):
-    ndim = j.nvars - 1
-    pt = j.partial((1,) + (0,) * ndim)
-    # summed from its first term: one space coordinate reads its row as is
-    lap = reduce(operator.add, (j.partial(tuple(2 * (v == i) for v in range(1 + ndim)))
-                                for i in range(1, 1 + ndim)))
-    return _residual(spec, pt, lap, j.value, xs)
+def _less_cubic(spec: FamilySpec, resid, psi):
+    """``resid`` less the NLS family's cubic term k g |psi|^2 psi, in
+    place of the potential that family does not have."""
+    if spec.family != NLS2D:
+        return resid
+    return resid - spec.k * (spec.coupling * np.abs(psi) ** 2 * psi)
+
+
+def _partial(z, var, order):
+    """The partial of ``order`` in the variable ``var`` (0 is t) of a jet,
+    and 0.0 of a constant."""
+    if not isinstance(z, Jet):
+        return 0.0
+    return z.partial(tuple(order * (v == var) for v in range(z.nvars)))
+
+
+def _conjugation(fr, xs):
+    """What the product rule reads of the multiplier K = prod_j exp(q_j),
+    q_j = A + B x_j + C x_j^2, on the coordinates' arrays ``xs``: per
+    coordinate, K_j on the exponent's value, q_j's t partial, q_j' =
+    B + 2 C x_j and q_j'' + q_j'^2 = 2 C + q_j'^2.  Arrays that span t and
+    x_j only, from the value and t rows of the frame's time jets; a literal
+    0.0 coefficient stays 0.0 and costs nothing (``_terms``).  The
+    exponents pass the frame's range guard (``Frame.exponents``).  With no
+    frame, K = 1: each K_j is None and the rest the literal 0.0."""
+    if fr is None:
+        return [(None, 0.0, 0.0, 0.0)] * len(xs)
+    B, C = value_of(fr.B), value_of(fr.C)
+    out = []
+    for q, x in zip(fr.exponents(xs), xs):
+        dq = _terms((B,), (C, 2.0, x))
+        out.append((np.exp(value_of(q)), _partial(q, 0, 1), dq, _terms((2.0 * C,), (dq, dq))))
+    return out
+
+
+def _product_rule(spec: FamilySpec, factors, conj, xs):
+    """``(R, psi)`` of psi = K beta, beta the product of the jets
+    ``factors`` and K the multiplier that ``conj`` describes
+    (``_conjugation``), on the coordinates' arrays ``xs``.
+
+    psi_t = K (beta_t + q_t beta) and psi_jj = K (beta_jj + 2 q_j' beta_j
+    + (2 C + q_j'^2) beta), so R = K {beta_t + q_t beta - k (sum_j [...] -
+    V beta)}, less the NLS cubic term: K is never a jet.  Factors one per
+    coordinate, factor j a function of t and x_j only, split the braces
+    into one bracket per factor, which spans t and x_j only, times the
+    other factors of psi; then only psi and R span the whole grid.  With
+    K = 1 and one factor this is psi_t - k (Delta psi - V psi) on the
+    rows of psi itself."""
+    n = len(xs)
+    if len(factors) == n:
+        groups = [([j], beta) for j, beta in enumerate(factors)]
+    else:
+        groups = [(range(n), reduce(operator.mul, factors))]
+    brackets, values = [], []  # per factor: K_f times its bracket, and K_f beta_f
+    for on, beta in groups:
+        ks, qts, dqs, curvs = zip(*(conj[j] for j in on))
+        bv = beta.value
+        pt = _terms((1.0, _partial(beta, 0, 1)), (reduce(operator.add, qts), bv))
+        # summed from its first term: one coordinate reads its row as is
+        lap = reduce(operator.add, (
+            _terms((1.0, _partial(beta, 1 + j, 2)), (dq, 2.0, _partial(beta, 1 + j, 1)), (curv, bv))
+            for j, dq, curv in zip(on, dqs, curvs)))
+        w = _braces(spec, pt, lap, bv, [xs[j] for j in on])
+        if ks[0] is not None:
+            k = reduce(operator.mul, ks)
+            w, bv = k * w, bv * k
+        brackets.append(w)
+        values.append(bv)
+    psi = reduce(operator.mul, values)
+    resid = reduce(operator.add, (reduce(operator.mul, values[:f] + [w] + values[f + 1:])
+                                  for f, w in enumerate(brackets)))
+    return _less_cubic(spec, resid, psi), psi
+
+
+def _residual_step(fn: SmoothFn, spec: FamilySpec, tj):
+    """The time step of ``fn``'s residual (``SmoothFn.split_at``), taken
+    once; it returns the space step ``xs -> (R, psi)`` on arrays of the
+    space coordinates, by the product rule.  The base is evaluated before
+    the multiplier, as ``PullbackFn.at_time`` does."""
+    fr, base = fn.split_at(tj)
+
+    def space(xs):
+        factors = base(_seeds(xs))
+        return _product_rule(spec, factors, _conjugation(fr, xs), xs)
+
+    return space
 
 
 def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
     """Vectorized residual and value over point arrays; float64 for a real
     family on real points (the dtype rule of ``jets``)."""
-    j = fn.jet(t, xs, 2)
-    return _residual_from_jet(j, spec, xs), j.value
+    return _residual_step(fn, spec, Jet.variable(t, 0, 1 + fn.ndim, 2))(xs)
 
 
 def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
@@ -146,7 +239,7 @@ def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
         up = [x + (h if j == i else 0.0) for j, x in enumerate(xs)]
         dn = [x - (h if j == i else 0.0) for j, x in enumerate(xs)]
         lap = lap + (val(t, up) - 2.0 * psi + val(t, dn)) / h ** 2
-    return _residual(spec, pt, lap, psi, xs), psi
+    return _less_cubic(spec, _braces(spec, pt, lap, psi, xs), psi), psi
 
 
 # Points of one tile, batch axes included: the 224^2 and 37^3 grids of the
@@ -244,11 +337,11 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec) -> ResidualRep
     (``_tiled``).  A grid that leaves the function's domain raises
     ``DomainError`` (from the function's jet): no point is dropped."""
     t, xs = grid.points(fn.ndim)
-    space = fn.at_time(Jet.variable(t, 0, 1 + fn.ndim, 2))
+    space = _residual_step(fn, spec, Jet.variable(t, 0, 1 + fn.ndim, 2))
 
     def tile(xs):
-        j = reduce(operator.mul, space(_seeds(xs)))
-        return _residual_from_jet(j, spec, xs), np.abs(j.value)
+        resid, psi = space(xs)
+        return resid, np.abs(psi)
 
     return _tiled(tile, fn.batch, t, xs)
 
@@ -319,17 +412,16 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     t, xs = grid.points(spec.n)
     nv = 1 + spec.n
     fr = frame(_batch_first(l, nv), spec, Jet.variable(t, 0, nv, 2))
-    pulled_at, base_at = fn.at_time(fr.tp), fn.at_time(Jet.variable(value_of(fr.tp), 0, nv, 2))
+    pulled_at = fn.at_time(fr.tp)
+    base_residual = _residual_step(fn, spec, Jet.variable(value_of(fr.tp), 0, nv, 2))
     xi = value_of(fr.xi)
 
     def tile(xs):
-        xjs = _seeds(xs)
-        xps, ks = fr.space(xjs), fr.multiplier_factors(xjs)
-        pulled = reduce(operator.mul, paired(pulled_at(xps), ks))
+        xps, conj = fr.space(_seeds(xs)), _conjugation(fr, xs)
+        resid, psi = _product_rule(spec, pulled_at(xps), conj, xs)
         # the right-hand side reads the value rows of the same frame evaluation
-        xvs = [value_of(x) for x in xps]
-        base_res = _residual_from_jet(reduce(operator.mul, base_at(_seeds(xvs))), spec, xvs)
-        rhs = xi * xi * reduce(operator.mul, map(value_of, ks)) * base_res
-        return _residual_from_jet(pulled, spec, xs) - rhs, np.abs(rhs) + np.abs(pulled.value)
+        rhs = xi * xi * reduce(operator.mul, (c[0] for c in conj)) * base_residual(
+            [value_of(x) for x in xps])[0]
+        return resid - rhs, np.abs(rhs) + np.abs(psi)
 
     return _tiled(tile, _batch_shape(l), t, xs)

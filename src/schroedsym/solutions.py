@@ -81,6 +81,14 @@ class SmoothFn:
         ``factors_at(tj, xjs)``.  A guard on time raises here."""
         raise NotImplementedError
 
+    def split_at(self, tj):
+        """The time step split at the outermost multiplier, as
+        ``(frame, space)``: psi = K beta, with K the frame's multiplier and
+        ``space(xjs)`` the factors of beta, so that ``at_time(tj)(xjs)`` is
+        ``paired(space(xjs), frame.multiplier_factors(xjs))``.  A function
+        without a multiplier is ``(None, at_time(tj))``."""
+        return None, self.at_time(tj)
+
     def value(self, t, x):
         return self.jet(t, x, 0).value
 
@@ -127,8 +135,9 @@ class PullbackFn(SmoothFn):
     The time step evaluates the frame and the base's time step at t' (a
     nested pullback's inner frame); the space step maps the space jets,
     runs the base's space step on them and pairs its factors with the
-    multiplier's.  A frame with batch axes (a batched element's) declares
-    their shape in ``batch``.
+    multiplier's.  ``split_at`` keeps the two apart, so that the residual
+    verifier reads the multiplier's exponent, not its jet.  A frame with
+    batch axes (a batched element's) declares their shape in ``batch``.
     """
 
     def __init__(self, base: SmoothFn, frame, ndim=None, batch=()):
@@ -137,15 +146,15 @@ class PullbackFn(SmoothFn):
         self.ndim = base.ndim if ndim is None else ndim
         self.batch = np.broadcast_shapes(batch, base.batch) if batch and base.batch else batch or base.batch
 
-    def at_time(self, tj):
+    def split_at(self, tj):
         fr = self.frame(tj)
         base = self.base.at_time(fr.tp)
+        return fr, lambda xjs: base(fr.space(xjs))
 
-        def space(xjs):
-            bs = base(fr.space(xjs))  # before the multiplier: the lower peak of memory
-            return paired(bs, fr.multiplier_factors(xjs))
-
-        return space
+    def at_time(self, tj):
+        fr, base = self.split_at(tj)
+        # the base before the multiplier: the lower peak of memory
+        return lambda xjs: paired(base(xjs), fr.multiplier_factors(xjs))
 
 
 class FormulaFn(SmoothFn):

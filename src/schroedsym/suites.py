@@ -386,6 +386,8 @@ def _group_det_guard(cfg, rng, trials):
         yield 1.0
 
 
+# reads 0 at every seed and parameter, since it reads neither; a gate above 0
+# leaves room for another libm's cos, sin and exp of pi/2 and pi, or an FMA
 @_register("group", "disk_parametrization", "disk coordinates give a rotation at the origin", 1e-12, families=("quadratic",))
 def _group_disk_param(cfg, rng, trials):
     ident = disk_parametrize(DiskParams(0.0, 0.0))
@@ -947,22 +949,22 @@ for _family, (_what, *_case) in _TRANSFORMED.items():
         partial(_transformed, _family, *_case))
 
 
-# trials of residual.transformed_nls per batch: at 14^3 a batch of 3 has a
-# tracemalloc peak of 1.40 MB, below the 1.81 MB of transformed_disk, the
-# largest of any check in a verify-all pass, so the pass's peak memory does
-# not rise; batches of 5 reach 2.23 MB and all 15 trials 6.59 MB
+# trials of residual.transformed_nls per batch: at 14^3 (tracemalloc, after a
+# warm-up run) a batch of 3 peaks at 0.91 MB, below the 1.44 MB of
+# transformed_disk, the largest of any other check in a verify-all pass, so
+# the pass's peak memory does not rise; batches of 5 reach 1.32 MB and all
+# 15 trials, in two tiles, 2.19 MB
 NLS_CHUNK = 3
 
 
 @_register("residual", "transformed_nls", "transformed plane waves still solve the cubic equation", 1e-9, 15, families=("nls2d",))
 def _res_tr_nls(cfg, rng, trials):
     """In batches of ``NLS_CHUNK`` trials, each a 14^3-point grid.  On a
-    2-vCPU Xeon (Python 3.11, numpy 2.4, best of 20 rounds), the 15 trials
-    take 11.9 ms one at a time, 6.0 ms in batches of 3 and 3.9 ms as one
-    batch.  A point costs 0.24 us in a trial alone and 0.13 us in a batch
-    of 3 at 14^3, and 0.07 us at 37^3: each factor of the plane wave times
-    the multiplier's factor of its axis spans one space axis
-    (``solutions.paired``), and only their product spans the grid."""
+    2-vCPU Xeon (Python 3.11, numpy 2.4, best of 60 rounds), the 15 trials
+    take 11.8 ms one at a time, 5.5 ms in batches of 3 and 4.2 ms as one
+    batch.  Each factor of the plane wave spans one space axis, and so does
+    its bracket of the product rule (``residual._product_rule``): only psi
+    and the residual span the grid."""
     spec = cfg.specs()["nls2d"]
     fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
     grid = GridSpec(T_RANGE, X_RANGE)
@@ -1018,6 +1020,9 @@ def _lie_table_linear(cfg, rng, trials):
     yield generators_linear(cfg.specs()["linear"]).commutator_table_defect()
 
 
+# reads 0 at every seed, since it draws nothing, but not at every parameter:
+# up to 4.4e-16 over k in {0.3, 0.7, 1, 1.5, 2.5, 1e-3, +-0.7j}, alpha in
+# {0, 0.3, 1.7}, omega in {0.1, 0.3, 0.6, 1, 3}, from alpha/(4 omega) and omega
 @_register("liealg", "table_quadratic", "full bracket table of the oscillator algebra", 1e-13, families=("quadratic",))
 def _lie_table_quadratic(cfg, rng, trials):
     yield generators_quadratic(cfg.specs()["quadratic"]).commutator_table_defect()
@@ -1157,6 +1162,10 @@ def _lie_dpower(cfg, rng, trials):
     yield abs(op.apply(f1, z)) / abs(f1.value(z.t, z.x1))
 
 
+# reads 0 everywhere and is exact: it reads no parameter, and binary64 holds
+# every product and sum of its small-integer coefficients, FMA or not; a gate
+# of 0 would hold too, but the gate stays with those of the other liealg
+# coefficient checks, which round at float parameters
 @_register("liealg", "poly_ring", "coefficient ring arithmetic handles negative powers", 1e-14)
 def _lie_poly(cfg, rng, trials):
     """Order-0 operators are the coefficient ring that ``compose`` multiplies."""

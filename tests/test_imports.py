@@ -68,10 +68,11 @@ def test_package_attribute_of_each_submodule_is_the_module(path):
     assert isinstance(module, types.ModuleType)
 
 
-@pytest.mark.parametrize("error", ["SingularTime", "BranchError"])
+@pytest.mark.parametrize("error", ["SingularTime", "BranchError", "RangeError"])
 def test_each_guard_error_is_raised_at_one_place(error):
-    # the shared guards (coords._nonsingular, coords._off_cut) are the one
-    # statement of each rule: a new singular or branch site calls them
+    # the shared guards (coords._nonsingular, coords._off_cut and
+    # coords.Frame.exponents) are the one statement of each rule: a new
+    # singular, branch or multiplier site calls them
     sites = [f"{p.stem}:{n.lineno}" for p in sorted(SRC.glob("*.py"))
              for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.Raise)
              and getattr(getattr(n.exc, "func", n.exc), "id", None) == error]

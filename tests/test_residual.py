@@ -6,7 +6,7 @@ import pytest
 
 from schroedsym import coords, jets, residual, suites
 from schroedsym.coords import FamilySpec
-from schroedsym.errors import DomainError
+from schroedsym.errors import DomainError, RangeError
 from schroedsym.group import GroupElement, Mat2
 from schroedsym.multiplier import IntertwinerParams
 from schroedsym.residual import (
@@ -260,6 +260,19 @@ def _graded_cases(rng):
     ]
 
 
+def _residual(spec, psi_t, laplacian, psi, xs):
+    """The residual of psi from its own partials."""
+    return residual._less_cubic(spec, residual._braces(spec, psi_t, laplacian, psi, xs), psi)
+
+
+def _residual_from_jet(j, spec, xs):
+    """The reference residual: the one jet of psi, for a pullback the
+    multiplier's jet times the base's, read off its rows."""
+    n = j.nvars - 1
+    lap = sum(j.partial(tuple(2 * (v == i) for v in range(1 + n))) for i in range(1, 1 + n))
+    return _residual(spec, j.partial((1,) + (0,) * n), lap, j.value, xs)
+
+
 GRADED_IDS = ["linear", "inverse_quadratic", "quadratic", "disk", "nls", "K0",
               "f1", "f2", "intertwining_linear"]
 
@@ -324,7 +337,7 @@ def test_order_2_residual_matches_partials_of_order_4_jets(case):
     j4 = fn.jet(t, xs[0] if spec.n == 1 else tuple(xs), 4)
     psi_t = j4.partial((1,) + (0,) * spec.n)
     lap = sum(j4.partial(tuple(2 * (j == i) for j in range(spec.n + 1))) for i in range(1, spec.n + 1))
-    ref = residual._residual(spec, psi_t, lap, j4.value, xs)
+    ref = _residual(spec, psi_t, lap, j4.value, xs)
     scale = np.abs(psi_t).max() + abs(spec.k) * np.abs(lap).max()
     assert np.abs(psi - j4.value).max() <= 1e-13 * np.abs(j4.value).max()
     assert np.abs(resid - ref).max() <= 1e-13 * scale
@@ -636,3 +649,118 @@ def test_a_large_grid_verifies_in_tiles_of_bounded_memory():
         tracemalloc.stop()
     assert report.n_points == 224 * 224 and report.max_rel < 1e-9
     assert peak < 10e6
+
+
+# -- the product rule against the jet of the product ----------------------------
+
+
+def _largest_term(spec, j, xs):
+    """The largest of |psi_t|, |k Delta psi|, |k V psi| and the NLS cubic
+    term over the points of the jet ``j`` of psi."""
+    n = j.nvars - 1
+    psi, lap = j.value, sum(j.partial(tuple(2 * (v == i) for v in range(1 + n))) for i in range(1, 1 + n))
+    source = (spec.coupling * np.abs(psi) ** 2 * psi if spec.family == coords.NLS2D
+              else residual.potential(spec, xs) * psi)
+    return max(np.abs(a).max() for a in (j.partial((1,) + (0,) * n), spec.k * lap, spec.k * source))
+
+
+def _product_rule_cases():
+    rng = np.random.default_rng(23)
+    grid = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=9, nx=11)
+    late = GridSpec((0.15, 1.0), (-1.2, 1.2), nt=9, nx=11)
+    grid_x_pos = GridSpec((-0.4, 0.6), (0.4, 1.8), nt=9, nx=11)
+    invq = FamilySpec.inverse_quadratic(0.7, 2.0)
+    psi0, psi8 = gaussian_free(0.7, t0=2.0), gaussian_free(0.7, t0=8.0)
+    cases = {}
+    for size in (None, 3):
+        tag = "" if size is None else "_batch"
+        cases.update({
+            # the f1 lift of the constant 1 is a pullback nested in this one
+            f"linear_nested_f1{tag}": (transformed(f_pair(LIN)[0], random_element(rng, size=size), LIN),
+                                       LIN, grid),
+            f"inverse_quadratic{tag}": (transformed(power_static(2.0, 2.0),
+                                                    GroupElement(random_sl2r(rng, 0.3, size=size)), invq),
+                                        invq, grid_x_pos),
+            f"quadratic{tag}": (transformed(g_functions(QUAD, 0.5)[1],
+                                            random_admissible_element(rng, size=size), QUAD), QUAD, grid),
+            f"disk{tag}": (transformed(g_functions(DISK, 0.4)[2], random_disk_element(rng, size=size), DISK),
+                           DISK, grid),
+            f"nls{tag}": (transformed(plane_wave_nls(1.1, (0.4, -0.7), NLS), random_element(rng, size=size),
+                                      NLS), NLS, grid),
+        })
+    for kind, base, spec, g in (("f1", psi0, LIN, grid), ("f2", psi8, LIN, late),
+                                ("phi1", psi0, FREE, grid), ("phi2", psi8, FREE, late),
+                                ("K0", psi0, QUAD, grid)):
+        frame_spec = QUAD if kind == "K0" else LIN
+        cases[f"lift_{kind}"] = (PullbackFn(base, lift_frame(kind, frame_spec, IntertwinerParams(0.8, 0.3, 0.2))),
+                                 spec, g)
+    return cases
+
+
+PRODUCT_RULE_CASES = _product_rule_cases()
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_RULE_CASES))
+def test_the_product_rule_residual_is_the_residual_of_the_jet_product(name):
+    # psi bit for bit, and R to 1e-12 of the largest term of the equation
+    fn, spec, grid = PRODUCT_RULE_CASES[name]
+    t, xs = grid.points(spec.n)
+    resid, psi = residual_arrays(fn, spec, t, xs)
+    j = fn.jet(t, xs[0] if spec.n == 1 else tuple(xs), 2)
+    assert np.array_equal(psi, j.value)
+    ref = _residual_from_jet(j, spec, xs)
+    assert np.abs(resid - ref).max() <= 1e-12 * _largest_term(spec, j, xs)
+
+
+@pytest.mark.parametrize("fn, l, spec, grid", [
+    (FormulaFn(lambda tj, xj: jets.exp(tj + xj)), random_element(RNG, size=4), LIN, GRID_9_11),
+    (FormulaFn(lambda tj, xj: xj * xj), GroupElement(random_sl2r(RNG, size=4)),
+     FamilySpec.inverse_quadratic(0.7, 0.0), GridSpec((-0.4, 0.6), (0.4, 1.8), nt=9, nx=11)),
+    (FormulaFn(lambda tj, xj: jets.exp(tj + xj)), random_admissible_element(RNG, size=4), QUAD, GRID_9_11),
+], ids=["linear", "inverse_quadratic", "quadratic"])
+def test_intertwining_by_the_product_rule_matches_the_jet_product(monkeypatch, fn, l, spec, grid):
+    # the defect and scale that verify_intertwining reports on, against its
+    # left-hand side formed as the jet of K times the pulled-back base
+    seen = []
+    report = residual._report
+    monkeypatch.setattr(residual, "_report", lambda *args: seen.append(args[:2]) or report(*args))
+    verify_intertwining(fn, l, spec, grid)
+    (defect, scale), = seen
+    t, xs = grid.points(1)
+    nv = 2
+    fr = coords.frame(residual._batch_first(l, nv), spec, jets.Jet.variable(t, 0, nv, 2))
+    xjs = [jets.Jet.variable(xs[0], 1, nv, 2)]
+    pulled = fn.jet_at(fr.tp, fr.space(xjs)) * fr.multiplier(xjs)
+    xv = jets.value_of(fr.space(xjs)[0])
+    rhs = jets.value_of(fr.xi) ** 2 * fr.multiplier(xjs).value * _residual_from_jet(
+        fn.jet(jets.value_of(fr.tp), xv, 2), spec, [xv])
+    np.testing.assert_array_equal(scale, np.abs(rhs) + np.abs(pulled.value))
+    ref = _residual_from_jet(pulled, spec, xs) - rhs
+    assert np.abs(defect - ref).max() <= 1e-12 * _largest_term(spec, pulled, xs)
+
+
+def test_an_exponent_out_of_range_raises_the_range_error_of_the_jet():
+    # phi1's exponent at t = 20 is about 1.5e3: the product rule reads the
+    # exponent through the frame's one range guard, as the jet does
+    phi1 = PullbackFn(constant_one(), lift_frame("phi1", LIN))
+    grid = GridSpec((19.0, 20.0), (-1.2, 1.2), nt=4, nx=6)
+    t, xs = grid.points(1)
+    with pytest.raises(RangeError) as jet_error:
+        phi1.jet(t, xs[0], 2)
+    with pytest.raises(RangeError) as residual_error:
+        grid_residual(phi1, FREE, grid)
+    assert str(residual_error.value) == str(jet_error.value) == "multiplier exponent exceeds the double range"
+
+
+def test_a_pullback_whose_base_leaves_its_domain_in_the_last_tile_raises(monkeypatch):
+    # the f1 lift maps x to x - k^2 beta t^2; of the three tiles of the 4 x 6
+    # grid only the last, x in {0.72, 1.2}, maps past the base's domain x < 1
+    def formula(tj, xj):
+        coords._above(-xj, -1.0, "-x")
+        return xj * xj
+
+    monkeypatch.setattr(residual, "TILE_POINTS", 8)
+    reports = _counted_reports(monkeypatch)
+    with pytest.raises(DomainError, match=re.escape("needs -x > -1.0")):
+        grid_residual(PullbackFn(FormulaFn(formula), lift_frame("f1", LIN)), LIN, GRID_4_6)
+    assert len(reports) == 2
