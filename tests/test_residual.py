@@ -688,6 +688,11 @@ def _product_rule_cases():
             f"nls{tag}": (transformed(plane_wave_nls(1.1, (0.4, -0.7), NLS), random_element(rng, size=size),
                                       NLS), NLS, grid),
         })
+    # one factor over two coordinates: the heat kernel in the plane
+    free2 = FamilySpec.free(0.7, n=2)
+    kernel = FormulaFn(lambda tj, x1, x2: jets.exp(-(x1 * x1 + x2 * x2) / (4.0 * 0.7 * (tj + 2.0)))
+                       / (tj + 2.0), ndim=2)
+    cases["free_plane_one_factor"] = (transformed(kernel, random_element(rng), free2), free2, grid)
     for kind, base, spec, g in (("f1", psi0, LIN, grid), ("f2", psi8, LIN, late),
                                 ("phi1", psi0, FREE, grid), ("phi2", psi8, FREE, late),
                                 ("K0", psi0, QUAD, grid)):
