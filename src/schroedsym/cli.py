@@ -224,30 +224,29 @@ def _cmd_demo(args):
     return 0
 
 
-def _joined_k(argv):
-    """``argv`` with ``--k V`` written ``--k=V`` when V parses as a complex
-    number: argparse's negative-number pattern matches plain numbers only,
-    so it would read ``-0.7j`` as an option."""
+def _joined_values(parser, argv):
+    """``argv`` with ``--flag V`` written ``--flag=V`` wherever ``--flag``
+    takes a value and V is no option of the parser (nor ``--``): argparse
+    reads a V that starts with ``-`` as an option unless it is a plain
+    decimal, so it would refuse ``-0.7j``, ``-1e-3`` or ``-1,0,0,-1,0,0``."""
+    takes_value, parsers = {"--": False}, [parser]
+    for p in parsers:  # the parser, then its commands'
+        for action in p._actions:
+            takes_value.update(dict.fromkeys(action.option_strings, action.nargs is None))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
     out = []
     for arg in argv:
-        if out and out[-1] == "--k" and _parses_as_complex(arg):
-            out[-1] = f"--k={arg}"
+        if out and takes_value.get(out[-1]) and arg not in takes_value:
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def _parses_as_complex(text):
-    try:
-        complex(text)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(_joined_k(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_joined_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -255,7 +254,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SchroedSymError as exc:
+    except (SchroedSymError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

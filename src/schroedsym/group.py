@@ -141,8 +141,9 @@ def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolv
     """Cocycle of the quadratic-potential family.
 
     Two conventions for the second bracket appear in the literature.
-    ``variant="resolved"`` uses the one the multiplier-product oracle
-    selects (the same symplectic structure as the linear family);
+    ``variant="resolved"`` uses the one that the check
+    ``multiplier.cocycle_variant_resolution`` selects (the same
+    symplectic structure as the linear family);
     ``variant="printed"`` keeps the rejected alternative, retained for
     falsification tests.
     """

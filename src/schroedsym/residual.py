@@ -29,13 +29,15 @@ own, so the frame and the time-only jets hold one value per time, and only
 what mixes ``t`` with ``x`` is computed on the whole grid.  A report reads
 the axes only at the worst point.
 
-A verification evaluates a function in two steps (``SmoothFn.split_at``):
-the time step, once, on the seeded time jet, evaluates the frame and every
-time-only jet; the space step runs on tiles of the last space axis, each of
-at most ``TILE_POINTS`` points, batch axes included.  Each tile is
-summarized on its own and the summaries fold into one report, bit for bit
-the report of one evaluation on the whole grid; a grid within the budget is
-one tile.  A guard raises in the first tile that has a point outside its
+A verification's dimension is its family's ``spec.n`` (``_of_family``).
+It evaluates a function in two steps (``SmoothFn.split_at``): the time
+step, once, on the seeded time jet, evaluates the frame and every
+time-only jet; the space step, whose factors the product rule pairs with
+the multiplier's as ``SmoothFn.at_time`` does (``solutions.pairing``),
+runs on tiles of the last space axis, each of at most ``TILE_POINTS``
+points, batch axes included.  Each tile is summarized on its own and the
+summaries fold into one report, bit for bit the report of one evaluation
+on the whole grid; a grid within the budget is one tile.  A guard raises in the first tile that has a point outside its
 domain or range, with the error of one evaluation on the whole grid.
 
 An element whose entries have shape ``(n,)`` is a batch of n elements on
@@ -58,7 +60,7 @@ from .errors import DomainError
 from .group import GroupElement, Mat2
 from .jets import Jet, value_of
 from .multiplier import lift_frame
-from .solutions import PullbackFn, SmoothFn
+from .solutions import PullbackFn, SmoothFn, pairing
 
 REL_FLOOR = 1e-300
 
@@ -174,15 +176,11 @@ def _product_rule(spec: FamilySpec, factors, conj, xs):
     multiplier that ``conj`` describes (``_conjugation``), on the
     coordinates' arrays ``xs``.  Factors one per coordinate, each a
     function of t and its x_j only, give one bracket each, spanning t and
-    x_j, times the other factors of psi.  With K = 1 and one factor this is
-    psi_t - k (Delta psi - V psi) on the rows of psi itself."""
-    n = len(xs)
-    if len(factors) == n:
-        groups = [([j], beta) for j, beta in enumerate(factors)]
-    else:
-        groups = [(range(n), reduce(operator.mul, factors))]
+    x_j, times the other factors of psi (``solutions.pairing``).  With
+    K = 1 and one factor this is psi_t - k (Delta psi - V psi) on the rows
+    of psi itself."""
     brackets, values = [], []  # per factor: K_f times its bracket, and K_f beta_f
-    for on, beta in groups:
+    for on, beta in pairing(factors, len(xs)):
         ks, qts, dqs, curvs = zip(*(conj[j] for j in on))
         bv = beta.value
         pt = _terms((1.0, _partial(beta, 0, 1)), (reduce(operator.add, qts), bv))
@@ -202,12 +200,19 @@ def _product_rule(spec: FamilySpec, factors, conj, xs):
     return _less_cubic(spec, resid, psi), psi
 
 
+def _of_family(fn: SmoothFn, spec: FamilySpec) -> SmoothFn:
+    """``fn``, which must have the family's ``spec.n`` space coordinates."""
+    if fn.ndim != spec.n:
+        raise DomainError(f"a function of {fn.ndim} space coordinates under a family of {spec.n}")
+    return fn
+
+
 def _residual_step(fn: SmoothFn, spec: FamilySpec, tj):
     """The time step of ``fn``'s residual (``SmoothFn.split_at``), taken
     once; it returns the space step ``xs -> (R, psi)`` on arrays of the
     space coordinates, by the product rule.  The base is evaluated before
-    the multiplier, as ``PullbackFn.at_time`` does."""
-    fr, base = fn.split_at(tj)
+    the multiplier, as ``SmoothFn.at_time`` does."""
+    fr, base = _of_family(fn, spec).split_at(tj)
 
     def space(xs):
         factors = base(_seeds(xs))
@@ -219,7 +224,7 @@ def _residual_step(fn: SmoothFn, spec: FamilySpec, tj):
 def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
     """Vectorized residual and value over point arrays; float64 for a real
     family on real points (the dtype rule of ``jets``)."""
-    return _residual_step(fn, spec, Jet.variable(t, 0, 1 + fn.ndim, 2))(xs)
+    return _residual_step(fn, spec, Jet.variable(t, 0, 1 + spec.n, 2))(xs)
 
 
 def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
@@ -331,8 +336,8 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec) -> ResidualRep
     function's time step is taken once and its space step once per tile
     (``_tiled``).  A grid that leaves the function's domain raises
     ``DomainError`` (from the function's jet): no point is dropped."""
-    t, xs = grid.points(fn.ndim)
-    space = _residual_step(fn, spec, Jet.variable(t, 0, 1 + fn.ndim, 2))
+    t, xs = grid.points(spec.n)
+    space = _residual_step(fn, spec, Jet.variable(t, 0, 1 + spec.n, 2))
 
     def tile(xs):
         resid, psi = space(xs)
@@ -345,7 +350,7 @@ def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
     """Observed order at which the residual of centered stencils at steps
     1e-3 and 5e-4 approaches the analytic residual over the grid; NaN when
     the second error is not positive, so that the order cannot be measured."""
-    t, xs = grid.points(fn.ndim)
+    t, xs = grid.points(spec.n)
     exact, _ = residual_arrays(fn, spec, t, xs)
     e1, e2 = (np.max(np.abs(_fd_residual_arrays(fn, spec, t, xs, h)[0] - exact))
               for h in (1e-3, 1e-3 / 2.0))
@@ -373,7 +378,7 @@ def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z); a
     batched element gives a function with the batch axes leading."""
     batch, l = _batch_shape(l), _batch_first(l, 1 + spec.n)
-    return PullbackFn(fn, lambda tj: frame(l, spec, tj), ndim=spec.n, batch=batch)
+    return PullbackFn(_of_family(fn, spec), lambda tj: frame(l, spec, tj), batch=batch)
 
 
 def verify_transformed_solution(fn: SmoothFn, l: GroupElement, spec: FamilySpec,

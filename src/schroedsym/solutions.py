@@ -11,11 +11,14 @@ guards its own domain and raises ``DomainError`` there.  The
 oscillator family's functions take the exponential variable
 s = e^{2 k omega t} as their first argument.
 
-Evaluation is two steps.  The time step ``at_time`` takes the time jet and
-evaluates everything that depends on time only, a pullback's frame and a
-formula's s = e^{rate t}; it returns the space step, a function of the
-space jets.  The residual verifier takes the time step once per
-verification and the space step once per tile of the grid.
+Evaluation is two steps, and a function class defines them in one
+method, ``split_at``.  The time step takes the time jet and evaluates
+everything that depends on time only, a pullback's frame and a formula's
+s = e^{rate t}; it returns the frame of the outermost multiplier K (None
+for a formula) and the space step, which gives the base's factors at the
+space jets.  ``at_time`` and ``jet_at`` derive from it (``pairing``).
+The residual verifier takes the time step once per verification and the
+space step once per tile of the grid.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class SmoothFn:
     ``x`` is a scalar for one space dimension, else a sequence of length
     ``ndim``.  ``jet`` seeds variable 0 with t and variables 1..ndim with
     the space coordinates and evaluates ``jet_at`` on those seeds;
-    coefficients may be numpy arrays.  A subclass defines ``at_time``.
-    ``batch`` is the shape of the batch axes that its values carry ahead of
-    the grid's, a batched element's (``residual.transformed``).
+    coefficients may be numpy arrays.  A subclass defines ``split_at``
+    only.  ``batch`` is the shape of the batch axes that its values carry
+    ahead of the grid's, a batched element's (``residual.transformed``).
     """
 
     ndim = 1
@@ -65,29 +68,30 @@ class SmoothFn:
         """Jet of psi(tj, xjs) for argument jets ``tj`` and ``xjs`` (one per
         space coordinate): the function evaluated on them, which is the
         chain rule through whatever map the argument jets expand.  It is the
-        product, left to right, of ``factors_at``."""
-        return reduce(operator.mul, self.factors_at(tj, xjs))
-
-    def factors_at(self, tj, xjs):
-        """psi(tj, xjs) as a tuple of jets whose product it is: one jet, or
-        one factor per space coordinate, factor j a function of t and x_j
-        only, which a pullback multiplies by its multiplier's factor j
-        (``paired``).  The space step of ``at_time(tj)`` on ``xjs``."""
-        return self.at_time(tj)(xjs)
-
-    def at_time(self, tj):
-        """The time step: what depends on the time jet ``tj`` alone,
-        evaluated once, and as the result the space step ``xjs ->``
-        ``factors_at(tj, xjs)``.  A guard on time raises here."""
-        raise NotImplementedError
+        product, left to right, of the factors of ``at_time``."""
+        return reduce(operator.mul, self.at_time(tj)(xjs))
 
     def split_at(self, tj):
-        """The time step split at the outermost multiplier, as
-        ``(frame, space)``: psi = K beta, with K the frame's multiplier and
-        ``space(xjs)`` the factors of beta, so that ``at_time(tj)(xjs)`` is
-        ``paired(space(xjs), frame.multiplier_factors(xjs))``.  A function
-        without a multiplier is ``(None, at_time(tj))``."""
-        return None, self.at_time(tj)
+        """The time step, ``(frame, space)`` for psi = K beta: K the frame's
+        multiplier (frame None for K = 1) and ``space(xjs)`` the factors of
+        beta, one jet or one per coordinate j, a function of t and x_j only.
+        A guard on time raises here."""
+        raise NotImplementedError
+
+    def at_time(self, tj):
+        """The time step of psi's factors: with K = 1 the space step of
+        ``split_at``, otherwise beta's times K's (``pairing``)."""
+        fr, space = self.split_at(tj)
+        if fr is None:
+            return space
+
+        def pulled(xjs):
+            # the base before the multiplier: the lower peak of memory
+            beta, ks = space(xjs), fr.multiplier_factors(xjs)
+            return tuple(b * reduce(operator.mul, [ks[j] for j in on])
+                         for on, b in pairing(beta, len(ks)))
+
+        return pulled
 
     def value(self, t, x):
         return self.jet(t, x, 0).value
@@ -98,28 +102,20 @@ class SmoothFn:
 
     def _seed(self, t, x, order):
         nv = 1 + self.ndim
-        tj = Jet.variable(t, 0, nv, order)
-        if self.ndim == 1:
-            if isinstance(x, (tuple, list)):
-                x = x[0]
-            xjs = [Jet.variable(x, 1, nv, order)]
-        else:
-            xjs = [Jet.variable(xc, 1 + i, nv, order) for i, xc in enumerate(x)]
-        return tj, xjs
+        xs = x if self.ndim > 1 or isinstance(x, (tuple, list)) else [x]
+        xjs = [Jet.variable(xc, 1 + i, nv, order) for i, xc in enumerate(xs)]
+        return Jet.variable(t, 0, nv, order), xjs
 
 
-def paired(base_factors, multiplier_factors):
-    """The factors of K * psi from those of psi (at the mapped jets) and of
-    the multiplier K (``coords.Frame.multiplier_factors``).
-
-    When the base gives one factor per space coordinate, base factor j
-    times multiplier factor j: both depend on t and x_j only (the frame
-    maps x_j to xi x_j + f), so on grid axes each product spans one space
-    axis, and only the product of the pairs spans the grid.  Otherwise the
-    one jet psi * (K_1 K_2 ...).  One coordinate is psi * K_1 either way."""
-    if len(base_factors) == len(multiplier_factors):
-        return tuple(map(operator.mul, base_factors, multiplier_factors))
-    return (reduce(operator.mul, base_factors) * reduce(operator.mul, multiplier_factors),)
+def pairing(factors, n):
+    """``(coordinates j, beta)`` pairs of the factors of a function of ``n``
+    space coordinates with the multiplier factors K_j.  One factor per
+    coordinate pairs factor j with K_j: both depend on t and x_j only, so
+    on grid axes each pair spans one space axis.  Otherwise the one product
+    of the factors pairs with K_1 K_2 ...."""
+    if len(factors) == n:
+        return [((j,), beta) for j, beta in enumerate(factors)]
+    return [(range(n), reduce(operator.mul, factors))]
 
 
 class PullbackFn(SmoothFn):
@@ -130,20 +126,20 @@ class PullbackFn(SmoothFn):
     (``coords.frame``) and a lift (``multiplier.lift_frame``) alike.
     Evaluating the base on the mapped jets is the chain rule and guards the
     base's domain at the mapped values; pullbacks nest, and the factors of
-    a separable base stay separable (``paired``).
+    a separable base stay separable (``pairing``).
 
     The time step evaluates the frame and the base's time step at t' (a
-    nested pullback's inner frame); the space step maps the space jets,
-    runs the base's space step on them and pairs its factors with the
-    multiplier's.  ``split_at`` keeps the two apart, so that the residual
-    verifier reads the multiplier's exponent, not its jet.  A frame with
-    batch axes (a batched element's) declares their shape in ``batch``.
+    nested pullback's inner frame); the space step maps the space jets and
+    runs the base's space step on them.  The multiplier stays apart, so
+    that the residual verifier reads its exponent, not its jet.  A pullback
+    has its base's ``ndim``; a frame with batch axes (a batched element's)
+    declares their shape in ``batch``.
     """
 
-    def __init__(self, base: SmoothFn, frame, ndim=None, batch=()):
+    def __init__(self, base: SmoothFn, frame, batch=()):
         self.base = base
         self.frame = frame
-        self.ndim = base.ndim if ndim is None else ndim
+        self.ndim = base.ndim
         self.batch = np.broadcast_shapes(batch, base.batch) if batch and base.batch else batch or base.batch
 
     def split_at(self, tj):
@@ -151,17 +147,12 @@ class PullbackFn(SmoothFn):
         base = self.base.at_time(fr.tp)
         return fr, lambda xjs: base(fr.space(xjs))
 
-    def at_time(self, tj):
-        fr, base = self.split_at(tj)
-        # the base before the multiplier: the lower peak of memory
-        return lambda xjs: paired(base(xjs), fr.multiplier_factors(xjs))
-
 
 class FormulaFn(SmoothFn):
     """A jet-generic formula f(t, x...) as a SmoothFn.
 
     The formula returns a jet, or a tuple of factors whose product is f,
-    one per space coordinate (``SmoothFn.factors_at``).  With a ``rate``
+    one per space coordinate (``SmoothFn.split_at``).  With a ``rate``
     the formula's first argument is the exponential variable
     s = e^{rate t} instead of t, and ``jet_s`` gives its jets in (s, x)
     themselves, as the oscillator family's operators need.
@@ -172,14 +163,14 @@ class FormulaFn(SmoothFn):
         self.ndim = ndim
         self.rate = rate
 
-    def at_time(self, tj):
+    def split_at(self, tj):
         s = tj if self.rate is None else jets.exp(self.rate * tj)
 
         def space(xjs):
             out = self.formula(s, *xjs)
             return out if isinstance(out, tuple) else (out,)
 
-        return space
+        return None, space
 
     def jet_s(self, s, x, order):
         """Jet in the exponential variable itself."""

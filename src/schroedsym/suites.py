@@ -4,10 +4,11 @@ Each check pins one identity, runs it over seeded random draws, and
 yields its defects, each a float or an array with one entry per trial;
 ``Check.run`` folds them through ``worst_defect`` into the check's value,
 the largest defect, which is NaN (and fails) as soon as one is NaN.  A
-check that raises a typed error (``SchroedSymError``) or a
-``FloatingPointError`` (each check runs with numpy's overflow, invalid
-and divide-by-zero errors raised) fails with the value NaN and the
-error's type and message, and the other checks still run.  A
+check that raises a typed error (``SchroedSymError``) or an
+``ArithmeticError`` (a ``FloatingPointError``, as each check runs with
+numpy's overflow, invalid and divide-by-zero errors raised, or the
+``OverflowError`` of a Python-scalar power) fails with the value NaN and
+the error's type and message, and the other checks still run.  A
 check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
 in one array pass; ``residual.transformed_nls``, whose trials are each a
@@ -251,7 +252,7 @@ class Check:
         try:  # an overflow or invalid operation is an error, never a silent NaN
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 value, error = worst_defect(self.fn(cfg, rng, trials)), None
-        except (SchroedSymError, FloatingPointError) as exc:  # fails this check only
+        except (SchroedSymError, ArithmeticError) as exc:  # fails this check only
             value, error = math.nan, f"{type(exc).__name__}: {exc}"
         dt = time.perf_counter() - start
         return CheckResult(self.name, self.anchor, value <= tol, value, tol, dt, error)

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schroedsym import cli, suites
 from schroedsym.cli import main
 from schroedsym.errors import ConfigError, DeterminantError
-from schroedsym import suites
 from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names
 
 
@@ -118,6 +118,63 @@ def test_negative_imaginary_k_is_a_value(capsys):
     assert main(["verify", "group", "--k", "-0.7j", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows and all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("flag, text, value", [("alpha", "-1e-3", -1e-3), ("omega", "-6e-1", -0.6),
+                                               ("beta", "-2.5e0", -2.5)])
+def test_a_negative_value_in_exponent_notation_is_a_value(monkeypatch, flag, text, value):
+    # argparse reads only plain decimals as negative numbers, and would
+    # read -1e-3 as an option and exit 2
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda target, cfg: seen.append(cfg) or SuiteReport())
+    assert main(["verify", "group", f"--{flag}", text]) == 0
+    assert getattr(seen[0], flag) == value
+
+
+def test_demo_transform_range_value_in_exponent_notation(tmp_path):
+    out = tmp_path / "d.tsv"
+    assert main(["demo-transform", "--t-min", "-4e-1", "--nt", "3", "--nx", "3", "--out", str(out)]) == 0
+    assert float(out.read_text().split("\n")[1].split("\t")[0]) == -0.4
+
+
+def test_demo_transform_element_may_start_with_a_minus(tmp_path):
+    # -1 times the unit: the action fixes (t, x), and the multiplier is a phase
+    out = tmp_path / "d.tsv"
+    assert main(["demo-transform", "--element", "-1,0,0,-1,0,0", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 144 and max(float(r[4]) for r in rows) < 1e-9
+
+
+def test_an_option_is_never_a_value(capsys):
+    for argv in (["verify", "group", "--k", "--alpha", "1"], ["verify", "group", "--seed", "-h"],
+                 ["verify", "group", "--out", "--"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, argv
+        assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("k", "1e300"), ("beta", "1e300"), ("omega", "1e300"), ("k", "1e300j")])
+def test_an_overflow_fails_its_check_not_the_run(tmp_path, flag, value):
+    # Python-scalar powers of the parameters overflow inside the checks
+    out = tmp_path / "overflow.json"
+    assert main(["verify", "all", f"--{flag}", value, "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())
+    assert len(rows) == 68
+    raised = [r for r in rows if r["error"]]
+    assert raised and not any(r["pass"] for r in raised)
+    assert any(r["error"].startswith("OverflowError: ") for r in raised)
+
+
+def test_an_overflow_in_the_library_call_fails_its_check():
+    report = run_suite("all", RunConfig(seed=3, k=1e300))
+    assert len(report.results) == 68 and not report.all_passed
+    assert any((r.error or "").startswith("OverflowError: ") for r in report.results)
+
+
+def test_demo_transform_reports_an_overflow(tmp_path, capsys):
+    assert main(["demo-transform", "--k", "1e300", "--out", str(tmp_path / "d.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_family_filter_restricts_checks():

@@ -77,3 +77,12 @@ def test_each_guard_error_is_raised_at_one_place(error):
              for n in ast.walk(ast.parse(p.read_text())) if isinstance(n, ast.Raise)
              and getattr(getattr(n.exc, "func", n.exc), "id", None) == error]
     assert len(sites) == 1, sites
+
+
+def test_the_time_step_is_derived_at_one_place():
+    # SmoothFn.at_time derives a function's time step from its split_at:
+    # a new function class defines split_at and nothing else
+    sites = [f"{p.stem}:{n.lineno}" for p in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.FunctionDef) and n.name == "at_time"]
+    assert len(sites) == 1, sites

@@ -109,6 +109,29 @@ def test_grid_residual_raises_off_the_domain():
         grid_residual(power_static(2.0, 2.0), spec, GridSpec((-0.3, 0.3), (-0.5, 1.5)))
 
 
+def test_a_function_of_another_dimension_than_its_family_raises():
+    # a verification's dimension is its family's spec.n: the one-coordinate
+    # f1 does not solve the two-coordinate equation
+    with pytest.raises(DomainError, match="1 space coordinates under a family of 2"):
+        grid_residual(f_pair(LIN)[0], FamilySpec.ndim_linear(0.7, 0.3, 0.9, 2), GRID)
+
+
+def _verify_at_points(fn, l, spec, grid):
+    t, xs = grid.points(spec.n)
+    return residual_arrays(fn, spec, t, xs)
+
+
+@pytest.mark.parametrize("verify", [verify_transformed_solution, verify_intertwining, _verify_at_points],
+                         ids=["transformed", "intertwining", "residual_arrays"])
+@pytest.mark.parametrize("fn, spec", [
+    (gaussian_free(0.7, t0=2.0), FamilySpec.ndim_linear(0.7, 0.3, 0.9, 2)),
+    (plane_wave_nls(1.1, (0.4, -0.7), FamilySpec.nls2d(-0.7j, coupling=1.3)), FamilySpec.free(-0.7j)),
+], ids=["one_under_two", "nls_under_free"])
+def test_each_verification_guards_the_dimension(verify, fn, spec):
+    with pytest.raises(DomainError, match="space coordinates under a family of"):
+        verify(fn, random_element(np.random.default_rng(4)), spec, GRID)
+
+
 def test_a_residual_check_on_a_dropped_grid_fails(monkeypatch):
     # t down to -5 takes part of the grid out of the Gaussian's domain t > -2
     monkeypatch.setattr(suites, "T_RANGE", (-5.0, 0.6))
@@ -283,7 +306,8 @@ def test_nls_pullback_factors_each_span_one_space_axis(size):
     fn = transformed(plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(RNG, size=size), nls)
     batch = () if size is None else (size,)
     t, xs = GRID_9_11.points(2)
-    shapes = [f.block.shape[1:] for f in fn.factors_at(*fn._seed(t, xs, 2))]
+    tj, xjs = fn._seed(t, xs, 2)
+    shapes = [f.block.shape[1:] for f in fn.at_time(tj)(xjs)]
     assert shapes == [batch + (9, 11, 1), batch + (9, 1, 11)]
 
 
@@ -294,7 +318,7 @@ def test_nls_pullback_matches_the_product_of_the_whole_factors():
     t, xs = GRID_9_11.points(2)
     tj, xjs = base._seed(t, xs, 2)
     fr = coords.frame(residual._batch_first(l, 3), nls, tj)
-    b1, b2 = base.factors_at(fr.tp, fr.space(xjs))
+    b1, b2 = base.at_time(fr.tp)(fr.space(xjs))
     k1, k2 = fr.multiplier_factors(xjs)
     want, got = (b1 * b2) * (k1 * k2), transformed(base, l, nls).jet_at(tj, xjs)
     assert set(got.support) == set(want.support)
