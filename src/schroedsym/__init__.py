@@ -73,6 +73,7 @@ from .solutions import (
     AiryFn,
     AirySpec,
     FormulaFn,
+    GaussianFn,
     SmoothFn,
     eigenvalue_scan,
     f_pair,

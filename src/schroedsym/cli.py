@@ -254,8 +254,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SchroedSymError, ArithmeticError) as exc:
+    except SchroedSymError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # named as a check's row names it
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -299,22 +299,28 @@ def _off_cut(z, message):
         raise BranchError(message)
 
 
+def _is(v, literal):
+    """Whether ``v`` is the float ``literal`` itself, not an array or a jet."""
+    return type(v) is float and v == literal
+
+
 def _terms(*terms):
     """The sum, left to right, of the terms ``(c, *factors)``: c times the
-    product of its factors, or c alone.  A coefficient that is the float
-    literal 0.0 drops its term before its factors multiply, and one that is
-    1.0 skips its multiply, so that a frame's literal coefficients (the
-    f1/phi1 lifts' xi = 1.0 and C = 0.0, the inverse-quadratic f = B = 0.0)
-    cost no pass over the grid.  Any other value, a slipped literal too,
-    takes the general path."""
+    product of its factors, or c alone.  A term with the float literal 0.0
+    among its coefficient or factors drops before anything multiplies, and
+    a literal 1.0 skips its multiply, so that a frame's literal
+    coefficients (the f1/phi1 lifts' xi = 1.0 and C = 0.0, the
+    inverse-quadratic f = B = 0.0, a Gaussian's identity map) cost no pass
+    over the grid and stay literal through ``Frame.then``.  Any other
+    value, a slipped literal too, takes the general path."""
     out = None
     for c, *factors in terms:
-        literal = type(c) is float
-        if literal and c == 0.0:
+        if _is(c, 0.0) or any(_is(v, 0.0) for v in factors):
             continue
+        factors = [v for v in factors if not _is(v, 1.0)]
         if factors:
             v = reduce(operator.mul, factors)
-            term = v if literal and c == 1.0 else c * v
+            term = v if _is(c, 1.0) else c * v
         else:
             term = c
         out = term if out is None else out + term
@@ -337,6 +343,25 @@ class Frame:
     A: object
     B: object
     C: object
+
+    def then(self, inner):
+        """The frame of a pullback through ``self`` of a pullback through
+        ``inner``, with ``inner`` evaluated at ``self.tp``: the one
+        composition law.  The inner exponent at x' = xi x + f is again
+        quadratic in x, A_i + B_i f + C_i f^2 + (B_i + 2 C_i f) xi x +
+        C_i xi^2 x^2, so K(t, x) K_i(t', x') beta(t'', xi_i x' + f_i) is
+        the composed multiplier times beta(t'', xi'' x + f'').  Every
+        coefficient is a time-only jet, and a literal 0.0 or 1.0 stays
+        literal (``_terms``)."""
+        xi, f = self.xi, self.f
+        return Frame(
+            inner.tp,
+            _terms((inner.xi, xi)),
+            _terms((inner.xi, f), (inner.f,)),
+            _terms((self.A,), (inner.A,), (inner.B, f), (inner.C, f, f)),
+            _terms((self.B,), (inner.B, xi), (inner.C, 2.0, xi, f)),
+            _terms((self.C,), (inner.C, xi, xi)),
+        )
 
     def space(self, x):
         """Mapped space coordinates xi x_j + f; a literal xi = 1.0 or f = 0.0

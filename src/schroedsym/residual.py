@@ -9,9 +9,9 @@ including on functions that do not solve the equation.
 
 One formula gives every analytic residual, the product rule
 (``_product_rule``).  A function is psi = K beta: a pullback's K is its
-outermost multiplier, exp(q) with q = sum_j (A + B x_j + C x_j^2) and A,
-B, C functions of t, and beta its base on the mapped jets; a formula has
-K = 1 and q = 0.  Then
+multiplier, exp(q) with q = sum_j (A + B x_j + C x_j^2) and A, B, C
+functions of t, and beta its base on the mapped jets; a formula has
+K = 1 and q = 0, and a Gaussian beta = 1.  Then
 
     R = K {beta_t + q_t beta - k sum_j [beta_jj + 2 q_j' beta_j
           + (2 C + q_j'^2) beta] + k V beta},
@@ -20,8 +20,10 @@ with the NLS family's - k g |psi|^2 beta in place of k V beta, so K is
 never made a jet: q_t and q_j' = B + 2 C x_j are plain arrays built from
 the value and t rows of the frame's time jets, and K is exp of q's value.
 A base given as one factor per coordinate splits the braces into one
-bracket per factor, each spanning t and its own coordinate.  Nested lifts
-inside the base stay jets.
+bracket per factor, each spanning t and its own coordinate.  Frames
+compose (``Frame.then``), so nested pullbacks give one K, and a Gaussian
+base (``solutions.GaussianFn``) folds into it: beta = 1, and the product
+rule runs on the one composed exponent with no jet of the base.
 
 Grids are sampled on broadcastable axes (``GridSpec.points``): the time
 axis varies along the first array dimension and each space axis along its
@@ -182,7 +184,7 @@ def _product_rule(spec: FamilySpec, factors, conj, xs):
     brackets, values = [], []  # per factor: K_f times its bracket, and K_f beta_f
     for on, beta in pairing(factors, len(xs)):
         ks, qts, dqs, curvs = zip(*(conj[j] for j in on))
-        bv = beta.value
+        bv = value_of(beta)
         pt = _terms((1.0, _partial(beta, 0, 1)), (reduce(operator.add, qts), bv))
         # summed from its first term: one coordinate reads its row as is
         lap = reduce(operator.add, (
@@ -191,7 +193,7 @@ def _product_rule(spec: FamilySpec, factors, conj, xs):
         w = _braces(spec, pt, lap, bv, [xs[j] for j in on])
         if ks[0] is not None:
             k = reduce(operator.mul, ks)
-            w, bv = k * w, bv * k
+            w, bv = k * w, _terms((bv, k))
         brackets.append(w)
         values.append(bv)
     psi = reduce(operator.mul, values)
@@ -215,7 +217,10 @@ def _residual_step(fn: SmoothFn, spec: FamilySpec, tj):
     fr, base = _of_family(fn, spec).split_at(tj)
 
     def space(xs):
-        factors = base(_seeds(xs))
+        factors = ()
+        if base is not None:
+            xjs = _seeds(xs)
+            factors = base(xjs if fr is None else fr.space(xjs))
         return _product_rule(spec, factors, _conjugation(fr, xs), xs)
 
     return space

@@ -1,24 +1,30 @@
 """Reference solutions with analytic partial derivatives.
 
-Every closed-form solution here is a ``FormulaFn`` or a ``PullbackFn``.
-A formula is the closed form written once as jet arithmetic; a pullback
-evaluates its base on the jets that a ``Frame`` maps and multiplies by the
-frame's multiplier, so the linear family's f1, f2, phi1, phi2 are the
-lifts of the constant 1.  Evaluating either on jets yields partial
-derivatives of any order, and the residual verifier and the operator
-algebra never fall back to finite differences.  A formula or a frame
-guards its own domain and raises ``DomainError`` there.  The
-oscillator family's functions take the exponential variable
-s = e^{2 k omega t} as their first argument.
+Every closed-form solution here is a ``FormulaFn``, a ``GaussianFn`` or a
+``PullbackFn``.  A formula is the closed form written once as jet
+arithmetic.  A Gaussian exp(A + B x + C x^2) is its exponent, the
+coefficients A, B, C as functions of time alone: the free kernel, the
+oscillator family's g1-g3 and the constant 1.  A pullback evaluates its
+base on the jets that a ``Frame`` maps and multiplies by the frame's
+multiplier, so the linear family's f1, f2, phi1, phi2 are the lifts of
+the constant 1.  Frames compose (``Frame.then``): a pullback of a
+pullback, or of a Gaussian, is one frame, and a Gaussian folds into it
+whole.  Evaluating any of them on jets yields partial derivatives of any
+order, and the residual verifier and the operator algebra never fall
+back to finite differences.  A formula, an exponent or a frame guards
+its own domain and raises ``DomainError`` there.  The oscillator
+family's functions take the exponential variable s = e^{2 k omega t} as
+their first argument.
 
 Evaluation is two steps, and a function class defines them in one
 method, ``split_at``.  The time step takes the time jet and evaluates
-everything that depends on time only, a pullback's frame and a formula's
-s = e^{rate t}; it returns the frame of the outermost multiplier K (None
-for a formula) and the space step, which gives the base's factors at the
-space jets.  ``at_time`` and ``jet_at`` derive from it (``pairing``).
-The residual verifier takes the time step once per verification and the
-space step once per tile of the grid.
+everything that depends on time only, a pullback's frame composed with
+its base's and a formula's s = e^{rate t}; it returns the frame of the
+multiplier K (None for a formula) and the space step, which gives the
+innermost base's factors at the jets that frame maps (None for beta = 1,
+when the innermost base is a Gaussian).  ``at_time`` and ``jet_at`` derive from
+it (``pairing``).  The residual verifier takes the time step once per
+verification and the space step once per tile of the grid.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from . import jets
-from .coords import FamilySpec, LINEAR, QUADRATIC, NLS2D, _above, is_real
+from .coords import FamilySpec, Frame, LINEAR, QUADRATIC, NLS2D, _above, _terms, is_real
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -68,13 +74,17 @@ class SmoothFn:
         """Jet of psi(tj, xjs) for argument jets ``tj`` and ``xjs`` (one per
         space coordinate): the function evaluated on them, which is the
         chain rule through whatever map the argument jets expand.  It is the
-        product, left to right, of the factors of ``at_time``."""
-        return reduce(operator.mul, self.at_time(tj)(xjs))
+        product, left to right, of the factors of ``at_time``; an exponent
+        that is the literal 0 (``constant_one``) gives the constant jet 1."""
+        psi = reduce(operator.mul, self.at_time(tj)(xjs))
+        return psi if isinstance(psi, Jet) else Jet.const(psi, tj.nvars, tj.order)
 
     def split_at(self, tj):
         """The time step, ``(frame, space)`` for psi = K beta: K the frame's
-        multiplier (frame None for K = 1) and ``space(xjs)`` the factors of
-        beta, one jet or one per coordinate j, a function of t and x_j only.
+        multiplier (frame None for K = 1) and ``space(yjs)`` the factors of
+        beta at the space jets that the frame maps, yjs = frame.space(xjs)
+        (xjs for K = 1), one jet or one per coordinate j, a function of t
+        and x_j only; space None for beta = 1 (a Gaussian, ``GaussianFn``).
         A guard on time raises here."""
         raise NotImplementedError
 
@@ -87,8 +97,9 @@ class SmoothFn:
 
         def pulled(xjs):
             # the base before the multiplier: the lower peak of memory
-            beta, ks = space(xjs), fr.multiplier_factors(xjs)
-            return tuple(b * reduce(operator.mul, [ks[j] for j in on])
+            beta = () if space is None else space(fr.space(xjs))
+            ks = fr.multiplier_factors(xjs)
+            return tuple(_terms((b, reduce(operator.mul, [ks[j] for j in on])))
                          for on, b in pairing(beta, len(ks)))
 
         return pulled
@@ -101,8 +112,13 @@ class SmoothFn:
         return self.jet(t, x, jets.weight(tuple(orders))).partial(orders)
 
     def _seed(self, t, x, order):
+        """Seeds of t and of the ``ndim`` space coordinates of ``x``;
+        ``DomainError`` for another number of coordinates."""
         nv = 1 + self.ndim
-        xs = x if self.ndim > 1 or isinstance(x, (tuple, list)) else [x]
+        several = isinstance(x, (tuple, list)) or self.ndim > 1 and np.ndim(x) > 0
+        xs = list(x) if several else [x]
+        if len(xs) != self.ndim:
+            raise DomainError(f"a function of {self.ndim} space coordinates at {len(xs)}")
         xjs = [Jet.variable(xc, 1 + i, nv, order) for i, xc in enumerate(xs)]
         return Jet.variable(t, 0, nv, order), xjs
 
@@ -111,8 +127,11 @@ def pairing(factors, n):
     """``(coordinates j, beta)`` pairs of the factors of a function of ``n``
     space coordinates with the multiplier factors K_j.  One factor per
     coordinate pairs factor j with K_j: both depend on t and x_j only, so
-    on grid axes each pair spans one space axis.  Otherwise the one product
-    of the factors pairs with K_1 K_2 ...."""
+    on grid axes each pair spans one space axis.  No factors (beta = 1, a
+    folded Gaussian) pair each K_j with the literal 1.0.  Otherwise the one
+    product of the factors pairs with K_1 K_2 ...."""
+    if not factors:
+        factors = (1.0,) * n
     if len(factors) == n:
         return [((j,), beta) for j, beta in enumerate(factors)]
     return [(range(n), reduce(operator.mul, factors))]
@@ -128,12 +147,15 @@ class PullbackFn(SmoothFn):
     base's domain at the mapped values; pullbacks nest, and the factors of
     a separable base stay separable (``pairing``).
 
-    The time step evaluates the frame and the base's time step at t' (a
-    nested pullback's inner frame); the space step maps the space jets and
-    runs the base's space step on them.  The multiplier stays apart, so
-    that the residual verifier reads its exponent, not its jet.  A pullback
-    has its base's ``ndim``; a frame with batch axes (a batched element's)
-    declares their shape in ``batch``.
+    The time step evaluates the frame and the base's time step at t'; a
+    base with a multiplier of its own (a nested pullback, a Gaussian)
+    returns its frame, and the two compose into one (``Frame.then``),
+    whose map takes x to the innermost base's coordinates at once.  The
+    space step is the innermost base's, and a Gaussian innermost base (a
+    lift of the constant 1 too) has none.  The multiplier stays apart, so
+    that the residual verifier reads its exponent, not its jet.  A
+    pullback has its base's ``ndim``; a frame with batch axes (a batched
+    element's) declares their shape in ``batch``.
     """
 
     def __init__(self, base: SmoothFn, frame, batch=()):
@@ -144,8 +166,8 @@ class PullbackFn(SmoothFn):
 
     def split_at(self, tj):
         fr = self.frame(tj)
-        base = self.base.at_time(fr.tp)
-        return fr, lambda xjs: base(fr.space(xjs))
+        inner, space = self.base.split_at(fr.tp)
+        return fr if inner is None else fr.then(inner), space
 
 
 class FormulaFn(SmoothFn):
@@ -164,13 +186,17 @@ class FormulaFn(SmoothFn):
         self.rate = rate
 
     def split_at(self, tj):
-        s = tj if self.rate is None else jets.exp(self.rate * tj)
+        s = self._variable(tj)
 
         def space(xjs):
             out = self.formula(s, *xjs)
             return out if isinstance(out, tuple) else (out,)
 
         return None, space
+
+    def _variable(self, tj):
+        """The formula's time variable at the time jet: t or e^{rate t}."""
+        return tj if self.rate is None else jets.exp(self.rate * tj)
 
     def jet_s(self, s, x, order):
         """Jet in the exponential variable itself."""
@@ -182,49 +208,73 @@ class FormulaFn(SmoothFn):
     def s_of_t(self, t):
         if self.rate is None:
             raise DomainError("function is not represented in the exponential variable")
-        return np.exp(self.rate * np.asarray(t))
+        return self._variable(np.asarray(t))
 
 
-def _power(z, p):
-    """z^p: a product of factors for a whole real p, where the series of
-    ``cpow`` would round differently, else the principal branch."""
-    whole = np.imag(p) == 0 and float(np.real(p)).is_integer()
-    return z ** int(np.real(p)) if whole else jets.cpow(z, p)
+class GaussianFn(FormulaFn):
+    """exp(A + B x + C x^2) of one space coordinate, stated once as its
+    exponent ``exponent(s) -> (A, B, C)`` in its time variable s (t, or
+    e^{rate t}); a guard on time raises there.
+
+    Its time step returns the exponent as the frame of the identity map,
+    and there is no space step: beta = 1.  So a pullback through it folds
+    it into its own multiplier (``Frame.then``), and the residual verifier
+    forms no jet of it.  ``formula``, and so ``jet_s``, is the exponential
+    of the same exponent."""
+
+    def __init__(self, exponent, rate=None):
+        self.exponent, self.rate = exponent, rate
+
+    def _frame(self, tj, s):
+        """The exponent at s as the frame of the identity map at tj, whose
+        map only a space step would read."""
+        return Frame(tj, 1.0, 0.0, *self.exponent(s))
+
+    def formula(self, s, x):
+        return self._frame(s, s).multiplier((x,))
+
+    def split_at(self, tj):
+        return self._frame(tj, self._variable(tj)), None
 
 
 # -- library constructors ------------------------------------------------------
 
 
-def gaussian_free(k, t0=0.0) -> FormulaFn:
-    """Heat/Schrodinger kernel (4 pi k (t + t0))^{-1/2} e^{-x^2/(4k(t+t0))};
-    for a real k it guards t > -t0."""
+def gaussian_free(k, t0=0.0) -> GaussianFn:
+    """Heat/Schrodinger kernel (4 pi k (t + t0))^{-1/2} e^{-x^2/(4k(t+t0))}:
+    A = -(log(4 pi k) + log(t + t0))/2, each the principal root's
+    logarithm, B = 0 and C = -1/(4k(t + t0)).  For a real k it guards
+    t > -t0."""
     if k == 0:
         raise DomainError("k must be nonzero")
-    c = jets.cpow(4.0 * np.pi * k, -0.5)
+    amplitude = -0.5 * jets.log(4.0 * np.pi * k)
     t_min = float(-np.real(t0)) if is_real(k, "k") else None
 
-    def formula(t, x):
+    def exponent(t):
         if t_min is not None:
             _above(t, t_min, "t")
         tau = t + t0
-        return jets.exp(-1.0 / (4.0 * k) * tau ** -1 * x ** 2) * jets.cpow(tau, -0.5) * c
+        return -0.5 * jets.log(tau) + amplitude, 0.0, (-1.0 / (4.0 * k)) * jets.reciprocal(tau)
 
-    return FormulaFn(formula)
+    return GaussianFn(exponent)
 
 
-def constant_one() -> FormulaFn:
-    return FormulaFn(lambda t, x: Jet.const(1.0, t.nvars, t.order))
+def constant_one() -> GaussianFn:
+    """The constant 1: the Gaussian of exponent 0."""
+    return GaussianFn(lambda t: (0.0, 0.0, 0.0))
 
 
 def power_static(s_exponent, alpha) -> FormulaFn:
     """Static solution x^s of the scale-invariant family, s(s-1) = alpha,
-    on x > 0."""
+    on x > 0: a product of factors for a whole real s, where the series of
+    ``cpow`` would round differently, else the principal branch."""
     if abs(s_exponent * (s_exponent - 1.0) - alpha) > 1e-10:
         raise DomainError("s(s-1) must equal alpha")
+    whole = np.imag(s_exponent) == 0 and float(np.real(s_exponent)).is_integer()
 
     def formula(t, x):
         _above(x, 0.0, "x")
-        return _power(x, s_exponent)
+        return x ** int(np.real(s_exponent)) if whole else jets.cpow(x, s_exponent)
 
     return FormulaFn(formula)
 
@@ -277,28 +327,30 @@ def g_functions(spec: FamilySpec, gamma=0.0):
     """Highest/lowest-weight and coherent states of the oscillator family.
 
     Written in the exponential variable s = e^{2 k omega t}: the t-linear
-    exponent parts become s-powers, and the coherent state's 1/sqrt(u),
-    1/u terms become s^{-1}, s^{-2}.
+    exponent parts become multiples of log s (principal, as the powers
+    s^p were), and the coherent state's 1/sqrt(u), 1/u terms become
+    s^{-1}, s^{-2}.
     """
     if spec.family != QUADRATIC:
         raise DomainError("g_functions needs the quadratic family")
     k, a, w = spec.k, spec.alpha, spec.omega
+    up, down = (w - a) / (2.0 * w), -(w + a) / (2.0 * w)  # the weights' s-powers
 
-    def g1(s, x):
-        return jets.exp(w / 2.0 * x ** 2) * _power(s, (w - a) / (2.0 * w))
+    def g1(s):
+        return up * jets.log(s), 0.0, w / 2.0
 
-    def g2(s, x):
-        return jets.exp(-w / 2.0 * x ** 2) * _power(s, -(w + a) / (2.0 * w))
+    def g2(s):
+        return down * jets.log(s), 0.0, -w / 2.0
 
     # The linear term carries +gamma so the annihilation-type generator has
     # eigenvalue +gamma on g3; the opposite sign convention is the gamma ->
     # -gamma relabeling of the same one-parameter family.
-    def g3(s, x):
-        r = s ** -1
-        return jets.exp(-w / 2.0 * x ** 2 + gamma * r * x + -gamma ** 2 / (4.0 * w) * r ** 2) \
-            * _power(s, -(a + w) / (2.0 * w))
+    def g3(s):
+        r = jets.reciprocal(s)
+        return -gamma ** 2 / (4.0 * w) * r ** 2 + down * jets.log(s), gamma * r, -w / 2.0
 
-    return tuple(FormulaFn(g, rate=2.0 * k * w) for g in (g1, g2, g3))
+    return tuple(GaussianFn(g, rate=2.0 * k * w) for g in (g1, g2, g3))
+
 
 def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     """Exact plane-wave solution of the 2-d cubic equation (imaginary k),

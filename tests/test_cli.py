@@ -174,7 +174,7 @@ def test_an_overflow_in_the_library_call_fails_its_check():
 
 def test_demo_transform_reports_an_overflow(tmp_path, capsys):
     assert main(["demo-transform", "--k", "1e300", "--out", str(tmp_path / "d.tsv")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: OverflowError: ")
 
 
 def test_family_filter_restricts_checks():

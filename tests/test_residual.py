@@ -31,6 +31,7 @@ from schroedsym.solutions import (
     f_pair,
     g_functions,
     gaussian_free,
+    phi_pair,
     plane_wave_nls,
     power_static,
 )
@@ -237,7 +238,12 @@ def test_each_function_on_the_grid_is_seeded_once(monkeypatch, bench_workloads):
     for case in cases:
         label[0] = case.label
         case.run(rng)
-    expected = {c.label: 3 if c.label.endswith("_nls") else 4 if "intertwining" in c.label else 2
+    # a Gaussian base folds into the frame (Frame.then), so its pullback
+    # forms no jet on the grid and seeds t only
+    folded = {"transformed_linear", "transformed_quadratic", "transformed_disk",
+              "lift_f1", "lift_f2_one", "lift_f2_gaussian", "lift_K0_unit", "lift_K0"}
+    expected = {c.label: 1 if c.label.removeprefix("residual.") in folded
+                else 3 if c.label.endswith("_nls") else 4 if "intertwining" in c.label else 2
                 for c in cases}
     assert len(cases) == 13 and counts == expected
 
@@ -298,6 +304,7 @@ def _residual_from_jet(j, spec, xs):
 
 GRADED_IDS = ["linear", "inverse_quadratic", "quadratic", "disk", "nls", "K0",
               "f1", "f2", "intertwining_linear"]
+FOLDED_IDS = ["linear", "quadratic", "disk", "K0", "f1", "f2"]  # the Gaussian bases
 
 
 @pytest.mark.parametrize("size", [None, 3], ids=["one", "batch"])
@@ -330,13 +337,78 @@ def test_nls_pullback_matches_the_product_of_the_whole_factors():
 @pytest.mark.parametrize("case", [i for i, name in enumerate(GRADED_IDS) if name != "nls"],
                          ids=[name for name in GRADED_IDS if name != "nls"])
 def test_one_coordinate_pullback_is_the_base_times_the_multiplier(case):
-    # bit for bit the product before pullbacks paired factors
+    # bit for bit the product before pullbacks paired factors: the innermost
+    # base's jet times the composed frame's multiplier.  A Gaussian
+    # innermost base folds into the composed frame (beta = 1), so the jet
+    # is that frame's multiplier
     fn, spec, grid = _graded_cases(np.random.default_rng(5))[case]
     t, xs = grid.points(1)
     tj, xjs = fn._seed(t, xs[0], 2)
-    fr = fn.frame(tj)
-    want, got = fn.base.jet_at(fr.tp, fr.space(xjs)) * fr.multiplier(xjs), fn.jet_at(tj, xjs)
+    fr, space = fn.split_at(tj)
+    assert (space is None) == (GRADED_IDS[case] in FOLDED_IDS)
+    if space is None:
+        want = fr.multiplier(xjs)
+    else:
+        fr = fn.frame(tj)
+        want = fn.base.jet_at(fr.tp, fr.space(xjs)) * fr.multiplier(xjs)
+    got = fn.jet_at(tj, xjs)
     assert got.support == want.support and np.array_equal(got.block, want.block)
+
+
+def _nested_jet(fn, tj, xjs):
+    """The jet of ``fn`` with no frame composed: a pullback's base's jet at
+    the mapped jets times its own multiplier, down to a formula's jet."""
+    if isinstance(fn, PullbackFn):
+        fr = fn.frame(tj)
+        return _nested_jet(fn.base, fr.tp, fr.space(xjs)) * fr.multiplier(xjs)
+    return fn.formula(fn._variable(tj), *xjs)
+
+
+def _composed_cases(rng):
+    """Every Gaussian case of the graded set, and a formula under a
+    transformed lift, whose composed map takes x to the formula's x''."""
+    graded = dict(zip(GRADED_IDS, _graded_cases(rng)))
+    late = GridSpec((0.15, 1.0), (-1.2, 1.2), nt=9, nx=11)
+    expfn = FormulaFn(lambda tj, xj: jets.exp(tj + xj))
+    lifted = PullbackFn(expfn, lift_frame("f2", LIN))
+    return [graded[name] for name in FOLDED_IDS] + [
+        (transformed(lifted, random_element(rng, scale=0.1, translation=0.3), LIN), LIN, late)]
+
+
+@pytest.mark.parametrize("case", range(len(FOLDED_IDS) + 1), ids=FOLDED_IDS + ["formula_in_lift"])
+def test_a_composed_pullback_matches_the_nested_product(case):
+    # the composed frame (Frame.then) against the product of each level's
+    # base and multiplier, to the bound of the NLS pairing's reference
+    fn, spec, grid = _composed_cases(np.random.default_rng(5))[case]
+    t, xs = grid.points(1)
+    tj, xjs = fn._seed(t, xs[0], 2)
+    want, got = _nested_jet(fn, tj, xjs), fn.jet_at(tj, xjs)
+    assert set(got.support) == set(want.support)
+    for alpha in want.support:
+        w = want.coefficient(alpha)
+        assert np.max(np.abs(got.coefficient(alpha) - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("wrap", ["itself", "transformed", "lifted", "transformed_lift"])
+def test_gaussian_bases_have_no_space_step(wrap):
+    # a Gaussian is its exponent: it, its transforms and its lifts fold into
+    # one frame, and the residual forms no jet of the base on the grid
+    tj = jets.Jet.variable(np.linspace(0.5, 0.6, 5)[:, None], 0, 2, 2)
+    rng = np.random.default_rng(8)
+    lifts = {LIN: lift_frame("f1", LIN), QUAD: lift_frame("K0", QUAD, IntertwinerParams(0.8, 0.3, 0.2)),
+             DISK: lift_frame("K0", DISK, IntertwinerParams(0.8, 0.3, 0.2))}
+    samplers = {LIN: random_element, QUAD: random_admissible_element, DISK: random_disk_element}
+    gaussians = [(gaussian_free(0.7, t0=2.0), LIN), (constant_one(), LIN),
+                 *((fn, LIN) for fn in f_pair(LIN) + phi_pair(LIN)),
+                 *((fn, QUAD) for fn in g_functions(QUAD, 0.5)),
+                 *((fn, DISK) for fn in g_functions(DISK, 0.4))]
+    for fn, spec in gaussians:
+        if wrap in ("transformed", "transformed_lift"):
+            fn = transformed(fn, samplers[spec](rng, scale=0.1), spec)  # f2's t' > 0
+        if wrap in ("lifted", "transformed_lift"):
+            fn = PullbackFn(fn, lifts[spec])
+        fr, space = fn.split_at(tj)
+        assert fr is not None and space is None
 
 
 @pytest.mark.parametrize("case", range(9), ids=GRADED_IDS)

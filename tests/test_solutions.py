@@ -327,6 +327,25 @@ def test_airy_quadrature_error_on_tiny_truncation():
         AirySpec(alpha=-1.0, beta=0.0)
 
 
+@pytest.mark.parametrize("fn", [gaussian_free(0.7, t0=2.0), f_pair(LIN)[0], g_functions(QUAD, 0.5)[2],
+                                power_static(2.0, 2.0)], ids=["gaussian", "f1", "g3", "power"])
+def test_a_function_takes_its_own_number_of_coordinates(fn):
+    # a scalar and a 1-tuple are one coordinate; two raise, on every path
+    assert fn.value(0.1, 0.3) == fn.value(0.1, (0.3,)) == fn.value(0.1, [0.3])
+    for call in (lambda: fn.jet(0.1, (0.2, 0.3), 2), lambda: fn.value(0.1, (0.2, 0.3)),
+                 lambda: fn.partial(0.1, (0.2, 0.3), (1, 0, 0))):
+        with pytest.raises(DomainError, match="a function of 1 space coordinates at 2"):
+            call()
+
+
+def test_a_two_coordinate_function_takes_two():
+    fn = plane_wave_nls(1.1, (0.4, -0.7), FamilySpec.nls2d(-0.7j, coupling=1.3))
+    assert fn.value(0.1, (0.2, 0.3)) == fn.value(0.1, np.array([0.2, 0.3]))
+    for x in (0.2, (0.2,), (0.2, 0.3, 0.4)):
+        with pytest.raises(DomainError, match="a function of 2 space coordinates"):
+            fn.jet(0.1, x, 2)
+
+
 def test_exponential_variable_jets():
     g1, _, _ = g_functions(QUAD, 0.0)
     s = g1.s_of_t(0.4)
