@@ -18,7 +18,6 @@ from .coords import (
     frame,
     galilean_params,
     reality_domain_check,
-    comoving_identity_check,
 )
 from .errors import (
     BranchError,
@@ -56,7 +55,6 @@ from .opalg import (
     casimir_I3,
     generators_linear,
     generators_quadratic,
-    intertwine_check,
 )
 from .residual import (
     GridSpec,

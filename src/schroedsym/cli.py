@@ -12,6 +12,7 @@ seed are byte-identical (timing fields aside).
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import sys
 
@@ -133,10 +134,13 @@ def _run_config(merged):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
 
@@ -162,6 +166,8 @@ def _parse_element(text):
         c, d, a, b, mu, nu = (complex(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad element entry: {exc}") from exc
+    if not all(map(cmath.isfinite, (c, d, a, b, mu, nu))):
+        raise ConfigError(f"element entries must be finite, got {text}")
     return GroupElement(Mat2(c, d, a, b), mu, nu)
 
 

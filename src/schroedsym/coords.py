@@ -4,8 +4,7 @@ Each family's frame (t', the scale xi and shift f of x' = xi x + f, and
 the multiplier's exponent coefficients A, B, C) comes from one ``frame``
 evaluation, a ``Frame``; the action ``act``, the multiplier and the
 structure-equation checks all read it.  A family's one-coordinate
-potential is ``FamilySpec.potential``, Laurent coefficients that
-``forcing`` expands into the source terms of the structure equations.
+potential is ``FamilySpec.potential``, its Laurent coefficients.
 Every map here is written generically over its scalar type: plain complex
 numbers, numpy arrays, or jets all work, so the same code path feeds both
 the numeric checks and the chain-rule machinery of the residual verifier.
@@ -14,7 +13,6 @@ the numeric checks and the chain-rule machinery of the residual verifier.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -139,25 +137,6 @@ class FamilySpec:
     def period(self):
         """2 pi/|4 k omega|, the period of the time at purely imaginary k*omega."""
         return 2.0 * np.pi / abs(4.0 * self.komega)
-
-
-def forcing(k, v_from, v_to, xi, f):
-    """The source terms k (xi^2 V_from(xi x + f) - V_to(x)) of the structure
-    equations, for potentials given as Laurent coefficients: ``{p: terms}``,
-    the terms (not summed) of the coefficient of x^p.  A negative power of
-    V_from expands only when the shift f is the literal 0."""
-    terms = {}
-    for p, c in v_from.items():
-        if p < 0:
-            if np.any(f != 0):
-                raise DomainError(f"x^{p} has no finite expansion about a shifted point")
-            terms.setdefault(p, []).append(k * c * xi ** (2 + p))
-            continue
-        for j in range(p + 1):
-            terms.setdefault(j, []).append(k * c * math.comb(p, j) * xi ** (2 + j) * f ** (p - j))
-    for p, c in v_to.items():
-        terms.setdefault(p, []).append(-k * c)
-    return terms
 
 
 @dataclass(frozen=True)
@@ -453,17 +432,6 @@ def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:
     sigma = l.mu - l.nu * lam + k2b * lam ** 2
     v = 2.0 * k2b * lam - l.nu
     return GalileanData(sigma, v)
-
-
-def comoving_identity_check(l: GroupElement, z: Point, spec: FamilySpec):
-    """|LHS - RHS| of the translation-free comoving-coordinate identity
-    x' - k^2 beta t'^2 = (x - k^2 beta t^2)/(a t + b)."""
-    zp = act(l, z, spec)
-    k2b = spec.k ** 2 * spec.beta
-    r = l.a * z.t + l.b
-    lhs = zp.x1 - k2b * zp.t ** 2
-    rhs = (z.x1 - k2b * z.t ** 2) / r
-    return abs(lhs - rhs)
 
 
 def reality_domain_check(l: GroupElement, t, spec: FamilySpec):

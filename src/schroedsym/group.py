@@ -68,17 +68,6 @@ class Mat2:
         return ((np.abs(np.imag(self.a)) <= REAL_TOL) & (np.abs(np.imag(self.b)) <= REAL_TOL)
                 & (np.abs(np.imag(self.c)) <= REAL_TOL) & (np.abs(np.imag(self.d)) <= REAL_TOL))
 
-    def as_array(self):
-        """The matrix, with any batch axes leading: shape batch + (2, 2)."""
-        c, d, a, b = np.broadcast_arrays(self.c, self.d, self.a, self.b)
-        return np.stack([np.stack([c, d], -1), np.stack([a, b], -1)], -2)
-
-    def symplectic_defect(self):
-        """Per entry, max |M^T J M - J| entry; zero for every unimodular matrix."""
-        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        m = self.as_array()
-        return np.abs(np.swapaxes(m, -1, -2) @ J @ m - J).max(axis=(-2, -1))[()]
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -137,26 +126,14 @@ def cocycle_linear(l1: GroupElement, l2: GroupElement, k) -> complex:
     return symplectic_pairing(l1, l2) / (4.0 * k)
 
 
-def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega, variant="resolved") -> complex:
-    """Cocycle of the quadratic-potential family.
-
-    Two conventions for the second bracket appear in the literature.
-    ``variant="resolved"`` uses the one that the check
-    ``multiplier.cocycle_variant_resolution`` selects (the same
-    symplectic structure as the linear family);
-    ``variant="printed"`` keeps the rejected alternative, retained for
-    falsification tests.
-    """
+def cocycle_quadratic(l1: GroupElement, l2: GroupElement, omega) -> complex:
+    """Cocycle of the quadratic-potential family: omega times the
+    symplectic pairing, the linear family's structure.  The literature also
+    prints a second bracket, which the check
+    ``multiplier.cocycle_variant_resolution`` rejects."""
     if omega == 0:
         raise ZeroOmega("omega must be nonzero")
-    m, mu, nu = l1.m, l1.mu, l1.nu
-    if variant == "resolved":
-        val = symplectic_pairing(l1, l2)
-    elif variant == "printed":
-        val = (mu * m.a - nu * m.c) * l2.mu + (mu * m.b - nu * m.a) * l2.nu
-    else:
-        raise ValueError(f"unknown cocycle variant {variant!r}")
-    return omega * val
+    return omega * symplectic_pairing(l1, l2)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ import numpy as np
 from .coords import FamilySpec
 from .errors import FamilyMismatch, OrderError
 
-EQ_TOL = 1e-13
-
 LINEAR_VARS = "linear"  # (t, x)
 QUADRATIC_VARS = "quadratic"  # (s, x)
 
@@ -111,16 +109,13 @@ class DiffOp:
         return self.compose(other) - other.compose(self)
 
     def max_abs_diff(self, other: "DiffOp") -> float:
+        """The largest |coefficient difference| (0.0 for none), or NaN as
+        soon as one is NaN: ``max`` would drop it, so that the verdict
+        would depend on the order of the terms."""
         self._check(other)
         a, b = self.terms, other.terms
-        return max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()),
-                   default=0.0)
-
-    def equals(self, other) -> bool:
-        return self.max_abs_diff(other) <= EQ_TOL
-
-    def is_zero(self) -> bool:
-        return all(abs(c) <= EQ_TOL for c in self.terms.values())
+        diffs = [abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()]
+        return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
     def apply(self, fn, z):
         """Numeric action on a jet-backed function at a ``Point`` z.
@@ -186,36 +181,6 @@ class GeneratorSet:
     alpha: float
     beta: float = 0.0
     omega: complex = 0.0
-
-    def pairs(self):
-        """(tilde generator, generator) pairs for the intertwining check."""
-        return (
-            (self.L3t, self.L3),
-            (self.Lplust, self.Lplus),
-            (self.Lminust, self.Lminus),
-            (self.T1t, self.T1),
-            (self.T2t, self.T2),
-        )
-
-    def commutator_table_defect(self) -> float:
-        """Max coefficient defect over the full bracket table."""
-        two_k_bracket = DiffOp.monomial(
-            self.family,
-            1.0 / (2.0 * self.k) if self.family == LINEAR_VARS else 2.0 * self.omega,
-        )
-        expect = [
-            (self.L3.commutator(self.Lplus), self.Lplus),
-            (self.L3.commutator(self.Lminus), -1.0 * self.Lminus),
-            (self.Lplus.commutator(self.Lminus), -2.0 * self.L3),
-            (self.L3.commutator(self.T1), 0.5 * self.T1),
-            (self.L3.commutator(self.T2), -0.5 * self.T2),
-            (self.Lplus.commutator(self.T1), 0.0 * self.unit),
-            (self.Lminus.commutator(self.T2), 0.0 * self.unit),
-            (self.Lplus.commutator(self.T2), self.T1),
-            (self.Lminus.commutator(self.T1), -1.0 * self.T2),
-            (self.T1.commutator(self.T2), two_k_bracket),
-        ]
-        return max(got.max_abs_diff(want) for got, want in expect)
 
 
 def _op(family):
@@ -317,10 +282,3 @@ def casimir_I3(g: GeneratorSet) -> DiffOp:
     tail = g.L3.compose(anti) + g.Lplus.compose(g.T2.compose(g.T2)) + g.Lminus.compose(g.T1.compose(g.T1))
     weight = g.k if g.family == LINEAR_VARS else 1.0 / (4.0 * g.omega)
     return -1.0 * casimir_I2(g) + weight * tail
-
-
-def intertwine_check(g: GeneratorSet, kop: DiffOp) -> bool:
-    """tilde(gen) . K == K . gen for all five generators."""
-    if kop.family != g.family:
-        raise FamilyMismatch("operator belongs to the other family")
-    return all(gt.compose(kop).equals(kop.compose(gen)) for gt, gen in g.pairs())

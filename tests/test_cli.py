@@ -203,6 +203,22 @@ def test_cli_exit_code_2_on_bad_config(capsys):
         assert main(["verify", target, flag]) == 2, (target, flag)
 
 
+def test_cli_exit_code_2_on_a_non_finite_element(tmp_path, capsys):
+    # in a translation the element would print nan rows and exit 0, in the
+    # matrix it would fail the determinant guard with exit 1
+    out = str(tmp_path / "d.tsv")
+    for element in ("1,0,0,1,nan,0", "1,0,0,1,0,inf", "1,nan,0,1,0,0", "1,0,0,-inf,0,0"):
+        assert main(["demo-transform", "--element", element, "--out", out]) == 2, element
+        assert "config error: element entries must be finite" in capsys.readouterr().err
+
+
+def test_cli_exit_code_2_on_an_unwritable_out(tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    for argv in (["verify", "group", "--out", out], ["demo-transform", "--out", out]):
+        assert main(argv) == 2, argv
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
 def test_python_m_entry_point():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "schroedsym", "verify", "group", "--seed", "7"],

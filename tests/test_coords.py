@@ -12,7 +12,6 @@ from schroedsym.coords import (
     linear_xi_f,
     quadratic_frame,
     reality_domain_check,
-    comoving_identity_check,
     frame,
 )
 from schroedsym.errors import (
@@ -33,7 +32,7 @@ from schroedsym.sampling import (
     random_element,
     random_sl2r,
 )
-from schroedsym.suites import T_RANGE, RunConfig
+from schroedsym.suites import T_RANGE, RunConfig, _comoving_defect
 
 RNG = np.random.default_rng(11)
 
@@ -210,7 +209,7 @@ def test_special_galilean_subgroup_values():
 
 def test_comoving_identity():
     # the random trials and the translation control are coords.comoving_identity
-    assert comoving_identity_check(GroupElement.identity(), Point(0.3, 0.7), LIN) == 0.0
+    assert _comoving_defect(GroupElement.identity(), Point(0.3, 0.7), LIN) == 0.0
 
 
 def test_reality_domain_check():

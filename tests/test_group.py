@@ -92,8 +92,6 @@ def test_cocycle_quadratic_variants_and_cycle():
     assert abs(cocycle_quadratic(a, b, 1.0) - 1.0) < 1e-15
     with pytest.raises(ZeroOmega):
         cocycle_quadratic(a, b, 0.0)
-    with pytest.raises(ValueError):
-        cocycle_quadratic(a, b, 1.0, variant="nonsense")
 
 
 def test_disk_parametrize_shapes():

@@ -4,10 +4,10 @@ import pytest
 import dataclasses
 import importlib
 
-from schroedsym import jets
+from schroedsym import jets, suites
 from schroedsym.coords import EXP_GUARD, FamilySpec, Frame, Point, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
-from schroedsym.group import GroupElement, Mat2
+from schroedsym.group import GroupElement, Mat2, cocycle_quadratic
 from schroedsym.jets import Jet
 from schroedsym.multiplier import IntertwinerParams, lift_frame, multiplier
 from schroedsym.residual import GridSpec
@@ -184,3 +184,11 @@ def test_a_single_literal_slip_fails_a_structure_check(slip_literal, module, fun
     slip_literal(importlib.import_module(f"schroedsym.{module}"), function, text, literal)
     for name in checks:
         assert not run_named_check(name, RunConfig(seed=7)).passed, name
+
+
+def test_the_misprint_control_is_live(monkeypatch):
+    # with the misprinted bracket replaced by the resolved one, both sides of
+    # the control pass, and so the check fails
+    assert run_named_check("multiplier.cocycle_variant_resolution", RunConfig(seed=7)).passed
+    monkeypatch.setattr(suites, "_misprinted_cocycle", cocycle_quadratic)
+    assert not run_named_check("multiplier.cocycle_variant_resolution", RunConfig(seed=7)).passed

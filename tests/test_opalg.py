@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schroedsym import opalg, suites
 from schroedsym.coords import FamilySpec, Point
 from schroedsym.errors import FamilyMismatch, OrderError
 from schroedsym.opalg import (
@@ -12,10 +16,9 @@ from schroedsym.opalg import (
     casimir_I2,
     generators_linear,
     generators_quadratic,
-    intertwine_check,
 )
 from schroedsym.solutions import constant_one, f_pair
-from schroedsym.suites import RunConfig, run_named_check
+from schroedsym.suites import RunConfig, _intertwines, _table_defects, run_named_check, worst_defect
 
 RNG = np.random.default_rng(2718)
 
@@ -100,16 +103,45 @@ def test_commutator_tables():
     # the central brackets explicitly
     assert GL.T1.commutator(GL.T2).max_abs_diff(lin(1.0 / (2.0 * K))) < 1e-15
     assert GQ.T1.commutator(GQ.T2).max_abs_diff(quad(2.0 * OMEGA)) < 1e-15
-    assert GL.T1.commutator(GL.T1).is_zero()
+    assert GL.T1.commutator(GL.T1).max_abs_diff(0.0 * GL.unit) <= 1e-13
 
 
 def test_tilde_generators_satisfy_same_table():
-    from dataclasses import replace
-
     tl = replace(GL, L3=GL.L3t, Lplus=GL.Lplust, Lminus=GL.Lminust, T1=GL.T1t, T2=GL.T2t)
-    assert tl.commutator_table_defect() < 1e-13
+    assert worst_defect(_table_defects(tl)) < 1e-13
     tq = replace(GQ, L3=GQ.L3t, Lplus=GQ.Lplust, Lminus=GQ.Lminust, T1=GQ.T1t, T2=GQ.T2t)
-    assert tq.commutator_table_defect() < 1e-13
+    assert worst_defect(_table_defects(tq)) < 1e-13
+
+
+@pytest.mark.parametrize("nan_at", [(0, 0, 0, 0), (0, 0, 1, 0)])
+def test_a_nan_coefficient_difference_is_nan_in_either_term_order(nan_at):
+    # the NaN sits at one of two keys and 1.0 at the other, so one of the two
+    # cases meets it first and the other last: max kept or dropped it by order
+    terms = {(0, 0, 0, 0): 1.0, (0, 0, 1, 0): 1.0, nan_at: math.nan}
+    op, zero = DiffOp(LINEAR_VARS, terms), DiffOp(LINEAR_VARS)
+    assert math.isnan(op.max_abs_diff(zero)) and math.isnan(zero.max_abs_diff(op))
+
+
+def test_a_nan_coefficient_fails_the_table_and_intertwine(monkeypatch):
+    def planted(spec):  # one NaN coefficient in the linear T1
+        g = generators_linear(spec)
+        return replace(g, T1=DiffOp(g.family, {**g.T1.terms, (0, 0, 1, 0): math.nan}))
+
+    monkeypatch.setattr(suites, "generators_linear", planted)
+    for name in ("liealg.table_linear", "liealg.intertwine"):
+        assert not run_named_check(name, RunConfig(seed=7)).passed, name
+
+
+@pytest.mark.parametrize("function,text,literal,check", [
+    ("generators_linear", "mono(0.5 / k, 0, 1)", "0.5", "liealg.table_linear"),
+    ("generators_quadratic", "mono(0.5 * omega, 2, 2)", "0.5", "liealg.table_quadratic"),
+    ("generators_linear", "Lm + mono(2.0, 1, 0)", "2.0", "liealg.intertwine"),
+], ids=["T2-central", "Lminus-omega", "Lminus-tilde-shift"])
+def test_a_single_literal_slip_fails_its_liealg_check(slip_literal, function, text, literal,
+                                                      check):
+    assert run_named_check(check, RunConfig(seed=7)).passed
+    slip_literal(opalg, function, text, literal)
+    assert not run_named_check(check, RunConfig(seed=7)).passed
 
 
 def test_evolution_operator_identities():
@@ -126,10 +158,9 @@ def test_intertwining_and_falsification():
     # both families, the perturbed control and the linear family's brackets
     # with the evolution operator are liealg.intertwine
     with pytest.raises(FamilyMismatch):
-        intertwine_check(GL, GQ.Kop)
-    assert GQ.L3.commutator(GQ.Kop).is_zero()
-    assert GQ.T1.commutator(GQ.Kop).is_zero()
-    assert GQ.T2.commutator(GQ.Kop).is_zero()
+        _intertwines(GL, GQ.Kop)
+    for gen in (GQ.L3, GQ.T1, GQ.T2):
+        assert gen.commutator(GQ.Kop).max_abs_diff(0.0 * GQ.unit) <= 1e-13
 
 
 def test_casimirs_are_constants_and_factor():

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from functools import reduce
 
 import numpy as np
@@ -187,7 +189,7 @@ def test_airy_profile_against_scipy():
 
 def test_airy_ode_residual_and_decay():
     u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
-    assert abs(u.ode_residual(1.0)) < 1e-6
+    assert abs(suites._airy_residual(u, 1.0)) < 1e-6
     # finite-difference cross-check of the quadrature derivatives
     h = 1e-3
     fd = (u.value(1.0 + h) - 2 * u.value(1.0) + u.value(1.0 - h)) / h ** 2
@@ -217,6 +219,19 @@ def test_a_slipped_airy_phase_fails_airy_roots(slip_literal):
     assert run_named_check("solutions.airy_roots", RunConfig(seed=7)).value < 1e-12
     slip_literal(solutions, "_contour_integral", "wf += beta ** 2 * z ** 3 / 3.0", "3.0")
     assert not run_named_check("solutions.airy_roots", RunConfig(seed=7)).passed
+
+
+def test_a_slipped_airy_slope_fails_airy_ode(monkeypatch):
+    # the quadrature's argument alpha + beta x with its slope off by 1e-4; a
+    # check that read the same argument as the quadrature would pass it
+    source = textwrap.dedent(inspect.getsource(AiryFn.derivatives))
+    text = "self.spec.beta * np.asarray(x)"
+    assert source.count(text) == 1
+    namespace = dict(vars(solutions))
+    exec(source.replace(text, "self.spec.beta * (1.0 + 1e-4) * np.asarray(x)"), namespace)
+    assert run_named_check("solutions.airy_ode", RunConfig(seed=7)).passed
+    monkeypatch.setattr(AiryFn, "derivatives", namespace["derivatives"])
+    assert not run_named_check("solutions.airy_ode", RunConfig(seed=7)).passed
 
 
 def test_airy_loops_raise_at_their_caps(monkeypatch):
