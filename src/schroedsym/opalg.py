@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,12 @@ QUADRATIC_VARS = "quadratic"  # (s, x)
 class DiffOp:
     """Finite sum of terms c s^i x^j d1^m d2^n, held as {(m, n, i, j): c}."""
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("family", "terms", "_tables")
 
     def __init__(self, family, terms=None):
         self.family = family
         self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
+        self._tables = {}  # of _derived
 
     @classmethod
     def from_poly(cls, family, poly):
@@ -81,29 +83,31 @@ class DiffOp:
         d1^m d2^n . (c s^i x^j d1^p d2^q) is the sum over a <= m, b <= n of
         C(m, a) C(n, b) i^(a) j^(b) c s^(i-a) x^(j-b) d1^(m-a+p) d2^(n-b+q),
         with i^(a) = i (i - 1) ... (i - a + 1) the falling factorial (exact
-        for negative i, 0 for 0 <= i < a).  Each right-hand term is
-        differentiated one derivative at a time, once per (a, b) that some
-        left-hand term can take.
+        for negative i, 0 for 0 <= i < a).  The right-hand terms after
+        d1^a d2^b hit their coefficients are ``other``'s table of (a, b),
+        built once per operand (``_derived``), however often it is composed.
         """
         self._check(other)
-        top_m = max((m for m, _, _, _ in self.terms), default=0)
-        top_n = max((n for _, n, _, _ in self.terms), default=0)
-        # derived[a, b]: the right-hand terms after d1^a d2^b hit their coefficients
-        derived = {(0, 0): [(*k, c) for k, c in other.terms.items()]}
-        for a in range(top_m + 1):
-            if a:
-                derived[a, 0] = [(p, q, i - 1, j, c * i) for p, q, i, j, c in derived[a - 1, 0] if i]
-            for b in range(1, top_n + 1):
-                derived[a, b] = [(p, q, i, j - 1, c * j) for p, q, i, j, c in derived[a, b - 1] if j]
         out = {}
         for (m, n, i1, j1), c1 in self.terms.items():
             for a in range(m + 1):
                 for b in range(n + 1):
                     w = c1 * (math.comb(m, a) * math.comb(n, b))
-                    for p, q, i, j, c in derived[a, b]:
+                    for p, q, i, j, c in other._derived(a, b):
                         key = (m - a + p, n - b + q, i1 + i, j1 + j)
                         out[key] = out.get(key, 0) + w * c
         return DiffOp(self.family, out)
+
+    def _derived(self, a, b):
+        """The terms (p, q, i, j, c) after d1^a d2^b hit their coefficients,
+        one derivative at a time: built on first use and kept, since nothing
+        writes ``terms``."""
+        if (a, b) not in self._tables:
+            self._tables[a, b] = (
+                [(p, q, i, j - 1, c * j) for p, q, i, j, c in self._derived(a, b - 1) if j] if b
+                else [(p, q, i - 1, j, c * i) for p, q, i, j, c in self._derived(a - 1, 0) if i] if a
+                else [(*k, c) for k, c in self.terms.items()])
+        return self._tables[a, b]
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -117,25 +121,21 @@ class DiffOp:
         diffs = [abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()]
         return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
-    def apply(self, fn, z):
-        """Numeric action on a jet-backed function at a ``Point`` z.
-
-        Linear-family operators differentiate in (t, x).  Oscillator-family
-        operators differentiate in (s, x) with s = e^{2 k omega t}; the
-        function must be represented in that variable.  The jet is taken
-        at the parabolic ``order`` (the largest 2m + n), because jets
-        weigh the first variable twice.
-        """
-        order, t, x = self.order, z.t, z.x1
+    def jet(self, fn, z, order):
+        """``(jet, v1)``: the jet of ``order`` of a jet-backed function at a
+        ``Point`` z in this family's variables, (t, x) or (s, x) with
+        s = e^{2 k omega t}, in which the function must then be represented,
+        and v1, t or s, at z.  ``on_jet`` reads it for any operator of at
+        most that parabolic ``order``."""
         if self.family == QUADRATIC_VARS:
             if getattr(fn, "rate", None) is None:
                 raise OrderError("function has no exponential-variable jets")
-            s = fn.s_of_t(t)
-            j = fn.jet_s(s, x, order)
-            v1 = s
-        else:
-            j = fn.jet(t, x, order)
-            v1 = t
+            s = fn.s_of_t(z.t)
+            return fn.jet_s(s, z.x1, order), s
+        return fn.jet(z.t, z.x1, order), z.t
+
+    def on_jet(self, j, v1, x):
+        """Numeric action on a function's ``jet`` ``(j, v1)`` at x."""
         coefs = {}
         for (m, n, i, jx), c in self.terms.items():
             term = c
@@ -149,6 +149,10 @@ class DiffOp:
             total = total + coef * j.partial(mn)
         return total
 
+    def apply(self, fn, z):
+        """Numeric action on a jet-backed function at a ``Point`` z."""
+        return self.on_jet(*self.jet(fn, z, self.order), z.x1)
+
     def __repr__(self):
         parts = [f"{c!r}*s^{i}*x^{j} d1^{m} d2^{n}"
                  for (m, n, i, j), c in sorted(self.terms.items())]
@@ -161,7 +165,8 @@ class DiffOp:
 @dataclass(frozen=True)
 class GeneratorSet:
     """The six symmetry generators, their conjugated variants, and the
-    evolution operator of one potential family."""
+    evolution operator of one potential family; its Casimirs ``i2`` and
+    ``i3`` are built on first use."""
 
     family: str
     L3: DiffOp
@@ -181,6 +186,8 @@ class GeneratorSet:
     alpha: float
     beta: float = 0.0
     omega: complex = 0.0
+    i2 = cached_property(lambda g: casimir_I2(g))
+    i3 = cached_property(lambda g: casimir_I3(g))
 
 
 def _op(family):
@@ -277,8 +284,9 @@ def casimir_I2(g: GeneratorSet) -> DiffOp:
 
 
 def casimir_I3(g: GeneratorSet) -> DiffOp:
-    """Cubic invariant of the full algebra; a pure constant 3/16."""
+    """Cubic invariant of the full algebra, from its quadratic one
+    ``g.i2``; a pure constant 3/16."""
     anti = g.T1.compose(g.T2) + g.T2.compose(g.T1)
     tail = g.L3.compose(anti) + g.Lplus.compose(g.T2.compose(g.T2)) + g.Lminus.compose(g.T1.compose(g.T1))
     weight = g.k if g.family == LINEAR_VARS else 1.0 / (4.0 * g.omega)
-    return -1.0 * casimir_I2(g) + weight * tail
+    return -1.0 * g.i2 + weight * tail

@@ -232,18 +232,25 @@ def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
     return _residual_step(fn, spec, Jet.variable(t, 0, 1 + spec.n, 2))(xs)
 
 
-def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
-    """Centered second-order stencils on function values."""
-    def val(tv, xvs):
-        return fn.jet(tv, xvs, 0).value
+def stencil(fn: SmoothFn, t, xs, order, moves):
+    """The jet of ``fn`` of ``order`` at the points (t, xs), each moved by h
+    in the variable ``var`` (0 is t, j the coordinate x_j) for a ``(var, h)``
+    of ``moves``, in one evaluation: its rows carry the moves on a leading
+    axis.  A centred difference moves by h and -h; a move by 0.0 is (t, xs)."""
+    t, *xs = (np.stack([a + h if v == var else a for var, h in moves])
+              for v, a in enumerate((t, *xs)))
+    return fn.jet(t, xs, order)
 
-    psi = val(t, xs)
-    pt = (val(t + h, xs) - val(t - h, xs)) / (2.0 * h)
+
+def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
+    """Centred second-order stencils on function values, all of whose points
+    are one evaluation (``stencil``)."""
+    moves = [(0, 0.0)] + [(var, s) for var in range(1 + len(xs)) for s in (h, -h)]
+    psi, up, down, *sides = stencil(fn, t, xs, 0, moves).value
+    pt = (up - down) / (2.0 * h)
     lap = 0.0
-    for i in range(len(xs)):
-        up = [x + (h if j == i else 0.0) for j, x in enumerate(xs)]
-        dn = [x - (h if j == i else 0.0) for j, x in enumerate(xs)]
-        lap = lap + (val(t, up) - 2.0 * psi + val(t, dn)) / h ** 2
+    for right, left in zip(sides[::2], sides[1::2]):
+        lap = lap + (right - 2.0 * psi + left) / h ** 2
     return _less_cubic(spec, _braces(spec, pt, lap, psi, xs), psi), psi
 
 

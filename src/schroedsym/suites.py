@@ -13,7 +13,12 @@ check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
 in one array pass; ``residual.transformed_nls``, whose trials are each a
 14^3-point grid, evaluates them in batches of ``NLS_CHUNK``.  The
-symbolic ``liealg.jacobi`` still goes trial by trial.  The
+symbolic ``liealg.jacobi`` still goes trial by trial.  A
+finite-difference check evaluates each function once per jet order, on
+the point sets of its stencils stacked on one axis (``residual.stencil``).
+The checks of one pass (``run_suite``) share each family's operator
+algebra, its generator set and Casimirs, built on first use (``_Pass``); a
+check run on its own builds its own, and no pass keeps anything.  The
 structure-equation checks (``multiplier.ode_oracle_*``,
 ``multiplier.structure_consistency``) evaluate each frame once, on a
 time jet over the whole batch.  A grid
@@ -34,7 +39,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cache, cached_property, partial
 from types import MappingProxyType
 
@@ -68,8 +73,6 @@ from .opalg import (
     DiffOp,
     LINEAR_VARS,
     QUADRATIC_VARS,
-    casimir_I2,
-    casimir_I3,
     generators_linear,
     generators_quadratic,
 )
@@ -80,6 +83,7 @@ from .residual import (
     grid_residual,
     residual_arrays,
     lift_frame,
+    stencil,
     transformed,
     verify_intertwining,
     verify_transformed_solution,
@@ -163,6 +167,24 @@ class RunConfig:
             "nls2d": FamilySpec.nls2d(nls_k, coupling=1.3),
             "ndim_linear": FamilySpec.ndim_linear(k, a, b, 2),
         })
+
+    def generators(self, family):
+        """A new generator set of the "linear" or "quadratic" family: a check
+        run on its own shares nothing (a pass shares one, ``_Pass``)."""
+        build = generators_linear if family == "linear" else generators_quadratic
+        return build(self.specs()[family])
+
+
+class _Pass(RunConfig):
+    """The config of one ``run_suite`` call, whose checks share each
+    family's generator set, built on first use; nothing outlives the call."""
+
+    def generators(self, family):
+        if family not in self._generators:
+            self._generators[family] = super().generators(family)
+        return self._generators[family]
+
+    _generators = cached_property(lambda self: {})
 
 
 @dataclass(frozen=True)
@@ -286,7 +308,7 @@ def run_suite(target, cfg: RunConfig) -> SuiteReport:
     if target != "all" and target not in suite_names():
         raise ConfigError(f"unknown verify target {target!r}; "
                           f"choose from {['all'] + suite_names()}")
-    report = SuiteReport()
+    report, cfg = SuiteReport(), _Pass(*astuple(cfg))
     for name, check in sorted(CHECKS.items()):
         if target in ("all", name.partition(".")[0]) and check.covers(cfg.family):
             report.results.append(check.run(cfg))
@@ -502,7 +524,7 @@ def _coords_comoving(cfg, rng, trials):
     yield _comoving_defect(l, z, spec)
     # control: with a translation the identity must break
     bad = GroupElement(Mat2.identity(), 0.7, 0.0)
-    if _comoving_defect(bad, Point(0.2, 0.4), spec) < 1e-3:
+    if not 1e-3 <= _comoving_defect(bad, Point(0.2, 0.4), spec) < math.inf:
         yield 1.0
 
 
@@ -867,7 +889,7 @@ def _airy_residual(u, x):
 def _sol_airy_ode(cfg, rng, trials):
     u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     yield abs(_airy_residual(u, np.linspace(0.0, 3.0, trials)))
-    if abs(u.value(10.0)) > 1e-4:
+    if not abs(u.value(10.0)) <= 1e-4:  # a NaN fails too
         yield 1.0
 
 
@@ -907,10 +929,13 @@ def _sol_partials(cfg, rng, trials):
         eps |psi| / h^2, and would read as order 1."""
         t, x = _uniforms(rng, trials, (0.4, 1.2), (-1.0, 1.0))
         j = fn.jet(t, x, 2)
+        steps = ((1e-3, 4e-3), (5e-4, 2e-3))
+        moves = [(0, 0.0)] + [m for h, hx in steps for m in ((0, h), (0, -h), (1, hx), (1, -hx))]
+        psi, *around = stencil(fn, t, [x], 0, moves).value
         errs = []
-        for h, hx in ((1e-3, 4e-3), (5e-4, 2e-3)):
-            fd_t = (fn.value(t + h, x) - fn.value(t - h, x)) / (2 * h)
-            fd_xx = (fn.value(t, x + hx) - 2 * fn.value(t, x) + fn.value(t, x - hx)) / hx ** 2
+        for (h, hx), (up, down, right, left) in zip(steps, (around[:4], around[4:])):
+            fd_t = (up - down) / (2 * h)
+            fd_xx = (right - 2 * psi + left) / hx ** 2
             errs.append(np.maximum(abs(fd_t - j.partial((1, 0))), abs(fd_xx - j.partial((0, 2)))))
         with np.errstate(divide="ignore", invalid="ignore"):
             order = np.log2(errs[0] / errs[1])
@@ -929,16 +954,15 @@ def _sol_mixed(cfg, rng, trials):
     spec = cfg.specs()["linear"]
     _, f2 = f_pair(spec)
     t, x = _uniforms(rng, trials, (0.4, 1.5), (-1.2, 1.2))
+    steps = (2e-3, 2e-3 / 2.0)
 
-    def asym(h):
-        dt_of_fx = (f2.jet(t + h, x, 1).partial((0, 1))
-                    - f2.jet(t - h, x, 1).partial((0, 1))) / (2 * h)
-        dx_of_ft = (f2.jet(t, x + h, 2).partial((1, 0))
-                    - f2.jet(t, x - h, 2).partial((1, 0))) / (2 * h)
-        return dt_of_fx - dx_of_ft
+    def centred(var, order, partial):
+        """The centred differences in ``var`` of a partial, at each step."""
+        p = stencil(f2, t, [x], order, [(var, s * h) for h in steps for s in (1.0, -1.0)]).partial(partial)
+        return [(p[2 * i] - p[2 * i + 1]) / (2 * h) for i, h in enumerate(steps)]
 
-    h = 2e-3
-    richardson = (4.0 * asym(h / 2.0) - asym(h)) / 3.0
+    (dt_fx, dt_fx_half), (dx_ft, dx_ft_half) = centred(0, 1, (0, 1)), centred(1, 2, (1, 0))
+    richardson = (4.0 * (dt_fx_half - dx_ft_half) - (dt_fx - dx_ft)) / 3.0
     scale = np.maximum(abs(f2.jet(t, x, 3).partial((1, 1))), 1.0)
     yield abs(richardson) / scale
 
@@ -1089,7 +1113,7 @@ def _table_defects(g):
 
 @_register("liealg", "table_linear", "full bracket table of the linear-family algebra", 1e-13, families=("linear",))
 def _lie_table_linear(cfg, rng, trials):
-    yield from _table_defects(generators_linear(cfg.specs()["linear"]))
+    yield from _table_defects(cfg.generators("linear"))
 
 
 # reads 0 at every seed, since it draws nothing, but not at every parameter:
@@ -1097,12 +1121,12 @@ def _lie_table_linear(cfg, rng, trials):
 # {0, 0.3, 1.7}, omega in {0.1, 0.3, 0.6, 1, 3}, from alpha/(4 omega) and omega
 @_register("liealg", "table_quadratic", "full bracket table of the oscillator algebra", 1e-13, families=("quadratic",))
 def _lie_table_quadratic(cfg, rng, trials):
-    yield from _table_defects(generators_quadratic(cfg.specs()["quadratic"]))
+    yield from _table_defects(cfg.generators("quadratic"))
 
 
 @_register("liealg", "evolution_identity_linear", "evolution operator is an enveloping-algebra element, linear family", 1e-13, families=("linear",))
 def _lie_evol_linear(cfg, rng, trials):
-    g = generators_linear(cfg.specs()["linear"])
+    g = cfg.generators("linear")
     k1 = g.Lplus - g.k * g.T1.compose(g.T1)
     d = g.Lplus - (2.0 * g.k ** 2 * g.beta) * g.T2 - (g.k * g.alpha) * g.unit
     yield from (k1.max_abs_diff(g.Kop), d.max_abs_diff(g.D))
@@ -1111,7 +1135,7 @@ def _lie_evol_linear(cfg, rng, trials):
 # reads 0 at every seed; a gate above 0 leaves room for an FMA on another CPU
 @_register("liealg", "evolution_identity_quadratic", "evolution operator is an enveloping-algebra element, oscillator family", 1e-14, families=("quadratic",))
 def _lie_evol_quadratic(cfg, rng, trials):
-    g = generators_quadratic(cfg.specs()["quadratic"])
+    g = cfg.generators("quadratic")
     k2 = (-4.0 * g.k * g.omega) * g.L3 - (0.5 * g.k) * (
         g.T1.compose(g.T2) + g.T2.compose(g.T1))
     d = (-4.0 * g.k * g.omega) * g.L3 - (g.k * g.alpha) * g.unit
@@ -1132,15 +1156,13 @@ def _intertwines(g, kop):
 
 @_register("liealg", "intertwine", "conjugated generators intertwine with the evolution operator", 0.5, structural=True)
 def _lie_intertwine(cfg, rng, trials):
-    sp = cfg.specs()
-    gl, gq = generators_linear(sp["linear"]), generators_quadratic(sp["quadratic"])
+    gl, gq = cfg.generators("linear"), cfg.generators("quadratic")
     if not (_intertwines(gl, gl.Kop) and _intertwines(gq, gq.Kop)):
         yield 1.0
-    # falsification control: a perturbed lowering operator must fail
-    from dataclasses import replace
-
-    broken = replace(gl, Lminus=gl.Lminus + 1e-3 * gl.unit)
-    if _intertwines(broken, gl.Kop):
+    # falsification control: a perturbed lowering operator must fail its
+    # relation by a finite difference (a NaN fails the control)
+    broken = gl.Lminus + 1e-3 * gl.unit
+    if not INTERTWINE_TOL < gl.Lminust.compose(gl.Kop).max_abs_diff(gl.Kop.compose(broken)) < math.inf:
         yield 1.0
     comm = [
         gl.Lplus.commutator(gl.Kop),
@@ -1154,66 +1176,56 @@ def _lie_intertwine(cfg, rng, trials):
 
 @_register("liealg", "casimir_cubic", "cubic invariant is the constant 3/16", 1e-13)
 def _lie_i3(cfg, rng, trials):
-    sp = cfg.specs()
-    gl, gq = generators_linear(sp["linear"]), generators_quadratic(sp["quadratic"])
-    dl = (casimir_I3(gl) - (3.0 / 16.0) * gl.unit).max_abs_diff(0.0 * gl.unit)
-    dq = (casimir_I3(gq) - (3.0 / 16.0) * gq.unit).max_abs_diff(0.0 * gq.unit)
-    yield from (dl, dq)
+    for g in (cfg.generators("linear"), cfg.generators("quadratic")):
+        yield (g.i3 - (3.0 / 16.0) * g.unit).max_abs_diff(0.0 * g.unit)
 
 
 @_register("liealg", "casimir_factorization", "quadratic invariant factors through the evolution operator", 1e-13)
 def _lie_i2(cfg, rng, trials):
-    k, sp = cfg.k, cfg.specs()
-    gl = generators_linear(sp["linear"])
+    k, gl, gq = cfg.k, cfg.generators("linear"), cfg.generators("quadratic")
     poly = DiffOp.monomial(LINEAR_VARS, 1.0, 0, 1) - DiffOp.monomial(LINEAR_VARS, k * k * cfg.beta, 2, 0)
-    lhs = casimir_I2(gl)
     rhs = (3.0 / 16.0) * gl.unit + (poly.compose(poly) * (0.25 / k)).compose(gl.Kop)
-    dl = lhs.max_abs_diff(rhs)
-    gq = generators_quadratic(sp["quadratic"])
+    dl = gl.i2.max_abs_diff(rhs)
     rhsq = (3.0 / 16.0) * gq.unit + DiffOp.monomial(QUADRATIC_VARS, 0.25 / k, 0, 2).compose(gq.Kop)
-    dq = casimir_I2(gq).max_abs_diff(rhsq)
+    dq = gq.i2.max_abs_diff(rhsq)
     yield from (dl, dq)
 
 
 @_register("liealg", "casimir_commutes", "invariants commute with the subalgebra", 1e-13)
 def _lie_casimir_comm(cfg, rng, trials):
-    gl = generators_linear(cfg.specs()["linear"])
-    i2 = casimir_I2(gl)
-    i3 = casimir_I3(gl)
+    gl = cfg.generators("linear")
     yield from (
-        i2.commutator(gl.L3).max_abs_diff(0.0 * gl.unit),
-        i3.commutator(gl.T1).max_abs_diff(0.0 * gl.unit),
-        i3.commutator(gl.Lplus).max_abs_diff(0.0 * gl.unit),
+        gl.i2.commutator(gl.L3).max_abs_diff(0.0 * gl.unit),
+        gl.i3.commutator(gl.T1).max_abs_diff(0.0 * gl.unit),
+        gl.i3.commutator(gl.Lplus).max_abs_diff(0.0 * gl.unit),
     )
 
 
 @_register("liealg", "eigenrelations", "weight and coherent states have the stated eigenvalues", 1e-11, 50)
 def _lie_eigen(cfg, rng, trials):
-    sp = cfg.specs()
-    lspec, qspec = sp["linear"], sp["quadratic"]
-    gl, gq = generators_linear(lspec), generators_quadratic(qspec)
-    f1, f2 = f_pair(lspec)
-    g1, g2, g3 = g_functions(qspec, gamma=0.8)
-    i2 = casimir_I2(gl)
-    i3 = casimir_I3(gl)
+    """One jet per function, at the largest order of its operators; its
+    value row is the reference value."""
+    sp, gl, gq = cfg.specs(), cfg.generators("linear"), cfg.generators("quadratic")
+    f1, f2 = f_pair(sp["linear"])
+    g1, g2, g3 = g_functions(sp["quadratic"], gamma=0.8)
     z = Point(*_uniforms(rng, trials, (0.2, 1.0), (-1.2, 1.2)))
-    values = {fn: fn.value(z.t, z.x1) for fn in (f1, f2, g1, g2, g3)}
-    for op, fn, eigenvalue in (
-        (gl.Lplus, f1, 0.0), (gl.T1, f1, 0.0), (gl.L3, f1, -0.25),
-        (gl.Lminus, f2, 0.0), (gl.T2, f2, 0.0), (gl.L3, f2, 0.25),
-        (i2, f1, 3.0 / 16.0), (i3, f1, 3.0 / 16.0), (i2, f2, 3.0 / 16.0), (i3, f2, 3.0 / 16.0),
-        (gq.Kop, g1, 0.0), (gq.Lplus, g1, 0.0), (gq.T1, g1, 0.0), (gq.L3, g1, -0.25),
-        (gq.Kop, g2, 0.0), (gq.Lminus, g2, 0.0), (gq.T2, g2, 0.0), (gq.L3, g2, 0.25),
-        (gq.Kop, g3, 0.0), (gq.T2, g3, 0.8), (gq.Lminus, g3, 0.64 / (4.0 * cfg.omega)),
+    for fn, relations in (
+        (f1, ((gl.Lplus, 0.0), (gl.T1, 0.0), (gl.L3, -0.25), (gl.i2, 3.0 / 16.0), (gl.i3, 3.0 / 16.0))),
+        (f2, ((gl.Lminus, 0.0), (gl.T2, 0.0), (gl.L3, 0.25), (gl.i2, 3.0 / 16.0), (gl.i3, 3.0 / 16.0))),
+        (g1, ((gq.Kop, 0.0), (gq.Lplus, 0.0), (gq.T1, 0.0), (gq.L3, -0.25))),
+        (g2, ((gq.Kop, 0.0), (gq.Lminus, 0.0), (gq.T2, 0.0), (gq.L3, 0.25))),
+        (g3, ((gq.Kop, 0.0), (gq.T2, 0.8), (gq.Lminus, 0.64 / (4.0 * cfg.omega)))),
     ):
-        yield abs(op.apply(fn, z) - eigenvalue * values[fn]) / abs(values[fn])
+        j, v1 = relations[0][0].jet(fn, z, max(op.order for op, _ in relations))
+        for op, eigenvalue in relations:
+            yield abs(op.on_jet(j, v1, z.x1) - eigenvalue * j.value) / abs(j.value)
 
 
 @_register("liealg", "jacobi", "composition is associative and brackets satisfy Jacobi", 1e-12, 15)
 def _lie_jacobi(cfg, rng, trials):
     """Each pair of basis operators is composed, and bracketed, once per
     check, however often the trials draw it."""
-    g = generators_linear(cfg.specs()["linear"])
+    g = cfg.generators("linear")
     basis = [g.L3, g.Lplus, g.Lminus, g.T1, g.T2, g.unit]
 
     @cache
@@ -1238,9 +1250,8 @@ def _lie_jacobi(cfg, rng, trials):
 
 @_register("liealg", "time_derivative_stays", "time derivatives of solutions remain solutions", 1e-10, 10)
 def _lie_dpower(cfg, rng, trials):
-    spec = cfg.specs()["linear"]
-    g = generators_linear(spec)
-    f1, _ = f_pair(spec)
+    g = cfg.generators("linear")
+    f1, _ = f_pair(cfg.specs()["linear"])
     op = g.Kop.compose(g.D.compose(g.D))
     z = Point(*_uniforms(rng, trials, (0.2, 1.0), (-1.2, 1.2)))
     yield abs(op.apply(f1, z)) / abs(f1.value(z.t, z.x1))

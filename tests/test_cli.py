@@ -1,3 +1,4 @@
+import collections
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schroedsym import cli, suites
+from schroedsym import cli, opalg, residual, solutions, suites
 from schroedsym.cli import main
 from schroedsym.errors import ConfigError, DeterminantError
 from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names
@@ -78,6 +79,77 @@ def test_every_registered_check_yields_its_defects():
     checks = list(suites.CHECKS.values())
     assert len(checks) == 68 and all(name == c.name for name, c in suites.CHECKS.items())
     assert [c.name for c in checks if not inspect.isgeneratorfunction(c.fn)] == []
+
+
+@pytest.mark.parametrize("name,evaluations", [
+    ("solutions.partials_fd", 4), ("solutions.mixed_symmetry", 3),
+    ("residual.fd_order", 3), ("liealg.eigenrelations", 5)])
+def test_a_check_evaluates_each_function_once_per_stencil(monkeypatch, name, evaluations):
+    # a jet, a value or a residual of a function is one evaluation: the
+    # point sets of a stencil are one (residual.stencil), per jet order and
+    # function, and the eigenvalue relations read one jet per function
+    calls = []
+
+    def counted(wrapped):
+        def call(*args):
+            calls.append(wrapped.__name__)
+            return wrapped(*args)
+        return call
+
+    monkeypatch.setattr(solutions.SmoothFn, "_seed", counted(solutions.SmoothFn._seed))
+    monkeypatch.setattr(residual, "_residual_step", counted(residual._residual_step))
+    assert suites.run_named_check(name, RunConfig(seed=7)).passed
+    assert len(calls) == evaluations
+
+
+def test_a_pass_builds_each_operator_algebra_once(monkeypatch):
+    # each family's generator set and Casimirs are built on first use, once
+    # per run_suite call; another pass, or a check run on its own, builds
+    # its own, so that it reads a change made in between
+    builds = collections.Counter()
+    for module, name in ((suites, "generators_linear"), (suites, "generators_quadratic"),
+                         (opalg, "casimir_I2"), (opalg, "casimir_I3")):
+        def build(arg, _name=name, _wrapped=getattr(module, name)):
+            builds[_name, arg.family] += 1
+            return _wrapped(arg)
+
+        monkeypatch.setattr(module, name, build)
+    once = {("generators_linear", "linear"): 1, ("generators_quadratic", "quadratic"): 1,
+            **{(name, family): 1 for name in ("casimir_I2", "casimir_I3")
+               for family in ("linear", "quadratic")}}
+    cfg = RunConfig(seed=7)
+    assert run_suite("all", cfg).all_passed and builds == once
+    assert run_suite("all", cfg).all_passed and builds == {key: 2 for key in once}
+    builds.clear()
+    for _ in range(2):
+        assert suites.run_named_check("liealg.casimir_cubic", cfg).passed
+    assert builds == {key: 2 for key in once}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_a_check_reads_the_same_alone_in_its_suite_and_in_all(tmp_path, seed):
+    # a pass shares its operator algebra and nothing else: a check's row is
+    # the same whichever checks ran before it, timing aside
+    def untimed(text):
+        rows = json.loads(text)
+        for row in rows:
+            del row["seconds"]
+        return rows
+
+    def verify(target):
+        out = tmp_path / f"{target}.json"
+        main(["verify", target, "--seed", str(seed), "--format", "json", "--out", str(out)])
+        return untimed(out.read_text())
+
+    everything = {row["name"]: row for row in verify("all")}
+    cfg = RunConfig(seed=seed)
+    for suite in ("liealg", "solutions", "residual"):
+        rows = verify(suite)
+        assert len(rows) == 12 if suite != "residual" else 11
+        assert rows == [everything[row["name"]] for row in rows]
+        alone = [untimed(SuiteReport([suites.run_named_check(row["name"], cfg)]).to_json())[0]
+                 for row in rows]
+        assert alone == rows
 
 
 def test_nan_defects_fail_at_extreme_k(tmp_path):
@@ -244,8 +316,9 @@ def test_cli_config_file_flags_win(tmp_path, capsys):
 
 def test_json_report_shape_and_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "group", "--seed", "5", "--format", "json", "--out", str(p1)]) == 0
-    assert main(["verify", "group", "--seed", "5", "--format", "json", "--out", str(p2)]) == 0
+    # all the checks, so that anything a pass kept for the next would show
+    assert main(["verify", "all", "--seed", "5", "--format", "json", "--out", str(p1)]) == 0
+    assert main(["verify", "all", "--seed", "5", "--format", "json", "--out", str(p2)]) == 0
     rows1 = json.loads(p1.read_text())
     rows2 = json.loads(p2.read_text())
     for rows in (rows1, rows2):

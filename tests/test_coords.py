@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from schroedsym import suites
 from schroedsym.coords import (
     FamilySpec,
     Point,
@@ -32,7 +33,7 @@ from schroedsym.sampling import (
     random_element,
     random_sl2r,
 )
-from schroedsym.suites import T_RANGE, RunConfig, _comoving_defect
+from schroedsym.suites import T_RANGE, RunConfig, _comoving_defect, run_named_check
 
 RNG = np.random.default_rng(11)
 
@@ -210,6 +211,20 @@ def test_special_galilean_subgroup_values():
 def test_comoving_identity():
     # the random trials and the translation control are coords.comoving_identity
     assert _comoving_defect(GroupElement.identity(), Point(0.3, 0.7), LIN) == 0.0
+
+
+def test_a_nan_translation_control_fails_comoving_identity(monkeypatch):
+    # the control passes only on a finite defect above its threshold: an
+    # action whose x' is NaN at the control's point t = 0.2 fails the check
+    act = suites.act
+
+    def planted(l, z, spec):
+        zp = act(l, z, spec)
+        return Point(zp.t, math.nan) if np.ndim(z.t) == 0 and z.t == 0.2 else zp
+
+    assert run_named_check("coords.comoving_identity", RunConfig(seed=7)).passed
+    monkeypatch.setattr(suites, "act", planted)
+    assert not run_named_check("coords.comoving_identity", RunConfig(seed=7)).passed
 
 
 def test_reality_domain_check():

@@ -86,3 +86,27 @@ def test_the_time_step_is_derived_at_one_place():
              for n in ast.walk(ast.parse(p.read_text()))
              if isinstance(n, ast.FunctionDef) and n.name == "at_time"]
     assert len(sites) == 1, sites
+
+
+# the package's functools caches: tables of supports and of grid axes,
+# which depend on their arguments alone.  A cache of results would outlive
+# the pass that computed them, and a later pass would read it, not the code
+# (suites.RunConfig.algebra keeps a pass's operator algebra on the pass)
+DECLARED_CACHES = {"jets.weight", "jets._product", "jets._union", "jets._powers", "residual._axes"}
+
+
+def _is_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) in ("cache", "lru_cache")
+
+
+def test_every_module_level_cache_is_declared():
+    # functions and methods of the modules' top level; a cache inside a
+    # function lives for one call
+    found = set()
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.parse(p.read_text()).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef) and any(map(_is_cache, fn.decorator_list)):
+                    found.add(f"{p.stem}.{fn.name}")
+    assert found == DECLARED_CACHES

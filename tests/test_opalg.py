@@ -132,6 +132,20 @@ def test_a_nan_coefficient_fails_the_table_and_intertwine(monkeypatch):
         assert not run_named_check(name, RunConfig(seed=7)).passed, name
 
 
+def test_a_nan_broken_relation_fails_intertwine(monkeypatch):
+    # the perturbed-Lminus control passes only on a finite difference above
+    # INTERTWINE_TOL: a difference that reads NaN there fails the check
+    max_abs_diff = DiffOp.max_abs_diff
+
+    def planted(self, other):
+        diff = max_abs_diff(self, other)
+        return math.nan if diff > suites.INTERTWINE_TOL else diff
+
+    assert run_named_check("liealg.intertwine", RunConfig(seed=7)).passed
+    monkeypatch.setattr(DiffOp, "max_abs_diff", planted)
+    assert not run_named_check("liealg.intertwine", RunConfig(seed=7)).passed
+
+
 @pytest.mark.parametrize("function,text,literal,check", [
     ("generators_linear", "mono(0.5 / k, 0, 1)", "0.5", "liealg.table_linear"),
     ("generators_quadratic", "mono(0.5 * omega, 2, 2)", "0.5", "liealg.table_quadratic"),

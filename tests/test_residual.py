@@ -103,6 +103,29 @@ def test_richardson_stencils_match_the_analytic_residual():
     assert np.max(np.abs((4.0 * fd_half - fd_h) / 3.0 - exact)) < 1e-7
 
 
+@pytest.mark.parametrize("case", ["f2", "g3", "power", "nls"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_stencil_is_its_point_sets_evaluated_one_by_one(case, order):
+    # one evaluation of the stacked point sets, bit for bit the jets at each
+    # (a pullback, a Gaussian, a formula and a two-coordinate formula), on
+    # the broadcast grid axes of _fd_residual_arrays
+    nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
+    fn, grid = {
+        "f2": (f_pair(LIN)[1], GridSpec((0.4, 1.4), (-1.0, 1.0), nt=5, nx=6)),
+        "g3": (g_functions(QUAD, 0.5)[2], GRID_9_11),
+        "power": (power_static(2.0, 2.0), GridSpec((-0.4, 0.6), (0.4, 1.8), nt=5, nx=6)),
+        "nls": (plane_wave_nls(1.1, (0.4, -0.7), nls), GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=4, nx=5)),
+    }[case]
+    t, xs = grid.points(fn.ndim)
+    moves = [(0, 0.0), (0, 1e-3), (0, -1e-3)] + [(1 + j, s) for j in range(fn.ndim) for s in (2e-3, -2e-3)]
+    batch = residual.stencil(fn, t, xs, order, moves)
+    for i, (var, h) in enumerate(moves):
+        moved = [a + h if v == var else a for v, a in enumerate((t, *xs))]
+        alone = fn.jet(moved[0], moved[1:], order)
+        assert batch.support == alone.support
+        assert np.array_equal(batch.block[:, i], np.broadcast_to(alone.block, batch.block[:, i].shape))
+
+
 def test_grid_residual_raises_off_the_domain():
     # the jet is the only domain guard: no grid point is dropped
     spec = FamilySpec.inverse_quadratic(0.7, 2.0)

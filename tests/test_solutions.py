@@ -234,6 +234,19 @@ def test_a_slipped_airy_slope_fails_airy_ode(monkeypatch):
     assert not run_named_check("solutions.airy_ode", RunConfig(seed=7)).passed
 
 
+def test_a_nan_decay_control_fails_airy_ode(monkeypatch):
+    # the decay control passes only on a small finite |u(10)|: a profile that
+    # reads NaN beyond x = 5 fails the check
+    derivatives = AiryFn.derivatives
+
+    def planted(self, x, max_order):
+        return np.where(np.asarray(x) > 5.0, np.nan, derivatives(self, x, max_order))
+
+    assert run_named_check("solutions.airy_ode", RunConfig(seed=7)).passed
+    monkeypatch.setattr(AiryFn, "derivatives", planted)
+    assert not run_named_check("solutions.airy_ode", RunConfig(seed=7)).passed
+
+
 def test_airy_loops_raise_at_their_caps(monkeypatch):
     # a phase this steep needs a truncation past the cap, and one Newton
     # step from a bracket's midpoint is not yet shorter than ROOT_WIDTH / 4
