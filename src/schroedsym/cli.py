@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .coords import FAMILIES, FamilySpec
-from .errors import ConfigError, SchroedSymError
+from .errors import ConfigError, DeterminantError, SchroedSymError
 from .group import GroupElement, Mat2
 from .residual import residual_arrays, transformed
 from .sampling import element_for_family
@@ -75,12 +75,11 @@ def _build_parser():
 
 
 def _demo_range(args):
-    flags = {key: getattr(args, key) for key in _DEMO_RANGE}
-    window = dict(_DEMO_RANGE)
-    if all(v is None for v in flags.values()):
-        window.update(_DEMO_WINDOWS.get(args.solution, {}))
-    window.update({key: v for key, v in flags.items() if v is not None})
-    return window
+    given = {key: v for key in _DEMO_RANGE if (v := getattr(args, key)) is not None}
+    if given and args.solution == "theta":
+        raise ConfigError("theta samples its fixed window, t = i[1.0, 1.6] and x in [-0.4, 0.4]: "
+                          "--t-min, --t-max, --x-min and --x-max do not apply")
+    return {**_DEMO_RANGE, **(given or _DEMO_WINDOWS.get(args.solution, {}))}
 
 
 def _load_config_file(path):
@@ -168,7 +167,10 @@ def _parse_element(text):
         raise ConfigError(f"bad element entry: {exc}") from exc
     if not all(map(cmath.isfinite, (c, d, a, b, mu, nu))):
         raise ConfigError(f"element entries must be finite, got {text}")
-    return GroupElement(Mat2(c, d, a, b), mu, nu)
+    try:
+        return GroupElement(Mat2(c, d, a, b), mu, nu)
+    except DeterminantError as exc:
+        raise ConfigError(f"element {text}: {exc}") from exc
 
 
 def _demo_solution(name, cfg):
@@ -199,6 +201,7 @@ def _cmd_demo(args):
     cfg = _run_config(merged)
     if args.nt < 1 or args.nx < 1:
         raise ConfigError(f"--nt and --nx must be >= 1, got {args.nt} and {args.nx}")
+    window = _demo_range(args)
     fn, spec = _demo_solution(args.solution, cfg)
     if args.identity:
         element = GroupElement.identity()
@@ -208,7 +211,6 @@ def _cmd_demo(args):
         rng = np.random.default_rng(cfg.seed)
         element = element_for_family(rng, spec, scale=0.3, translation=0.5)
     moved = transformed(fn, element, spec)
-    window = _demo_range(args)
     ts = np.linspace(window["t_min"], window["t_max"], args.nt)
     xs = np.linspace(window["x_min"], window["x_max"], args.nx)
     if args.solution == "theta":

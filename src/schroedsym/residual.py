@@ -60,7 +60,7 @@ import numpy as np
 from .coords import LINEAR, NLS2D, QUADRATIC, FamilySpec, _terms, frame
 from .errors import DomainError
 from .group import GroupElement, Mat2
-from .jets import Jet, value_of
+from .jets import Jet, _jet, value_of
 from .multiplier import lift_frame
 from .solutions import PullbackFn, SmoothFn, pairing
 
@@ -232,26 +232,27 @@ def residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs):
     return _residual_step(fn, spec, Jet.variable(t, 0, 1 + spec.n, 2))(xs)
 
 
-def stencil(fn: SmoothFn, t, xs, order, moves):
-    """The jet of ``fn`` of ``order`` at the points (t, xs), each moved by h
-    in the variable ``var`` (0 is t, j the coordinate x_j) for a ``(var, h)``
-    of ``moves``, in one evaluation: its rows carry the moves on a leading
-    axis.  A centred difference moves by h and -h; a move by 0.0 is (t, xs)."""
+def stencil(fn: SmoothFn, t, xs, order, steps):
+    """The jet of ``fn`` of ``order`` at the points (t, xs) and, for each
+    ``(var, h)`` of ``steps`` (var 0 is t, j the coordinate x_j), its
+    centred differences in ``var`` at h and h/2: the first
+    (f(+h) - f(-h)) / 2h and the second (f(+h) - 2 f + f(-h)) / h^2, as
+    jets whose coefficients carry two leading axes, [i, 0] at the i-th
+    step's h and [i, 1] at its h/2.  Every moved point set is one
+    evaluation: the moves stack on a leading axis of the rows."""
+    moves = [(0, 0.0)] + [(var, s * h) for var, step in steps
+                          for h in (step, step / 2.0) for s in (1.0, -1.0)]
     t, *xs = (np.stack([a + h if v == var else a for var, h in moves])
               for v, a in enumerate((t, *xs)))
-    return fn.jet(t, xs, order)
-
-
-def _fd_residual_arrays(fn: SmoothFn, spec: FamilySpec, t, xs, h):
-    """Centred second-order stencils on function values, all of whose points
-    are one evaluation (``stencil``)."""
-    moves = [(0, 0.0)] + [(var, s) for var in range(1 + len(xs)) for s in (h, -h)]
-    psi, up, down, *sides = stencil(fn, t, xs, 0, moves).value
-    pt = (up - down) / (2.0 * h)
-    lap = 0.0
-    for right, left in zip(sides[::2], sides[1::2]):
-        lap = lap + (right - 2.0 * psi + left) / h ** 2
-    return _less_cubic(spec, _braces(spec, pt, lap, psi, xs), psi), psi
+    jet = fn.jet(t, xs, order)
+    block = jet.block
+    hs = np.reshape([h for _, h in moves[1::2]], (1, -1) + (1,) * (block.ndim - 2))
+    up, down = block[:, 1::2], block[:, 2::2]
+    first = (up - down) / (2.0 * hs)
+    second = (up - 2.0 * block[:, :1] + down) / hs ** 2
+    shape = (len(jet.support), len(steps), 2) + block.shape[2:]
+    return (_jet(jet.nvars, order, jet.support, block[:, 0]),
+            *(_jet(jet.nvars, order, jet.support, d.reshape(shape)) for d in (first, second)))
 
 
 # Points of one tile, batch axes included: the 224^2 and 37^3 grids of the
@@ -359,13 +360,15 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec) -> ResidualRep
 
 
 def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
-    """Observed order at which the residual of centered stencils at steps
-    1e-3 and 5e-4 approaches the analytic residual over the grid; NaN when
-    the second error is not positive, so that the order cannot be measured."""
+    """Observed order at which the residual of centred differences
+    (``stencil``) at steps 1e-3 and 5e-4 approaches the analytic residual
+    over the grid; NaN when the second error is not positive."""
     t, xs = grid.points(spec.n)
     exact, _ = residual_arrays(fn, spec, t, xs)
-    e1, e2 = (np.max(np.abs(_fd_residual_arrays(fn, spec, t, xs, h)[0] - exact))
-              for h in (1e-3, 1e-3 / 2.0))
+    centre, first, second = stencil(fn, t, xs, 0, [(var, 1e-3) for var in range(1 + spec.n)])
+    psi, lap = centre.value, reduce(operator.add, second.value[1:])
+    fd = _less_cubic(spec, _braces(spec, first.value[0], lap, psi, xs), psi)
+    e1, e2 = np.max(np.abs(fd - exact), axis=tuple(range(1, fd.ndim)))
     return float(np.log2(e1 / e2)) if e2 > 0 else math.nan
 
 

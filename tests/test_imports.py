@@ -1,8 +1,8 @@
 """Every module-level import of the package and of its tests is read
-somewhere in its module, and every function and method the package
-defines is read somewhere in the package: an unused import or function
-makes dead code look used.  The package's attribute of each submodule's
-name is that submodule."""
+somewhere in its module, and every function, method and module-level
+constant the package defines is read somewhere in the package: an unused
+import, function or constant makes dead code look used.  The package's
+attribute of each submodule's name is that submodule."""
 
 import ast
 import importlib
@@ -40,9 +40,9 @@ def _registered(fn):
                for d in fn.decorator_list)
 
 
-def test_every_function_defined_in_src_is_read_in_src():
-    # read: loaded as a name or as an attribute anywhere in the package;
-    # dunders are read by the language
+def _trees_and_reads():
+    """Each module's syntax tree, and every name the package reads: loaded
+    as a name or as an attribute anywhere in it."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     read = set()
     for tree in trees.values():
@@ -51,12 +51,36 @@ def test_every_function_defined_in_src_is_read_in_src():
                 read.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
+    return trees, read
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_function_defined_in_src_is_read_in_src():
+    # dunders are read by the language
+    trees, read = _trees_and_reads()
     unread = [
         f"{stem}.{n.name}" for stem, tree in trees.items() for n in ast.walk(tree)
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name not in read
-        and not (n.name.startswith("__") and n.name.endswith("__")) and not _registered(n)
+        and not _is_dunder(n.name) and not _registered(n)
     ]
     assert sorted(set(unread) - UNREAD_BY_DESIGN) == []
+
+
+def test_every_module_level_constant_of_src_is_read_in_src():
+    # a step table or a tolerance that its reader left behind fails here;
+    # dunders (__version__) are read by tools
+    trees, read = _trees_and_reads()
+    unread = [
+        f"{stem}.{n.id}" for stem, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for n in ast.walk(target) if isinstance(n, ast.Name) and not _is_dunder(n.id)
+        and n.id not in read
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -91,7 +115,7 @@ def test_the_time_step_is_derived_at_one_place():
 # the package's functools caches: tables of supports and of grid axes,
 # which depend on their arguments alone.  A cache of results would outlive
 # the pass that computed them, and a later pass would read it, not the code
-# (suites.RunConfig.algebra keeps a pass's operator algebra on the pass)
+# (suites._Pass.generators keeps a pass's operator algebra on the pass)
 DECLARED_CACHES = {"jets.weight", "jets._product", "jets._union", "jets._powers", "residual._axes"}
 
 

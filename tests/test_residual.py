@@ -99,7 +99,8 @@ def test_richardson_stencils_match_the_analytic_residual():
     _, f2 = f_pair(LIN)
     t, xs = GridSpec((0.4, 1.4), (-1.0, 1.0)).points(1)
     exact, _ = residual_arrays(f2, LIN, t, xs)
-    fd_h, fd_half = (residual._fd_residual_arrays(f2, LIN, t, xs, h)[0] for h in (1e-3, 5e-4))
+    psi, first, second = residual.stencil(f2, t, xs, 0, [(0, 1e-3), (1, 1e-3)])
+    fd_h, fd_half = first.value[0] - LIN.k * (second.value[1] - residual.potential(LIN, xs) * psi.value)
     assert np.max(np.abs((4.0 * fd_half - fd_h) / 3.0 - exact)) < 1e-7
 
 
@@ -108,7 +109,8 @@ def test_richardson_stencils_match_the_analytic_residual():
 def test_a_stencil_is_its_point_sets_evaluated_one_by_one(case, order):
     # one evaluation of the stacked point sets, bit for bit the jets at each
     # (a pullback, a Gaussian, a formula and a two-coordinate formula), on
-    # the broadcast grid axes of _fd_residual_arrays
+    # the broadcast grid axes of fd_order: the jet at the points, and each
+    # difference the quotient of the jets at its moved points
     nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
     fn, grid = {
         "f2": (f_pair(LIN)[1], GridSpec((0.4, 1.4), (-1.0, 1.0), nt=5, nx=6)),
@@ -117,13 +119,48 @@ def test_a_stencil_is_its_point_sets_evaluated_one_by_one(case, order):
         "nls": (plane_wave_nls(1.1, (0.4, -0.7), nls), GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=4, nx=5)),
     }[case]
     t, xs = grid.points(fn.ndim)
-    moves = [(0, 0.0), (0, 1e-3), (0, -1e-3)] + [(1 + j, s) for j in range(fn.ndim) for s in (2e-3, -2e-3)]
-    batch = residual.stencil(fn, t, xs, order, moves)
-    for i, (var, h) in enumerate(moves):
+    steps = [(0, 1e-3)] + [(1 + j, 2e-3) for j in range(fn.ndim)]
+    centre, first, second = residual.stencil(fn, t, xs, order, steps)
+
+    def alone(var, h):
         moved = [a + h if v == var else a for v, a in enumerate((t, *xs))]
-        alone = fn.jet(moved[0], moved[1:], order)
-        assert batch.support == alone.support
-        assert np.array_equal(batch.block[:, i], np.broadcast_to(alone.block, batch.block[:, i].shape))
+        return fn.jet(moved[0], moved[1:], order).block
+
+    def same(batch, quotient):
+        assert np.array_equal(batch, np.broadcast_to(quotient, batch.shape))
+
+    psi = alone(0, 0.0)
+    same(centre.block, psi)
+    assert first.support == second.support == centre.support
+    for i, (var, step) in enumerate(steps):
+        for s, h in enumerate((step, step / 2.0)):
+            up, down = alone(var, h), alone(var, -h)
+            same(first.block[:, i, s], (up - down) / (2.0 * h))
+            same(second.block[:, i, s], (up - 2.0 * psi + down) / h ** 2)
+
+
+def test_centred_differences_are_exact_on_a_quadratic_in_t_and_a_cubic_in_x():
+    # the first difference is exact on a quadratic and the second on a
+    # cubic, so at both steps each is the jet's partial up to round-off
+    fn = FormulaFn(lambda t, x: (1.0 + 2.0 * t - 3.0 * t * t) * (0.5 - x + 2.0 * x * x + 1.5 * x ** 3))
+    t, x = np.array([0.3, -0.7, 1.1]), np.array([0.4, -1.2, 0.9])
+    psi, first, second = residual.stencil(fn, t, [x], 0, [(0, 0.1), (1, 0.1)])
+    j = fn.jet(t, x, 2)
+    for s in (0, 1):
+        assert np.all(abs(first.value[0, s] - j.partial((1, 0))) <= 1e-9 * abs(psi.value))
+        assert np.all(abs(second.value[1, s] - j.partial((0, 2))) <= 1e-9 * abs(psi.value))
+
+
+def test_a_slipped_second_difference_fails_both_stencil_checks(slip_literal):
+    # the one rule's second difference is the literal of fd_order and of
+    # partials_fd alike: slipped by 1+1e-9, it fails both at both seeds
+    names = ("residual.fd_order", "solutions.partials_fd")
+    cfgs = [suites.RunConfig(seed=seed) for seed in (7, 11)]
+    assert all(suites.run_named_check(name, cfg).passed for name in names for cfg in cfgs)
+    slip_literal(residual, "stencil", "up - 2.0 * block", "2.0")
+    for name in names:
+        for cfg in cfgs:
+            assert not suites.run_named_check(name, cfg).passed, (name, cfg.seed)
 
 
 def test_grid_residual_raises_off_the_domain():
