@@ -25,6 +25,10 @@ compose (``Frame.then``), so nested pullbacks give one K, and a Gaussian
 base (``solutions.GaussianFn``) folds into it: beta = 1, and the product
 rule runs on the one composed exponent with no jet of the base.
 
+With beta = 1, psi is its exponents (``SmoothFn.exponents``) and R/psi a
+polynomial in each x_j with time-only coefficients (``_by_power``), which
+``coefficient_residual`` bounds on the grid's box with no array over x.
+
 Grids are sampled on broadcastable axes (``GridSpec.points``): the time
 axis varies along the first array dimension and each space axis along its
 own, so the frame and the time-only jets hold one value per time, and only
@@ -58,7 +62,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .coords import LINEAR, NLS2D, QUADRATIC, FamilySpec, _terms, frame
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .group import GroupElement, Mat2
 from .jets import Jet, _jet, value_of
 from .multiplier import lift_frame
@@ -135,6 +139,24 @@ def _braces(spec: FamilySpec, psi_t, laplacian, psi, xs):
     ``xs``: the residual but for the NLS family's cubic term, of a function
     or of one factor of a product (``_product_rule``)."""
     return psi_t - spec.k * (laplacian - potential(spec, xs) * psi)
+
+
+def _by_power(spec: FamilySpec, A, B, C):
+    """The braces over psi of psi = exp(A + B x + C x^2), A, B, C given as
+    (value, d/dt) (``_rate``), read by power of x: A_t - 2kC - kB^2 + kV_0,
+    B_t - 4kBC + kV_1 and C_t - 4kC^2 + kV_2, the coefficients of x^0, x^1
+    and x^2.  A potential of another power raises ``DomainError``."""
+    (_, a_t), (b, b_t), (c, c_t), k, v = A, B, C, spec.k, spec.potential
+    if not v.keys() <= {0, 1, 2}:
+        raise DomainError(f"the potential's powers {sorted(v)} are not among x^0, x^1, x^2")
+    return (a_t - 2.0 * k * c - k * b * b + k * v.get(0, 0.0),
+            b_t - 4.0 * k * b * c + k * v.get(1, 0.0), c_t - 4.0 * k * c * c + k * v.get(2, 0.0))
+
+
+def _rate(z):
+    """(value, d/dt) of a frame field evaluated on a time jet; a literal field
+    is constant in t."""
+    return (z.value, z.coefficient((1,))) if isinstance(z, Jet) else (z, 0.0)
 
 
 def _less_cubic(spec: FamilySpec, resid, psi):
@@ -238,8 +260,10 @@ def stencil(fn: SmoothFn, t, xs, order, steps):
     centred differences in ``var`` at h and h/2: the first
     (f(+h) - f(-h)) / 2h and the second (f(+h) - 2 f + f(-h)) / h^2, as
     jets whose coefficients carry two leading axes, [i, 0] at the i-th
-    step's h and [i, 1] at its h/2.  Every moved point set is one
-    evaluation: the moves stack on a leading axis of the rows."""
+    step's h and [i, 1] at its h/2.  The moved point sets, stacked on a
+    leading axis, are one evaluation; a batched ``fn`` raises ``ShapeError``."""
+    if fn.batch:
+        raise ShapeError(f"a stencil of a batch of shape {fn.batch}")
     moves = [(0, 0.0)] + [(var, s * h) for var, step in steps
                           for h in (step, step / 2.0) for s in (1.0, -1.0)]
     t, *xs = (np.stack([a + h if v == var else a for var, h in moves])
@@ -357,6 +381,27 @@ def grid_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec) -> ResidualRep
         return resid, np.abs(psi)
 
     return _tiled(tile, fn.batch, t, xs)
+
+
+def coefficient_residual(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
+    """A bound on |R/psi| over the grid's box |x_j| <= X_j, one per element
+    of a batch, for psi = exp(sum_j q_j) given as its exponents
+    (``SmoothFn.exponents``): the largest over the grid's times of
+    |sum_j c0_j| + sum_j (|c1_j| X_j + |c2_j| X_j^2), c_p the coefficient of
+    x_j^p (``_by_power``).  No array spans x.  The NLS family's k g |psi|^2
+    must be time-only, every Re B_j and Re C_j 0, else ``DomainError``."""
+    t, xs = grid.points(spec.n)
+    frames = _of_family(fn, spec).exponents(Jet.variable(t, 0, 1, 2))
+    c0, size = 0.0, 0.0
+    for fr, big in zip(frames, (np.max(np.abs(x)) for x in xs)):
+        p0, p1, p2 = _by_power(spec, *map(_rate, (fr.A, fr.B, fr.C)))
+        c0, size = c0 + p0, size + np.abs(p1) * big + np.abs(p2) * big * big
+    if spec.family == NLS2D:
+        if any(np.any(np.real(value_of(v)) != 0) for fr in frames for v in (fr.B, fr.C)):
+            raise DomainError("|psi|^2 depends on x: an exponent has Re B or Re C nonzero")
+        c0 = c0 - spec.k * spec.coupling * np.exp(2.0 * np.real(sum(value_of(fr.A) for fr in frames)))
+    bound = np.broadcast_to(np.abs(c0) + size, fn.batch + t.shape)
+    return np.max(bound.reshape(fn.batch + (-1,)), axis=-1)[()]
 
 
 def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):

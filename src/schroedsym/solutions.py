@@ -104,6 +104,14 @@ class SmoothFn:
 
         return pulled
 
+    def exponents(self, tj):
+        """The time step of psi = exp(sum_j q_j) (beta = 1): per coordinate j,
+        the frame whose exponent is q_j.  ``DomainError`` for another psi."""
+        fr, space = self.split_at(tj)
+        if space is not None:
+            raise DomainError("the function is not an exponent in x")
+        return [fr] * self.ndim
+
     def value(self, t, x):
         return self.jet(t, x, 0).value
 
@@ -168,6 +176,10 @@ class PullbackFn(SmoothFn):
         fr = self.frame(tj)
         inner, space = self.base.split_at(fr.tp)
         return fr if inner is None else fr.then(inner), space
+
+    def exponents(self, tj):
+        fr = self.frame(tj)
+        return [fr.then(inner) for inner in self.base.exponents(fr.tp)]
 
 
 class FormulaFn(SmoothFn):
@@ -354,10 +366,10 @@ def g_functions(spec: FamilySpec, gamma=0.0):
 
 def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     """Exact plane-wave solution of the 2-d cubic equation (imaginary k),
-    amplitude exp(i p.x + rate t), given as its two factors
-    exp(i p_1 x_1 + rate t) and amplitude exp(i p_2 x_2), one per space
-    axis: each spans only t (or nothing) and its own coordinate, and a
-    pullback pairs each with the multiplier's factor of that axis."""
+    amplitude exp(i p.x + rate t), as two factors exp(i p_1 x_1 + rate t)
+    and amplitude exp(i p_2 x_2), one per space axis, which a pullback pairs
+    with the multiplier's factors; ``exponents`` states the same two as
+    exponents, i p_1 x_1 + rate t and log(amplitude) + i p_2 x_2."""
     if spec.family != NLS2D:
         raise DomainError("plane_wave_nls needs the 2-d NLS family")
     p = tuple(p)
@@ -370,7 +382,10 @@ def plane_wave_nls(amplitude, p, spec: FamilySpec) -> FormulaFn:
     def formula(tj, x1, x2):
         return jets.exp(1j * p[0] * x1 + rate * tj), jets.exp(1j * p[1] * x2) * amplitude
 
-    return FormulaFn(formula, ndim=2)
+    wave = FormulaFn(formula, ndim=2)
+    wave.exponents = lambda tj: [Frame(tj, 1.0, 0.0, rate * tj, 1j * p[0], 0.0),
+                                 Frame(tj, 1.0, 0.0, jets.log(amplitude), 1j * p[1], 0.0)]
+    return wave
 
 
 # -- bound-state machinery -----------------------------------------------------

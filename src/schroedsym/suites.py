@@ -11,9 +11,13 @@ numpy's overflow, invalid and divide-by-zero errors raised, or the
 the error's type and message, and the other checks still run.  A
 check with several trials draws them as one batch (the samplers' ``size``,
 or one ``rng.uniform`` call with a row per trial) and evaluates the batch
-in one array pass; ``residual.transformed_nls``, whose trials are each a
-14^3-point grid, evaluates them in batches of ``NLS_CHUNK``.  The
-symbolic ``liealg.jacobi`` still goes trial by trial.  A
+in one array pass; the symbolic ``liealg.jacobi`` still goes trial by
+trial.  The residual checks of exponents (``transformed_linear``,
+``transformed_quadratic``, ``transformed_disk``, ``transformed_nls`` and
+``lift_residuals``) read R/psi's x-coefficients from the composed frame's
+time jets, and their value bounds |R/psi| on the grid's whole box
+(``residual.coefficient_residual``); the other residual checks sample the
+grid.  A
 finite-difference check takes its centred differences, at a step h and
 at h/2, from the one rule ``residual.stencil``, which evaluates each
 function once per jet order, on the moved point sets stacked on one axis.
@@ -80,6 +84,8 @@ from .opalg import (
 from .residual import (
     GridSpec,
     PullbackFn,
+    _rate,
+    coefficient_residual,
     fd_order,
     grid_residual,
     residual_arrays,
@@ -610,9 +616,14 @@ def _mult_cocycle_invq(cfg, rng, trials):
     for n, xs in _halves(trials, ((0.7,), (0.7, -0.4))):
         l1, l2 = (element_for_family(rng, spec, size=n) for _ in range(2))
         z = Point(rng.uniform(-0.4, 0.4, n), xs)
-        lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
-        rhs = multiplier(compose(l1, l2), z, spec)
+        lhs, rhs = _two_steps(l1, l2, z, spec), multiplier(compose(l1, l2), z, spec)
         yield abs(lhs - rhs) / abs(rhs)
+
+
+def _two_steps(l1, l2, z, spec):
+    """K(l2, z) K(l1, l2 z), from one evaluation of l2's frame."""
+    fr = frame(l2, spec, z.t)
+    return fr.multiplier(z.x) * multiplier(l1, Point(fr.tp, fr.space(z.x)), spec)
 
 
 def _cocycle_defect(rng, trials, spec, cocycle=cocycle_quadratic):
@@ -620,7 +631,7 @@ def _cocycle_defect(rng, trials, spec, cocycle=cocycle_quadratic):
     w the cocycle of the spec's family; ``cocycle`` is the oscillator's."""
     l1, l2 = (element_for_family(rng, spec, size=trials) for _ in range(2))
     z = Point(rng.uniform(-0.4, 0.4, trials), rng.uniform(-1.2, 1.2, trials))
-    lhs = multiplier(l2, z, spec) * multiplier(l1, act(l2, z, spec), spec)
+    lhs = _two_steps(l1, l2, z, spec)
     w = (cocycle_linear(l1, l2, spec.k) if spec.family == "linear"
          else cocycle(l1, l2, spec.omega))
     rhs = np.exp(w) * multiplier(compose(l1, l2), z, spec)
@@ -654,12 +665,6 @@ def _mult_variant(cfg, rng, trials):
     good, bad = (worst_defect(_cocycle_defect(rng, trials, spec, cocycle))
                  for cocycle in (cocycle_quadratic, _misprinted_cocycle))
     yield 0.0 if good < 1e-10 and bad > 1e-6 else 1.0
-
-
-def _rate(z):
-    """(value, d/dt) of a frame field evaluated on a time jet; a literal field
-    is constant in t."""
-    return (z.value, z.coefficient((1,))) if isinstance(z, jets.Jet) else (z, 0.0)
 
 
 def _forcing(k, v_from, v_to, xi, f):
@@ -1011,7 +1016,10 @@ def _transformed(family, solution, x_range, bounds, cfg, rng, trials):
     spec = cfg.specs()[family]
     l = element_for_family(rng, spec, **bounds, size=trials)
     grid = GridSpec(T_RANGE, x_range or X_RANGE)
-    yield verify_transformed_solution(solution(spec), l, spec, grid).max_rel
+    if family == "inverse_quadratic":  # its base x^s is no exponent
+        yield verify_transformed_solution(solution(spec), l, spec, grid).max_rel
+    else:
+        yield coefficient_residual(transformed(solution(spec), l, spec), spec, grid)
 
 
 for _family, (_what, *_case) in _TRANSFORMED.items():
@@ -1020,28 +1028,20 @@ for _family, (_what, *_case) in _TRANSFORMED.items():
         partial(_transformed, _family, *_case))
 
 
-# trials of residual.transformed_nls per batch: at 14^3 (tracemalloc, after a
-# warm-up run) a batch of 3 peaks at 0.91 MB, below the 1.44 MB of
-# transformed_disk, the largest of any other check in a verify-all pass, so
-# the pass's peak memory does not rise; batches of 5 reach 1.32 MB and all
-# 15 trials, in two tiles, 2.19 MB
+# trials of residual.transformed_nls per draw: its elements are drawn in
+# draws of this size, which fixes them, and evaluated as one batch
 NLS_CHUNK = 3
 
 
 @_register("residual", "transformed_nls", "transformed plane waves still solve the cubic equation", 1e-9, 15, families=("nls2d",))
 def _res_tr_nls(cfg, rng, trials):
-    """In batches of ``NLS_CHUNK`` trials, each a 14^3-point grid.  On a
-    2-vCPU Xeon (Python 3.11, numpy 2.4, best of 60 rounds), the 15 trials
-    take 11.8 ms one at a time, 5.5 ms in batches of 3 and 4.2 ms as one
-    batch.  Each factor of the plane wave spans one space axis, and so does
-    its bracket of the product rule (``residual._product_rule``): only psi
-    and the residual span the grid."""
     spec = cfg.specs()["nls2d"]
-    fn = plane_wave_nls(1.1, (0.4, -0.7), spec)
-    grid = GridSpec(T_RANGE, X_RANGE)
-    for start in range(0, trials, NLS_CHUNK):
-        l = element_for_family(rng, spec, size=min(NLS_CHUNK, trials - start))
-        yield verify_transformed_solution(fn, l, spec, grid).max_rel
+    draws = [element_for_family(rng, spec, size=min(NLS_CHUNK, trials - start))
+             for start in range(0, trials, NLS_CHUNK)]
+    c, d, a, b, mu, nu = map(np.concatenate, zip(*((l.c, l.d, l.a, l.b, l.mu, l.nu) for l in draws)))
+    l = GroupElement(Mat2(c, d, a, b), mu, nu)
+    yield coefficient_residual(transformed(plane_wave_nls(1.1, (0.4, -0.7), spec), l, spec),
+                               spec, GridSpec(T_RANGE, X_RANGE))
 
 
 @_register("residual", "intertwining_nonsolution", "operator identity holds on functions that do not solve", 1e-9, 20)
@@ -1067,7 +1067,7 @@ def _res_lift(cfg, rng, trials):
             (gaussian_free(cfg.k, t0=8.0), "f2", None, "linear", late),
             (psi0, "K0", IntertwinerParams(1.0, 0.0, 0.0), "quadratic", grid),
             (psi0, "K0", IntertwinerParams(0.8, 0.3, 0.2), "quadratic", grid)):
-        yield verify_lifted_solution(fn, kind, params, sp["free"], sp[family], g).max_rel
+        yield coefficient_residual(PullbackFn(fn, lift_frame(kind, sp[family], params)), sp[family], g)
 
 
 @_register("residual", "lift_roundtrip", "lift then inverse lift is multiplication by a constant", 1e-12, families=("linear", "free"))

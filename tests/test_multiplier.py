@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 import importlib
 
-from schroedsym import jets, suites
+from schroedsym import coords, jets, suites
 from schroedsym.coords import EXP_GUARD, FamilySpec, Frame, Point, frame
 from schroedsym.errors import RangeError, SingularTime, DomainError
 from schroedsym.group import GroupElement, Mat2, cocycle_quadratic
@@ -192,3 +192,27 @@ def test_the_misprint_control_is_live(monkeypatch):
     assert run_named_check("multiplier.cocycle_variant_resolution", RunConfig(seed=7)).passed
     monkeypatch.setattr(suites, "_misprinted_cocycle", cocycle_quadratic)
     assert not run_named_check("multiplier.cocycle_variant_resolution", RunConfig(seed=7)).passed
+
+
+@pytest.mark.parametrize("name, frames", [
+    ("multiplier.cocycle_inverse_quadratic", 6), ("multiplier.cocycle_linear", 3),
+    ("multiplier.cocycle_quadratic", 6), ("multiplier.cocycle_variant_resolution", 6)])
+def test_a_product_law_evaluates_each_frame_once(monkeypatch, name, frames):
+    # K(l2, z) K(l1, l2 z) against K(l1 l2, z) is three frame evaluations per
+    # batch: K(l2, z) and l2 z read one; the oscillator checks take two batches
+    calls = {"outer": 0, "depth": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls["outer"] += calls["depth"] == 0
+            calls["depth"] += 1
+            try:
+                return fn(*args)
+            finally:
+                calls["depth"] -= 1
+        return wrapper
+
+    for frame_of in ("mobius_time", "linear_xi_f", "quadratic_frame"):
+        monkeypatch.setattr(coords, frame_of, counted(getattr(coords, frame_of)))
+    assert run_named_check(name, RunConfig(seed=7)).passed
+    assert calls["outer"] == frames

@@ -1,17 +1,20 @@
+import dataclasses
+import importlib
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from schroedsym import coords, jets, residual, suites
+from schroedsym import coords, jets, residual, solutions, suites
 from schroedsym.coords import FamilySpec
-from schroedsym.errors import DomainError, RangeError
+from schroedsym.errors import DomainError, RangeError, ShapeError
 from schroedsym.group import GroupElement, Mat2
 from schroedsym.multiplier import IntertwinerParams
 from schroedsym.residual import (
     GridSpec,
     PullbackFn,
+    coefficient_residual,
     grid_residual,
     residual_arrays,
     lift_frame,
@@ -925,3 +928,129 @@ def test_a_pullback_whose_base_leaves_its_domain_in_the_last_tile_raises(monkeyp
     with pytest.raises(DomainError, match=re.escape("needs -x > -1.0")):
         grid_residual(PullbackFn(FormulaFn(formula), lift_frame("f1", LIN)), LIN, GRID_4_6)
     assert len(reports) == 2
+
+
+def test_a_stencil_of_a_batch_raises_a_shape_error(monkeypatch):
+    # the stacked moves take the leading axis that a batch's axes hold: the
+    # stencil names the batch shape before it evaluates anything
+    seeds = []
+    monkeypatch.setattr(solutions.SmoothFn, "_seed", lambda *args: seeds.append(args))
+    batch = transformed(f_pair(LIN)[0], random_element(np.random.default_rng(3), size=3), LIN)
+    t, xs = GridSpec((-0.4, 0.6), (-1.2, 1.2), nt=4, nx=5).points(1)
+    with pytest.raises(ShapeError, match=re.escape("batch of shape (3,)")):
+        residual.stencil(batch, t, xs, 0, [(0, 1e-3), (1, 1e-3)])
+    assert seeds == []
+
+
+COEFFICIENT_CASES = ["linear", "quadratic", "disk", "nls", "lift_f2", "lift_K0"]
+
+
+def _coefficient_case(name, wrap):
+    """A function of each of the five coefficient checks, with its family and
+    grid, at the registry's parameters; ``wrap`` wraps a lift's frame."""
+    rng = np.random.default_rng(21)
+    sp = suites.RunConfig().specs()
+    lin, quad, disk, nls = (sp[n] for n in ("linear", "quadratic", "disk", "nls2d"))
+    if name == "lift_f2":
+        return PullbackFn(constant_one(), wrap(lift_frame("f2", lin))), lin, GridSpec((0.15, 1.0), (-1.2, 1.2))
+    if name == "lift_K0":
+        k0 = lift_frame("K0", quad, IntertwinerParams(0.8, 0.3, 0.2))
+        return PullbackFn(gaussian_free(0.7, t0=2.0), wrap(k0)), quad, GRID
+    fn, l, spec = {
+        "linear": lambda: (f_pair(lin)[0], random_element(rng, 0.3, 0.6, size=30), lin),
+        "quadratic": lambda: (g_functions(quad, 0.5)[1], random_admissible_element(rng, size=30), quad),
+        "disk": lambda: (g_functions(disk, 0.4)[2], random_disk_element(rng, size=30), disk),
+        "nls": lambda: (plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(rng, size=15), nls),
+    }[name]()
+    return transformed(fn, l, spec), spec, GRID
+
+
+def _slipped_c(frame_of):
+    """``frame_of`` whose frames have C scaled by 1 + 1e-9."""
+    def slipped(*args):
+        fr = frame_of(*args)
+        return dataclasses.replace(fr, C=fr.C * (1.0 + 1e-9))
+    return slipped
+
+
+@pytest.mark.parametrize("slip", [False, True], ids=["clean", "slipped_C"])
+@pytest.mark.parametrize("case", COEFFICIENT_CASES)
+def test_the_coefficient_bound_covers_the_grid_residual(monkeypatch, case, slip):
+    # the bound holds |R/psi| on the whole box, so it is at least the grid's
+    # max_rel on the same function, up to round-off; a 1e-9 slip of the
+    # frame's C reads about as much on both, and on no trial far more
+    wrap = _slipped_c if slip else (lambda frame_of: frame_of)
+    monkeypatch.setattr(residual, "frame", wrap(coords.frame))
+    fn, spec, grid = _coefficient_case(case, wrap)
+    bound, on_grid = coefficient_residual(fn, spec, grid), grid_residual(fn, spec, grid).max_rel
+    assert np.shape(bound) == np.shape(on_grid) == fn.batch
+    if not slip:
+        assert np.max(bound) < 1e-13 and np.max(on_grid) < 1e-13
+    else:
+        assert np.max(on_grid) > 1e-10
+        assert np.all(bound >= on_grid - 1e-14) and np.all(bound <= 4.0 * on_grid + 1e-14)
+
+
+FIVE = ["residual.transformed_linear", "residual.transformed_quadratic", "residual.transformed_disk",
+        "residual.transformed_nls", "residual.lift_residuals"]
+
+
+@pytest.mark.parametrize("name", FIVE + ["residual.self_residuals", "residual.intertwining_nonsolution",
+                                         "residual.transformed_inverse_quadratic"])
+def test_only_the_exponent_checks_read_no_grid(monkeypatch, name):
+    # the five checks of exponents read coefficients; the evaluation path's
+    # end-to-end checks and the power x^s, no exponent, stay on the grid
+    grids, tiled = [], residual._tiled
+    monkeypatch.setattr(residual, "_tiled", lambda *args: grids.append(None) or tiled(*args))
+    assert suites.run_named_check(name, suites.RunConfig(seed=7)).passed
+    assert (len(grids) == 0) == (name in FIVE)
+
+
+def test_an_nls_element_with_complex_entries_raises():
+    # Re B != 0 makes |psi|^2 depend on x: no cubic term is computed
+    nls = FamilySpec.nls2d(-0.7j, coupling=1.3)
+    l = random_element(np.random.default_rng(5), complex_entries=True, size=3)
+    with pytest.raises(DomainError, match="Re B or Re C"):
+        coefficient_residual(transformed(plane_wave_nls(1.1, (0.4, -0.7), nls), l, nls), nls, GRID)
+
+
+def test_the_coefficients_of_no_exponent_or_another_potential_raise():
+    with pytest.raises(DomainError, match="not an exponent"):
+        coefficient_residual(power_static(2.0, 2.0), FamilySpec.inverse_quadratic(0.7, 2.0), GRID)
+    with pytest.raises(DomainError, match=re.escape("powers [-2] are not among")):
+        coefficient_residual(gaussian_free(0.7, 2.0), FamilySpec.inverse_quadratic(0.7, 2.0), GRID)
+
+
+def _slip_the_wave_rate(slip_literal, monkeypatch):
+    # the wave's rate k (g a^2 - |p|^2) is the one place its k enters
+    wave = solutions.plane_wave_nls
+    monkeypatch.setattr(suites, "plane_wave_nls", lambda amplitude, p, spec: wave(
+        amplitude, p, dataclasses.replace(spec, k=spec.k * (1.0 + 1e-9))))
+
+
+def _literal(module, function, text, literal):
+    return lambda slip_literal, monkeypatch: slip_literal(
+        importlib.import_module(f"schroedsym.{module}"), function, text, literal)
+
+
+@pytest.mark.parametrize("slip, name, seeds", [
+    (_literal("coords", "frame", "C = -0.25 / k", "-0.25"), "residual.transformed_nls", (7, 11)),
+    (_literal("coords", "frame", "B = -nu / (2.0 * k)", "2.0"), "residual.transformed_nls", (7, 11)),
+    (_literal("coords", "frame", "-0.5 * jets.log(r)\n", "0.5"), "residual.transformed_nls", (7, 11)),
+    # at seed 7 it reads 8.9e-10 against the 1e-9 gate, on the grid as well
+    (_literal("coords", "frame", "nu * nu / (4.0 * k)", "4.0"), "residual.transformed_nls", (11,)),
+    (_literal("coords", "frame", "(k * beta / 2.0)", "2.0"), "residual.transformed_linear", (7, 11)),
+    (_literal("coords", "frame", "(2.0 / 3.0) * tp", "2.0"), "residual.transformed_linear", (7, 11)),
+    (_literal("coords", "quadratic_frame", "C = (omega / 2.0)", "2.0"), "residual.transformed_disk", (7, 11)),
+    (_literal("multiplier", "lift_frame", "cub / 3.0 * t", "3.0"), "residual.transformed_linear", (7, 11)),
+    (_literal("multiplier", "lift_frame", "(-k * b / 2.0) * t", "2.0"), "residual.lift_residuals", (7, 11)),
+    (_slip_the_wave_rate, "residual.transformed_nls", (7, 11)),
+], ids=["frame-C", "frame-B", "frame-A-log", "frame-A-nu2", "frame-B-beta", "frame-A-beta2", "quadratic-C",
+        "f1-A-cubic", "f2-B", "wave-rate"])
+def test_the_coefficient_checks_keep_their_kills(slip_literal, monkeypatch, slip, name, seeds):
+    # each 1+1e-9 slip that the grid residual killed, the coefficients kill
+    cfgs = [suites.RunConfig(seed=seed) for seed in seeds]
+    assert all(suites.run_named_check(name, cfg).passed for cfg in cfgs)
+    slip(slip_literal, monkeypatch)
+    for cfg in cfgs:
+        assert not suites.run_named_check(name, cfg).passed, cfg.seed
