@@ -1,13 +1,14 @@
 """Coordinate actions of the symmetry groups on (t, x).
 
-Each family's frame (t', the scale xi and shift f of x' = xi x + f, and
-the multiplier's exponent coefficients A, B, C) comes from one ``frame``
-evaluation, a ``Frame``; the action ``act``, the multiplier and the
-structure-equation checks all read it.  A family's one-coordinate
-potential is ``FamilySpec.potential``, its Laurent coefficients.
-Every map here is written generically over its scalar type: plain complex
-numbers, numpy arrays, or jets all work, so the same code path feeds both
-the numeric checks and the chain-rule machinery of the residual verifier.
+Each family's frame (its map: t', the scale xi and shift f of
+x' = xi x + f; and the multiplier's exponent coefficients A, B, C) comes
+from one ``frame`` evaluation, a ``Frame``; the multiplier and the
+structure-equation checks read it, and ``act`` evaluates the map alone.
+A family's one-coordinate potential is ``FamilySpec.potential``, its
+Laurent coefficients.  Every map here is written generically over its
+scalar type: plain complex numbers, numpy arrays, or jets all work, so the
+same code path feeds both the numeric checks and the chain-rule machinery
+of the residual verifier.
 """
 
 from __future__ import annotations
@@ -196,17 +197,17 @@ def linear_xi_f(l: GroupElement, spec: FamilySpec, t):
     return tp, xi, f, r
 
 
-def quadratic_frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
-    """The quadratic family's frame: Mobius data in the exponential time
-    variable u = e^{4 k omega t}.
+def quadratic_map(l: GroupElement, spec: FamilySpec, t):
+    """The quadratic family's map t', xi, f, and the intermediates that
+    ``quadratic_frame``'s exponents read: Mobius data in the exponential
+    time variable u = e^{4 k omega t}.
 
-    Square roots are taken so that the frame is continuous at the group
+    Square roots are taken so that the map is continuous at the group
     unit: the scale uses the principal root of u/((a u + b)(c u + d)) and
     sqrt(u) means e^{2 k omega t}.  The reciprocals of a u + b, c u + d and
     e^{2 k omega t} are each taken once; u' = (c u + d)/(a u + b), and
     1/u' and 1/w (w the root of u' that matches xi) are products of them.
     """
-    k, alpha, omega, mu, nu = spec.k, spec.alpha, spec.omega, l.mu, l.nu
     kw = spec.komega
     u = jets.exp(4.0 * kw * t)
     den = _nonsingular(l.a * u + l.b, "a u + b")
@@ -219,9 +220,16 @@ def quadratic_frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
     rootu = jets.exp(2.0 * kw * t)
     xi_rootu = xi * jets.reciprocal(rootu)
     w, inv_w = num * xi_rootu, den * xi_rootu  # w^2 = u', consistent with xi
-    f = nu * w - mu * inv_w
+    f = l.nu * w - l.mu * inv_w
     up = num * inv_den
-    tp = _quadratic_time(up, t, kw, spec)
+    return _quadratic_time(up, t, kw, spec), xi, f, (rootu, up, den, inv_den, inv_num)
+
+
+def quadratic_frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
+    """The quadratic family's frame: ``quadratic_map`` and the exponents
+    read from its intermediates."""
+    k, alpha, omega, mu, nu = spec.k, spec.alpha, spec.omega, l.mu, l.nu
+    tp, xi, f, (rootu, up, den, inv_den, inv_num) = quadratic_map(l, spec, t)
     A = (
         0.5 * jets.log(xi)
         + alpha * k * (tp - t)
@@ -378,9 +386,21 @@ class Frame:
         return es
 
 
+def _map(l: GroupElement, spec: FamilySpec, t):
+    """t', xi and f of the family's map, and what its exponents read of it:
+    r = a t + b, or ``quadratic_map``'s intermediates; the one place where
+    the map depends on the family."""
+    if spec.family == INVERSE_QUADRATIC:
+        tp, r, xi = mobius_time(l.m, t)
+        return tp, xi, 0.0, r
+    if spec.family == QUADRATIC:
+        return quadratic_map(l, spec, t)
+    return linear_xi_f(l, spec, t)
+
+
 def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
-    """The frame of ``l`` at time t; the one place where the frame depends
-    on the family.
+    """The frame of ``l`` at time t: the family's map (``_map``), then the
+    exponents from the map's intermediates.
 
     Inverse-quadratic: x' = x/(a t + b), A = -log(a t + b)/2, B = 0,
     C = -a/(4 k (a t + b)).  Linear (also the free, n-coordinate linear and
@@ -388,15 +408,14 @@ def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
     -log(a t + b)/2, so that (A, B, C) satisfy the first-order structure
     equations directly, and the constant -mu nu/4k normalizes the cocycle
     to its symplectic form.  Quadratic: the same in the exponential time
-    variable u = exp(4 k omega t).
+    variable u = exp(4 k omega t) (``quadratic_frame``).
     """
-    if spec.family == INVERSE_QUADRATIC:
-        tp, r, xi = mobius_time(l.m, t)
-        return Frame(tp, xi, 0.0, -0.5 * jets.log(r), 0.0, (-0.25 * l.a / spec.k) * xi)
     if spec.family == QUADRATIC:
         return quadratic_frame(l, spec, t)
+    tp, xi, f, r = _map(l, spec, t)
+    if spec.family == INVERSE_QUADRATIC:
+        return Frame(tp, xi, 0.0, -0.5 * jets.log(r), 0.0, (-0.25 * l.a / spec.k) * xi)
     k, alpha, beta, b, mu, nu = spec.k, spec.alpha, spec.beta, l.b, l.mu, l.nu
-    tp, xi, f, r = linear_xi_f(l, spec, t)
     C = -0.25 / k * (l.a * xi)
     B = -nu / (2.0 * k) * xi
     A = (
@@ -417,9 +436,10 @@ def frame(l: GroupElement, spec: FamilySpec, t) -> Frame:
 
 
 def act(l: GroupElement, z: Point, spec: FamilySpec) -> Point:
-    """The group action (t, x_j) -> (t', xi x_j + f) of the family's frame."""
-    fr = frame(l, spec, z.t)
-    return Point(fr.tp, fr.space(z.x))
+    """The group action (t, x_j) -> (t', xi x_j + f): the family's map
+    alone, as ``frame`` would give it, without evaluating the exponents."""
+    tp, xi, f, _ = _map(l, spec, z.t)
+    return Point(tp, tuple(_terms((xi, xj), (f,)) for xj in z.x))
 
 
 def galilean_params(l: GroupElement, spec: FamilySpec) -> GalileanData:

@@ -405,7 +405,6 @@ class AirySpec:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-PANEL_WIDTH = 0.25  # of the composite Gauss-Legendre rule along the ray
 
 # caps of the Airy code's loops, past which they raise ConvergenceError: a
 # truncation grown 1000 times covers |p| up to ~6e5 beta^2, and a root
@@ -413,6 +412,7 @@ PANEL_WIDTH = 0.25  # of the composite Gauss-Legendre rule along the ray
 # any bracket of the energy scan down to adjacent floats
 TRUNCATION_STEPS = 1000
 ROOT_STEPS = 100
+PANEL_CAP = 4096  # panels of one p, |p| ~900 at beta = 1; past it QuadratureError
 SCAN_POINTS, ROOT_WIDTH = 61, 1e-10  # of the energy scan and its root brackets
 
 
@@ -421,14 +421,21 @@ def _contour_integral(p, beta, moments):
     the ray e^{i pi/6} from 0, where the cubic phase decays; ``moments``
     selects x-derivative weights (i beta z)^m.  The result has one row per
     moment order, each of the shape of ``p``.  Each ``p`` gets the least
-    whole truncation at which the phase has decayed, and the Gauss-Legendre
-    nodes of all panels are one array, evaluated for every ``p`` of one
-    truncation at once.
+    whole truncation at which the phase has decayed, and composite
+    16-point Gauss-Legendre panels in the problem's natural units: the
+    integrand decays on the scale beta^{-2/3} and oscillates at
+    sqrt(3)/2 |p|, so a panel is beta^{-2/3} wide, or 8/|p| where that is
+    narrower.  The panel count depends on ``p`` alone, and the nodes of
+    every ``p`` of one truncation and count are one array.
 
     For p < 0 the integrand first grows to its peak e^g, g = (2/3)
     (-p/2)^{3/2} / beta, and the sum cancels; a node's phase there is of
     size ~g, so the error estimate adds the round-off eps e^g (1 + g) to
-    the truncated tail, and past 1e-8 it raises ``QuadratureError``."""
+    the truncated tail, times max(1, |p|)^m, and past 1e-8 it raises
+    ``QuadratureError``.  The panels' discretization error stays below
+    that round-off: within 16 times it of a 1/256-wide rule, for p from
+    -5 beta^{2/3} to 300 and beta from 0.5 to 10.  A ``p`` that needs more
+    than ``PANEL_CAP`` panels raises ``QuadratureError`` too."""
     p = np.asarray(p, dtype=float)
     ray = np.exp(1j * np.pi / 6.0)
     trunc, steps = np.full(p.shape, 4.0), 0
@@ -442,11 +449,15 @@ def _contour_integral(p, beta, moments):
     error = (tail + np.finfo(float).eps * np.exp(g) * (1.0 + g)) * np.maximum(abs(p), 1.0) ** max(moments)
     if np.any(error > 1e-8):
         raise QuadratureError(f"error estimate {np.max(error):.3e} exceeds 1e-8")
+    scale = beta ** (-2.0 / 3.0)
+    panels = np.ceil(trunc / (scale * np.minimum(1.0, 8.0 / np.maximum(1.0, abs(p) * scale))))
+    if np.any(panels > PANEL_CAP):
+        raise QuadratureError(f"{panels.max():.0f} panels exceed the cap of {PANEL_CAP}")
 
     out = np.empty((len(moments),) + p.shape)
-    for length in np.unique(trunc):
-        sel = trunc == length
-        edges = np.linspace(0.0, length, int(np.ceil(length / PANEL_WIDTH)) + 1)
+    for length, count in set(zip(trunc.flat, panels.flat)):
+        sel = (trunc == length) & (panels == count)
+        edges = np.linspace(0.0, length, int(count) + 1)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
         z = (ray * (mid[:, None] + half[:, None] * _GL_NODES)).ravel()
         w = (ray * half[:, None] * _GL_WEIGHTS).ravel()

@@ -248,10 +248,12 @@ class SuiteReport:
 def worst_defect(defects):
     """The largest of the defects (0.0 for none), or NaN as soon as one is
     NaN: ``max`` would drop it, and a NaN value fails because ``nan <= tol``
-    is false.  A defect is a float or an array of them, one per trial."""
+    is false.  A defect is a float or an array of them, one per trial; a
+    scalar folds without a numpy call."""
     worst = 0.0
     for defect in defects:
-        defect = np.max(defect, initial=0.0)  # NaN if any entry is NaN
+        if isinstance(defect, np.ndarray):
+            defect = defect.max(initial=0.0)  # NaN if any entry is NaN
         if math.isnan(defect):
             return math.nan
         worst = max(worst, defect)

@@ -13,7 +13,7 @@ import pytest
 from schroedsym import cli, opalg, residual, solutions, suites
 from schroedsym.cli import main
 from schroedsym.errors import ConfigError, DeterminantError
-from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names
+from schroedsym.suites import Check, RunConfig, SuiteReport, run_suite, suite_names, worst_defect
 
 
 def test_suite_names_cover_all_modules():
@@ -73,6 +73,30 @@ def test_check_value_is_its_largest_defect():
 
     result = Check("probe.max", "largest defect", 0.25, 1, fn).run(RunConfig())
     assert result.value == 0.3 and not result.passed
+
+
+def _numpy_fold(defects):
+    """The fold of ``worst_defect`` with every defect through ``np.max``."""
+    worst = 0.0
+    for defect in defects:
+        defect = np.max(defect, initial=0.0)
+        if math.isnan(defect):
+            return math.nan
+        worst = max(worst, defect)
+    return float(worst)
+
+
+@pytest.mark.parametrize("defects", [
+    (), (0.3, 0.1), (np.float64(0.2), 0.4, np.float64(0.7)), (np.array(0.5),), (np.array([]),),
+    (-0.5, np.float64(-2.0), np.array(-1.0), np.array([-3.0])), (-0.0, np.float64(-0.0)),
+    (0.1, math.nan, 0.2), (np.float64(math.nan),), (np.array(math.nan), 0.1),
+    (0.2, np.array([[0.1, math.nan]]), 0.3), (np.array([0.1, 0.4]), 0.3, np.array([[0.25]])),
+], ids=["none", "floats", "float64", "0-d", "empty", "negative", "signed-zero", "nan-float",
+        "nan-float64", "nan-0-d", "nan-array", "mixed"])
+def test_worst_defect_folds_as_numpy_does(defects):
+    want = _numpy_fold(defects)
+    got = worst_defect(iter(defects))
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_every_registered_check_yields_its_defects():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from schroedsym import suites
+from schroedsym import coords, suites
 from schroedsym.coords import (
     FamilySpec,
     Point,
@@ -270,6 +270,38 @@ def test_act_dispatch_matches_family_actions():
     la = random_admissible_element(RNG)
     fr = quadratic_frame(la, QUAD, z.t)
     assert act(la, z, QUAD) == Point(fr.tp, fr.xi * z.x1 + fr.f)
+
+
+def _bits(v):
+    """A scalar, array or jet as (support, shape, dtype, bytes): equal
+    exactly when the two are equal bit for bit."""
+    support, v = (v.support, v.block) if isinstance(v, Jet) else (None, np.asarray(v))
+    return support, v.shape, v.dtype, v.tobytes()
+
+
+def _no_exponents(*args, **kwargs):
+    raise AssertionError("act evaluated an exponent")
+
+
+@pytest.mark.parametrize("k", [0.7, 0.7j, -0.7j], ids=["0.7", "0.7j", "-0.7j"])
+@pytest.mark.parametrize("time", ["scalar", "batch", "jet"])
+def test_act_evaluates_the_frame_map_alone(monkeypatch, k, time):
+    # act gives the frame's tp and space(x) bit for bit, and builds no Frame:
+    # the exponents A, B, C exist only as a Frame's fields
+    rng = np.random.default_rng(5)
+    for name, spec in RunConfig(k=k).specs().items():
+        size = None if time == "scalar" else 4
+        l = element_for_family(rng, spec, size=size)
+        t = {"scalar": 0.2, "batch": rng.uniform(-0.3, 0.5, 4),
+             "jet": Jet.variable(np.linspace(-0.3, 0.5, 4), 0, 1, 2)}[time]
+        x = tuple(rng.uniform(0.4, 1.5, size) for _ in range(spec.n))
+        fr = frame(l, spec, t)
+        with monkeypatch.context() as patched:
+            for attr in ("Frame", "frame", "quadratic_frame"):
+                patched.setattr(coords, attr, _no_exponents)
+            zp = act(l, Point(t, x), spec)
+        assert _bits(zp.t) == _bits(fr.tp), name
+        assert list(map(_bits, zp.x)) == list(map(_bits, fr.space(x))), name
 
 
 def test_frame_jet_and_array_paths_agree_where_a_t_plus_b_is_negative():

@@ -14,7 +14,6 @@ from schroedsym.residual import residual_arrays, stencil
 from schroedsym.solutions import (
     _GL_NODES,
     _GL_WEIGHTS,
-    PANEL_WIDTH,
     _contour_integral,
     AiryFn,
     AirySpec,
@@ -299,12 +298,19 @@ def _truncation(p, beta):
     return trunc
 
 
+def _panels(p, beta, trunc):
+    """The panel count of ``_contour_integral`` for one p: beta^{-2/3}-wide
+    panels, or 8/|p| where that is narrower."""
+    scale = beta ** (-2.0 / 3.0)
+    return int(np.ceil(trunc / (scale * min(1.0, 8.0 / max(1.0, abs(p) * scale)))))
+
+
 def _contour_integral_per_panel(p, beta, trunc, moments):
     """The quadrature of ``_contour_integral`` for one p, panel by panel
     along the ray e^{i pi/6} from 0 to ``trunc``."""
     ray = np.exp(1j * np.pi / 6.0)
     total = np.zeros(len(moments), dtype=complex)
-    edges = np.linspace(0.0, trunc, int(np.ceil(trunc / PANEL_WIDTH)) + 1)
+    edges = np.linspace(0.0, trunc, _panels(p, beta, trunc) + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         z = ray * (mid + half * _GL_NODES)
@@ -316,7 +322,8 @@ def _contour_integral_per_panel(p, beta, trunc, moments):
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 0.5])
 def test_vectorised_contour_integral_matches_the_per_panel_loop(beta):
-    ps = np.array([-4.3, -1.0, 0.0, 0.7, 2.5, 5.0])
+    # at beta = 0.5 and 1, p = 12 takes 8/|p|-wide panels beside beta^{-2/3}-wide ones
+    ps = np.array([-4.3, -1.0, 0.0, 0.7, 2.5, 5.0, 12.0])
     moments = (0, 1, 2, 3)
     batch = _contour_integral(ps, beta, moments)
     assert batch.shape == (4, len(ps))
@@ -328,18 +335,70 @@ def test_vectorised_contour_integral_matches_the_per_panel_loop(beta):
 
 
 def test_contour_truncation_is_chosen_per_p():
-    # at beta = 0.5, |p| = 6 needs a longer contour than |p| <= 3
-    ps = np.array([6.0, 0.5, -1.0])
-    batch = _contour_integral(ps, 0.5, (0, 2))
-    for i, trunc in enumerate((10.0, 9.0, 9.0)):
-        assert _truncation(ps[i], 0.5) == trunc
-        want = _contour_integral_per_panel(ps[i], 0.5, trunc, (0, 2))
-        np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
-        # one panel more or less would move the sum at round-off
-        np.testing.assert_array_equal(batch[:, i], _contour_integral(ps[i], 0.5, (0, 2)))
+    for beta, ps, truncs, panels in (
+        # at beta = 0.5, |p| = 6 needs a longer contour than |p| <= 3
+        (0.5, (6.0, 0.5, -1.0), (10.0, 9.0, 9.0), (8, 6, 6)),
+        # one truncation, two panel counts: |p| = 8.5 takes 8/|p|-wide panels
+        (1.0, (8.5, 1.0, -2.0), (6.0, 6.0, 6.0), (7, 6, 6)),
+    ):
+        ps = np.array(ps)
+        batch = _contour_integral(ps, beta, (0, 2))
+        for i, (trunc, count) in enumerate(zip(truncs, panels)):
+            assert _truncation(ps[i], beta) == trunc and _panels(ps[i], beta, trunc) == count
+            want = _contour_integral_per_panel(ps[i], beta, trunc, (0, 2))
+            np.testing.assert_allclose(batch[:, i], want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
+            # one panel more or less would move the sum at round-off
+            np.testing.assert_array_equal(batch[:, i], _contour_integral(ps[i], beta, (0, 2)))
     u = AiryFn(AirySpec(alpha=-1.0, beta=1.0))
     xs = np.linspace(0.0, 3.0, 4)
     np.testing.assert_array_equal(u.derivatives(xs, 2)[2], [u.derivatives(x, 2)[2] for x in xs])
+
+
+def _round_off(p, beta, m):
+    """The size the quadrature's error estimate gives its round-off, in
+    units of eps: e^g (1 + g) max(1, |p|)^m, g the log of the integrand's
+    peak."""
+    g = (2.0 / 3.0) * max(-p / 2.0, 0.0) ** 1.5 / beta
+    return np.exp(g) * (1.0 + g) * max(1.0, abs(p)) ** m
+
+
+def _fine_rule(p, beta, moments):
+    """The quadrature on 1/256-wide panels, all nodes of one p at once."""
+    ray, trunc = np.exp(1j * np.pi / 6.0), _truncation(p, beta)
+    edges = np.linspace(0.0, trunc, int(256 * trunc) + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    z = (ray * (mid[:, None] + half[:, None] * _GL_NODES)).ravel()
+    f = np.exp(1j * (p * z + beta ** 2 * z ** 3 / 3.0)) * (ray * half[:, None] * _GL_WEIGHTS).ravel()
+    return [2.0 * np.real(np.sum(f * (1j * beta * z) ** m)) for m in moments]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 10.0])
+def test_contour_integral_matches_a_fine_rule(beta):
+    # from the least p whose peak the error estimate admits at every beta
+    # to p = 300, where 0.25-wide panels read 6e10 eps off
+    eps = np.finfo(float).eps
+    ps = np.concatenate([np.linspace(-5.0 * beta ** (2.0 / 3.0), 10.0, 12), np.linspace(40.0, 300.0, 6)])
+    got = _contour_integral(ps, beta, (0, 1, 2))
+    for i, p in enumerate(ps):
+        for m, want in enumerate(_fine_rule(p, beta, (0, 1, 2))):
+            assert abs(got[m, i] - want) <= 16.0 * eps * _round_off(p, beta, m), (p, m)
+
+
+@pytest.mark.parametrize("beta, x", [(1.0, 101.0), (1.0, 201.0), (1.0, 401.0), (10.0, 20.0)])
+def test_airy_far_tail_against_scipy(beta, x):
+    # u = 2 pi s Ai(p s), s = beta^{-2/3} and p = alpha + beta x, is ~0 here;
+    # 0.25-wide panels read up to 7.8e-5 under an error estimate of 4e-14
+    u = AiryFn(AirySpec(alpha=-1.0, beta=beta))
+    p, s = -1.0 + beta * x, beta ** (-2.0 / 3.0)
+    ai, aip, _, _ = scipy.special.airy(p * s)
+    for m, (got, want) in enumerate(zip(u.derivatives(x, 1), (2.0 * np.pi * s * ai, 2.0 * np.pi * beta * s * s * aip))):
+        assert abs(got - want) <= 16.0 * np.finfo(float).eps * _round_off(p, beta, m)
+
+
+def test_a_p_past_the_panel_cap_raises():
+    # |p| = 1000 at beta = 1 needs more than PANEL_CAP panels
+    with pytest.raises(QuadratureError, match="panels exceed the cap"):
+        AiryFn(AirySpec(alpha=-1.0, beta=1.0)).value(1001.0)
 
 
 def test_airy_quadrature_error_on_tiny_truncation():
