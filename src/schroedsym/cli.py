@@ -24,13 +24,25 @@ from .group import GroupElement, Mat2
 from .residual import residual_arrays, transformed
 from .sampling import element_for_family
 from .solutions import f_pair, g_functions, gaussian_free, power_static, theta1
-from .suites import T_RANGE, X_RANGE, RunConfig, SuiteReport, run_suite, suite_names
+from .suites import T_RANGE, X_RANGE, RunConfig, run_suite, suite_names
 
 
-# the demo's sampling window, the residual checks'; f2 and power leave their
-# domains (t > 0, x > 0) on it, so they get their own unless a range flag is set
+# the demo's sampling window, the residual checks'
 _DEMO_RANGE = dict(zip(("t_min", "t_max", "x_min", "x_max"), (*T_RANGE, *X_RANGE)))
-_DEMO_WINDOWS = {"f2": {"t_min": 0.4, "t_max": 1.0}, "power": {"x_min": 0.4, "x_max": 1.8}}
+# each demo solution, in the order of the --solution choices: its key of
+# RunConfig.specs() (None for theta's own spec, k = -i/(4 pi)), its function
+# of that spec, and its own window, used unless a range flag is set.  f2 and
+# power leave their domains (t > 0, x > 0) on the residual checks' window;
+# theta samples the imaginary time axis, which no range flag can name
+_DEMO_SOLUTIONS = {
+    "f1": ("linear", lambda spec: f_pair(spec)[0], {}),
+    "f2": ("linear", lambda spec: f_pair(spec)[1], {"t_min": 0.4, "t_max": 1.0}),
+    "gaussian": ("free", lambda spec: gaussian_free(spec.k, t0=2.0), {}),
+    "power": ("inverse_quadratic", lambda spec: power_static(2.0, 2.0), {"x_min": 0.4, "x_max": 1.8}),
+    "theta": (None, lambda spec: theta1(24), {"t_min": 1.0j, "t_max": 1.6j, "x_min": -0.4, "x_max": 0.4}),
+    "g2": ("quadratic", lambda spec: g_functions(spec, 0.0)[1], {}),
+    "g3": ("quadratic", lambda spec: g_functions(spec, 0.6)[2], {}),
+}
 FORMATS = ("text", "json")  # of the report
 
 # the flags every command takes, which are also the keys of a config file:
@@ -62,8 +74,7 @@ def _build_parser():
 
     pd = sub.add_parser("demo-transform", parents=[common],
                         help="write samples of a transformed solution")
-    pd.add_argument("--solution", default="f1",
-                    choices=["f1", "f2", "gaussian", "power", "theta", "g2", "g3"])
+    pd.add_argument("--solution", default="f1", choices=list(_DEMO_SOLUTIONS))
     pd.add_argument("--element", default=None,
                     help="c,d,a,b,mu,nu (defaults to a seeded random element)")
     pd.add_argument("--identity", action="store_true", help="use the unit element")
@@ -76,10 +87,12 @@ def _build_parser():
 
 def _demo_range(args):
     given = {key: v for key in _DEMO_RANGE if (v := getattr(args, key)) is not None}
+    own = _DEMO_SOLUTIONS[args.solution][2]
     if given and args.solution == "theta":
-        raise ConfigError("theta samples its fixed window, t = i[1.0, 1.6] and x in [-0.4, 0.4]: "
+        raise ConfigError(f"theta samples its fixed window, t = i[{own['t_min'].imag}, {own['t_max'].imag}] "
+                          f"and x in [{own['x_min']}, {own['x_max']}]: "
                           "--t-min, --t-max, --x-min and --x-max do not apply")
-    return {**_DEMO_RANGE, **(given or _DEMO_WINDOWS.get(args.solution, {}))}
+    return {**_DEMO_RANGE, **(given or own)}
 
 
 def _load_config_file(path):
@@ -144,16 +157,12 @@ def _emit(text, out_path):
         sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
 
 
-def format_report(report: SuiteReport, fmt: str) -> str:
-    return report.to_json() if fmt == "json" else report.to_text()
-
-
 def _cmd_verify(args):
     merged = _merge_config(args)
     cfg = _run_config(merged)
     report = run_suite(args.target, cfg)
     fmt = merged.get("format", "text")
-    _emit(format_report(report, fmt), merged.get("out"))
+    _emit(report.to_json() if fmt == "json" else report.to_text(), merged.get("out"))
     return 0 if report.all_passed else 1
 
 
@@ -173,36 +182,15 @@ def _parse_element(text):
         raise ConfigError(f"element {text}: {exc}") from exc
 
 
-def _demo_solution(name, cfg):
-    spec_map = {
-        "f1": "linear", "f2": "linear", "gaussian": "free",
-        "power": "inverse_quadratic", "theta": "free", "g2": "quadratic",
-        "g3": "quadratic",
-    }
-    sp = cfg.specs()
-    spec = sp[spec_map[name]]
-    if name == "f1":
-        return f_pair(spec)[0], spec
-    if name == "f2":
-        return f_pair(spec)[1], spec
-    if name == "gaussian":
-        return gaussian_free(spec.k, t0=2.0), spec
-    if name == "power":
-        return power_static(2.0, 2.0), spec
-    if name == "theta":
-        return theta1(24), FamilySpec.free(-1j / (4.0 * np.pi))
-    if name == "g2":
-        return g_functions(spec, 0.0)[1], spec
-    return g_functions(spec, 0.6)[2], spec
-
-
 def _cmd_demo(args):
     merged = _merge_config(args)
     cfg = _run_config(merged)
     if args.nt < 1 or args.nx < 1:
         raise ConfigError(f"--nt and --nx must be >= 1, got {args.nt} and {args.nx}")
     window = _demo_range(args)
-    fn, spec = _demo_solution(args.solution, cfg)
+    key, solution, _ = _DEMO_SOLUTIONS[args.solution]
+    spec = cfg.specs()[key] if key else FamilySpec.free(-1j / (4.0 * np.pi))
+    fn = solution(spec)
     if args.identity:
         element = GroupElement.identity()
     elif args.element:
@@ -213,9 +201,6 @@ def _cmd_demo(args):
     moved = transformed(fn, element, spec)
     ts = np.linspace(window["t_min"], window["t_max"], args.nt)
     xs = np.linspace(window["x_min"], window["x_max"], args.nx)
-    if args.solution == "theta":
-        ts = 1j * np.linspace(1.0, 1.6, args.nt)
-        xs = np.linspace(-0.4, 0.4, args.nx)
     t, x = np.meshgrid(ts, xs, indexing="ij", sparse=True)
     resid, psi = residual_arrays(moved, spec, t, [x])
     T, X, psi, resid = (a.ravel() for a in np.broadcast_arrays(t, x, psi, resid))

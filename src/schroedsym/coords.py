@@ -163,10 +163,6 @@ class Point:
     def x1(self):
         return self.x[0]
 
-    @property
-    def n(self):
-        return len(self.x)
-
 
 @dataclass(frozen=True)
 class GalileanData:

@@ -14,7 +14,9 @@ on a parameter); the determinant guard then reads the jet's value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +29,9 @@ REAL_TOL = 1e-12  # of the reality and sign predicates
 
 @dataclass(frozen=True)
 class Mat2:
-    """Unimodular 2x2 matrix in the [[c, d], [a, b]] layout."""
+    """Unimodular 2x2 matrix in the [[c, d], [a, b]] layout; its shape
+    predicates are the module's ``is_disk_shaped`` and
+    ``is_semigroup_admissible``."""
 
     c: complex
     d: complex
@@ -62,11 +66,6 @@ class Mat2:
     def apply_vec(self, mu, nu):
         """Matrix action on a translation pair."""
         return self.c * mu + self.d * nu, self.a * mu + self.b * nu
-
-    def is_real(self):
-        """Per entry: every matrix entry has |imaginary part| <= REAL_TOL."""
-        return ((np.abs(np.imag(self.a)) <= REAL_TOL) & (np.abs(np.imag(self.b)) <= REAL_TOL)
-                & (np.abs(np.imag(self.c)) <= REAL_TOL) & (np.abs(np.imag(self.d)) <= REAL_TOL))
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,8 @@ def is_disk_shaped(m: Mat2):
 
 
 def is_semigroup_admissible(l: GroupElement):
-    """Per entry: all four matrix entries real and nonnegative to REAL_TOL,
-    so the transformed time stays real for every positive Mobius variable."""
-    return (l.m.is_real() & (np.real(l.a) >= -REAL_TOL) & (np.real(l.b) >= -REAL_TOL)
-            & (np.real(l.c) >= -REAL_TOL) & (np.real(l.d) >= -REAL_TOL))
+    """Per entry: each of the four matrix entries is real and nonnegative
+    to REAL_TOL, so the transformed time stays real for every positive
+    Mobius variable."""
+    return reduce(operator.and_, ((np.abs(np.imag(v)) <= REAL_TOL) & (np.real(v) >= -REAL_TOL)
+                                  for v in (l.a, l.b, l.c, l.d)))

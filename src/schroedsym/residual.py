@@ -417,27 +417,20 @@ def fd_order(fn: SmoothFn, spec: FamilySpec, grid: GridSpec):
     return float(np.log2(e1 / e2)) if e2 > 0 else math.nan
 
 
-def _batch_shape(l: GroupElement):
-    """The shape of the batch that ``l``'s entries make, () for one element."""
+def _batched(l: GroupElement, naxes):
+    """The shape of the batch that ``l``'s entries make, () for one element,
+    and ``l`` with its entries' batch axes ahead of ``naxes`` grid axes."""
     entries = (l.c, l.d, l.a, l.b, l.mu, l.nu)
     if not any(isinstance(v, np.ndarray) for v in entries):
-        return ()
-    return np.broadcast_shapes(*map(np.shape, entries))
-
-
-def _batch_first(l: GroupElement, naxes):
-    """``l`` with its entries' batch axes ahead of ``naxes`` grid axes."""
-    entries = (l.c, l.d, l.a, l.b, l.mu, l.nu)
-    if not any(isinstance(v, np.ndarray) for v in entries):
-        return l
+        return (), l
     c, d, a, b, mu, nu = (np.reshape(v, np.shape(v) + (1,) * naxes) for v in entries)
-    return GroupElement(Mat2(c, d, a, b), mu, nu)
+    return np.broadcast_shapes(*map(np.shape, entries)), GroupElement(Mat2(c, d, a, b), mu, nu)
 
 
 def transformed(fn: SmoothFn, l: GroupElement, spec: FamilySpec) -> PullbackFn:
     """The group-transformed function K(Z | element) * fn(element Z); a
     batched element gives a function with the batch axes leading."""
-    batch, l = _batch_shape(l), _batch_first(l, 1 + spec.n)
+    batch, l = _batched(l, 1 + spec.n)
     return PullbackFn(_of_family(fn, spec), lambda tj: frame(l, spec, tj), batch=batch)
 
 
@@ -471,7 +464,8 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
     """
     t, xs = grid.points(spec.n)
     nv = 1 + spec.n
-    fr = frame(_batch_first(l, nv), spec, Jet.variable(t, 0, nv, 2))
+    batch, l = _batched(l, nv)
+    fr = frame(l, spec, Jet.variable(t, 0, nv, 2))
     pulled_at = fn.at_time(fr.tp)
     base_residual = _residual_step(fn, spec, Jet.variable(value_of(fr.tp), 0, nv, 2))
     xi = value_of(fr.xi)
@@ -487,4 +481,4 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
         rhs = xi * xi * k * base_residual([value_of(x) for x in xps])[0]
         return resid - rhs, np.abs(rhs) + np.abs(psi)
 
-    return _tiled(tile, _batch_shape(l), t, xs)
+    return _tiled(tile, batch, t, xs)

@@ -115,10 +115,6 @@ class SmoothFn:
     def value(self, t, x):
         return self.jet(t, x, 0).value
 
-    def partial(self, t, x, orders):
-        """Partial derivative; ``orders`` = (t order, x order, ...)."""
-        return self.jet(t, x, jets.weight(tuple(orders))).partial(orders)
-
     def _seed(self, t, x, order):
         """Seeds of t and of the ``ndim`` space coordinates of ``x``;
         ``DomainError`` for another number of coordinates."""
@@ -407,12 +403,12 @@ class AirySpec:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # caps of the Airy code's loops, past which they raise ConvergenceError: a
-# truncation grown 1000 times covers |p| up to ~6e5 beta^2, and a root
+# truncation grown 1000 times covers p down to ~-6e5 beta^2, and a root
 # search takes about 4 Newton steps, while 100 midpoint steps would take
 # any bracket of the energy scan down to adjacent floats
 TRUNCATION_STEPS = 1000
 ROOT_STEPS = 100
-PANEL_CAP = 4096  # panels of one p, |p| ~900 at beta = 1; past it QuadratureError
+PANEL_CAP = 4096  # panels of one p, p ~8,192 at beta = 1; past it QuadratureError
 SCAN_POINTS, ROOT_WIDTH = 61, 1e-10  # of the energy scan and its root brackets
 
 
@@ -421,7 +417,8 @@ def _contour_integral(p, beta, moments):
     the ray e^{i pi/6} from 0, where the cubic phase decays; ``moments``
     selects x-derivative weights (i beta z)^m.  The result has one row per
     moment order, each of the shape of ``p``.  Each ``p`` gets the least
-    whole truncation at which the phase has decayed, and composite
+    whole truncation at which the integrand's modulus, exp(-p r/2 -
+    beta^2 r^3/3) at z = r e^{i pi/6}, is at most e^-45, and composite
     16-point Gauss-Legendre panels in the problem's natural units: the
     integrand decays on the scale beta^{-2/3} and oscillates at
     sqrt(3)/2 |p|, so a panel is beta^{-2/3} wide, or 8/|p| where that is
@@ -439,11 +436,10 @@ def _contour_integral(p, beta, moments):
     p = np.asarray(p, dtype=float)
     ray = np.exp(1j * np.pi / 6.0)
     trunc, steps = np.full(p.shape, 4.0), 0
-    while np.any(short := beta ** 2 * trunc ** 3 / 3.0 - abs(p) * trunc / 2.0 < 45.0):
+    while np.any(short := beta ** 2 * trunc ** 3 / 3.0 + p * trunc / 2.0 < 45.0):
         if steps == TRUNCATION_STEPS:
             raise ConvergenceError(f"no truncation up to {trunc.max():.0f} decays the phase")
         trunc, steps = trunc + short, steps + 1
-    # |integrand| = exp(-p r / 2 - beta^2 r^3 / 3) at z = r e^{i pi/6}
     tail = np.exp(-p * trunc / 2.0 - beta ** 2 * trunc ** 3 / 3.0) / (beta ** 2 * trunc ** 2 / 2.0)
     g = (2.0 / 3.0) * np.maximum(-p / 2.0, 0.0) ** 1.5 / beta
     error = (tail + np.finfo(float).eps * np.exp(g) * (1.0 + g)) * np.maximum(abs(p), 1.0) ** max(moments)

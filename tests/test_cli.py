@@ -323,7 +323,9 @@ def test_cli_exit_code_2_on_a_range_flag_with_theta(tmp_path, capsys, flag):
     # would be dropped without a word
     out = str(tmp_path / "theta.tsv")
     assert main(["demo-transform", "--solution", "theta", flag, "0.5", "--out", out]) == 2
-    assert "config error: theta samples its fixed window, t = i[1.0, 1.6]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: theta samples its fixed window, t = i[1.0, 1.6] and x in [-0.4, 0.4]: "
+        "--t-min, --t-max, --x-min and --x-max do not apply\n")
 
 
 def test_cli_exit_code_2_on_an_unwritable_out(tmp_path, capsys):
@@ -438,7 +440,7 @@ def test_demo_transform_rejects_empty_grid(tmp_path):
         assert main(["demo-transform", flag, "--out", str(tmp_path / "d.tsv")]) == 2, flag
 
 
-@pytest.mark.parametrize("solution", ["f2", "power"])
+@pytest.mark.parametrize("solution", ["f1", "f2", "gaussian", "power", "g2", "g3"])
 def test_demo_transform_default_window_lies_in_the_domain(tmp_path, solution):
     out = tmp_path / "d.tsv"
     assert main(["demo-transform", "--solution", solution, "--seed", "3", "--out", str(out)]) == 0

@@ -45,9 +45,9 @@ INVQ = FamilySpec.inverse_quadratic(k=0.7, alpha=2.0)
 
 def test_point_takes_an_array_as_one_batched_coordinate():
     t, x = np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.3, 0.4])
-    assert Point(t, x).n == 1 and Point(t, (x, x)).n == 2
+    assert len(Point(t, x).x) == 1 and len(Point(t, (x, x)).x) == 2
     zp = act(random_element(RNG, size=3), Point(t, x), LIN)
-    assert zp.n == 1 and np.shape(zp.x1) == (3,)
+    assert len(zp.x) == 1 and np.shape(zp.x1) == (3,)
 
 
 def test_family_spec_validation():

@@ -387,7 +387,7 @@ def test_nls_pullback_matches_the_product_of_the_whole_factors():
     base, l = plane_wave_nls(1.1, (0.4, -0.7), nls), random_element(RNG, size=3)
     t, xs = GRID_9_11.points(2)
     tj, xjs = base._seed(t, xs, 2)
-    fr = coords.frame(residual._batch_first(l, 3), nls, tj)
+    fr = coords.frame(residual._batched(l, 3)[1], nls, tj)
     b1, b2 = base.at_time(fr.tp)(fr.space(xjs))
     k1, k2 = fr.multiplier_factors(xjs)
     want, got = (b1 * b2) * (k1 * k2), transformed(base, l, nls).jet_at(tj, xjs)
@@ -892,7 +892,7 @@ def test_intertwining_by_the_product_rule_matches_the_jet_product(monkeypatch, f
     (defect, scale), = seen
     t, xs = grid.points(1)
     nv = 2
-    fr = coords.frame(residual._batch_first(l, nv), spec, jets.Jet.variable(t, 0, nv, 2))
+    fr = coords.frame(residual._batched(l, nv)[1], spec, jets.Jet.variable(t, 0, nv, 2))
     xjs = [jets.Jet.variable(xs[0], 1, nv, 2)]
     pulled = fn.jet_at(fr.tp, fr.space(xjs)) * fr.multiplier(xjs)
     xv = jets.value_of(fr.space(xjs)[0])
