@@ -43,8 +43,13 @@ the multiplier's as ``SmoothFn.at_time`` does (``solutions.pairing``),
 runs on tiles of the last space axis, each of at most ``TILE_POINTS``
 points, batch axes included.  Each tile is summarized on its own and the
 summaries fold into one report, bit for bit the report of one evaluation
-on the whole grid; a grid within the budget is one tile.  A guard raises in the first tile that has a point outside its
-domain or range, with the error of one evaluation on the whole grid.
+on the whole grid; a grid within the budget is one tile.  A guard raises
+in the first tile that has a point outside its domain or range, with the
+error of one evaluation on the whole grid.  A verification of more than
+one tile first sets the process's heap policy (``_hold_heap``): through
+glibc's ``mallopt``, tiles take their arrays from a heap whose top stays
+mapped between tiles and verifications; a C library without it, or where
+it has no effect, is left as it is.
 
 An element whose entries have shape ``(n,)`` is a batch of n elements on
 its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
@@ -54,8 +59,10 @@ its own leading axis (``(n, 1, ..., 1)`` against ``t (nt, 1)`` and
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -281,13 +288,36 @@ def stencil(fn: SmoothFn, t, xs, order, steps):
 
 # Points of one tile, batch axes included: the 224^2 and 37^3 grids of the
 # benchmark's residual_large round take two tiles each (of 112 columns, of
-# 18 and 19 planes), the checks' 14^2 grids one.  On a 2-vCPU Xeon (Python
-# 3.11, numpy 2.4; perfbench/run.py residual_large, 20 s runs, ten pairs)
-# that round's op_s_p50 fell 4 % and its peak_rss_mb from 56.3 to 49.5 MB
-# against one tile.  At 25,088, three 37^3 tiles, the same round read the
-# same or 40 % slower from run to run, as glibc happened to trim the heap;
-# a tile costs ~0.4 ms of its own, so at 12,544 and below the round slows.
+# 18 and 19 planes), the checks' 14^2 grids one.  With the heap held
+# (``_hold_heap``), on a 2-vCPU Xeon (Python 3.11, numpy 2.4; perfbench/run.py
+# residual_large, 10 s runs, three per budget) that round's op_s_p50 reads
+# 0.0360 s against 0.0445 s on one tile, and peak_rss_mb 45.1 against 49.2 MB.
+# At 25,088, three 37^3 tiles, it reads the same 0.0359 s; a tile costs
+# ~0.12 ms of its own, so at 16,384 the round reads 0.0395 s (43.0 MB).
 TILE_POINTS = 32_768
+
+# glibc's malloc maps a block of at least M_MMAP_THRESHOLD bytes on its own,
+# and gives the heap's free top back to the kernel past M_TRIM_THRESHOLD; by
+# default both follow the largest mapped block freed.  A tiled verification
+# then returns its working set to the kernel at its end, and the next one
+# faults it in again: ~1,500 pages for a 224^2 grid.  Held at these sizes, a
+# tile's arrays come from the heap and its top stays mapped.  The trim
+# threshold alone freezes the mmap threshold at its 128 KiB default, and a
+# 224^2 tile's 400 kB arrays are still mapped afresh each time.
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+
+
+def _hold_heap():
+    """Keep the C heap's memory mapped between tiles and verifications
+    (``HEAP_MMAP_THRESHOLD``, ``HEAP_TRIM_THRESHOLD``), by ``mallopt``,
+    which is idempotent and acts on the whole process; a C library without
+    it is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, HEAP_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, HEAP_TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 def _tiles(n, per_column):
@@ -347,6 +377,7 @@ def _tiled(tile, batch, t, xs) -> ResidualReport:
     if len(tiles) == 1:  # the flat index in the tile is the grid's
         summary = _report(*tile(xs), t, xs)
     else:
+        _hold_heap()
         summary = reduce(_fold, (_tile_report(tile, t, xs, grid, cols) for cols in tiles))
     max_abs, max_rel, at, n_points = summary
     batched = np.ndim(max_abs) > 0
@@ -475,7 +506,7 @@ def verify_intertwining(fn: SmoothFn, l: GroupElement, spec: FamilySpec,
         resid, psi = _product_rule(spec, pulled_at(xps), conj, xs)
         k = reduce(operator.mul, (c[0] for c in conj))
         # the exponent's arrays go before the right-hand side's jets are
-        # formed: a 224^2 verification peaks at 3.85 MB, not 4.65 MB
+        # formed: a 224^2 verification peaks at 3.85 MB, not 4.66 MB
         del conj
         # the right-hand side reads the value rows of the same frame evaluation
         rhs = xi * xi * k * base_residual([value_of(x) for x in xps])[0]

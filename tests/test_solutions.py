@@ -335,7 +335,13 @@ def test_vectorised_contour_integral_matches_the_per_panel_loop(beta):
         np.testing.assert_array_equal(_contour_integral(p, beta, moments), batch[:, i])
 
 
-def test_contour_truncation_is_chosen_per_p():
+def test_contour_truncation_is_chosen_per_p(monkeypatch):
+    built, linspace = [], np.linspace
+
+    def edges(start, stop, num):  # the panel edges of one (truncation, count)
+        built.append((stop, num - 1))
+        return linspace(start, stop, num)
+
     for beta, ps, truncs, panels in (
         # at beta = 0.5, p = 6 decays on a shorter contour than p = 0.5 and -1
         (0.5, (6.0, 0.5, -1.0), (7.0, 9.0, 9.0), (6, 6, 6)),
@@ -344,7 +350,15 @@ def test_contour_truncation_is_chosen_per_p():
         (1.0, (8.5, -8.5, 1.0, -2.0), (5.0, 6.0, 6.0, 6.0), (6, 7, 6, 6)),
     ):
         ps = np.array(ps)
-        batch = _contour_integral(ps, beta, (0, 2))
+        with monkeypatch.context() as m:
+            m.setattr(np, "linspace", edges)
+            built.clear()
+            batch = _contour_integral(ps, beta, (0, 2))
+            assert sorted(built) == sorted(set(zip(truncs, panels)))
+            for p, trunc, count in zip(ps, truncs, panels):
+                built.clear()
+                _contour_integral(p, beta, (0, 2))
+                assert built == [(trunc, count)]
         for i, (trunc, count) in enumerate(zip(truncs, panels)):
             assert _truncation(ps[i], beta) == trunc and _panels(ps[i], beta, trunc) == count
             want = _contour_integral_per_panel(ps[i], beta, trunc, (0, 2))
