@@ -291,9 +291,10 @@ def stencil(fn: SmoothFn, t, xs, order, steps):
 # 18 and 19 planes), the checks' 14^2 grids one.  With the heap held
 # (``_hold_heap``), on a 2-vCPU Xeon (Python 3.11, numpy 2.4; perfbench/run.py
 # residual_large, 10 s runs, three per budget) that round's op_s_p50 reads
-# 0.0360 s against 0.0445 s on one tile, and peak_rss_mb 45.1 against 49.2 MB.
-# At 25,088, three 37^3 tiles, it reads the same 0.0359 s; a tile costs
-# ~0.12 ms of its own, so at 16,384 the round reads 0.0395 s (43.0 MB).
+# 0.0360 s against 0.0445 s on one tile (which holds no heap), and
+# peak_rss_mb 45.1 against 49.2 MB.  At 25,088, three 37^3 tiles, it reads
+# the same 0.0359 s; a tile costs ~0.12 ms of its own, so at 16,384 the
+# round reads 0.0395 s (43.0 MB).
 TILE_POINTS = 32_768
 
 # glibc's malloc maps a block of at least M_MMAP_THRESHOLD bytes on its own,
@@ -302,8 +303,9 @@ TILE_POINTS = 32_768
 # then returns its working set to the kernel at its end, and the next one
 # faults it in again: ~1,500 pages for a 224^2 grid.  Held at these sizes, a
 # tile's arrays come from the heap and its top stays mapped.  The trim
-# threshold alone freezes the mmap threshold at its 128 KiB default, and a
-# 224^2 tile's 400 kB arrays are still mapped afresh each time.
+# threshold alone freezes the mmap threshold where the rule left it, at its
+# 128 KiB default in a fresh process, and a 224^2 tile's 400 kB arrays are
+# then still mapped afresh each time.
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TRIM_THRESHOLD = 64 << 20
 
